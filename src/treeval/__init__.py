@@ -10,10 +10,9 @@ from .paths import (STREAM_INNER, STREAM_MODEL, STREAM_TEST, STREAM_TRAIN,
                     STREAM_VALID, BlackScholesModel, DriverSample,
                     LocalVolModel, Payoff, log_bs_localvol, payoff_value,
                     sample_driver, simulate_bs, simulate_localvol, stream_rng)
-from .cart import (Hyperrectangle, RegressionTree, TreeConfig, best_split,
-                   fit_tree, full_cell, predict_tree)
+from .cart import RegressionTree, TreeConfig, best_split, fit_tree, predict_tree
 from .ensemble import (BoostConfig, FittedBoost, FittedForest, ForestConfig,
-                       fit_boost, fit_forest, predict)
+                       fit, fit_boost, fit_forest, predict)
 from .flat import (FlatEnsemble, evaluate_flat, flatten_boost, flatten_forest,
                    flatten_model, flatten_tree, load_flat, read_flat_text,
                    save_flat, write_flat_text)

@@ -24,13 +24,12 @@ import numpy as np
 from .bermudan import (BermudanValue, ExerciseSpec, black_put_price,
                        price_regress_later, price_regress_now,
                        stopping_distribution)
-from .cart import TreeConfig
-from .ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest, predict
+from .ensemble import BoostConfig, ForestConfig, fit, predict
 from .flat import flatten_model
 from .measure import ProductMeasure
 from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
-                    BlackScholesModel, DriverSample, Payoff, log_bs_localvol,
+                    BlackScholesModel, Payoff, log_bs_localvol,
                     payoff_value, sample_driver, simulate_bs,
                     simulate_localvol, stream_rng, _standard_normal)
 from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
@@ -189,23 +188,6 @@ def paper_boost_grid(rounds_cap: int = 1000, patience: int = 10) -> tuple:
     return tuple(out)
 
 
-def _fit_estimator(config, train, y_train, valid=None, y_valid=None):
-    if isinstance(config, BoostConfig):
-        return fit_boost(train, y_train, config, valid, y_valid)
-    if isinstance(config, ForestConfig):
-        return fit_forest(train, y_train, config)
-    if isinstance(config, TreeConfig):
-        from .cart import fit_tree
-        return fit_tree(train, y_train, config)
-    raise TypeError("estimator config must be a TreeConfig, ForestConfig, or BoostConfig")
-
-
-def _model_cells(fitted) -> int:
-    if hasattr(fitted, "n_cells"):
-        return fitted.n_cells
-    return fitted.n_leaves
-
-
 # --------------------------------------------------------- validation stage
 
 
@@ -246,11 +228,11 @@ def run_validation_grid(plan: ExperimentPlan, grid: Optional[Sequence] = None) -
         raise ValueError("degenerate plan: training payoffs average to zero")
     rows = []
     for name, config in grid:
-        fitted = _fit_estimator(config, train, y_train, valid, y_valid)
+        fitted = fit(config, train, y_train, (valid, y_valid))
         pred = np.asarray(predict(fitted, valid), dtype=np.float64)
         rows.append(ValidationRow(name=name, config=config,
                                   error_pct=normalized_l2(pred, y_valid, ref),
-                                  n_cells=_model_cells(fitted)))
+                                  n_cells=fitted.n_cells))
     return ValidationTable(rows=tuple(rows))
 
 
@@ -399,7 +381,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     results = []
     for name, config in plan.estimators:
         t0 = clock()
-        fitted = _fit_estimator(config, train, y_train, valid, y_valid)
+        fitted = fit(config, train, y_train, (valid, y_valid))
         timings.append((f"fit_{name}", clock() - t0))
         t0 = clock()
         fe = flatten_model(fitted)

@@ -15,15 +15,14 @@ expectation on Z_t directly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random import SeedSequence
 from scipy.special import ndtr
 
-from .cart import TreeConfig, fit_tree
-from .ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest, predict
+from .ensemble import fit, predict
 from .flat import FlatEnsemble, flatten_model
 from .measure import GaussianKernel, normal_interval_prob, rect_prob_gaussian
 from .paths import LocalVolModel
@@ -56,19 +55,10 @@ def _step_seed(base_seed: int, t: int) -> int:
 
 
 def _fit_step(features: np.ndarray, labels: np.ndarray, config, t: int):
-    if not isinstance(config, (TreeConfig, ForestConfig, BoostConfig)):
+    # the per-date seed needs a config dataclass; fit() then checks its kind
+    if not is_dataclass(config):
         raise TypeError("config must be a TreeConfig, ForestConfig, or BoostConfig")
-    cfg = replace(config, seed=_step_seed(config.seed, t))
-    if isinstance(config, ForestConfig):
-        return fit_forest(features, labels, cfg)
-    if isinstance(config, BoostConfig):
-        return fit_boost(features, labels, cfg)
-    return fit_tree(features, labels, cfg)
-
-
-def _interval_cells(fe: FlatEnsemble):
-    """Cells of a one-period ensemble as (N, m) bound arrays."""
-    return fe.lows[:, :, 0], fe.highs[:, :, 0]
+    return fit(replace(config, seed=_step_seed(config.seed, t)), features, labels)
 
 
 def _phi_form(fe: FlatEnsemble):
@@ -84,8 +74,8 @@ def _phi_form(fe: FlatEnsemble):
     with one cdf call per distinct bound instead of two per cell.
     Returns (bounds, weights, const).
     """
-    lo = fe.lows[:, 0, 0]
-    hi = fe.highs[:, 0, 0]
+    lo = fe.lo[:, 0]
+    hi = fe.hi[:, 0]
     v = fe.values
     const = float(v[np.isposinf(hi)].sum())
     fin_hi = np.isfinite(hi)
@@ -110,7 +100,7 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
     correlated kernels fall back to per-point quasi Monte Carlo rectangle
     probabilities (accurate but far slower).
     """
-    lo, hi = _interval_cells(fe)
+    lo, hi = fe.lo, fe.hi  # one period: column j bounds state coordinate j
     values = fe.values
     k, m = mean.shape
     cov = np.einsum("kmd,knd->kmn", cov_factor, cov_factor)

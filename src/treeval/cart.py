@@ -7,9 +7,13 @@ carry the mean response of their training points, so the fitted function
 is piecewise constant on a partition of R^{d x T} into half-open
 hyperrectangles ``prod (a_{j,s}, b_{j,s}]``.
 
-Coordinates are flattened time-major: flat column ``c = s*d + j``.  The
-first ``t*d`` columns therefore describe the first t periods, which is
-what conditional valuation slices on.
+Every point and every cell bound is stored time-major: a path with d
+assets over T periods is a row of P = d*T columns, and column
+``c = s*d + j`` holds asset j of period s+1.  The first ``t*d`` columns
+therefore describe the first t periods, which is what conditional
+valuation slices on.  ``_as_points`` is the one place where the other
+accepted layouts (a DriverSample, (k, d, T) batches, a single (d, T)
+point) are turned into these rows; everything past it works on (k, P).
 """
 
 from __future__ import annotations
@@ -24,53 +28,6 @@ from numpy.random import Generator, Philox, SeedSequence
 from .paths import DriverSample
 
 _LEAF = -1
-
-
-@dataclass(frozen=True)
-class Hyperrectangle:
-    """Half-open cell prod_{j,s} (lower_{j,s}, upper_{j,s}] in R^{d x T}.
-
-    Membership is ``lower < x <= upper`` componentwise; an upper bound of
-    +inf leaves the cell open above.
-    """
-
-    lower: np.ndarray  # (d, T)
-    upper: np.ndarray  # (d, T)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=np.float64))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=np.float64))
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 2:
-            raise ValueError("lower and upper must share a (d, T) shape")
-        if not (self.lower < self.upper).all():
-            raise ValueError("hyperrectangle requires lower < upper componentwise")
-
-    @property
-    def dims(self) -> tuple:
-        return self.lower.shape
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Membership of points x with shape (d, T) or (k, d, T)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 2
-        pts = x[None] if single else x
-        inside = ((pts > self.lower) & (pts <= self.upper)).all(axis=(1, 2))
-        return bool(inside[0]) if single else inside
-
-
-def full_cell(d: int, T: int) -> Hyperrectangle:
-    """The whole space R^{d x T} as a cell."""
-    return Hyperrectangle(np.full((d, T), -np.inf), np.full((d, T), np.inf))
-
-
-def flat_coord(j: int, s: int, d: int) -> int:
-    """Flat column of coordinate (asset j, period s) in time-major layout."""
-    return s * d + j
-
-
-def coord_pair(c: int, d: int) -> tuple:
-    """Inverse of flat_coord: flat column -> (asset j, period s)."""
-    return c % d, c // d
 
 
 @dataclass(frozen=True)
@@ -131,6 +88,10 @@ class RegressionTree:
         return int((self.feature == _LEAF).sum())
 
     @property
+    def n_cells(self) -> int:
+        return self.n_leaves
+
+    @property
     def n_nodes(self) -> int:
         return self.feature.size
 
@@ -164,22 +125,51 @@ class RegressionTree:
         return lows[mask], highs[mask], self.value[mask], self.count[mask]
 
 
-def _as_flat(x, dims=None):
-    """Coerce points to (k, d*T) time-major; accepts (d,T), (k,d,T), (k,P)."""
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(k, d, T) grid -> (k, T*d) rows; column s*d + j is a[:, j, s]."""
+    k, d, T = a.shape
+    return a.transpose(0, 2, 1).reshape(k, T * d)
+
+
+def _as_points(x, dims) -> tuple:
+    """Coerce points to time-major rows; every public entry point reads points here.
+
+    Accepts a DriverSample, a batch (k, d, T), a single point (d, T),
+    flat rows (k, P) or a single flat point (P,), with P = d*T and
+    dims = (d, T).  A 2-D input whose shape equals dims is one (d, T)
+    point; any other 2-D input is flat rows.  Returns (X, single): X
+    has shape (k, P) and single says the input was one point.  Raises
+    ValueError when the layout does not match dims or a coordinate is
+    not finite.
+    """
+    d, T = dims
     if isinstance(x, DriverSample):
-        return x.flat()
+        x = x.data
     x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1 or x.shape == (d, T)
+    if x.ndim == 2 and single:
+        x = x[None]
     if x.ndim == 3:
-        k, d, T = x.shape
-        return np.ascontiguousarray(x.transpose(0, 2, 1).reshape(k, T * d))
-    if x.ndim == 2 and dims is not None and x.shape == dims:
-        d, T = dims
-        return np.ascontiguousarray(x.T.reshape(1, T * d))
-    if x.ndim == 2:
-        return x
-    if x.ndim == 1:
-        return x[None, :]
-    raise ValueError("cannot interpret point array of this shape")
+        if x.shape[1:] != (d, T):
+            raise ValueError(f"points of shape {x.shape} do not match dims ({d}, {T})")
+        X = _time_major(x)
+    elif x.ndim in (1, 2):
+        X = x.reshape(-1, x.shape[-1])
+    else:
+        raise ValueError(f"cannot interpret a point array of shape {x.shape}")
+    if X.shape[1] != d * T:
+        raise ValueError(f"points have {X.shape[1]} coordinates, expected d*T = {d * T}")
+    if not np.isfinite(X).all():
+        raise ValueError("points contain non-finite coordinates")
+    return np.ascontiguousarray(X), single
+
+
+def _training_points(sample) -> tuple:
+    """(X, dims) of a training sample: a DriverSample or an (n, d, T) array."""
+    dims = sample.data.shape[1:] if isinstance(sample, DriverSample) else np.shape(sample)[1:]
+    if len(dims) != 2:
+        raise ValueError("sample must be a DriverSample or an (n, d, T) array")
+    return _as_points(sample, dims)[0], dims
 
 
 def _scan_column(xs: np.ndarray, y: np.ndarray):
@@ -362,24 +352,11 @@ def _grow_best_first(buf: _NodeBuffer, Xf, y, cfg: TreeConfig, rng: Generator):
                 tick += 1
 
 
-def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig(),
-             rng: Optional[Generator] = None) -> RegressionTree:
-    """Grow a regression tree on driver paths against responses.
-
-    sample may be a DriverSample or an (n, d, T) array; responses must
-    be finite with one entry per path.
-    """
-    if isinstance(sample, DriverSample):
-        dims = sample.dims[1:]
-        Xf = sample.flat()
-    else:
-        arr = np.asarray(sample, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError("sample must be a DriverSample or an (n, d, T) array")
-        dims = arr.shape[1:]
-        Xf = _as_flat(arr)
+def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
+               rng: Optional[Generator] = None) -> RegressionTree:
+    """Grow a tree on time-major rows X (k, P); the ensembles call this directly."""
     y = np.asarray(responses, dtype=np.float64)
-    if y.shape != (Xf.shape[0],):
+    if y.shape != (X.shape[0],):
         raise ValueError("responses must be a vector with one entry per path")
     if not np.isfinite(y).all():
         raise ValueError("responses contain non-finite entries")
@@ -387,33 +364,43 @@ def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig(),
         rng = Generator(Philox(SeedSequence(cfg.seed)))
     buf = _NodeBuffer()
     if cfg.max_leaves is None:
-        _grow(buf, Xf, y, cfg, rng)
+        _grow(buf, X, y, cfg, rng)
     else:
-        _grow_best_first(buf, Xf, y, cfg, rng)
+        _grow_best_first(buf, X, y, cfg, rng)
     return buf.freeze(dims)
 
 
-def predict_tree(tree: RegressionTree, x) -> np.ndarray | float:
-    """Evaluate the fitted function at x ((d,T), (k,d,T) or flat (k,P)).
+def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig(),
+             rng: Optional[Generator] = None) -> RegressionTree:
+    """Grow a regression tree on driver paths against responses.
 
-    A 2-D input whose shape equals the tree's (d, T) dims is read as a
-    single point and returns a float; other inputs return one value per
-    row.
+    sample may be a DriverSample or an (n, d, T) array; responses must
+    be finite with one entry per path.
     """
-    Xf = _as_flat(x, dims=tree.dims)
-    if isinstance(x, DriverSample):
-        single = False
-    else:
-        xa = np.asarray(x)
-        single = xa.ndim == 1 or (xa.ndim == 2 and xa.shape == tree.dims)
-    node = np.zeros(Xf.shape[0], dtype=np.int32)
+    X, dims = _training_points(sample)
+    return _grow_tree(X, responses, cfg, dims, rng)
+
+
+def _predict_points(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+    """Route time-major rows X (k, P) to their leaves; one value per row."""
+    node = np.zeros(X.shape[0], dtype=np.int32)
     active = tree.feature[node] != _LEAF
     while active.any():
         rows = np.flatnonzero(active)
         cur = node[rows]
         f = tree.feature[cur]
-        go_left = Xf[rows, f] <= tree.threshold[cur]
+        go_left = X[rows, f] <= tree.threshold[cur]
         node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
         active[rows] = tree.feature[node[rows]] != _LEAF
-    out = tree.value[node]
+    return tree.value[node]
+
+
+def predict_tree(tree: RegressionTree, x) -> np.ndarray | float:
+    """Evaluate the fitted function at x, in any layout _as_points reads.
+
+    A single point returns a float; other inputs return one value per
+    row.
+    """
+    X, single = _as_points(x, tree.dims)
+    out = _predict_points(tree, X)
     return float(out[0]) if single else out

@@ -23,8 +23,8 @@ from . import bench
 from .bench import (BermudanPlan, ExperimentPlan, bundle_hash, oracle_v1,
                     run_bermudan, run_experiment, write_snapshot)
 from .cart import TreeConfig
-from .ensemble import BoostConfig, ForestConfig
-from .flat import load_flat, save_flat, write_flat_text
+from .ensemble import BoostConfig, ForestConfig, fit
+from .flat import flatten_model, load_flat, save_flat, write_flat_text
 from .measure import CopulaMeasure, ProductMeasure
 from .parallel import set_threads
 from .paths import (STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
@@ -249,7 +249,7 @@ class RunConfig:
         if dates is not None:
             if not isinstance(dates, list) or not all(isinstance(t, int) for t in dates):
                 raise ConfigError("plan.dates must be a list of integers")
-            dates = tuple(dates)
+            dates = _check_dates(dates, model.n_periods, "plan.dates")
         est_node = self.doc.get("estimator")
         estimator = _build_estimator(est_node, "estimator") if est_node is not None else \
             BoostConfig(rounds=400, learning_rate=0.1, nodesize=40, max_depth=15,
@@ -279,6 +279,12 @@ class RunConfig:
                               "(experiment.out or --out)")
         self.out.mkdir(parents=True, exist_ok=True)
         return self.out
+
+
+def _check_dates(dates, T: int, what: str) -> tuple:
+    if any(not 0 <= t <= T for t in dates):
+        raise ConfigError(f"{what}: dates must lie in 0..{T}, got {list(dates)}")
+    return tuple(dates)
 
 
 def load_config(args) -> RunConfig:
@@ -344,9 +350,9 @@ def cmd_train(cfg: RunConfig) -> int:
     out = cfg.require_out()
     data = _load_samples(out)
     name, config = plan.estimators[0]
-    fitted = bench._fit_estimator(config, data["train_driver"], data["train_payoff"],
-                                  data["valid_driver"], data["valid_payoff"])
-    fe = bench.flatten_model(fitted)
+    fitted = fit(config, data["train_driver"], data["train_payoff"],
+                 (data["valid_driver"], data["valid_payoff"]))
+    fe = flatten_model(fitted)
     save_flat(fe, out / f"flat_{name}.npz")
     write_flat_text(fe, out / f"flat_{name}.txt")
     with open(out / "training.json", "w") as fh:
@@ -361,6 +367,14 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
     plan = cfg.european_plan()
+    T = plan.model.n_periods
+    dates = plan.eval_dates
+    if dates_arg:
+        try:
+            dates = [T if tok.upper() == "T" else int(tok) for tok in dates_arg]
+        except ValueError:
+            raise ConfigError(f"--t: expected integers or T, got {' '.join(dates_arg)}") from None
+        dates = _check_dates(dates, T, "--t")
     out = cfg.require_out()
     data = _load_samples(out)
     name, _ = plan.estimators[0]
@@ -368,10 +382,6 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
     if not flat_path.exists():
         raise ArtifactError(f"missing {flat_path.name} in {out} (run the train stage first)")
     fe = load_flat(flat_path)
-    T = plan.model.n_periods
-    dates = plan.eval_dates
-    if dates_arg:
-        dates = tuple(T if tok.upper() == "T" else int(tok) for tok in dates_arg)
     measure = plan.measure
     surface = value_surface(fe, measure, dates, data["test_driver"],
                             meta={"estimator": name, "seed": plan.seed})
@@ -489,6 +499,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
             set_threads(args.threads)
         cfg = load_config(args)
         if args.command == "simulate":
@@ -508,9 +520,6 @@ def main(argv=None) -> int:
     except ArtifactError as e:
         print(f"MISSING_ARTIFACT: {e}", file=sys.stderr)
         return EXIT_ARTIFACT
-    except ValueError as e:
-        print(f"CONFIG_ERROR: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - single-line error contract
         print(f"RUNTIME_ERROR: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME

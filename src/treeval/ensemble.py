@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .cart import RegressionTree, TreeConfig, fit_tree, predict_tree, _as_flat
-from .paths import DriverSample
+from .cart import (RegressionTree, TreeConfig, _as_points, _grow_tree,
+                   _predict_points, _training_points, fit_tree, predict_tree)
 
 _SAMPLINGS = ("bootstrap", "subsample_with", "subsample_without")
 
@@ -94,11 +94,8 @@ def fit_forest(sample, responses, cfg: ForestConfig = ForestConfig()) -> FittedF
     tree's data and split draws depend only on (seed, m) and are stable
     under re-runs.
     """
-    if isinstance(sample, DriverSample):
-        data = sample.data
-    else:
-        data = np.asarray(sample, dtype=np.float64)
-    n = data.shape[0]
+    X, dims = _training_points(sample)
+    n = X.shape[0]
     y = np.asarray(responses, dtype=np.float64)
     tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth,
                           max_leaves=cfg.max_leaves, features=cfg.features)
@@ -107,8 +104,8 @@ def fit_forest(sample, responses, cfg: ForestConfig = ForestConfig()) -> FittedF
     for m in range(cfg.n_trees):
         rng = Generator(Philox(seqs[m]))
         rows = _resample_rows(rng, n, cfg)
-        trees.append(fit_tree(data[rows], y[rows], tree_cfg, rng=rng))
-    return FittedForest(trees=tuple(trees), dims=data.shape[1:], config=cfg)
+        trees.append(_grow_tree(X[rows], y[rows], tree_cfg, dims, rng))
+    return FittedForest(trees=tuple(trees), dims=dims, config=cfg)
 
 
 @dataclass(frozen=True)
@@ -171,21 +168,15 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
     an identically-zero tree ends the loop (the update would be a
     no-op).
     """
-    if isinstance(sample, DriverSample):
-        data = sample.data
-    else:
-        data = np.asarray(sample, dtype=np.float64)
+    X, dims = _training_points(sample)
     y = np.asarray(responses, dtype=np.float64)
-    dims = data.shape[1:]
-    Xf = _as_flat(data)
     tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth,
                           max_leaves=cfg.max_leaves)
     use_valid = valid_sample is not None
     if use_valid:
         if valid_responses is None:
             raise ValueError("valid_sample requires valid_responses")
-        vXf = _as_flat(valid_sample.data if isinstance(valid_sample, DriverSample) else
-                       np.asarray(valid_sample, dtype=np.float64))
+        vX, _ = _as_points(valid_sample, dims)
         vy = np.asarray(valid_responses, dtype=np.float64)
 
     base = float(np.mean(y))
@@ -198,8 +189,8 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
     seqs = SeedSequence(cfg.seed).spawn(cfg.rounds)
     for t in range(cfg.rounds):
         resid = cur - y
-        tree = fit_tree(data, resid, tree_cfg, rng=Generator(Philox(seqs[t])))
-        g = predict_tree(tree, Xf)
+        tree = _grow_tree(X, resid, tree_cfg, dims, Generator(Philox(seqs[t])))
+        g = _predict_points(tree, X)
         den = float(np.sum(g * g))
         if den == 0.0:
             break
@@ -211,7 +202,7 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
         gammas.append(gamma)
         train_err.append(float(np.mean((cur - y) ** 2)))
         if use_valid:
-            vcur = vcur - cfg.learning_rate * gamma * predict_tree(tree, vXf)
+            vcur = vcur - cfg.learning_rate * gamma * _predict_points(tree, vX)
             err = float(np.mean((vcur - vy) ** 2))
             valid_err.append(err)
             if err < best_err:
@@ -228,25 +219,37 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
 
 
 def predict(model, x) -> np.ndarray | float:
-    """Evaluate a fitted tree, forest, or boosted model at x."""
+    """Evaluate a fitted tree, forest, or boosted model at x.
+
+    x may be in any layout ``cart._as_points`` reads; a single point
+    returns a float.
+    """
     if isinstance(model, RegressionTree):
         return predict_tree(model, x)
+    if not isinstance(model, (FittedForest, FittedBoost)):
+        raise TypeError(f"cannot predict with object of type {type(model).__name__}")
+    X, single = _as_points(x, model.dims)
     if isinstance(model, FittedForest):
-        preds = [predict_tree(t, x) for t in model.trees]
-        if np.isscalar(preds[0]):
-            return float(np.mean(preds))
-        return np.mean(preds, axis=0)
-    if isinstance(model, FittedBoost):
-        acc = None
+        out = np.mean([_predict_points(t, X) for t in model.trees], axis=0)
+    else:
+        acc = np.zeros(X.shape[0])
         for tree, gamma in zip(model.trees, model.gammas):
-            p = predict_tree(tree, x)
-            step = model.learning_rate * gamma * (p if not np.isscalar(p) else float(p))
-            acc = step if acc is None else acc + step
-        if acc is None:
-            xa = np.asarray(x) if not isinstance(x, DriverSample) else x.data
-            k = 1 if (not isinstance(x, DriverSample) and xa.ndim < 3
-                      and (xa.ndim == 1 or xa.shape == model.dims)) else xa.shape[0]
-            acc = 0.0 if k == 1 else np.zeros(k)
+            acc = acc + model.learning_rate * gamma * _predict_points(tree, X)
         out = model.base_value - acc
-        return float(out) if np.isscalar(out) else out
-    raise TypeError(f"cannot predict with object of type {type(model).__name__}")
+    return float(out[0]) if single else out
+
+
+def fit(config, X, y, valid=None):
+    """Fit the estimator that config describes on samples X against responses y.
+
+    config is a TreeConfig, ForestConfig, or BoostConfig.  valid is an
+    optional (X_valid, y_valid) pair; only boosting uses it, for
+    early stopping.
+    """
+    if isinstance(config, BoostConfig):
+        return fit_boost(X, y, config, *(valid or (None, None)))
+    if isinstance(config, ForestConfig):
+        return fit_forest(X, y, config)
+    if isinstance(config, TreeConfig):
+        return fit_tree(X, y, config)
+    raise TypeError("estimator config must be a TreeConfig, ForestConfig, or BoostConfig")

@@ -10,19 +10,19 @@ conditional expectations computable in closed form: each cell factorizes
 across periods, so its conditional probability is a product of
 per-period rectangle probabilities.
 
-Cells are stored as bound arrays of shape (N, d, T); ``lows`` / ``highs``
-use -inf / +inf for unbounded sides.
+Cells are stored as time-major bound arrays ``lo`` / ``hi`` of shape
+(N, P) with P = d*T, the layout ``RegressionTree.leaf_cells`` returns
+and ``weighted_membership`` reads (column s*d + j bounds asset j of
+period s+1); -inf / +inf mark unbounded sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .cart import Hyperrectangle, RegressionTree
-from .paths import DriverSample
+from .cart import RegressionTree, _as_points, _time_major
 
 _TEXT_HEADER = "treeval-flat 1"
 
@@ -33,25 +33,26 @@ class FlatEnsemble:
 
     Attributes
     ----------
-    lows, highs : ndarray, shape (N, d, T)
-        Cell bounds; membership is ``lows < x <= highs`` componentwise.
+    lo, hi : ndarray, shape (N, d*T)
+        Time-major cell bounds; membership is ``lo < x <= hi``
+        componentwise on a time-major point row x.
     values : ndarray, shape (N,)
         Cell weights.  Cells from one source tree partition the space,
         and cells of different trees may overlap.
     dims : (d, T)
     """
 
-    lows: np.ndarray
-    highs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     values: np.ndarray
     dims: tuple
 
     def __post_init__(self):
-        n = self.values.size
         d, T = self.dims
-        if self.lows.shape != (n, d, T) or self.highs.shape != (n, d, T):
-            raise ValueError("cell bounds must have shape (N, d, T)")
-        if not (self.lows < self.highs).all():
+        shape = (self.values.size, d * T)
+        if self.lo.shape != shape or self.hi.shape != shape:
+            raise ValueError("cell bounds must have shape (N, d*T)")
+        if not (self.lo < self.hi).all():
             raise ValueError("cells require lower < upper componentwise")
         if not np.isfinite(self.values).all():
             raise ValueError("cell values must be finite")
@@ -60,32 +61,11 @@ class FlatEnsemble:
     def n_cells(self) -> int:
         return self.values.size
 
-    def cells(self) -> Iterator[Hyperrectangle]:
-        for i in range(self.n_cells):
-            yield Hyperrectangle(self.lows[i], self.highs[i])
-
-    def flat_bounds(self) -> tuple:
-        """Bounds flattened time-major to (N, d*T): column s*d + j."""
-        n = self.n_cells
-        d, T = self.dims
-        lo = np.ascontiguousarray(self.lows.transpose(0, 2, 1).reshape(n, T * d))
-        hi = np.ascontiguousarray(self.highs.transpose(0, 2, 1).reshape(n, T * d))
-        return lo, hi
-
-
-def _bounds_to_grid(lo_flat: np.ndarray, hi_flat: np.ndarray, dims: tuple):
-    n = lo_flat.shape[0]
-    d, T = dims
-    lows = lo_flat.reshape(n, T, d).transpose(0, 2, 1)
-    highs = hi_flat.reshape(n, T, d).transpose(0, 2, 1)
-    return np.ascontiguousarray(lows), np.ascontiguousarray(highs)
-
 
 def flatten_tree(tree: RegressionTree) -> FlatEnsemble:
     """Leaf partition of a single tree as a FlatEnsemble."""
     lo, hi, val, _ = tree.leaf_cells()
-    lows, highs = _bounds_to_grid(lo, hi, tree.dims)
-    return FlatEnsemble(lows=lows, highs=highs, values=val.copy(), dims=tree.dims)
+    return FlatEnsemble(lo=lo, hi=hi, values=val.copy(), dims=tree.dims)
 
 
 def flatten_forest(forest) -> FlatEnsemble:
@@ -96,8 +76,7 @@ def flatten_forest(forest) -> FlatEnsemble:
     lo = np.concatenate([p[0] for p in parts])
     hi = np.concatenate([p[1] for p in parts])
     val = np.concatenate([p[2] for p in parts]) / m
-    lows, highs = _bounds_to_grid(lo, hi, trees[0].dims)
-    return FlatEnsemble(lows=lows, highs=highs, values=val, dims=trees[0].dims)
+    return FlatEnsemble(lo=lo, hi=hi, values=val, dims=trees[0].dims)
 
 
 def flatten_boost(boost) -> FlatEnsemble:
@@ -116,10 +95,8 @@ def flatten_boost(boost) -> FlatEnsemble:
         los.append(lo)
         his.append(hi)
         vals.append(val * (-boost.learning_rate * gamma))
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
-    lows, highs = _bounds_to_grid(lo, hi, boost.dims)
-    return FlatEnsemble(lows=lows, highs=highs, values=np.concatenate(vals), dims=boost.dims)
+    return FlatEnsemble(lo=np.concatenate(los), hi=np.concatenate(his),
+                        values=np.concatenate(vals), dims=boost.dims)
 
 
 def flatten_model(model) -> FlatEnsemble:
@@ -166,32 +143,29 @@ def weighted_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def evaluate_flat(fe: FlatEnsemble, x) -> np.ndarray | float:
     """Evaluate sum_i values[i] 1{x in cell_i} at points x.
 
-    x may be a DriverSample, a single (d, T) point, or a batch (k, d, T).
+    x may be in any layout ``cart._as_points`` reads; a single point
+    returns a float.
     """
-    if isinstance(x, DriverSample):
-        x = x.data
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    pts = x[None] if single else x
-    if pts.shape[1:] != fe.dims:
-        raise ValueError("points do not match the ensemble dims")
-    k = pts.shape[0]
-    ptf = pts.transpose(0, 2, 1).reshape(k, -1)
-    lo, hi = fe.flat_bounds()
-    out = weighted_membership(ptf, lo, hi, fe.values, ptf.shape[1])
+    X, single = _as_points(x, fe.dims)
+    out = weighted_membership(X, fe.lo, fe.hi, fe.values, X.shape[1])
     return float(out[0]) if single else out
 
 
 def save_flat(fe: FlatEnsemble, path) -> None:
     """Binary round-trip via compressed npz."""
-    np.savez_compressed(path, lows=fe.lows, highs=fe.highs, values=fe.values,
+    np.savez_compressed(path, lo=fe.lo, hi=fe.hi, values=fe.values,
                         dims=np.asarray(fe.dims, dtype=np.int64))
 
 
 def load_flat(path) -> FlatEnsemble:
+    """Read save_flat output, including files that store (N, d, T) lows / highs."""
     with np.load(path) as z:
         dims = tuple(int(v) for v in z["dims"])
-        return FlatEnsemble(lows=z["lows"], highs=z["highs"], values=z["values"], dims=dims)
+        if "lows" in z:
+            lo, hi = _time_major(z["lows"]), _time_major(z["highs"])
+        else:
+            lo, hi = z["lo"], z["hi"]
+        return FlatEnsemble(lo=lo, hi=hi, values=z["values"], dims=dims)
 
 
 def write_flat_text(fe: FlatEnsemble, path) -> None:
@@ -201,7 +175,7 @@ def write_flat_text(fe: FlatEnsemble, path) -> None:
     in time-major order, with unbounded sides written as -inf / inf.
     Floats are written with repr precision so the round trip is exact.
     """
-    lo, hi = fe.flat_bounds()
+    lo, hi = fe.lo, fe.hi
     d, T = fe.dims
     with open(path, "w") as fh:
         fh.write(_TEXT_HEADER + "\n")
@@ -231,5 +205,4 @@ def read_flat_text(path) -> FlatEnsemble:
             rest = np.asarray(row[1:], dtype=np.float64)
             lo[i] = rest[0::2]
             hi[i] = rest[1::2]
-    lows, highs = _bounds_to_grid(lo, hi, (d, T))
-    return FlatEnsemble(lows=lows, highs=highs, values=vals, dims=(d, T))
+    return FlatEnsemble(lo=lo, hi=hi, values=vals, dims=(d, T))

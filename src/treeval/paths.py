@@ -82,8 +82,8 @@ class DriverSample:
     def flat(self) -> np.ndarray:
         """Time-major flattening, shape (n, T*d): column s*d + j holds
         coordinate j of period s+1."""
-        n, d, T = self.data.shape
-        return np.ascontiguousarray(self.data.transpose(0, 2, 1).reshape(n, T * d))
+        from .cart import _time_major  # cart imports this module
+        return _time_major(self.data)
 
 
 def sample_driver(n: int, d: int, T: int, seed: int, stream: tuple = (STREAM_TRAIN,)) -> DriverSample:

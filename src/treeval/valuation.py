@@ -23,10 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cart import RegressionTree, TreeConfig, fit_tree
-from .ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest, predict
+from .cart import _as_points
+from .ensemble import fit, predict
 from .flat import FlatEnsemble, weighted_membership
-from .paths import DriverSample
 
 
 def period_prob_matrix(fe: FlatEnsemble, measure) -> np.ndarray:
@@ -36,7 +35,8 @@ def period_prob_matrix(fe: FlatEnsemble, measure) -> np.ndarray:
         raise ValueError("measure dims do not match the ensemble dims")
     probs = np.empty((fe.n_cells, T))
     for s in range(T):
-        probs[:, s] = measure.period_probs(s, fe.lows[:, :, s], fe.highs[:, :, s])
+        cols = slice(s * d, (s + 1) * d)
+        probs[:, s] = measure.period_probs(s, fe.lo[:, cols], fe.hi[:, cols])
     return probs
 
 
@@ -49,21 +49,11 @@ def tail_products(probs: np.ndarray) -> np.ndarray:
     return tails
 
 
-def _prefix_flat(prefix, d: int, t: int) -> np.ndarray:
-    """Coerce a (d, t) observed prefix to (1, t*d) time-major."""
-    pre = np.asarray(prefix, dtype=np.float64)
-    if pre.shape == (d, t):
-        return pre.T.reshape(1, t * d)
-    if pre.shape == (t * d,):
-        return pre[None, :]
-    raise ValueError(f"prefix must have shape ({d}, {t})")
-
-
 def value_at(fe: FlatEnsemble, measure, t: int, prefix=None) -> float:
     """Conditional value at date t given the observed driver prefix.
 
-    prefix holds the first t periods as a (d, t) array (ignored for
-    t = 0).
+    prefix holds the first t periods as one point of dims (d, t): a
+    (d, t) array or t*d time-major coordinates (ignored for t = 0).
     """
     d, T = fe.dims
     if not 0 <= t <= T:
@@ -74,9 +64,10 @@ def value_at(fe: FlatEnsemble, measure, t: int, prefix=None) -> float:
         return float(w.sum())
     if prefix is None:
         raise ValueError("dates t >= 1 require the observed prefix")
-    ptf = _prefix_flat(prefix, d, t)
-    lo, hi = fe.flat_bounds()
-    return float(weighted_membership(ptf, lo, hi, w, t * d)[0])
+    X, single = _as_points(prefix, (d, t))
+    if not single:
+        raise ValueError(f"prefix must be one point of shape ({d}, {t})")
+    return float(weighted_membership(X, fe.lo, fe.hi, w, t * d)[0])
 
 
 @dataclass(frozen=True)
@@ -109,30 +100,24 @@ def value_surface(fe: FlatEnsemble, measure, dates: Sequence[int], scenarios,
                   meta: Optional[dict] = None) -> ValueSurface:
     """Conditional values at each date along each scenario path.
 
-    scenarios is a DriverSample or (k, d, T) array of full driver paths;
-    date t uses only the first t periods of each path.  Cell
-    probabilities are computed once and shared across dates and
-    scenarios.
+    scenarios holds full driver paths in any layout ``cart._as_points``
+    reads, typically a DriverSample or a (k, d, T) array; date t uses
+    only the first t periods of each path.  Cell probabilities are
+    computed once and shared across dates and scenarios.
     """
     d, T = fe.dims
     dates = tuple(int(t) for t in dates)
     if any(not 0 <= t <= T for t in dates):
         raise ValueError(f"dates must lie in 0..{T}")
-    data = scenarios.data if isinstance(scenarios, DriverSample) else \
-        np.asarray(scenarios, dtype=np.float64)
-    if data.ndim != 3 or data.shape[1:] != (d, T):
-        raise ValueError("scenarios must have shape (k, d, T)")
-    k = data.shape[0]
-    ptf = np.ascontiguousarray(data.transpose(0, 2, 1).reshape(k, T * d))
+    X, _ = _as_points(scenarios, fe.dims)
     tails = tail_products(period_prob_matrix(fe, measure))
-    lo, hi = fe.flat_bounds()
-    out = np.empty((k, len(dates)))
+    out = np.empty((X.shape[0], len(dates)))
     for col, t in enumerate(dates):
         w = fe.values * tails[:, t]
         if t == 0:
             out[:, col] = w.sum()
         else:
-            out[:, col] = weighted_membership(ptf, lo, hi, w, t * d)
+            out[:, col] = weighted_membership(X, fe.lo, fe.hi, w, t * d)
     return ValueSurface(dates=dates, values=out, meta=dict(meta or {}))
 
 
@@ -160,13 +145,4 @@ def fit_regress_now(x1: np.ndarray, responses, config) -> RegressNowModel:
     x1 = np.asarray(x1, dtype=np.float64)
     if x1.ndim != 2:
         raise ValueError("x1 must have shape (n, d)")
-    data = x1[:, :, None]
-    if isinstance(config, ForestConfig):
-        fitted = fit_forest(data, responses, config)
-    elif isinstance(config, BoostConfig):
-        fitted = fit_boost(data, responses, config)
-    elif isinstance(config, TreeConfig):
-        fitted = fit_tree(data, responses, config)
-    else:
-        raise TypeError("config must be a TreeConfig, ForestConfig, or BoostConfig")
-    return RegressNowModel(model=fitted)
+    return RegressNowModel(model=fit(config, x1[:, :, None], responses))

@@ -120,7 +120,7 @@ def test_date1_closed_form_matches_conditional_mc(small_flat):
     fe = small_flat
     measure = ProductMeasure.standard_normal(D, T)
     prefixes = sample_driver(50, D, T, 7, (STREAM_TEST,)).data[:, :, 0]
-    lows1, highs1 = fe.lows[:, :, 0], fe.highs[:, :, 0]
+    lows1, highs1 = fe.lo[:, :D], fe.hi[:, :D]
     n_inner = 100_000
     worst = 0.0
     for i, x1 in enumerate(prefixes):
@@ -128,8 +128,8 @@ def test_date1_closed_form_matches_conditional_mc(small_flat):
         # conditioning on X_1 = x1 freezes the first-period membership,
         # so only cells whose first-period slab contains x1 survive
         inside = np.all((lows1 < x1) & (x1 <= highs1), axis=1)
-        sub = FlatEnsemble(lows=fe.lows[inside][:, :, 1:],
-                           highs=fe.highs[inside][:, :, 1:],
+        sub = FlatEnsemble(lo=fe.lo[inside][:, D:],
+                           hi=fe.hi[inside][:, D:],
                            values=fe.values[inside], dims=(D, 1))
         draws = np.random.default_rng((2024, i)).standard_normal((n_inner, D, 1))
         vals = evaluate_flat(sub, draws)

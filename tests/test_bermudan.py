@@ -85,7 +85,7 @@ def _flat_1d(kind: str = "tree", n: int = 400, seed: int = 0):
 
 
 def _per_cell_cdf_sum(fe, mu: float, sd: float) -> float:
-    lo, hi = fe.lows[:, 0, 0], fe.highs[:, 0, 0]
+    lo, hi = fe.lo[:, 0], fe.hi[:, 0]
     return float(np.sum(fe.values * (ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd))))
 
 

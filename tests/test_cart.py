@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeval.cart import (Hyperrectangle, RegressionTree, TreeConfig,
-                          best_split, coord_pair, fit_tree, flat_coord,
-                          full_cell, predict_tree)
+from treeval.cart import (RegressionTree, TreeConfig, best_split, fit_tree,
+                          predict_tree)
 from treeval.paths import sample_driver
 
 
@@ -223,27 +222,6 @@ def test_predict_tree_input_shapes_agree():
     single = predict_tree(tree, batch.data[0])
     assert isinstance(single, float)
     assert single == via_sample[0]
-
-
-def test_flat_coord_round_trip():
-    d = 3
-    for s in range(4):
-        for j in range(d):
-            c = flat_coord(j, s, d)
-            assert coord_pair(c, d) == (j, s)
-    assert flat_coord(0, 0, d) == 0
-    assert flat_coord(2, 3, d) == 11
-
-
-def test_full_cell_and_contains():
-    cell = full_cell(2, 3)
-    assert cell.lower.shape == (2, 3)
-    assert np.isneginf(cell.lower).all() and np.isposinf(cell.upper).all()
-    pt = np.zeros((2, 3))
-    assert cell.contains(pt)
-    boxed = Hyperrectangle(lower=np.zeros((1, 1)), upper=np.ones((1, 1)))
-    assert boxed.contains(np.array([[1.0]]))      # upper edge included
-    assert not boxed.contains(np.array([[0.0]]))  # lower edge excluded
 
 
 @given(st.integers(2, 40), st.integers(0, 2**31 - 1))

@@ -225,6 +225,35 @@ def test_corrupt_artifact_is_runtime_error(tmp_path, capsys):
     assert _err_line(capsys).startswith("RUNTIME_ERROR:")
 
 
+def test_value_error_at_runtime_is_runtime_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    with np.load(out / "samples.npz") as data:
+        arrays = dict(data)
+    arrays["test_driver"][4, 0, 1] = np.nan
+    np.savez_compressed(out / "samples.npz", **arrays)
+    capsys.readouterr()
+    rc = main(["value", "--config", cfg, "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    assert _err_line(capsys).startswith("RUNTIME_ERROR:")
+
+
+@pytest.mark.parametrize("argv, text, needle", [
+    (["value", "--t", "99"], MICRO, "--t"),
+    (["value", "--t", "one"], MICRO, "--t"),
+    (["simulate", "--threads", "0"], MICRO, "--threads"),
+    (["simulate"], MICRO.replace("n_inner: 10", "n_inner: 10\n  dates: [0, 5]"), "plan.dates"),
+])
+def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
+    cfg = _cfg(tmp_path, text)
+    rc = main(argv + ["--config", cfg, "--out", str(tmp_path / "run")])
+    assert rc == EXIT_CONFIG
+    line = _err_line(capsys)
+    assert line.startswith("CONFIG_ERROR:") and needle in line
+
+
 # ----------------------------------------------------------------- bermudan
 
 

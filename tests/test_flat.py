@@ -37,7 +37,7 @@ def test_flatten_tree_cells_partition(fitted):
     x, y, tree, _, _ = fitted
     fe = flatten_tree(tree)
     pts = sample_driver(400, 2, 2, seed=33)
-    lo, hi = fe.flat_bounds()
+    lo, hi = fe.lo, fe.hi
     flat_pts = pts.flat()
     inside = (flat_pts[:, None, :] > lo[None]) & (flat_pts[:, None, :] <= hi[None])
     member = inside.all(axis=2)
@@ -58,8 +58,8 @@ def test_flatten_boost_structure(fitted):
     fe = flatten_boost(boost)
     assert fe.n_cells == boost.n_cells == 1 + sum(t.n_leaves for t in boost.trees)
     # first cell is the full-space base cell
-    assert np.isneginf(fe.lows[0]).all()
-    assert np.isposinf(fe.highs[0]).all()
+    assert np.isneginf(fe.lo[0]).all()
+    assert np.isposinf(fe.hi[0]).all()
     assert fe.values[0] == boost.base_value
 
 
@@ -89,7 +89,7 @@ def test_evaluate_flat_single_point(fitted):
 def test_weighted_membership_chunking_invariance(fitted):
     x, y, _, forest, _ = fitted
     fe = flatten_forest(forest)
-    lo, hi = fe.flat_bounds()
+    lo, hi = fe.lo, fe.hi
     pts = sample_driver(57, 2, 2, seed=35).flat()
     base = weighted_membership(pts, lo, hi, fe.values, lo.shape[1])
     for pc, cc in ((3, 2), (8, 1000), (1000, 5)):
@@ -102,7 +102,7 @@ def test_weighted_membership_prefix_columns(fitted):
     # restricting to the first t*d columns tests prefix membership only
     x, y, tree, _, _ = fitted
     fe = flatten_tree(tree)
-    lo, hi = fe.flat_bounds()
+    lo, hi = fe.lo, fe.hi
     pts = sample_driver(40, 2, 2, seed=36).flat()
     full = weighted_membership(pts, lo, hi, fe.values, 4)
     head = weighted_membership(pts, lo, hi, fe.values, 2)
@@ -114,13 +114,13 @@ def test_weighted_membership_prefix_columns(fitted):
 
 def test_flat_ensemble_validation():
     with pytest.raises(ValueError):
-        FlatEnsemble(lows=np.zeros((2, 1, 1)), highs=np.ones((3, 1, 1)),
+        FlatEnsemble(lo=np.zeros((2, 1)), hi=np.ones((3, 1)),
                      values=np.ones(2), dims=(1, 1))
     with pytest.raises(ValueError):
-        FlatEnsemble(lows=np.ones((1, 1, 1)), highs=np.zeros((1, 1, 1)),
+        FlatEnsemble(lo=np.ones((1, 1)), hi=np.zeros((1, 1)),
                      values=np.ones(1), dims=(1, 1))
     with pytest.raises(ValueError):
-        FlatEnsemble(lows=np.zeros((1, 1, 1)), highs=np.ones((1, 1, 1)),
+        FlatEnsemble(lo=np.zeros((1, 1)), hi=np.ones((1, 1)),
                      values=np.array([np.nan]), dims=(1, 1))
 
 
@@ -130,8 +130,8 @@ def test_npz_round_trip(tmp_path, fitted):
     path = tmp_path / "model.npz"
     save_flat(fe, path)
     back = load_flat(path)
-    np.testing.assert_array_equal(back.lows, fe.lows)
-    np.testing.assert_array_equal(back.highs, fe.highs)
+    np.testing.assert_array_equal(back.lo, fe.lo)
+    np.testing.assert_array_equal(back.hi, fe.hi)
     np.testing.assert_array_equal(back.values, fe.values)
     assert back.dims == fe.dims
 
@@ -142,8 +142,8 @@ def test_text_round_trip(tmp_path, fitted):
     path = tmp_path / "model.txt"
     write_flat_text(fe, path)
     back = read_flat_text(path)
-    np.testing.assert_array_equal(back.lows, fe.lows)
-    np.testing.assert_array_equal(back.highs, fe.highs)
+    np.testing.assert_array_equal(back.lo, fe.lo)
+    np.testing.assert_array_equal(back.hi, fe.hi)
     np.testing.assert_array_equal(back.values, fe.values)
     assert back.dims == fe.dims
 
@@ -169,3 +169,41 @@ def test_text_reader_rejects_corrupt_files(tmp_path):
     path.write_text("treeval-flat 1\n1 1 2\n0.0 -inf inf\n")
     with pytest.raises(ValueError):
         read_flat_text(path)
+
+
+def test_load_flat_reads_grid_layout_files(tmp_path):
+    # files written before the time-major layout store lows / highs as (N, d, T)
+    x = sample_driver(200, 3, 2, seed=37)
+    y = np.sin(x.flat() @ np.linspace(-1.0, 1.0, 6))
+    boost = fit_boost(x, y, BoostConfig(rounds=6, learning_rate=0.3, max_depth=3, seed=4))
+    fe = flatten_boost(boost)
+    n, (d, T) = fe.n_cells, fe.dims
+    path = tmp_path / "grid.npz"
+    np.savez_compressed(path, lows=fe.lo.reshape(n, T, d).transpose(0, 2, 1),
+                        highs=fe.hi.reshape(n, T, d).transpose(0, 2, 1),
+                        values=fe.values, dims=np.asarray(fe.dims, dtype=np.int64))
+    back = load_flat(path)
+    np.testing.assert_array_equal(back.lo, fe.lo)
+    np.testing.assert_array_equal(back.hi, fe.hi)
+    np.testing.assert_array_equal(back.values, fe.values)
+    assert back.dims == fe.dims
+    pts = sample_driver(300, 3, 2, seed=38)
+    np.testing.assert_allclose(evaluate_flat(back, pts), predict(boost, pts),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_text_bytes_follow_leaf_cells(tmp_path):
+    x = sample_driver(200, 3, 2, seed=39)
+    y = np.cos(x.flat() @ np.linspace(1.0, -0.5, 6))
+    boost = fit_boost(x, y, BoostConfig(rounds=6, learning_rate=0.3, max_depth=3, seed=5))
+    cells = [(boost.base_value, np.full(6, -np.inf), np.full(6, np.inf))]
+    for tree, gamma in zip(boost.trees, boost.gammas):
+        lo, hi, val, _ = tree.leaf_cells()
+        cells.extend(zip(val * (-boost.learning_rate * gamma), lo, hi))
+    lines = ["treeval-flat 1", f"3 2 {len(cells)}"]
+    for v, lo, hi in cells:
+        bounds = [repr(float(b)) for pair in zip(lo, hi) for b in pair]
+        lines.append(" ".join([repr(float(v))] + bounds))
+    path = tmp_path / "boost.txt"
+    write_flat_text(flatten_boost(boost), path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

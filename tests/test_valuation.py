@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from treeval.cart import TreeConfig, fit_tree
-from treeval.ensemble import BoostConfig, fit_boost
+from treeval.ensemble import BoostConfig, fit_boost, predict
 from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
 from treeval.measure import ProductMeasure
 from treeval.paths import sample_driver
@@ -19,9 +19,9 @@ from treeval.valuation import (RegressNowModel, ValueSurface, fit_regress_now,
 
 def half_space_model():
     """One cell: 1{x_{1,1} > 0} on a (1, 2) driver, value 1."""
-    lows = np.array([[[0.0, -np.inf]]])
-    highs = np.array([[[np.inf, np.inf]]])
-    return FlatEnsemble(lows=lows, highs=highs, values=np.array([1.0]), dims=(1, 2))
+    lo = np.array([[0.0, -np.inf]])
+    hi = np.array([[np.inf, np.inf]])
+    return FlatEnsemble(lo=lo, hi=hi, values=np.array([1.0]), dims=(1, 2))
 
 
 def test_half_space_value_process_hand_values():
@@ -38,9 +38,9 @@ def test_half_space_value_process_hand_values():
 
 def test_box_cell_tail_probabilities():
     # cell (0,1] x (-1,2]: V_0 = (Phi(1)-Phi(0)) * (Phi(2)-Phi(-1)) * v
-    lows = np.array([[[0.0, -1.0]]])
-    highs = np.array([[[1.0, 2.0]]])
-    fe = FlatEnsemble(lows=lows, highs=highs, values=np.array([3.0]), dims=(1, 2))
+    lo = np.array([[0.0, -1.0]])
+    hi = np.array([[1.0, 2.0]])
+    fe = FlatEnsemble(lo=lo, hi=hi, values=np.array([3.0]), dims=(1, 2))
     q = ProductMeasure.standard_normal(1, 2)
     p1 = ndtr(1.0) - ndtr(0.0)
     p2 = ndtr(2.0) - ndtr(-1.0)
@@ -111,7 +111,7 @@ def test_tower_property_of_closed_form(fitted_flat):
 
 def test_value_surface_linearity(fitted_flat):
     fe, q = fitted_flat
-    scaled = FlatEnsemble(lows=fe.lows, highs=fe.highs,
+    scaled = FlatEnsemble(lo=fe.lo, hi=fe.hi,
                           values=2.5 * fe.values, dims=fe.dims)
     pts = sample_driver(50, 2, 2, seed=55)
     a = value_surface(fe, q, (0, 1, 2), pts)
@@ -165,3 +165,25 @@ def test_regress_now_validation():
                             np.arange(4.0), TreeConfig())
     with pytest.raises(ValueError):
         model.predict(np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", ["value_surface", "value_at", "evaluate_flat",
+                                  "predict", "fit_tree"])
+def test_non_finite_points_are_rejected(call, bad):
+    x = sample_driver(60, 2, 2, seed=59)
+    y = x.data[:, 0, :].sum(axis=1)
+    boost = fit_boost(x, y, BoostConfig(rounds=3, max_depth=2))
+    fe = flatten_model(boost)
+    q = ProductMeasure.standard_normal(2, 2)
+    pts = x.data.copy()
+    pts[3, 1, 0] = bad
+    calls = {
+        "value_surface": lambda: value_surface(fe, q, (0, 1, 2), pts),
+        "value_at": lambda: value_at(fe, q, 1, prefix=pts[3, :, :1]),
+        "evaluate_flat": lambda: evaluate_flat(fe, pts),
+        "predict": lambda: predict(boost, pts),
+        "fit_tree": lambda: fit_tree(pts, y, TreeConfig()),
+    }
+    with pytest.raises(ValueError, match="non-finite"):
+        calls[call]()
