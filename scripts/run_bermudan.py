@@ -29,10 +29,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from treeval import BermudanPlan, BoostConfig, ForestConfig, run_bermudan
+from treeval import BermudanPlan, BoostConfig, run_bermudan
 
 ESTIMATORS = {
-    "forest": ForestConfig(n_trees=30, nodesize=20, features=1, seed=11),
+    "forest": BermudanPlan().estimator,
     "boost": BoostConfig(rounds=100, learning_rate=0.3, nodesize=2,
                          max_depth=6, seed=11),
 }

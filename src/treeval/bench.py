@@ -12,24 +12,23 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bermudan import (BermudanValue, ExerciseSpec, black_put_price,
-                       price_regress_later, price_regress_now,
-                       stopping_distribution)
+from .bermudan import (ExerciseSpec, black_put_price, price_regress_later,
+                       price_regress_now, stopping_distribution)
+from .cart import TreeConfig
 from .ensemble import BoostConfig, ForestConfig, fit, predict
 from .flat import flatten_model
 from .measure import ProductMeasure
 from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
-                    BlackScholesModel, Payoff, log_bs_localvol,
+                    BlackScholesModel, DriverSample, Payoff, log_bs_localvol,
                     payoff_value, sample_driver, simulate_bs,
                     simulate_localvol, stream_rng, _standard_normal)
 from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
@@ -117,7 +116,7 @@ class ExperimentPlan:
     n_valid: Optional[int] = None  # default 0.4 * n_train
     n_test: int = 20000
     n_inner: int = 200
-    dates: Optional[tuple] = None  # default (0, 1, T)
+    dates: Optional[tuple] = None  # default: the distinct dates of {0, 1, T}
     seed: int = 0
     var_alpha: float = 0.995
     es_alpha: float = 0.99
@@ -130,6 +129,7 @@ class ExperimentPlan:
             raise ValueError("n_valid must be >= 1")
         if not self.estimators:
             raise ValueError("at least one estimator required")
+        _check_resample((config for _, config in self.estimators), self.n_train)
 
     @property
     def valid_size(self) -> int:
@@ -137,7 +137,25 @@ class ExperimentPlan:
 
     @property
     def eval_dates(self) -> tuple:
-        return self.dates if self.dates is not None else (0, 1, self.model.n_periods)
+        return self.dates if self.dates is not None else \
+            tuple(sorted({0, 1, self.model.n_periods}))
+
+
+def _check_resample(configs, n_train: int) -> None:
+    # a forest's n_resample must fit the training sample; found here, not mid-fit
+    for config in configs:
+        if isinstance(config, ForestConfig):
+            config.resample_size(n_train)
+
+
+# Desk default config of each estimator kind; a config file's estimator
+# section overrides the fields it sets.
+DESK_ESTIMATORS = {
+    "boost": BoostConfig(rounds=400, learning_rate=0.1, nodesize=40, max_depth=15,
+                         patience=20, seed=7),
+    "forest": ForestConfig(nodesize=5, seed=7),
+    "tree": TreeConfig(nodesize=5, seed=7),
+}
 
 
 def desk_plan(payoff_kind: str, seed: int = 0, estimators: Optional[tuple] = None,
@@ -148,8 +166,7 @@ def desk_plan(payoff_kind: str, seed: int = 0, estimators: Optional[tuple] = Non
               "max_call": Payoff("max_call", strike=1.0),
               "brc": Payoff("brc", strike=1.0, barrier=0.6, coupon=0.0, face=1.0)}[payoff_kind]
     if estimators is None:
-        estimators = (("boost", BoostConfig(rounds=400, learning_rate=0.1, nodesize=40,
-                                            max_depth=15, patience=20, seed=7)),)
+        estimators = (("boost", DESK_ESTIMATORS["boost"]),)
     return ExperimentPlan(name=f"{payoff_kind}_desk", payoff=payoff, model=model,
                           estimators=tuple(estimators), seed=seed, **overrides)
 
@@ -159,6 +176,11 @@ def paper_plan(payoff_kind: str, seed: int = 0, estimators: Optional[tuple] = No
     plan = desk_plan(payoff_kind, seed=seed, estimators=estimators)
     return replace(plan, name=f"{payoff_kind}_paper", n_train=20000, n_valid=8000,
                    n_test=100000, n_inner=1000)
+
+
+def paper_bermudan_plan(seed: int = 0) -> BermudanPlan:
+    """Published-scale Bermudan plan: the default plan with the paper's test size."""
+    return BermudanPlan(n_test=100000, seed=seed)
 
 
 def paper_rf_grid(d: int, T: int) -> tuple:
@@ -186,6 +208,35 @@ def paper_boost_grid(rounds_cap: int = 1000, patience: int = 10) -> tuple:
                         BoostConfig(rounds=rounds_cap, nodesize=nodesize, max_depth=depth,
                                     patience=patience)))
     return tuple(out)
+
+
+# ----------------------------------------------------------- sample stage
+
+_STREAMS = {"train": STREAM_TRAIN, "valid": STREAM_VALID, "test": STREAM_TEST}
+
+
+class StreamSample(NamedTuple):
+    driver: DriverSample
+    prices: np.ndarray   # (n, d, T+1) price paths
+    payoffs: np.ndarray  # (n,) discounted payoffs
+
+
+def sample_streams(plan: ExperimentPlan, tags: Sequence[str] = tuple(_STREAMS)) -> dict:
+    """Driver samples, price paths and payoffs of the plan's seed streams.
+
+    tags picks among "train", "valid" and "test"; only those streams
+    are drawn.  Each comes from its own (seed, stream) generator, so a
+    stream's draws do not depend on which others are drawn.  Returns
+    {tag: StreamSample} in the order of tags.
+    """
+    d, T = plan.model.n_assets, plan.model.n_periods
+    sizes = {"train": plan.n_train, "valid": plan.valid_size, "test": plan.n_test}
+    out = {}
+    for tag in tags:
+        driver = sample_driver(sizes[tag], d, T, plan.seed, (_STREAMS[tag],))
+        prices = simulate_bs(plan.model, driver)
+        out[tag] = StreamSample(driver, prices, payoff_value(plan.payoff, plan.model, prices))
+    return out
 
 
 # --------------------------------------------------------- validation stage
@@ -218,18 +269,15 @@ def run_validation_grid(plan: ExperimentPlan, grid: Optional[Sequence] = None) -
     grid = tuple(grid) if grid is not None else plan.estimators
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    d, T = plan.model.n_assets, plan.model.n_periods
-    train = sample_driver(plan.n_train, d, T, plan.seed, (STREAM_TRAIN,))
-    valid = sample_driver(plan.valid_size, d, T, plan.seed, (STREAM_VALID,))
-    y_train = payoff_value(plan.payoff, plan.model, simulate_bs(plan.model, train))
-    y_valid = payoff_value(plan.payoff, plan.model, simulate_bs(plan.model, valid))
+    train, valid = sample_streams(plan, ("train", "valid")).values()
+    y_train, y_valid = train.payoffs, valid.payoffs
     ref = float(np.mean(y_train))
     if ref == 0:
         raise ValueError("degenerate plan: training payoffs average to zero")
     rows = []
     for name, config in grid:
-        fitted = fit(config, train, y_train, (valid, y_valid))
-        pred = np.asarray(predict(fitted, valid), dtype=np.float64)
+        fitted = fit(config, train.driver, y_train, (valid.driver, y_valid))
+        pred = np.asarray(predict(fitted, valid.driver), dtype=np.float64)
         rows.append(ValidationRow(name=name, config=config,
                                   error_pct=normalized_l2(pred, y_valid, ref),
                                   n_cells=fitted.n_cells))
@@ -261,6 +309,30 @@ def _risk_rows(report: RiskReport, extra=()):
     for e in report.entries:
         yield tuple(extra) + (e.measure, _fmt(e.alpha), e.position, _fmt(e.estimate),
                               _fmt(e.oracle), _fmt(e.rel_error_pct))
+
+
+def risk_stage(plan: ExperimentPlan, surface: ValueSurface, v0: float, v1: np.ndarray,
+               y_test: np.ndarray, out: Optional[Path] = None) -> RiskReport:
+    """VaR/ES of the date-1 loss V_0 - V_1 against the oracle loss v0 - v1.
+
+    With out set, also writes risk.csv and the detrended Q-Q tables:
+    qq_t1.csv (the date-1 column against the nested-MC oracle v1) when
+    T >= 2, since at T = 1 it would repeat the next table, and qq_tT.csv
+    (the date-T column against the realized payoffs y_test) when the
+    surface holds date T.  ``run_experiment`` and ``treeval risk`` both
+    write their risk files here.
+    """
+    T = plan.model.n_periods
+    est_long, _ = loss_samples(surface, 0, 1)
+    risk = risk_report(est_long, v0 - v1, plan.var_alpha, plan.es_alpha)
+    if out is not None:
+        _write_csv(out / "risk.csv", ("measure", "alpha", "position", "estimate", "oracle",
+                                      "relative_error_pct"), _risk_rows(risk))
+        if T != 1:
+            _write_qq(out / "qq_t1.csv", *detrended_qq(surface.column(1), v1))
+        if T in surface.dates:
+            _write_qq(out / "qq_tT.csv", *detrended_qq(surface.column(T), y_test))
+    return risk
 
 
 def _config_text(obj, indent: str = "") -> str:
@@ -362,17 +434,14 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     t_start = clock()
     d, T = plan.model.n_assets, plan.model.n_periods
     measure = plan.measure if plan.measure is not None else ProductMeasure.standard_normal(d, T)
-    train = sample_driver(plan.n_train, d, T, plan.seed, (STREAM_TRAIN,))
-    valid = sample_driver(plan.valid_size, d, T, plan.seed, (STREAM_VALID,))
-    test = sample_driver(plan.n_test, d, T, plan.seed, (STREAM_TEST,))
-    y_train = payoff_value(plan.payoff, plan.model, simulate_bs(plan.model, train))
-    y_valid = payoff_value(plan.payoff, plan.model, simulate_bs(plan.model, valid))
-    y_test = payoff_value(plan.payoff, plan.model, simulate_bs(plan.model, test))
+    train, valid, test = sample_streams(plan).values()
+    y_test = test.payoffs
     timings.append(("sampling", clock() - t_start))
 
     t0 = clock()
     v0, v0_se = oracle_v0(y_test)
-    v1, v1_se = oracle_v1(plan.payoff, plan.model, test.data[:, :, 0], plan.n_inner, plan.seed)
+    v1, v1_se = oracle_v1(plan.payoff, plan.model, test.driver.data[:, :, 0], plan.n_inner,
+                          plan.seed)
     timings.append(("oracles", clock() - t0))
     if v0 == 0:
         raise ValueError("degenerate plan: oracle date-0 value is zero")
@@ -381,13 +450,13 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     results = []
     for name, config in plan.estimators:
         t0 = clock()
-        fitted = fit(config, train, y_train, (valid, y_valid))
+        fitted = fit(config, train.driver, train.payoffs, (valid.driver, valid.payoffs))
         timings.append((f"fit_{name}", clock() - t0))
         t0 = clock()
         fe = flatten_model(fitted)
         timings.append((f"flatten_{name}", clock() - t0))
         t0 = clock()
-        surface = value_surface(fe, measure, dates, test,
+        surface = value_surface(fe, measure, dates, test.driver,
                                 meta={"estimator": name, "seed": plan.seed,
                                       "n_cells": fe.n_cells})
         timings.append((f"value_{name}", clock() - t0))
@@ -408,29 +477,20 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
         results.append(EstimatorResult(name=name, config=config, n_cells=fe.n_cells,
                                        surface=surface, l2_rows=tuple(l2_rows)))
 
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     t0 = clock()
-    primary = results[0]
-    est_long, _ = loss_samples(primary.surface, 0, 1)
-    oracle_long = v0 - v1
-    risk = risk_report(est_long, oracle_long, plan.var_alpha, plan.es_alpha)
+    risk = risk_stage(plan, results[0].surface, v0, v1, y_test, out)
     timings.append(("risk", clock() - t0))
 
     config_hash = ""
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         config_hash = write_snapshot(out / "config.snapshot", plan,
                                      extras={"measure": type(measure).__name__,
                                              "dates": dates})
         _write_csv(out / "l2_errors.csv", ("estimator", "t", "l2_error_pct"),
                    [(r.name, t, _fmt(e)) for r in results for t, e in r.l2_rows])
-        if 1 in dates and T != 1:
-            _write_qq(out / "qq_t1.csv", *detrended_qq(primary.surface.column(1), v1))
-        if T in dates:
-            _write_qq(out / "qq_tT.csv", *detrended_qq(primary.surface.column(T), y_test))
-        _write_csv(out / "risk.csv",
-                   ("measure", "alpha", "position", "estimate", "oracle",
-                    "relative_error_pct"), _risk_rows(risk))
         for r in results:
             r.surface.to_csv(out / f"value_surface_{r.name}.csv")
         _write_csv(out / "timings.csv", ("stage", "seconds"),
@@ -470,6 +530,7 @@ class BermudanPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.mode not in ("later", "now", "both"):
             raise ValueError('mode must be "later", "now", or "both"')
+        _check_resample((self.estimator,), self.n_train)
 
     def exercise_spec(self) -> ExerciseSpec:
         T = self.n_dates
@@ -600,10 +661,7 @@ def regress_now_date1(plan: ExperimentPlan, config=None) -> np.ndarray:
     predicts along the test sample; used to contrast with the dynamic
     estimator's date-1 column.
     """
-    d, T = plan.model.n_assets, plan.model.n_periods
     config = config if config is not None else plan.estimators[0][1]
-    train = sample_driver(plan.n_train, d, T, plan.seed, (STREAM_TRAIN,))
-    test = sample_driver(plan.n_test, d, T, plan.seed, (STREAM_TEST,))
-    y_train = payoff_value(plan.payoff, plan.model, simulate_bs(plan.model, train))
-    model = fit_regress_now(train.data[:, :, 0], y_train, config)
-    return model.predict(test.data[:, :, 0])
+    train, test = sample_streams(plan, ("train", "test")).values()
+    model = fit_regress_now(train.driver.data[:, :, 0], train.payoffs, config)
+    return model.predict(test.driver.data[:, :, 0])

@@ -18,7 +18,6 @@ point) are turned into these rows; everything past it works on (k, P).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,9 +37,8 @@ class TreeConfig:
         Minimum number of training points a cell must contain to be
         eligible for splitting (so every leaf from a split holds >= 1
         point and split cells hold >= nodesize).
-    max_depth / max_leaves
-        Optional caps; ``max_leaves`` switches growth to best-first by
-        error reduction, otherwise growth is depth-first.
+    max_depth
+        Optional depth cap; growth is depth-first.
     features
         Number of coordinates drawn uniformly without replacement as
         split candidates at each cell, or "all".
@@ -50,7 +48,6 @@ class TreeConfig:
 
     nodesize: int = 2
     max_depth: Optional[int] = None
-    max_leaves: Optional[int] = None
     features: int | str = "all"
     seed: int = 0
 
@@ -59,8 +56,6 @@ class TreeConfig:
             raise ValueError("nodesize must be >= 2")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        if self.max_leaves is not None and self.max_leaves < 1:
-            raise ValueError("max_leaves must be >= 1")
         if self.features != "all" and (not isinstance(self.features, int) or self.features < 1):
             raise ValueError('features must be "all" or a positive int')
 
@@ -285,9 +280,21 @@ def _candidate_cols(rng: Generator, P: int, features) -> Optional[np.ndarray]:
     return np.sort(rng.choice(P, size=features, replace=False))
 
 
-def _grow(buf: _NodeBuffer, Xf, y, cfg: TreeConfig, rng: Generator):
-    """Depth-first growth (left child first); used when max_leaves is unset."""
-    P = Xf.shape[1]
+def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
+               rng: Optional[Generator] = None) -> RegressionTree:
+    """Grow a tree depth-first (left child first) on time-major rows X (k, P).
+
+    The ensembles call this directly.
+    """
+    y = np.asarray(responses, dtype=np.float64)
+    if y.shape != (X.shape[0],):
+        raise ValueError("responses must be a vector with one entry per path")
+    if not np.isfinite(y).all():
+        raise ValueError("responses contain non-finite entries")
+    if rng is None:
+        rng = Generator(Philox(SeedSequence(cfg.seed)))
+    P = X.shape[1]
+    buf = _NodeBuffer()
     root = buf.add_leaf(_leaf_value(y), y.size)
     stack = [(root, np.arange(y.size), 0)]
     while stack:
@@ -297,76 +304,17 @@ def _grow(buf: _NodeBuffer, Xf, y, cfg: TreeConfig, rng: Generator):
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             continue
         cols = _candidate_cols(rng, P, cfg.features)
-        hit = best_split(Xf[rows], y[rows], cols)
+        hit = best_split(X[rows], y[rows], cols)
         if hit is None:
             continue
         coord, z, _ = hit
-        go_left = Xf[rows, coord] <= z
+        go_left = X[rows, coord] <= z
         lrows, rrows = rows[go_left], rows[~go_left]
         li = buf.add_leaf(_leaf_value(y[lrows]), lrows.size)
         ri = buf.add_leaf(_leaf_value(y[rrows]), rrows.size)
         buf.make_split(node, coord, z, li, ri)
         stack.append((ri, rrows, depth + 1))
         stack.append((li, lrows, depth + 1))
-
-
-def _grow_best_first(buf: _NodeBuffer, Xf, y, cfg: TreeConfig, rng: Generator):
-    """Best-first growth by SSE reduction until max_leaves is reached."""
-    P = Xf.shape[1]
-
-    def propose(node, rows, depth):
-        if rows.size < cfg.nodesize:
-            return None
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
-            return None
-        cols = _candidate_cols(rng, P, cfg.features)
-        hit = best_split(Xf[rows], y[rows], cols)
-        if hit is None:
-            return None
-        ys = y[rows]
-        sy, sy2 = float(np.sum(ys)), float(np.sum(ys * ys))
-        parent = sy2 - sy * sy / rows.size
-        coord, z, score = hit
-        return parent - score, coord, z
-
-    root = buf.add_leaf(_leaf_value(y), y.size)
-    heap = []
-    tick = 0  # insertion order breaks reduction ties deterministically
-    cand = propose(root, np.arange(y.size), 0)
-    if cand is not None:
-        heapq.heappush(heap, (-cand[0], tick, root, np.arange(y.size), 0, cand[1], cand[2]))
-        tick += 1
-    leaves = 1
-    while heap and leaves < cfg.max_leaves:
-        _, _, node, rows, depth, coord, z = heapq.heappop(heap)
-        go_left = Xf[rows, coord] <= z
-        lrows, rrows = rows[go_left], rows[~go_left]
-        li = buf.add_leaf(_leaf_value(y[lrows]), lrows.size)
-        ri = buf.add_leaf(_leaf_value(y[rrows]), rrows.size)
-        buf.make_split(node, coord, z, li, ri)
-        leaves += 1
-        for child, crows in ((li, lrows), (ri, rrows)):
-            cand = propose(child, crows, depth + 1)
-            if cand is not None:
-                heapq.heappush(heap, (-cand[0], tick, child, crows, depth + 1, cand[1], cand[2]))
-                tick += 1
-
-
-def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
-               rng: Optional[Generator] = None) -> RegressionTree:
-    """Grow a tree on time-major rows X (k, P); the ensembles call this directly."""
-    y = np.asarray(responses, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise ValueError("responses must be a vector with one entry per path")
-    if not np.isfinite(y).all():
-        raise ValueError("responses contain non-finite entries")
-    if rng is None:
-        rng = Generator(Philox(SeedSequence(cfg.seed)))
-    buf = _NodeBuffer()
-    if cfg.max_leaves is None:
-        _grow(buf, X, y, cfg, rng)
-    else:
-        _grow_best_first(buf, X, y, cfg, rng)
     return buf.freeze(dims)
 
 

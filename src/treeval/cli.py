@@ -19,19 +19,16 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import bench
-from .bench import (BermudanPlan, ExperimentPlan, bundle_hash, oracle_v1,
-                    run_bermudan, run_experiment, write_snapshot)
-from .cart import TreeConfig
-from .ensemble import BoostConfig, ForestConfig, fit
+from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
+                    desk_plan, oracle_v0, oracle_v1, paper_bermudan_plan, paper_plan,
+                    risk_stage, run_bermudan, run_experiment, sample_streams,
+                    standard_model, write_snapshot)
+from .ensemble import fit
 from .flat import flatten_model, load_flat, save_flat, write_flat_text
 from .measure import CopulaMeasure, ProductMeasure
 from .parallel import set_threads
-from .paths import (STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
-                    BlackScholesModel, Payoff, payoff_value, sample_driver,
-                    simulate_bs)
-from .risk import detrended_qq, risk_report
-from .valuation import value_surface
+from .paths import BlackScholesModel, Payoff
+from .valuation import ValueSurface, value_surface
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,9 +36,6 @@ EXIT_ARTIFACT = 3
 EXIT_RUNTIME = 4
 
 _SCALES = ("desk", "paper")
-# plan-size defaults per scale: (n_train, n_valid, n_test, n_inner)
-_SCALE_SIZES = {"desk": (5000, 2000, 20000, 200),
-                "paper": (20000, 8000, 100000, 1000)}
 
 
 class ConfigError(Exception):
@@ -88,6 +82,12 @@ def _get(node: dict, path: str, key: str, kind, default=None, enum=None):
     return val
 
 
+def _present(node: dict, path: str, kinds: dict) -> dict:
+    """Type-checked values of the keys of node that kinds lists; absent keys are left out."""
+    return {key: _get(node, path, key, kinds[key], enum=_ENUMS.get(key))
+            for key in node if key in kinds}
+
+
 def _build_payoff(doc: dict) -> Payoff:
     node = _section(doc, "payoff", {"kind", "strike", "barrier", "coupon", "face"},
                     required=True)
@@ -104,21 +104,23 @@ def _build_payoff(doc: dict) -> Payoff:
 
 
 def _build_model(doc: dict, payoff_kind: str) -> BlackScholesModel:
+    """The payoff's standard model with the keys the config sets replaced."""
     node = _section(doc, "model", {"kind", "d", "rate", "vol", "initial_price", "steps"})
     _get(node, "model", "kind", str, "black_scholes", enum={"black_scholes"})
-    d = _get(node, "model", "d", int, 3 if payoff_kind == "brc" else 6)
-    rate = _get(node, "model", "rate", float, 0.0)
-    vol = node.get("vol", 0.2)
-    price = node.get("initial_price", 1.0)
-    steps = node.get("steps")
-    if steps is None:
-        steps = ([1.0 / 12.0] * 12) if payoff_kind == "brc" else [1.0 / 12.0, 11.0 / 12.0]
     try:
-        vols = vol * np.eye(d) if isinstance(vol, (int, float)) else np.asarray(vol, dtype=np.float64)
-        prices = np.full(d, float(price)) if isinstance(price, (int, float)) else \
-            np.asarray(price, dtype=np.float64)
-        return BlackScholesModel(initial_prices=prices, vols=vols, rate=rate,
-                                 steps=np.asarray(steps, dtype=np.float64))
+        model = standard_model(payoff_kind, **_present(node, "model", {"d": int, "rate": float}))
+        d = model.n_assets
+        changes = {}
+        if "vol" in node:
+            vol = node["vol"]
+            changes["vols"] = vol * np.eye(d) if isinstance(vol, (int, float)) else vol
+        if "initial_price" in node:
+            price = node["initial_price"]
+            changes["initial_prices"] = np.full(d, float(price)) \
+                if isinstance(price, (int, float)) else price
+        if "steps" in node:
+            changes["steps"] = node["steps"]
+        return replace(model, **changes)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"model: {e}") from None
 
@@ -138,78 +140,47 @@ def _build_measure(doc: dict, d: int, T: int):
         raise ConfigError(f"measure: {e}") from None
 
 
+# settable keys and their types per estimator kind ("features" is an int or "all")
 _EST_KEYS = {
-    "boost": {"kind", "rounds", "learning_rate", "nodesize", "max_depth",
-              "max_leaves", "patience", "seed"},
-    "forest": {"kind", "n_trees", "nodesize", "features", "sampling",
-               "n_resample", "max_depth", "max_leaves", "seed"},
-    "tree": {"kind", "nodesize", "max_depth", "max_leaves", "features", "seed"},
+    "boost": {"rounds": int, "learning_rate": float, "nodesize": int, "max_depth": int,
+              "patience": int, "seed": int},
+    "forest": {"n_trees": int, "nodesize": int, "features": None, "sampling": str,
+               "n_resample": int, "max_depth": int, "seed": int},
+    "tree": {"nodesize": int, "max_depth": int, "features": None, "seed": int},
 }
+_BERMUDAN_KEYS = {"z0": float, "rate": float, "sigma": float, "strike": float,
+                  "n_dates": int, "horizon": float, "n_train": int, "n_test": int,
+                  "mode": str}
+_ENUMS = {"sampling": {"bootstrap", "subsample_with", "subsample_without"},
+          "mode": {"later", "now", "both"}}
 
 
 def _build_estimator(node: dict, path: str):
+    """The kind's desk default config with the keys the config sets replaced."""
     if not isinstance(node, dict):
         raise ConfigError(f"section '{path}' must be a mapping")
     kind = _get(node, path, "kind", str, enum=set(_EST_KEYS))
     if kind is None:
         raise ConfigError(f"{path}.kind is required")
     for key in node:
-        if key not in _EST_KEYS[kind]:
+        if key != "kind" and key not in _EST_KEYS[kind]:
             raise ConfigError(f"unknown key '{path}.{key}' for kind '{kind}'")
     features = node.get("features", "all")
     if features != "all" and not isinstance(features, int):
         raise ConfigError(f"{path}.features: expected int or \"all\"")
     try:
-        if kind == "boost":
-            return BoostConfig(
-                rounds=_get(node, path, "rounds", int, 400),
-                learning_rate=_get(node, path, "learning_rate", float, 0.1),
-                nodesize=_get(node, path, "nodesize", int, 40),
-                max_depth=_get(node, path, "max_depth", int, 15),
-                max_leaves=_get(node, path, "max_leaves", int),
-                patience=_get(node, path, "patience", int, 20),
-                seed=_get(node, path, "seed", int, 7))
-        if kind == "forest":
-            return ForestConfig(
-                n_trees=_get(node, path, "n_trees", int, 100),
-                nodesize=_get(node, path, "nodesize", int, 5),
-                features=features,
-                sampling=_get(node, path, "sampling", str, "bootstrap",
-                              enum={"bootstrap", "subsample_with", "subsample_without"}),
-                n_resample=_get(node, path, "n_resample", int),
-                max_depth=_get(node, path, "max_depth", int),
-                max_leaves=_get(node, path, "max_leaves", int),
-                seed=_get(node, path, "seed", int, 7))
-        return TreeConfig(
-            nodesize=_get(node, path, "nodesize", int, 5),
-            max_depth=_get(node, path, "max_depth", int),
-            max_leaves=_get(node, path, "max_leaves", int),
-            features=features,
-            seed=_get(node, path, "seed", int, 7))
+        return replace(DESK_ESTIMATORS[kind], **_present(node, path, _EST_KEYS[kind]))
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _build_bermudan(doc: dict, seed: int) -> BermudanPlan:
-    allowed = {"z0", "rate", "sigma", "strike", "n_dates", "horizon",
-               "n_train", "n_test", "mode", "estimator"}
-    node = _section(doc, "bermudan", allowed, required=True)
-    est = node.get("estimator")
-    estimator = _build_estimator(est, "bermudan.estimator") if est is not None else \
-        ForestConfig(n_trees=30, nodesize=20, features=1, seed=11)
+def _build_bermudan(doc: dict, base: BermudanPlan) -> BermudanPlan:
+    node = _section(doc, "bermudan", set(_BERMUDAN_KEYS) | {"estimator"}, required=True)
+    fields = _present(node, "bermudan", _BERMUDAN_KEYS)
+    if node.get("estimator") is not None:
+        fields["estimator"] = _build_estimator(node["estimator"], "bermudan.estimator")
     try:
-        return BermudanPlan(
-            z0=_get(node, "bermudan", "z0", float, 0.0),
-            rate=_get(node, "bermudan", "rate", float, 0.0),
-            sigma=_get(node, "bermudan", "sigma", float, 0.2),
-            strike=_get(node, "bermudan", "strike", float, 1.0),
-            n_dates=_get(node, "bermudan", "n_dates", int, 7),
-            horizon=_get(node, "bermudan", "horizon", float, 1.0),
-            n_train=_get(node, "bermudan", "n_train", int, 5000),
-            n_test=_get(node, "bermudan", "n_test", int, 20000),
-            mode=_get(node, "bermudan", "mode", str, "later",
-                      enum={"later", "now", "both"}),
-            seed=seed, estimator=estimator)
+        return replace(base, **fields)
     except ValueError as e:
         raise ConfigError(f"bermudan: {e}") from None
 
@@ -244,34 +215,33 @@ class RunConfig:
         measure = _build_measure(self.doc, model.n_assets, model.n_periods)
         node = _section(self.doc, "plan",
                         {"n_train", "n_valid", "n_test", "n_inner", "dates"})
-        base = _SCALE_SIZES[self.scale]
+        base = (paper_plan if self.scale == "paper" else desk_plan)(payoff.kind)
+        fields = _present(node, "plan", {"n_train": int, "n_valid": int, "n_test": int,
+                                         "n_inner": int})
+        # an unset n_valid keeps the scale's size, not a share of the configured n_train
+        fields.setdefault("n_valid", base.valid_size)
         dates = node.get("dates")
         if dates is not None:
             if not isinstance(dates, list) or not all(isinstance(t, int) for t in dates):
                 raise ConfigError("plan.dates must be a list of integers")
             dates = _check_dates(dates, model.n_periods, "plan.dates")
+            if not {0, 1} <= set(dates):
+                raise ConfigError(f"plan.dates must include 0 and 1 (risk reads V_0 - V_1), "
+                                  f"got {list(dates)}")
         est_node = self.doc.get("estimator")
-        estimator = _build_estimator(est_node, "estimator") if est_node is not None else \
-            BoostConfig(rounds=400, learning_rate=0.1, nodesize=40, max_depth=15,
-                        patience=20, seed=7)
-        est_name = est_node.get("kind") if est_node else "boost"
+        if est_node is not None:
+            estimator = _build_estimator(est_node, "estimator")
+            fields["estimators"] = ((est_node["kind"], estimator),)
         try:
-            return ExperimentPlan(
-                name=self.name, payoff=payoff, model=model,
-                estimators=((est_name, estimator),),
-                n_train=_get(node, "plan", "n_train", int, base[0]),
-                n_valid=_get(node, "plan", "n_valid", int, base[1]),
-                n_test=_get(node, "plan", "n_test", int, base[2]),
-                n_inner=_get(node, "plan", "n_inner", int, base[3]),
-                dates=dates, seed=self.seed, measure=measure)
+            return replace(base, name=self.name, payoff=payoff, model=model, dates=dates,
+                           seed=self.seed, measure=measure, **fields)
         except ValueError as e:
             raise ConfigError(f"plan: {e}") from None
 
     def bermudan_plan(self) -> BermudanPlan:
-        plan = _build_bermudan(self.doc, self.seed)
-        if self.scale == "paper":
-            plan = replace(plan, n_test=100000)
-        return plan
+        base = paper_bermudan_plan(self.seed) if self.scale == "paper" else \
+            BermudanPlan(seed=self.seed)
+        return _build_bermudan(self.doc, base)
 
     def require_out(self) -> Path:
         if self.out is None:
@@ -284,6 +254,8 @@ class RunConfig:
 def _check_dates(dates, T: int, what: str) -> tuple:
     if any(not 0 <= t <= T for t in dates):
         raise ConfigError(f"{what}: dates must lie in 0..{T}, got {list(dates)}")
+    if len(set(dates)) != len(dates):
+        raise ConfigError(f"{what}: dates must be distinct, got {list(dates)}")
     return tuple(dates)
 
 
@@ -304,36 +276,24 @@ def load_config(args) -> RunConfig:
 # -------------------------------------------------------------- subcommands
 
 
-def _sample_stage(plan: ExperimentPlan):
-    d, T = plan.model.n_assets, plan.model.n_periods
-    out = {}
-    for tag, n, stream in (("train", plan.n_train, STREAM_TRAIN),
-                           ("valid", plan.valid_size, STREAM_VALID),
-                           ("test", plan.n_test, STREAM_TEST)):
-        sample = sample_driver(n, d, T, plan.seed, (stream,))
-        prices = simulate_bs(plan.model, sample)
-        out[tag] = (sample, prices, payoff_value(plan.payoff, plan.model, prices))
-    return out
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
-    stages = _sample_stage(plan)
+    streams = sample_streams(plan)
     arrays = {}
     meta = {"seed": plan.seed, "name": plan.name}
-    for tag, (sample, prices, payoffs) in stages.items():
-        arrays[f"{tag}_driver"] = sample.data
-        arrays[f"{tag}_prices"] = prices
-        arrays[f"{tag}_payoff"] = payoffs
-        meta[f"n_{tag}"] = int(sample.data.shape[0])
+    for tag, s in streams.items():
+        arrays[f"{tag}_driver"] = s.driver.data
+        arrays[f"{tag}_prices"] = s.prices
+        arrays[f"{tag}_payoff"] = s.payoffs
+        meta[f"n_{tag}"] = s.payoffs.size
     np.savez_compressed(out / "samples.npz", **arrays)
     meta["dims"] = [plan.model.n_assets, plan.model.n_periods]
     write_snapshot(out / "config.snapshot", plan)
     with open(out / "samples_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote samples for {sum(v[0].data.shape[0] for v in stages.values())} paths "
+    print(f"wrote samples for {sum(s.payoffs.size for s in streams.values())} paths "
           f"to {out}")
     return EXIT_OK
 
@@ -404,7 +364,6 @@ def _load_surface(path: Path):
         sel = rows["t"] == t
         order = np.argsort(rows["scenario_id"][sel], kind="stable")
         values[:, k] = rows["value"][sel][order]
-    from .valuation import ValueSurface
     return ValueSurface(dates=dates, values=values)
 
 
@@ -414,23 +373,15 @@ def cmd_risk(cfg: RunConfig) -> int:
     data = _load_samples(out)
     name, _ = plan.estimators[0]
     surface = _load_surface(out / f"value_surface_{name}.csv")
-    T = plan.model.n_periods
     for t in (0, 1):
         if t not in surface.dates:
             raise ArtifactError(f"value surface lacks date {t}; rerun value with "
                                 "--t including 0 and 1")
+    y_test = data["test_payoff"]
+    v0, _ = oracle_v0(y_test)
     v1, _ = oracle_v1(plan.payoff, plan.model, data["test_driver"][:, :, 0],
                       plan.n_inner, plan.seed)
-    v0 = float(data["test_payoff"].mean())
-    est_long = surface.column(0) - surface.column(1)
-    report = risk_report(est_long, v0 - v1, plan.var_alpha, plan.es_alpha)
-    bench._write_csv(out / "risk.csv",
-                     ("measure", "alpha", "position", "estimate", "oracle",
-                      "relative_error_pct"), bench._risk_rows(report))
-    bench._write_qq(out / "qq_t1.csv", *detrended_qq(surface.column(1), v1))
-    if T in surface.dates:
-        bench._write_qq(out / "qq_tT.csv",
-                        *detrended_qq(surface.column(T), data["test_payoff"]))
+    risk_stage(plan, surface, v0, v1, y_test, out)
     print(f"risk tables written to {out}")
     return EXIT_OK
 

@@ -48,7 +48,6 @@ class ForestConfig:
     sampling: str = "bootstrap"
     n_resample: Optional[int] = None
     max_depth: Optional[int] = None
-    max_leaves: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -58,8 +57,27 @@ class ForestConfig:
             raise ValueError(f"sampling must be one of {_SAMPLINGS}")
         if self.sampling != "bootstrap" and self.n_resample is None:
             raise ValueError("subsample modes require n_resample")
-        TreeConfig(nodesize=self.nodesize, max_depth=self.max_depth,
-                   max_leaves=self.max_leaves, features=self.features)
+        if self.n_resample is not None and self.n_resample < 1:
+            raise ValueError("n_resample must be >= 1")
+        TreeConfig(nodesize=self.nodesize, max_depth=self.max_depth, features=self.features)
+
+    def resample_size(self, n: int) -> int:
+        """Rows each tree is grown on when the forest is fitted on n points.
+
+        Raises ValueError when n_resample does not fit n: bootstrap
+        draws exactly n rows, and subsampling without replacement
+        cannot draw more than n.  Plans call this when they are built,
+        so a misfit is a configuration error, not a failed fit.
+        """
+        if self.sampling == "bootstrap":
+            if self.n_resample not in (None, n):
+                raise ValueError(f"n_resample: bootstrap resamples exactly the {n} "
+                                 f"training points, got {self.n_resample}")
+            return n
+        if self.sampling == "subsample_without" and self.n_resample > n:
+            raise ValueError(f"n_resample: cannot subsample {self.n_resample} of "
+                             f"{n} training points without replacement")
+        return self.n_resample
 
 
 @dataclass(frozen=True)
@@ -74,17 +92,10 @@ class FittedForest:
 
 
 def _resample_rows(rng: Generator, n: int, cfg: ForestConfig) -> np.ndarray:
-    if cfg.sampling == "bootstrap":
-        if cfg.n_resample not in (None, n):
-            raise ValueError("bootstrap resamples exactly n points")
-        return rng.integers(0, n, size=n)
-    if cfg.n_resample < 1:
-        raise ValueError("n_resample must be >= 1")
-    if cfg.sampling == "subsample_with":
-        return rng.integers(0, n, size=cfg.n_resample)
-    if cfg.n_resample > n:
-        raise ValueError("cannot subsample more than n points without replacement")
-    return rng.permutation(n)[: cfg.n_resample]
+    size = cfg.resample_size(n)
+    if cfg.sampling == "subsample_without":
+        return rng.permutation(n)[:size]
+    return rng.integers(0, n, size=size)
 
 
 def fit_forest(sample, responses, cfg: ForestConfig = ForestConfig()) -> FittedForest:
@@ -98,7 +109,7 @@ def fit_forest(sample, responses, cfg: ForestConfig = ForestConfig()) -> FittedF
     n = X.shape[0]
     y = np.asarray(responses, dtype=np.float64)
     tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth,
-                          max_leaves=cfg.max_leaves, features=cfg.features)
+                          features=cfg.features)
     seqs = SeedSequence(cfg.seed).spawn(cfg.n_trees)
     trees = []
     for m in range(cfg.n_trees):
@@ -124,7 +135,6 @@ class BoostConfig:
     learning_rate: float = 0.1
     nodesize: int = 2
     max_depth: Optional[int] = 6
-    max_leaves: Optional[int] = None
     patience: Optional[int] = None
     seed: int = 0
 
@@ -135,8 +145,7 @@ class BoostConfig:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1")
-        TreeConfig(nodesize=self.nodesize, max_depth=self.max_depth,
-                   max_leaves=self.max_leaves)
+        TreeConfig(nodesize=self.nodesize, max_depth=self.max_depth)
 
 
 @dataclass(frozen=True)
@@ -170,8 +179,7 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
     """
     X, dims = _training_points(sample)
     y = np.asarray(responses, dtype=np.float64)
-    tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth,
-                          max_leaves=cfg.max_leaves)
+    tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth)
     use_valid = valid_sample is not None
     if use_valid:
         if valid_responses is None:

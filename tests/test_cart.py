@@ -140,24 +140,6 @@ def test_fit_tree_max_depth_bounds_leaf_count():
     assert tree.n_leaves <= 8
 
 
-def test_fit_tree_max_leaves_cap_and_best_first_order():
-    # the first best-first split must match the greedy root split
-    x = sample_driver(200, 1, 2, seed=5)
-    y = 3.0 * (x.data[:, 0, 0] > 0) + 0.1 * x.data[:, 0, 1]
-    capped = fit_tree(x, y, TreeConfig(max_leaves=2))
-    assert capped.n_leaves == 2
-    root = best_split(x.flat(), y)
-    assert capped.feature[0] == root[0]
-    assert capped.threshold[0] == root[1]
-
-
-def test_fit_tree_max_leaves_one_is_stump():
-    x = sample_driver(32, 1, 1, seed=6)
-    y = x.data[:, 0, 0].copy()
-    tree = fit_tree(x, y, TreeConfig(max_leaves=1))
-    assert tree.n_leaves == 1
-
-
 def test_nodesize_blocks_small_cells():
     x = sample_driver(40, 1, 1, seed=7)
     y = np.sign(x.data[:, 0, 0])
@@ -175,8 +157,6 @@ def test_config_validation():
         TreeConfig(nodesize=1)
     with pytest.raises(ValueError):
         TreeConfig(max_depth=-1)
-    with pytest.raises(ValueError):
-        TreeConfig(max_leaves=0)
     with pytest.raises(ValueError):
         TreeConfig(features=0)
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from treeval.cli import (
-    _SCALE_SIZES,
     EXIT_ARTIFACT,
     EXIT_CONFIG,
     EXIT_OK,
@@ -128,11 +127,6 @@ def _ns(**kw):
     return argparse.Namespace(**base)
 
 
-def test_scale_sizes_table():
-    assert _SCALE_SIZES["desk"] == (5000, 2000, 20000, 200)
-    assert _SCALE_SIZES["paper"] == (20000, 8000, 100000, 1000)
-
-
 def test_plan_resolution_by_scale():
     doc = {"payoff": {"kind": "min_put"}}
     desk = RunConfig(doc, _ns()).european_plan()
@@ -141,6 +135,13 @@ def test_plan_resolution_by_scale():
     paper = RunConfig(doc, _ns(scale="paper")).european_plan()
     assert (paper.n_train, paper.valid_size, paper.n_test, paper.n_inner) == \
         (20000, 8000, 100000, 1000)
+    # a configured n_train leaves n_valid at the scale's size, not 0.4 * n_train
+    sized = {"payoff": {"kind": "min_put"}, "plan": {"n_train": 100}}
+    assert RunConfig(sized, _ns()).european_plan().valid_size == 2000
+    assert RunConfig(sized, _ns(scale="paper")).european_plan().valid_size == 8000
+    berm = {"bermudan": {"n_dates": 3}}
+    assert RunConfig(berm, _ns()).bermudan_plan().n_test == 20000
+    assert RunConfig(berm, _ns(scale="paper")).bermudan_plan().n_test == 100000
 
 
 def test_seed_override_wins():
@@ -214,6 +215,30 @@ def test_stage_chain(tmp_path, capsys):
     assert "date 1" in _err_line(capsys)
 
 
+@pytest.mark.parametrize("text, dates", [
+    (MICRO, (0, 1, 2)),
+    (MICRO.replace("d: 2", "d: 2\n  steps: [1.0]"), (0, 1)),
+])
+def test_staged_chain_and_report_write_the_same_files(tmp_path, capsys, text, dates):
+    cfg = _cfg(tmp_path, text)
+    staged, report = tmp_path / "staged", tmp_path / "report"
+    for stage in ("simulate", "train", "value", "risk"):
+        assert main([stage, "--config", cfg, "--out", str(staged)]) == EXIT_OK, stage
+    assert main(["report", "--config", cfg, "--out", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    with open(staged / "value_surface_tree.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 150 * len(dates)
+    assert tuple(int(r["t"]) for r in rows[:len(dates)]) == dates
+    # at T = 1 the date-1 table would repeat qq_tT.csv, so neither run writes it
+    names = ["value_surface_tree.csv", "risk.csv", "qq_tT.csv"]
+    assert (staged / "qq_t1.csv").exists() == (report / "qq_t1.csv").exists() == (dates[-1] > 1)
+    if dates[-1] > 1:
+        names.append("qq_t1.csv")
+    for name in names:
+        assert (staged / name).read_bytes() == (report / name).read_bytes(), name
+
+
 def test_corrupt_artifact_is_runtime_error(tmp_path, capsys):
     cfg = _cfg(tmp_path)
     out = tmp_path / "run"
@@ -240,11 +265,32 @@ def test_value_error_at_runtime_is_runtime_error(tmp_path, capsys):
     assert _err_line(capsys).startswith("RUNTIME_ERROR:")
 
 
+FOREST_MISFIT = """
+estimator:
+  kind: forest
+  sampling: subsample_without
+  n_resample: 1000
+"""
+BERM_MISFIT = """
+bermudan:
+  n_train: 120
+  estimator:
+    kind: forest
+    sampling: subsample_without
+    n_resample: 1000
+"""
+
+
 @pytest.mark.parametrize("argv, text, needle", [
     (["value", "--t", "99"], MICRO, "--t"),
     (["value", "--t", "one"], MICRO, "--t"),
     (["simulate", "--threads", "0"], MICRO, "--threads"),
     (["simulate"], MICRO.replace("n_inner: 10", "n_inner: 10\n  dates: [0, 5]"), "plan.dates"),
+    (["report"], MICRO.replace("n_inner: 10", "n_inner: 10\n  dates: [0, 2]"), "plan.dates"),
+    (["value", "--t", "0", "1", "1"], MICRO, "--t"),
+    (["train"], MICRO.replace("nodesize: 30", "nodesize: 30\n  max_leaves: 4"), "unknown key"),
+    (["train"], MICRO.split("estimator:")[0] + FOREST_MISFIT, "n_resample"),
+    (["bermudan"], BERM_MISFIT, "n_resample"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)
