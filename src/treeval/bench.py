@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -104,6 +103,17 @@ def standard_model(payoff_kind: str, d: Optional[int] = None, vol: float = 0.2,
                              rate=rate, steps=_default_steps(payoff_kind))
 
 
+# Desk default config of each estimator kind; a config file's estimator
+# section overrides the fields it sets.
+DESK_ESTIMATORS = {
+    "boost": BoostConfig(rounds=400, learning_rate=0.1, nodesize=40, max_depth=15,
+                         patience=20, seed=7),
+    "forest": ForestConfig(nodesize=5, seed=7),
+    "tree": TreeConfig(nodesize=5, seed=7),
+}
+_KINDS = {type(config): kind for kind, config in DESK_ESTIMATORS.items()}
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything an end-to-end European run needs."""
@@ -111,7 +121,7 @@ class ExperimentPlan:
     name: str
     payoff: Payoff
     model: BlackScholesModel
-    estimators: tuple  # ((name, config), ...); first entry drives qq/risk files
+    estimator: TreeConfig | ForestConfig | BoostConfig
     n_train: int = 5000
     n_valid: Optional[int] = None  # default 0.4 * n_train
     n_test: int = 20000
@@ -127,9 +137,14 @@ class ExperimentPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.n_valid is not None and self.n_valid < 1:
             raise ValueError("n_valid must be >= 1")
-        if not self.estimators:
-            raise ValueError("at least one estimator required")
-        _check_resample((config for _, config in self.estimators), self.n_train)
+        if type(self.estimator) not in _KINDS:
+            raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
+        _check_resample(self.estimator, self.n_train)
+
+    @property
+    def estimator_kind(self) -> str:
+        """Output name of the estimator: "boost", "forest" or "tree"."""
+        return _KINDS[type(self.estimator)]
 
     @property
     def valid_size(self) -> int:
@@ -141,39 +156,28 @@ class ExperimentPlan:
             tuple(sorted({0, 1, self.model.n_periods}))
 
 
-def _check_resample(configs, n_train: int) -> None:
+def _check_resample(config, n_train: int) -> None:
     # a forest's n_resample must fit the training sample; found here, not mid-fit
-    for config in configs:
-        if isinstance(config, ForestConfig):
-            config.resample_size(n_train)
+    if isinstance(config, ForestConfig):
+        config.resample_size(n_train)
 
 
-# Desk default config of each estimator kind; a config file's estimator
-# section overrides the fields it sets.
-DESK_ESTIMATORS = {
-    "boost": BoostConfig(rounds=400, learning_rate=0.1, nodesize=40, max_depth=15,
-                         patience=20, seed=7),
-    "forest": ForestConfig(nodesize=5, seed=7),
-    "tree": TreeConfig(nodesize=5, seed=7),
-}
-
-
-def desk_plan(payoff_kind: str, seed: int = 0, estimators: Optional[tuple] = None,
+def desk_plan(payoff_kind: str, seed: int = 0, estimator=None,
               **overrides) -> ExperimentPlan:
     """Desk-scale default plan for one of the three standard payoffs."""
     model = standard_model(payoff_kind)
     payoff = {"min_put": Payoff("min_put", strike=1.0),
               "max_call": Payoff("max_call", strike=1.0),
               "brc": Payoff("brc", strike=1.0, barrier=0.6, coupon=0.0, face=1.0)}[payoff_kind]
-    if estimators is None:
-        estimators = (("boost", DESK_ESTIMATORS["boost"]),)
+    if estimator is None:
+        estimator = DESK_ESTIMATORS["boost"]
     return ExperimentPlan(name=f"{payoff_kind}_desk", payoff=payoff, model=model,
-                          estimators=tuple(estimators), seed=seed, **overrides)
+                          estimator=estimator, seed=seed, **overrides)
 
 
-def paper_plan(payoff_kind: str, seed: int = 0, estimators: Optional[tuple] = None):
+def paper_plan(payoff_kind: str, seed: int = 0, estimator=None):
     """Published-scale sample sizes (slow; use for full reproductions)."""
-    plan = desk_plan(payoff_kind, seed=seed, estimators=estimators)
+    plan = desk_plan(payoff_kind, seed=seed, estimator=estimator)
     return replace(plan, name=f"{payoff_kind}_paper", n_train=20000, n_valid=8000,
                    n_test=100000, n_inner=1000)
 
@@ -260,13 +264,14 @@ class ValidationTable:
         return min(self.rows, key=lambda r: (r.error_pct, r.n_cells))
 
 
-def run_validation_grid(plan: ExperimentPlan, grid: Optional[Sequence] = None) -> ValidationTable:
-    """Fit each grid entry on training data and score it on validation.
+def run_validation_grid(plan: ExperimentPlan, grid: Sequence) -> ValidationTable:
+    """Fit each (name, config) grid entry on training data and score it on validation.
 
     Scores are normalized L2 prediction errors of the payoff on the
-    validation sample, in percent of the mean training payoff.
+    validation sample, in percent of the mean training payoff.  The
+    plan's own estimator is not scored; ``table.best.config`` is the
+    one to put in its place.
     """
-    grid = tuple(grid) if grid is not None else plan.estimators
     if not grid:
         raise ValueError("empty hyperparameter grid")
     train, valid = sample_streams(plan, ("train", "valid")).values()
@@ -352,13 +357,7 @@ def _config_text_field(name: str, value, indent: str) -> str:
     if isinstance(value, np.ndarray):
         return f"{indent}{name}: {np.array2string(value, separator=',', threshold=64)}"
     if isinstance(value, tuple) and value and hasattr(value[0], "__len__") and not isinstance(value[0], str):
-        parts = []
-        for item in value:
-            if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
-                parts.append(f"{indent}  {item[0]}:\n{_config_text(item[1], indent + '    ')}")
-            else:
-                parts.append(f"{indent}  {item!r}")
-        return f"{indent}{name}:\n" + "\n".join(parts)
+        return f"{indent}{name}:\n" + "\n".join(f"{indent}  {item!r}" for item in value)
     return f"{indent}{name}: {value!r}"
 
 
@@ -394,15 +393,6 @@ def bundle_hash(out_dir) -> str:
 
 
 @dataclass(frozen=True)
-class EstimatorResult:
-    name: str
-    config: object
-    n_cells: int
-    surface: ValueSurface
-    l2_rows: tuple  # ((t, error_pct), ...)
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
     plan: ExperimentPlan
     v0: float
@@ -410,24 +400,21 @@ class ExperimentReport:
     v1: np.ndarray       # nested MC date-1 oracle per test scenario
     v1_se: np.ndarray    # its per-scenario standard errors
     y_test: np.ndarray   # realized discounted payoffs (exact V_T oracle)
-    results: tuple
+    surface: ValueSurface
+    n_cells: int
+    l2_rows: tuple       # ((t, error_pct), ...)
+    underfit: bool       # date-1 L2 error above the date-T one
     risk: RiskReport
     out_dir: Optional[str]
     config_hash: str
-
-    def result(self, name: str) -> EstimatorResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     """End-to-end European pipeline; writes a report bundle when out_dir is set.
 
     Bundle files: config.snapshot, l2_errors.csv, qq_t1.csv, qq_tT.csv,
-    risk.csv, value_surface_<estimator>.csv, timings.csv.  The first
-    estimator in the plan drives the qq and risk files.
+    risk.csv, value_surface_<kind>.csv, timings.csv, where <kind> is
+    the plan's ``estimator_kind``.
     """
     timings = []
     clock = time.perf_counter
@@ -447,41 +434,33 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
         raise ValueError("degenerate plan: oracle date-0 value is zero")
 
     dates = plan.eval_dates
-    results = []
-    for name, config in plan.estimators:
-        t0 = clock()
-        fitted = fit(config, train.driver, train.payoffs, (valid.driver, valid.payoffs))
-        timings.append((f"fit_{name}", clock() - t0))
-        t0 = clock()
-        fe = flatten_model(fitted)
-        timings.append((f"flatten_{name}", clock() - t0))
-        t0 = clock()
-        surface = value_surface(fe, measure, dates, test.driver,
-                                meta={"estimator": name, "seed": plan.seed,
-                                      "n_cells": fe.n_cells})
-        timings.append((f"value_{name}", clock() - t0))
-        l2_rows = []
-        if 0 in dates:
-            est0 = float(surface.column(0)[0])
-            l2_rows.append((0, 100.0 * abs(est0 - v0) / abs(v0)))
-        if 1 in dates and T != 1:
-            l2_rows.append((1, normalized_l2(surface.column(1), v1, v0)))
-        if T in dates:
-            l2_rows.append((T, normalized_l2(surface.column(T), y_test, v0)))
-        if len(l2_rows) >= 2 and 1 in dates and T in dates:
-            e1 = dict(l2_rows).get(1)
-            eT = dict(l2_rows).get(T)
-            if e1 is not None and eT is not None and e1 > eT:
-                warnings.warn(f"{plan.name}/{name}: date-1 error {e1:.3f}% exceeds "
-                              f"terminal error {eT:.3f}% (usually indicates underfitting)")
-        results.append(EstimatorResult(name=name, config=config, n_cells=fe.n_cells,
-                                       surface=surface, l2_rows=tuple(l2_rows)))
+    name = plan.estimator_kind
+    t0 = clock()
+    fitted = fit(plan.estimator, train.driver, train.payoffs, (valid.driver, valid.payoffs))
+    timings.append((f"fit_{name}", clock() - t0))
+    t0 = clock()
+    fe = flatten_model(fitted)
+    timings.append((f"flatten_{name}", clock() - t0))
+    t0 = clock()
+    surface = value_surface(fe, measure, dates, test.driver,
+                            meta={"estimator": name, "seed": plan.seed, "n_cells": fe.n_cells})
+    timings.append((f"value_{name}", clock() - t0))
+    l2_rows = []
+    if 0 in dates:
+        est0 = float(surface.column(0)[0])
+        l2_rows.append((0, 100.0 * abs(est0 - v0) / abs(v0)))
+    if 1 in dates and T != 1:
+        l2_rows.append((1, normalized_l2(surface.column(1), v1, v0)))
+    if T in dates:
+        l2_rows.append((T, normalized_l2(surface.column(T), y_test, v0)))
+    errors = dict(l2_rows)
+    underfit = 1 in errors and T in errors and errors[1] > errors[T]
 
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     t0 = clock()
-    risk = risk_stage(plan, results[0].surface, v0, v1, y_test, out)
+    risk = risk_stage(plan, surface, v0, v1, y_test, out)
     timings.append(("risk", clock() - t0))
 
     config_hash = ""
@@ -490,14 +469,14 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
                                      extras={"measure": type(measure).__name__,
                                              "dates": dates})
         _write_csv(out / "l2_errors.csv", ("estimator", "t", "l2_error_pct"),
-                   [(r.name, t, _fmt(e)) for r in results for t, e in r.l2_rows])
-        for r in results:
-            r.surface.to_csv(out / f"value_surface_{r.name}.csv")
+                   [(name, t, _fmt(e)) for t, e in l2_rows])
+        surface.to_csv(out / f"value_surface_{name}.csv")
         _write_csv(out / "timings.csv", ("stage", "seconds"),
                    [(s, _fmt(v)) for s, v in timings])
     return ExperimentReport(plan=plan, v0=v0, v0_se=v0_se, v1=v1, v1_se=v1_se,
-                            y_test=y_test, results=tuple(results),
-                            risk=risk, out_dir=None if out_dir is None else str(out_dir),
+                            y_test=y_test, surface=surface, n_cells=fe.n_cells,
+                            l2_rows=tuple(l2_rows), underfit=underfit, risk=risk,
+                            out_dir=None if out_dir is None else str(out_dir),
                             config_hash=config_hash)
 
 
@@ -530,7 +509,7 @@ class BermudanPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.mode not in ("later", "now", "both"):
             raise ValueError('mode must be "later", "now", or "both"')
-        _check_resample((self.estimator,), self.n_train)
+        _check_resample(self.estimator, self.n_train)
 
     def exercise_spec(self) -> ExerciseSpec:
         T = self.n_dates
@@ -661,7 +640,7 @@ def regress_now_date1(plan: ExperimentPlan, config=None) -> np.ndarray:
     predicts along the test sample; used to contrast with the dynamic
     estimator's date-1 column.
     """
-    config = config if config is not None else plan.estimators[0][1]
+    config = config if config is not None else plan.estimator
     train, test = sample_streams(plan, ("train", "test")).values()
     model = fit_regress_now(train.driver.data[:, :, 0], train.payoffs, config)
     return model.predict(test.driver.data[:, :, 0])

@@ -56,7 +56,8 @@ class TreeConfig:
             raise ValueError("nodesize must be >= 2")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        if self.features != "all" and (not isinstance(self.features, int) or self.features < 1):
+        # an exact type check: bool is an int subclass, and features=True is a mistake
+        if self.features != "all" and (type(self.features) is not int or self.features < 1):
             raise ValueError('features must be "all" or a positive int')
 
 

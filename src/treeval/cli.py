@@ -140,7 +140,8 @@ def _build_measure(doc: dict, d: int, T: int):
         raise ConfigError(f"measure: {e}") from None
 
 
-# settable keys and their types per estimator kind ("features" is an int or "all")
+# settable keys and their types per estimator kind ("features", an int or "all",
+# is checked by TreeConfig)
 _EST_KEYS = {
     "boost": {"rounds": int, "learning_rate": float, "nodesize": int, "max_depth": int,
               "patience": int, "seed": int},
@@ -165,9 +166,6 @@ def _build_estimator(node: dict, path: str):
     for key in node:
         if key != "kind" and key not in _EST_KEYS[kind]:
             raise ConfigError(f"unknown key '{path}.{key}' for kind '{kind}'")
-    features = node.get("features", "all")
-    if features != "all" and not isinstance(features, int):
-        raise ConfigError(f"{path}.features: expected int or \"all\"")
     try:
         return replace(DESK_ESTIMATORS[kind], **_present(node, path, _EST_KEYS[kind]))
     except ValueError as e:
@@ -228,10 +226,8 @@ class RunConfig:
             if not {0, 1} <= set(dates):
                 raise ConfigError(f"plan.dates must include 0 and 1 (risk reads V_0 - V_1), "
                                   f"got {list(dates)}")
-        est_node = self.doc.get("estimator")
-        if est_node is not None:
-            estimator = _build_estimator(est_node, "estimator")
-            fields["estimators"] = ((est_node["kind"], estimator),)
+        if self.doc.get("estimator") is not None:
+            fields["estimator"] = _build_estimator(self.doc["estimator"], "estimator")
         try:
             return replace(base, name=self.name, payoff=payoff, model=model, dates=dates,
                            seed=self.seed, measure=measure, **fields)
@@ -309,8 +305,8 @@ def cmd_train(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
     data = _load_samples(out)
-    name, config = plan.estimators[0]
-    fitted = fit(config, data["train_driver"], data["train_payoff"],
+    name = plan.estimator_kind
+    fitted = fit(plan.estimator, data["train_driver"], data["train_payoff"],
                  (data["valid_driver"], data["valid_payoff"]))
     fe = flatten_model(fitted)
     save_flat(fe, out / f"flat_{name}.npz")
@@ -337,7 +333,7 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
         dates = _check_dates(dates, T, "--t")
     out = cfg.require_out()
     data = _load_samples(out)
-    name, _ = plan.estimators[0]
+    name = plan.estimator_kind
     flat_path = out / f"flat_{name}.npz"
     if not flat_path.exists():
         raise ArtifactError(f"missing {flat_path.name} in {out} (run the train stage first)")
@@ -371,7 +367,7 @@ def cmd_risk(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
     data = _load_samples(out)
-    name, _ = plan.estimators[0]
+    name = plan.estimator_kind
     surface = _load_surface(out / f"value_surface_{name}.csv")
     for t in (0, 1):
         if t not in surface.dates:
@@ -401,15 +397,15 @@ def cmd_report(cfg: RunConfig) -> int:
     out = cfg.require_out()
     report = run_experiment(plan, out)
     if cfg.has_bermudan:
-        run_bermudan(cfg.bermudan_plan(), out)
+        run_bermudan(cfg.bermudan_plan(), out / "bermudan")
     digest = bundle_hash(out)
     with open(out / "bundle.hash", "w") as fh:
         fh.write(digest + "\n")
-    lines = [f"{r.name}: " + ", ".join(f"t={t}: {e:.3f}%" for t, e in r.l2_rows)
-             for r in report.results]
     print(f"report bundle at {out} (hash {digest[:16]}...)")
-    for line in lines:
-        print("  " + line)
+    print(f"  {plan.estimator_kind}: " +
+          ", ".join(f"t={t}: {e:.3f}%" for t, e in report.l2_rows))
+    if report.underfit:
+        print("  underfit: the date-1 error exceeds the date-T error")
     return EXIT_OK
 
 

@@ -137,10 +137,6 @@ class ProductMeasure:
     def standard_normal(cls, d: int, T: int) -> "ProductMeasure":
         return cls(grid=_marginal_grid(NormalMarginal(), d, T), dims=(d, T))
 
-    @classmethod
-    def from_marginals(cls, marginals, d: int, T: int) -> "ProductMeasure":
-        return cls(grid=_marginal_grid(marginals, d, T), dims=(d, T))
-
     def period_probs(self, s: int, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Q_s[(a, b]] for N cells; lows / highs have shape (N, d)."""
         d, T = self.dims

@@ -28,7 +28,6 @@ STREAM_TRAIN = 0
 STREAM_VALID = 1
 STREAM_TEST = 2
 STREAM_INNER = 3
-STREAM_MODEL = 4
 
 
 def stream_rng(seed: int, *tags: int) -> Generator:

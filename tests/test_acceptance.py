@@ -159,7 +159,7 @@ def test_tower_identity_between_dates(small_flat):
 def test_minput_desk_error_profile(minput_desk):
     """Desk-scale min-put errors sit in the published magnitude bands."""
     _, report, _ = minput_desk
-    errors = dict(report.results[0].l2_rows)
+    errors = dict(report.l2_rows)
     e1, eT = errors[1], errors[2]
     assert 3.0 <= eT <= 12.0
     assert 0.8 <= e1 <= 4.0
@@ -171,7 +171,7 @@ def test_minput_desk_error_profile(minput_desk):
 def test_value_gap_bounded_by_terminal_fit(minput_desk):
     """Max value-process gap obeys the 2x terminal-fit bound (plus MC noise)."""
     _, rep, _ = minput_desk
-    surface = rep.results[0].surface
+    surface = rep.surface
     e0 = abs(float(surface.column(0)[0]) - rep.v0)
     g1 = np.abs(surface.column(1) - rep.v1)
     gT = np.abs(surface.column(2) - rep.y_test)
@@ -299,7 +299,7 @@ def test_regress_later_beats_regress_now(minput_desk, maxcall_desk):
             ("max_call", maxcall_desk[0], maxcall_desk[1]))
     lines = []
     for label, plan, rep in runs:
-        e1_later = dict(rep.results[0].l2_rows)[1]
+        e1_later = dict(rep.l2_rows)[1]
         e1_now = normalized_l2(regress_now_date1(plan), rep.v1, rep.v0)
         assert e1_later < e1_now, (label, e1_later, e1_now)
         lines.append(f"{label} later {e1_later:.3f}% < now {e1_now:.3f}%")

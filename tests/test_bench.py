@@ -123,13 +123,14 @@ def test_plan_validation():
     model = standard_model("min_put", d=2)
     payoff = Payoff("min_put", strike=1.0)
     with pytest.raises(ValueError):
-        ExperimentPlan(name="x", payoff=payoff, model=model, estimators=(),)
+        ExperimentPlan(name="x", payoff=payoff, model=model,
+                       estimator=(("t", TreeConfig()),))
     with pytest.raises(ValueError):
         ExperimentPlan(name="x", payoff=payoff, model=model,
-                       estimators=(("t", TreeConfig()),), n_train=0)
+                       estimator=TreeConfig(), n_train=0)
     with pytest.raises(ValueError):
         ExperimentPlan(name="x", payoff=payoff, model=model,
-                       estimators=(("t", TreeConfig()),), n_valid=0)
+                       estimator=TreeConfig(), n_valid=0)
 
 
 def test_paper_rf_grid_combos():
@@ -205,7 +206,7 @@ def test_bundle_hash_ignores_timings(tmp_path):
 def _micro_plan(**overrides):
     base = dict(name="micro", payoff=Payoff("min_put", strike=1.0),
                 model=standard_model("min_put", d=2),
-                estimators=(("tree", TreeConfig(nodesize=30)),),
+                estimator=TreeConfig(nodesize=30),
                 n_train=400, n_valid=150, n_test=500, n_inner=20, seed=0)
     base.update(overrides)
     return ExperimentPlan(**base)
@@ -217,13 +218,12 @@ def test_run_experiment_micro(tmp_path):
     assert rep.v0 > 0 and rep.v0_se > 0
     assert rep.v1.shape == (500,) and rep.v1_se.shape == (500,)
     assert rep.y_test.shape == (500,)
-    r = rep.result("tree")
-    assert r.surface.values.shape == (500, 3)
-    assert dict(r.l2_rows).keys() == {0, 1, 2}
-    assert all(np.isfinite(e) for _, e in r.l2_rows)
+    assert rep.plan.estimator_kind == "tree"
+    assert rep.surface.values.shape == (500, 3)
+    assert dict(rep.l2_rows).keys() == {0, 1, 2}
+    assert all(np.isfinite(e) for _, e in rep.l2_rows)
+    assert isinstance(rep.underfit, bool)
     assert len(rep.risk.entries) == 4
-    with pytest.raises(KeyError):
-        rep.result("missing")
     for name in ("config.snapshot", "l2_errors.csv", "qq_t1.csv", "qq_tT.csv",
                  "risk.csv", "value_surface_tree.csv", "timings.csv"):
         assert (out / name).exists(), name

@@ -159,6 +159,8 @@ def test_config_validation():
         TreeConfig(max_depth=-1)
     with pytest.raises(ValueError):
         TreeConfig(features=0)
+    with pytest.raises(ValueError):
+        TreeConfig(features=True)
 
 
 def test_fit_tree_deterministic_per_seed():

@@ -7,8 +7,12 @@ artifact handoff between stages.
 
 import argparse
 import csv
+import os
 import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,10 +156,9 @@ def test_seed_override_wins():
 
 def test_default_estimator_is_boost():
     plan = RunConfig({"payoff": {"kind": "min_put"}}, _ns()).european_plan()
-    name, config = plan.estimators[0]
-    assert name == "boost"
-    assert config == BoostConfig(rounds=400, learning_rate=0.1, nodesize=40,
-                                 max_depth=15, patience=20, seed=7)
+    assert plan.estimator_kind == "boost"
+    assert plan.estimator == BoostConfig(rounds=400, learning_rate=0.1, nodesize=40,
+                                         max_depth=15, patience=20, seed=7)
 
 
 def test_clayton_measure_configuration():
@@ -291,6 +294,7 @@ bermudan:
     (["train"], MICRO.replace("nodesize: 30", "nodesize: 30\n  max_leaves: 4"), "unknown key"),
     (["train"], MICRO.split("estimator:")[0] + FOREST_MISFIT, "n_resample"),
     (["bermudan"], BERM_MISFIT, "n_resample"),
+    (["train"], MICRO.replace("nodesize: 30", "nodesize: 30\n  features: true"), "features"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)
@@ -351,3 +355,25 @@ def test_report_bundle_determinism(tmp_path, capsys):
 
     assert bundle_hash(tmp_path / "r1") == hashes[0]
     capsys.readouterr()
+
+
+def test_report_writes_the_bermudan_leg_to_its_own_directory(tmp_path, capsys):
+    cfg = _cfg(tmp_path, MICRO + "bermudan:" + BERM.split("bermudan:")[1])
+    out = tmp_path / "r"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert (out / "config.snapshot").read_text().startswith("ExperimentPlan:")
+    assert (out / "bermudan" / "config.snapshot").read_text().startswith("BermudanPlan:")
+    assert not (out / "stopping.csv").exists()
+
+
+def test_module_entry_point_runs_without_install(tmp_path):
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "r"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "treeval.cli", "report", "--config", cfg,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (out / "bundle.hash").exists()
