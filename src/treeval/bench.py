@@ -29,7 +29,7 @@ from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
                     BlackScholesModel, DriverSample, Payoff, log_bs_localvol,
                     payoff_value, sample_driver, simulate_bs,
-                    simulate_localvol, stream_rng, _standard_normal)
+                    simulate_localvol, stream_rng, _draw_bits, _normal_from_bits)
 from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
                    risk_report)
 from .valuation import ValueSurface, fit_regress_now, value_surface
@@ -46,14 +46,22 @@ def oracle_v0(test_payoffs) -> tuple:
     return float(y.mean()), se
 
 
+# inner paths simulated together in one oracle block: big enough to amortise the
+# per-call overhead, small enough to keep the block's arrays in cache
+_BLOCK_PATHS = 1024
+
+
 def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
               n_inner: int, seed: int, chunk: int = 256) -> tuple:
     """Nested MC estimate of V_1 at each first-period driver value.
 
     For scenario i the inner tail draws (X_2..X_T) come from the stream
     (seed, inner, i), so estimates are reproducible per scenario and
-    independent of everything else.  Returns (values, standard errors),
-    each of shape (k,).
+    independent of everything else, the thread count and the blocking
+    included.  Blocks of consecutive scenarios holding about 1024 inner
+    paths are simulated and priced together; chunk caps the scenarios of
+    one ``thread_map`` item, which holds whole blocks.  Returns (values,
+    standard errors), each of shape (k,).
     """
     if n_inner < 1:
         raise ValueError("n_inner must be >= 1")
@@ -64,24 +72,32 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
         # no tail to integrate: the value is the payoff of the one-period path
         vals = payoff_value(payoff, model, simulate_bs(model, x1[:, :, None]))
         return vals, np.zeros(k)
+    block = max(1, min(chunk, _BLOCK_PATHS // n_inner))
+    vals, ses = np.empty(k), np.zeros(k)
+
+    def run_block(a, b):
+        m = b - a
+        raw = np.empty((m, n_inner, d, T - 1), dtype=np.uint64)
+        for j in range(m):
+            raw[j] = _draw_bits(stream_rng(seed, STREAM_INNER, a + j), (n_inner, d, T - 1))
+        full = np.empty((m, n_inner, d, T))
+        full[:, :, :, 0] = x1[a:b, None, :]
+        full[:, :, :, 1:] = _normal_from_bits(raw)
+        paths = simulate_bs(model, full.reshape(m * n_inner, d, T))
+        y = payoff_value(payoff, model, paths).reshape(m, n_inner)
+        vals[a:b] = y.mean(axis=1)
+        if n_inner > 1:
+            ses[a:b] = y.std(axis=1, ddof=1) / np.sqrt(n_inner)
 
     def run_chunk(bounds):
+        # each block writes its own slice of vals and ses
         a, b = bounds
-        vals = np.empty(b - a)
-        ses = np.empty(b - a)
-        full = np.empty((n_inner, d, T))
-        for i in range(a, b):
-            rng = stream_rng(seed, STREAM_INNER, i)
-            full[:, :, 0] = x1[i]
-            full[:, :, 1:] = _standard_normal(rng, (n_inner, d, T - 1))
-            y = payoff_value(payoff, model, simulate_bs(model, full))
-            vals[i - a] = y.mean()
-            ses[i - a] = y.std(ddof=1) / np.sqrt(n_inner) if n_inner > 1 else 0.0
-        return vals, ses
+        for i in range(a, b, block):
+            run_block(i, min(i + block, b))
 
-    bounds = [(a, min(a + chunk, k)) for a in range(0, k, chunk)]
-    parts = thread_map(run_chunk, bounds)
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    step = chunk // block * block  # whole blocks per thread_map item, at most chunk scenarios
+    thread_map(run_chunk, [(a, min(a + step, k)) for a in range(0, k, step)])
+    return vals, ses
 
 
 # ----------------------------------------------------------------- planning

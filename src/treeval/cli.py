@@ -68,10 +68,12 @@ def _section(doc: dict, name: str, allowed: set, required: bool = False) -> dict
     return node
 
 
-def _get(node: dict, path: str, key: str, kind, default=None, enum=None):
+def _get(node: dict, path: str, key: str, kind, default=None, enum=None, nullable=False):
     if key not in node:
         return default
     val = node[key]
+    if val is None and nullable:
+        return None
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if kind is not None and not isinstance(val, kind) or isinstance(val, bool) and kind is int:
@@ -84,7 +86,8 @@ def _get(node: dict, path: str, key: str, kind, default=None, enum=None):
 
 def _present(node: dict, path: str, kinds: dict) -> dict:
     """Type-checked values of the keys of node that kinds lists; absent keys are left out."""
-    return {key: _get(node, path, key, kinds[key], enum=_ENUMS.get(key))
+    return {key: _get(node, path, key, kinds[key], enum=_ENUMS.get(key),
+                      nullable=key in _NULLABLE)
             for key in node if key in kinds}
 
 
@@ -154,6 +157,8 @@ _BERMUDAN_KEYS = {"z0": float, "rate": float, "sigma": float, "strike": float,
                   "mode": str}
 _ENUMS = {"sampling": {"bootstrap", "subsample_with", "subsample_without"},
           "mode": {"later", "now", "both"}}
+# optional estimator fields, which a YAML null sets to None; every other key rejects null
+_NULLABLE = {"max_depth", "patience", "n_resample"}
 
 
 def _build_estimator(node: dict, path: str):
@@ -348,19 +353,25 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
     return EXIT_OK
 
 
-def _load_surface(path: Path):
+def _load_surface(path: Path) -> ValueSurface:
+    """Read a ``ValueSurface.to_csv`` file; rows may come in any order."""
     if not path.exists():
         raise ArtifactError(f"missing {path.name} in {path.parent} "
                             "(run the value stage first)")
-    rows = np.genfromtxt(path, delimiter=",", names=True)
-    dates = tuple(int(t) for t in np.unique(rows["t"]))
-    ids = np.unique(rows["scenario_id"]).size
-    values = np.empty((ids, len(dates)))
-    for k, t in enumerate(dates):
-        sel = rows["t"] == t
-        order = np.argsort(rows["scenario_id"][sel], kind="stable")
-        values[:, k] = rows["value"][sel][order]
-    return ValueSurface(dates=dates, values=values)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if rows.shape[0] == 0 or rows.shape[1] != 3:
+        raise ArtifactError(f"{path.name}: expected rows of scenario_id,t,value "
+                            "(rerun the value stage)")
+    ids, t, value = rows.T
+    dates = np.unique(t)
+    k = ids.size // dates.size
+    order = np.lexsort((ids, t))  # date-major, then scenario id
+    if ids.size != dates.size * k or \
+            not (ids[order].reshape(dates.size, k) == np.arange(k)).all():
+        raise ArtifactError(f"{path.name}: every date must carry exactly the scenario "
+                            "ids 0..k-1 once (rerun the value stage)")
+    return ValueSurface(dates=tuple(int(d) for d in dates),
+                        values=value[order].reshape(dates.size, k).T.copy())
 
 
 def cmd_risk(cfg: RunConfig) -> int:
@@ -369,6 +380,11 @@ def cmd_risk(cfg: RunConfig) -> int:
     data = _load_samples(out)
     name = plan.estimator_kind
     surface = _load_surface(out / f"value_surface_{name}.csv")
+    n_test = data["test_driver"].shape[0]
+    if surface.values.shape[0] != n_test:
+        raise ArtifactError(f"value_surface_{name}.csv holds {surface.values.shape[0]} "
+                            f"scenarios but samples.npz holds {n_test} test scenarios; "
+                            "rerun the value stage")
     for t in (0, 1):
         if t not in surface.dates:
             raise ArtifactError(f"value surface lacks date {t}; rerun value with "

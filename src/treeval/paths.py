@@ -39,10 +39,16 @@ def stream_rng(seed: int, *tags: int) -> Generator:
     return Generator(Philox(SeedSequence(seed, spawn_key=tuple(tags))))
 
 
-def _standard_normal(rng: Generator, shape) -> np.ndarray:
+def _draw_bits(rng: Generator, shape) -> np.ndarray:
+    """53-bit integers; ``_normal_from_bits`` maps them to standard normals."""
+    return rng.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+
+
+def _normal_from_bits(raw: np.ndarray) -> np.ndarray:
     # Inverse-CDF transform of u = (k + 1/2) * 2^-53 with k a 53-bit
     # integer, so u lies strictly inside (0, 1) and draws are finite.
-    raw = rng.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+    # Elementwise, so a block of several streams' bits transforms to the
+    # same values as each stream's bits alone.
     u = (raw.astype(np.float64) + 0.5) * (0.5**53)
     return ndtri(u)
 
@@ -90,7 +96,7 @@ def sample_driver(n: int, d: int, T: int, seed: int, stream: tuple = (STREAM_TRA
     if min(n, d, T) < 1:
         raise ValueError("n, d, T must all be >= 1")
     rng = stream_rng(seed, *stream)
-    data = _standard_normal(rng, (n, d, T))
+    data = _normal_from_bits(_draw_bits(rng, (n, d, T)))
     return DriverSample(data=data, seed=seed, stream=tuple(stream))
 
 

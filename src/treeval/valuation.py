@@ -16,7 +16,6 @@ model evaluation on the full path.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -82,13 +81,15 @@ class ValueSurface:
         return self.values[:, self.dates.index(t)]
 
     def to_csv(self, path) -> None:
-        """Long-format rows ``scenario_id,t,value``."""
+        """Long-format rows ``scenario_id,t,value``, scenario-major, CRLF-terminated.
+
+        Values are written as ``repr`` of the float, which reads back exactly.
+        """
+        rows = np.asarray(self.values, dtype=np.float64).tolist()
+        text = "".join(f"{i},{t},{v!r}\r\n"
+                       for i, row in enumerate(rows) for t, v in zip(self.dates, row))
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["scenario_id", "t", "value"])
-            for i in range(self.values.shape[0]):
-                for k, t in enumerate(self.dates):
-                    w.writerow([i, t, repr(float(self.values[i, k]))])
+            fh.write("scenario_id,t,value\r\n" + text)
 
     def write_meta(self, path) -> None:
         with open(path, "w") as fh:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import treeval as tv
 from treeval.bench import (
@@ -30,13 +31,16 @@ from treeval.bench import (
 )
 from treeval.cart import TreeConfig
 from treeval.ensemble import BoostConfig, ForestConfig
+from treeval.parallel import get_threads, set_threads
 from treeval.paths import (
+    STREAM_INNER,
     STREAM_TEST,
     BlackScholesModel,
     Payoff,
     payoff_value,
     sample_driver,
     simulate_bs,
+    stream_rng,
 )
 
 # ----------------------------------------------------------------- oracles
@@ -79,6 +83,41 @@ def test_oracle_v1_reproducible_and_chunk_invariant():
     assert not np.array_equal(a_vals, c_vals)
     with pytest.raises(ValueError):
         oracle_v1(payoff, model, x1, n_inner=0, seed=5)
+
+
+def _oracle_v1_per_scenario(payoff, model, x1, n_inner, seed):
+    # reference: one generator, one simulation and one payoff call per scenario
+    k, d = x1.shape
+    T = model.n_periods
+    vals, ses = np.empty(k), np.empty(k)
+    full = np.empty((n_inner, d, T))
+    for i in range(k):
+        rng = stream_rng(seed, STREAM_INNER, i)
+        full[:, :, 0] = x1[i]
+        raw = rng.integers(0, 1 << 53, size=(n_inner, d, T - 1), dtype=np.uint64)
+        full[:, :, 1:] = ndtri((raw.astype(np.float64) + 0.5) * (0.5**53))
+        y = payoff_value(payoff, model, simulate_bs(model, full))
+        vals[i] = y.mean()
+        ses[i] = y.std(ddof=1) / np.sqrt(n_inner) if n_inner > 1 else 0.0
+    return vals, ses
+
+
+@pytest.mark.parametrize("n_inner", [1, 7, 40])
+@pytest.mark.parametrize("kind, d", [("min_put", 2), ("brc", 3)])
+def test_oracle_v1_matches_per_scenario_reference(kind, d, n_inner):
+    model = standard_model(kind, d=d)
+    payoff = desk_plan(kind).payoff
+    x1 = sample_driver(300, d, model.n_periods, 3, (STREAM_TEST,)).data[:, :, 0]
+    want_vals, want_ses = _oracle_v1_per_scenario(payoff, model, x1, n_inner, seed=9)
+    before = get_threads()
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            vals, ses = oracle_v1(payoff, model, x1, n_inner=n_inner, seed=9)
+            assert np.array_equal(vals, want_vals), threads
+            assert np.array_equal(ses, want_ses), threads
+    finally:
+        set_threads(before)
 
 
 def test_oracle_v1_tower_matches_v0():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from treeval.cli import (
     EXIT_ARTIFACT,
@@ -23,10 +24,12 @@ from treeval.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     RunConfig,
+    _load_surface,
     main,
 )
 from treeval.ensemble import BoostConfig
 from treeval.measure import CopulaMeasure
+from treeval.valuation import ValueSurface
 
 MICRO = """
 experiment:
@@ -295,6 +298,10 @@ bermudan:
     (["train"], MICRO.split("estimator:")[0] + FOREST_MISFIT, "n_resample"),
     (["bermudan"], BERM_MISFIT, "n_resample"),
     (["train"], MICRO.replace("nodesize: 30", "nodesize: 30\n  features: true"), "features"),
+    (["train"], MICRO.replace("kind: tree\n  nodesize: 30", "kind: boost\n  rounds: null"),
+     "rounds"),
+    (["train"], MICRO.replace("nodesize: 30", "nodesize: null"), "nodesize"),
+    (["simulate"], MICRO.replace("n_test: 150", "n_test: null"), "plan.n_test"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)
@@ -302,6 +309,94 @@ def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     assert rc == EXIT_CONFIG
     line = _err_line(capsys)
     assert line.startswith("CONFIG_ERROR:") and needle in line
+
+
+def test_null_unsets_optional_estimator_fields(tmp_path, capsys):
+    text = MICRO.replace("kind: tree\n  nodesize: 30",
+                         "kind: boost\n  rounds: 3\n  patience: null\n  max_depth: null")
+    plan = RunConfig(yaml.safe_load(text), _ns()).european_plan()
+    assert plan.estimator.patience is None and plan.estimator.max_depth is None
+    assert plan.estimator.rounds == 3
+    forest = MICRO.replace("kind: tree", "kind: forest\n  n_trees: 2\n  n_resample: null")
+    assert RunConfig(yaml.safe_load(forest), _ns()).european_plan().estimator.n_resample is None
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", _cfg(tmp_path, text), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    snapshot = (out / "config.snapshot").read_text()
+    assert "    patience: None\n" in snapshot and "    max_depth: None\n" in snapshot
+
+
+def _staged(cfg, out, stages):
+    for stage in stages:
+        assert main([stage, "--config", cfg, "--out", str(out)]) == EXIT_OK, stage
+
+
+def test_risk_rejects_a_surface_from_another_sample(tmp_path, capsys):
+    out = tmp_path / "run"
+    _staged(_cfg(tmp_path), out, ("simulate", "train", "value"))
+    _staged(_cfg(tmp_path, MICRO.replace("n_test: 150", "n_test: 170"), "b.yaml"), out,
+            ("simulate",))
+    capsys.readouterr()
+    rc = main(["risk", "--config", str(tmp_path / "b.yaml"), "--out", str(out)])
+    assert rc == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT:") and "150" in line and "170" in line
+    assert not (out / "risk.csv").exists()
+
+
+@pytest.mark.parametrize("edit", ["drop", "duplicate", "renumber"])
+def test_risk_rejects_a_surface_with_gaps_in_scenario_ids(tmp_path, capsys, edit):
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "run"
+    _staged(cfg, out, ("simulate", "train", "value"))
+    path = out / "value_surface_tree.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    # lines[1:4] are scenario 0 at dates 0, 1, 2; change its date-1 row only
+    if edit == "drop":
+        del lines[2]
+    elif edit == "duplicate":
+        lines[2] = lines[5]
+    else:
+        lines[2] = b"150" + lines[2][1:]
+    path.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    rc = main(["risk", "--config", cfg, "--out", str(out)])
+    assert rc == EXIT_ARTIFACT
+    assert "scenario ids" in _err_line(capsys)
+
+
+def _csv_writer_bytes(surface: ValueSurface, path: Path) -> bytes:
+    # reference: the per-row csv.writer form of ValueSurface.to_csv
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["scenario_id", "t", "value"])
+        for i in range(surface.values.shape[0]):
+            for k, t in enumerate(surface.dates):
+                w.writerow([i, t, repr(float(surface.values[i, k]))])
+    return path.read_bytes()
+
+
+def test_surface_csv_round_trip_is_exact(tmp_path):
+    awkward = [-0.0, 1e-05, 1e16, 5e-324, 2.225073858507201e-308, 0.1 + 0.2,
+               1.0000000000000002, -1.2345678901234567e-7, 123456789.12345679, np.inf,
+               -np.inf, 1e300, 0.0]
+    rng = np.random.default_rng(4)
+    values = np.concatenate([np.array(awkward), rng.normal(size=47) * 10.0 ** rng.integers(
+        -20, 20, size=47)]).reshape(20, 3)
+    surface = ValueSurface(dates=(0, 1, 12), values=values)
+    path = tmp_path / "value_surface_x.csv"
+    surface.to_csv(path)
+    assert path.read_bytes() == _csv_writer_bytes(surface, tmp_path / "ref.csv")
+    # the same rows in another order read back to the same surface
+    head, *rows = path.read_bytes().split(b"\r\n")[:-1]
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_bytes(b"".join(line + b"\r\n" for line in
+                                  [head] + [rows[j] for j in rng.permutation(len(rows))]))
+    for p in (path, shuffled):
+        back = _load_surface(p)
+        assert back.dates == (0, 1, 12)
+        assert np.array_equal(back.values, values)
+        assert np.array_equal(np.signbit(back.values), np.signbit(values))
 
 
 # ----------------------------------------------------------------- bermudan
