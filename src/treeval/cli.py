@@ -358,7 +358,11 @@ def _load_surface(path: Path) -> ValueSurface:
     if not path.exists():
         raise ArtifactError(f"missing {path.name} in {path.parent} "
                             "(run the value stage first)")
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as e:  # ragged rows or a field that is not a number
+        raise ArtifactError(f"{path.name}: unreadable value surface ({e}); "
+                            "rerun the value stage") from e
     if rows.shape[0] == 0 or rows.shape[1] != 3:
         raise ArtifactError(f"{path.name}: expected rows of scenario_id,t,value "
                             "(rerun the value stage)")

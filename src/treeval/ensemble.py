@@ -39,7 +39,8 @@ class ForestConfig:
         without replacement.
     features
         Coordinates drawn uniformly without replacement per split, or
-        "all".
+        "all".  Below P, each tree draws per cell in level order, as
+        ``TreeConfig.features`` describes.
     """
 
     n_trees: int = 100

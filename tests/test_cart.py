@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
-from treeval.cart import (RegressionTree, TreeConfig, best_split, fit_tree,
-                          predict_tree)
+from treeval import cart, ensemble
+from treeval.cart import (RegressionTree, TreeConfig, _grow_tree, best_split,
+                          fit_tree, predict_tree)
+from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest
 from treeval.paths import sample_driver
 
 
@@ -239,3 +242,209 @@ def test_tree_prediction_is_leaf_mean(seed):
         assert rows.sum() == counts[i]
         if rows.any():
             assert values[i] == pytest.approx(y[rows].mean(), rel=1e-12, abs=1e-12)
+
+
+# --- node-for-node reference: depth-first growth, one node at a time ------
+
+def _reference_scan(xs, y):
+    """Best midpoint split of one column: argsort, prefix sums, first minimum."""
+    order = np.argsort(xs, kind="stable")
+    xo, yo = xs[order], y[order]
+    cy, cy2 = np.cumsum(yo), np.cumsum(yo * yo)
+    idx = np.flatnonzero(xo[:-1] != xo[1:])
+    z = 0.5 * (xo[idx] + xo[idx + 1])
+    ok = (xo[idx] < z) & (z < xo[idx + 1])
+    idx, z = idx[ok], z[ok]
+    if idx.size == 0:
+        return None
+    nl = idx + 1.0
+    nr = y.size - nl
+    sl, sl2 = cy[idx], cy2[idx]
+    sr, sr2 = cy[-1] - sl, cy2[-1] - sl2
+    score = (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr)
+    m = int(np.argmin(score))
+    return float(score[m]), float(z[m])
+
+
+def _reference_split(X, y):
+    if y.size < 2 or y.min() == y.max():
+        return None
+    sy, sy2 = float(np.sum(y)), float(np.sum(y * y))
+    parent = sy2 - sy * sy / y.size
+    best = None
+    for c in range(X.shape[1]):
+        hit = _reference_scan(X[:, c], y)
+        if hit is not None and (best is None or hit[0] < best[2]):
+            best = (c, hit[1], hit[0])
+    return best if best is not None and best[2] < parent else None
+
+
+def reference_grow(X, y, cfg):
+    """Depth-first growth, left child first, with children allocated in pairs.
+
+    This is how trees were grown before level-wise growth, kept to check
+    node for node that the level-wise grower builds the same trees.  It
+    draws no candidate columns, so it covers features >= P only.
+    """
+    assert cfg.features == "all" or cfg.features >= X.shape[1]
+    nodes = [[-1, np.nan, -1, -1, float(np.mean(y)) if y.size else 0.0, y.size]]
+    stack = [(0, np.arange(y.size), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if rows.size < cfg.nodesize or (cfg.max_depth is not None and depth >= cfg.max_depth):
+            continue
+        hit = _reference_split(X[rows], y[rows])
+        if hit is None:
+            continue
+        coord, z, _ = hit
+        go = X[rows, coord] <= z
+        li = len(nodes)
+        for part in (rows[go], rows[~go]):
+            nodes.append([-1, np.nan, -1, -1, float(np.mean(y[part])), part.size])
+        nodes[node][:4] = [coord, z, li, li + 1]
+        stack.append((li + 1, rows[~go], depth + 1))
+        stack.append((li, rows[go], depth + 1))
+    f, t, le, ri, v, c = zip(*nodes)
+    return RegressionTree(feature=np.array(f, dtype=np.int32), threshold=np.array(t),
+                          left=np.array(le, dtype=np.int32), right=np.array(ri, dtype=np.int32),
+                          value=np.array(v), count=np.array(c, dtype=np.int64), dims=(X.shape[1], 1))
+
+
+def assert_same_tree(a, b):
+    np.testing.assert_array_equal(a.feature, b.feature)
+    assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
+    np.testing.assert_array_equal(a.left, b.left)
+    np.testing.assert_array_equal(a.right, b.right)
+    np.testing.assert_array_equal(a.value, b.value)
+    np.testing.assert_array_equal(a.count, b.count)
+    for name in ("feature", "threshold", "left", "right", "value", "count"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+
+
+def _depth(tree):
+    depth = np.zeros(tree.n_nodes, dtype=int)
+    for i in range(tree.n_nodes):
+        if tree.feature[i] >= 0:
+            depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return depth
+
+
+def _unbalanced(rng):
+    # left of x0 = 0: one wide, nearly flat region that noise splits cut
+    # off in small pieces; right of it a sawtooth that splits evenly
+    X = rng.uniform(-1, 1, size=(1200, 2))
+    y = np.where(X[:, 0] < 0, 1e-3 * rng.standard_normal(1200),
+                 100.0 + 50.0 * np.sign(np.sin(40.0 * X[:, 1])) + rng.standard_normal(1200))
+    return X, y, TreeConfig(nodesize=2, max_depth=6)
+
+
+def _chain(rng):
+    # responses that double along x: each split peels off the largest point
+    x = rng.permutation(40).astype(np.float64)
+    return x[:, None], 2.0 ** x, TreeConfig()
+
+
+def _ties(rng):
+    X = rng.integers(0, 4, size=(300, 3)).astype(np.float64)
+    return X, X[:, 0] * X[:, 1] + rng.integers(0, 3, 300), TreeConfig(nodesize=3)
+
+
+def _adjacent_floats(rng):
+    # 1, 1+ulp and 1+2ulp: their midpoints round onto an endpoint, so no
+    # split may fall between them; the second column is all negative
+    near = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    X = np.column_stack([rng.choice([1.0, np.nextafter(1.0, 2.0), near, 2.0], size=120),
+                         -rng.integers(1, 4, size=120).astype(np.float64)])
+    y = 10.0 * (X[:, 0] >= near) + 3.0 * (X[:, 1] < -1.5) + rng.standard_normal(120)
+    return X, y, TreeConfig(nodesize=2)
+
+
+def _flat_branch(rng):
+    # everything left of x0 = 0 has the same response: a constant node mid-tree
+    X = rng.standard_normal((200, 2))
+    return X, np.where(X[:, 0] <= 0, 0.25, rng.standard_normal(200)), TreeConfig(nodesize=4)
+
+
+def _depth_cap(rng, depth):
+    X = rng.standard_normal((150, 3))
+    return X, np.sin(3.0 * X[:, 0]) + X[:, 2], TreeConfig(nodesize=2, max_depth=depth)
+
+
+def _nodesize(rng, n, nodesize):
+    X = rng.standard_normal((n, 2))
+    return X, rng.standard_normal(n), TreeConfig(nodesize=nodesize)
+
+
+CASES = {
+    "unbalanced_level": _unbalanced,
+    "p1_chain": _chain,
+    "integer_ties": _ties,
+    "adjacent_floats": _adjacent_floats,
+    "constant_node": _flat_branch,
+    "max_depth_0": lambda rng: _depth_cap(rng, 0),
+    "max_depth_1": lambda rng: _depth_cap(rng, 1),
+    "max_depth_3": lambda rng: _depth_cap(rng, 3),
+    "nodesize_equals_n": lambda rng: _nodesize(rng, 20, 20),
+    "nodesize_above_n": lambda rng: _nodesize(rng, 20, 21),
+    "nodesize_even_halves": lambda rng: _nodesize(rng, 64, 32),
+    "one_row": lambda rng: _nodesize(rng, 1, 2),
+}
+
+
+@pytest.mark.parametrize("block", [None, 16])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_level_wise_growth_matches_depth_first_reference(case, block, monkeypatch):
+    # block 16 forces one node per padded block and one column per pass
+    if block is not None:
+        monkeypatch.setattr(cart, "_BLOCK", block)
+    X, y, cfg = CASES[case](np.random.default_rng(31))
+    tree = _grow_tree(X, y, cfg, (X.shape[1], 1))
+    assert_same_tree(tree, reference_grow(X, y, cfg))
+    depth = _depth(tree)
+    if case == "p1_chain":
+        assert depth.max() > 20
+    if case == "unbalanced_level":
+        # some depth holds one big node beside many small ones
+        big = [(c.max(), np.median(c), c.size) for c in
+               (tree.count[depth == d] for d in range(depth.max() + 1))]
+        assert any(top >= 10 * mid and k >= 20 for top, mid, k in big)
+    if case == "constant_node":
+        leaf = tree.feature < 0
+        assert ((tree.value == 0.25) & leaf & (tree.count >= cfg.nodesize)).any()
+
+
+def test_ensemble_trees_match_depth_first_reference(monkeypatch):
+    """Boost residual rounds and bootstrap forest trees, grown inside the fits."""
+    grown = []
+
+    def checked(X, y, cfg, dims, rng=None):
+        tree = _grow_tree(X, y, cfg, dims, rng)
+        assert_same_tree(tree, reference_grow(X, y, cfg))
+        grown.append(X.shape[0] - np.unique(X, axis=0).shape[0])  # duplicated rows
+        return tree
+
+    monkeypatch.setattr(ensemble, "_grow_tree", checked)
+    x = sample_driver(300, 2, 2, seed=41)
+    y = np.maximum(1.0 - x.flat().min(axis=1), 0.0)
+    fit_boost(x, y, BoostConfig(rounds=5, nodesize=8, max_depth=8, seed=2))
+    assert len(grown) == 5
+    fit_forest(x, y, ForestConfig(n_trees=3, nodesize=5, seed=3))
+    assert len(grown) == 8 and min(grown[5:]) > 0
+
+
+def test_candidate_draws_follow_level_order():
+    """With features < P, each node that may split draws its columns, left to right per depth."""
+    x = sample_driver(400, 3, 2, seed=43)
+    y = np.cos(x.flat() @ np.arange(1.0, 7.0))
+    cfg = TreeConfig(nodesize=6, max_depth=7, features=2, seed=9)
+    tree = fit_tree(x, y, cfg)
+    depth = _depth(tree)
+    rng = Generator(Philox(SeedSequence(cfg.seed)))
+    drawn = 0
+    for i in np.lexsort((np.arange(tree.n_nodes), depth)):  # level order
+        if tree.count[i] >= cfg.nodesize and depth[i] < cfg.max_depth:
+            cols = rng.choice(6, size=2, replace=False)
+            drawn += 1
+            if tree.feature[i] >= 0:
+                assert tree.feature[i] in cols
+    assert drawn > 20 and (tree.feature >= 0).sum() > 10

@@ -365,6 +365,24 @@ def test_risk_rejects_a_surface_with_gaps_in_scenario_ids(tmp_path, capsys, edit
     assert "scenario ids" in _err_line(capsys)
 
 
+@pytest.mark.parametrize("edit", ["ragged", "not_a_number"])
+def test_risk_rejects_an_unreadable_surface(tmp_path, capsys, edit):
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "run"
+    _staged(cfg, out, ("simulate", "train", "value"))
+    path = out / "value_surface_tree.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    # scenario 0, date 1: drop or spoil its value field
+    head = lines[2].rsplit(b",", 1)[0]
+    lines[2] = head if edit == "ragged" else head + b",x"
+    path.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    rc = main(["risk", "--config", cfg, "--out", str(out)])
+    assert rc == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT:") and "value_surface_tree.csv" in line
+
+
 def _csv_writer_bytes(surface: ValueSurface, path: Path) -> bytes:
     # reference: the per-row csv.writer form of ValueSurface.to_csv
     with open(path, "w", newline="") as fh:
