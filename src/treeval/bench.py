@@ -654,9 +654,12 @@ def regress_now_date1(plan: ExperimentPlan, config=None) -> np.ndarray:
 
     Fits the payoff against the first-period cross-section only and
     predicts along the test sample; used to contrast with the dynamic
-    estimator's date-1 column.
+    estimator's date-1 column.  A boosted config stops early on the
+    first-period cross-section of the plan's validation stream, as the
+    dynamic fit does on the full validation paths.
     """
     config = config if config is not None else plan.estimator
-    train, test = sample_streams(plan, ("train", "test")).values()
-    model = fit_regress_now(train.driver.data[:, :, 0], train.payoffs, config)
+    train, valid, test = sample_streams(plan, ("train", "valid", "test")).values()
+    model = fit_regress_now(train.driver.data[:, :, 0], train.payoffs, config,
+                            (valid.driver.data[:, :, 0], valid.payoffs))
     return model.predict(test.driver.data[:, :, 0])

@@ -343,6 +343,12 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
     if not flat_path.exists():
         raise ArtifactError(f"missing {flat_path.name} in {out} (run the train stage first)")
     fe = load_flat(flat_path)
+    drivers = tuple(data["test_driver"].shape[1:])
+    dims = (plan.model.n_assets, T)
+    if not fe.dims == drivers == dims:
+        raise ArtifactError(f"{flat_path.name} has dims (d, T) = {fe.dims} and samples.npz "
+                            f"test drivers have {drivers}, but the config gives "
+                            f"{dims}; rerun simulate and train with this config")
     measure = plan.measure
     surface = value_surface(fe, measure, dates, data["test_driver"],
                             meta={"estimator": name, "seed": plan.seed})

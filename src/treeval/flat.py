@@ -14,6 +14,23 @@ Cells are stored as time-major bound arrays ``lo`` / ``hi`` of shape
 (N, P) with P = d*T, the layout ``RegressionTree.leaf_cells`` returns
 and ``weighted_membership`` reads (column s*d + j bounds asset j of
 period s+1); -inf / +inf mark unbounded sides.
+
+``weighted_membership`` is the one cell-evaluation kernel: plain
+evaluation and every conditional value are weighted membership sums.
+It is a bitmap index over the cells rather than a comparison of every
+point with every bound.  Per column, the distinct finite bounds b of a
+chunk of cells are ranked once; a cell becomes the code interval
+[l, h] with l = searchsorted(b, lo) + 1 (0 for -inf) and
+h = searchsorted(b, hi) (len(b) for +inf), and a point the code
+j = searchsorted(b, x), the count of bounds below x.  As lo = b[l-1],
+x > lo exactly when at least l bounds lie below x; as hi = b[h],
+x <= hi exactly when at most h do; for finite x the infinite sides
+hold for every j.  So lo < x <= hi exactly when l <= j <= h, one
+packed bit row per code answers the column test for every cell, and a
+point's membership is the AND of its rows over the observed columns.
+Only comparisons decide the codes, so -0.0 and +0.0 share a code.  The
+bits are unpacked into the same boolean blocks a dense comparison
+builds and summed in the same order, so values keep every bit.
 """
 
 from __future__ import annotations
@@ -110,33 +127,80 @@ def flatten_model(model) -> FlatEnsemble:
     raise TypeError(f"cannot flatten object of type {type(model).__name__}")
 
 
+def _interval_rows(l: np.ndarray, h: np.ndarray, n_codes: int) -> np.ndarray:
+    """Bit rows of the code intervals: row r has bit i set iff l[i] <= r <= h[i].
+
+    Returns (n_codes, ceil(N/64)) uint64 words whose bytes, read in
+    memory order, are ``np.packbits`` rows (cell i is bit 7 - i % 8 of
+    byte i // 8).  Each cell toggles its bit at rows l and h + 1 of a
+    delta table; a cumulative XOR down the rows then sets it exactly on
+    l..h, so only the packed table is ever allocated.
+    """
+    n = l.size
+    delta = np.zeros((n_codes + 1, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    cells = np.arange(n)
+    bits = (0x80 >> (cells & 7)).astype(np.uint8)
+    np.bitwise_xor.at(delta, (l, cells >> 3), bits)
+    np.bitwise_xor.at(delta, (h + 1, cells >> 3), bits)
+    words = delta.view(np.uint64)
+    np.bitwise_xor.accumulate(words, axis=0, out=words)
+    return words[:-1]
+
+
+def _packed_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bit-packed 1{lo_i < x <= hi_i on every column} for each point row x.
+
+    ptf is (k, C) finite points and lo / hi are (N, C) bounds over the
+    same C columns with lo < hi; returns (k, 8*ceil(N/64)) uint8 rows for
+    ``np.unpackbits``.  b is a column's distinct finite bounds, sorted;
+    the codes l, h, j and why l <= j <= h is lo < x <= hi are in the
+    module docstring.
+    """
+    k, n = ptf.shape[0], lo.shape[0]
+    member = np.full((k, (n + 63) // 64), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for c in range(ptf.shape[1]):
+        lo_c, hi_c = lo[:, c], hi[:, c]
+        bounds = np.concatenate([lo_c, hi_c])
+        b = np.unique(bounds[np.isfinite(bounds)])
+        l = np.where(lo_c == -np.inf, 0, np.searchsorted(b, lo_c) + 1)
+        rows = _interval_rows(l, np.searchsorted(b, hi_c), b.size + 1)
+        member &= rows[np.searchsorted(b, ptf[:, c])]
+    return member.view(np.uint8)
+
+
 def weighted_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                         weights: np.ndarray, n_coords: int,
                         point_chunk: int = 1024, cell_chunk: int = 8192) -> np.ndarray:
     """sum_i weights[i] 1{lo_i < x <= hi_i on the first n_coords columns}.
 
-    ptf is (k, P) flat points, lo / hi are (N, P) flat bounds.  Chunked
-    over both points and cells so the boolean membership block stays a
-    few megabytes regardless of problem size.
+    ptf is (k, P) finite flat points, as ``cart._as_points`` returns
+    them; lo / hi are (N, P) flat bounds with lo < hi.  Membership is
+    read from a bitmap index instead of comparing every point with every
+    bound: per column, cells become rank-code intervals [l, h] and points
+    rank codes j, and l <= j <= h holds exactly when lo < x <= hi
+    (``_packed_membership``).  Cells are taken cell_chunk at a time and
+    points a whole number of point chunks, about cell_chunk of them, at
+    a time, so memory stays bounded for any k, and at most one column's
+    interval table is held.  Each (point_chunk x cell_chunk) block of
+    bits is unpacked into the boolean block that comparing every bound
+    gives, and its product with the weights is added to the points'
+    sums cell chunk after cell chunk: each sum keeps the operands and
+    the order of that dense kernel, and so its bits.
     """
     k = ptf.shape[0]
     n = weights.size
     out = np.zeros(k)
-    for a in range(0, k, point_chunk):
-        b = min(a + point_chunk, k)
-        xs = ptf[a:b]
-        acc = np.zeros(b - a)
+    span = point_chunk * max(1, cell_chunk // point_chunk)
+    for pa in range(0, k, span):
+        pb = min(pa + span, k)
         for ca in range(0, n, cell_chunk):
             cb = min(ca + cell_chunk, n)
-            inside = np.ones((b - a, cb - ca), dtype=bool)
-            for c in range(n_coords):
-                col = xs[:, c, None]
-                inside &= col > lo[None, ca:cb, c]
-                inside &= col <= hi[None, ca:cb, c]
-                if not inside.any():
-                    break
-            acc += inside @ weights[ca:cb]
-        out[a:b] = acc
+            member = _packed_membership(ptf[pa:pb, :n_coords], lo[ca:cb, :n_coords],
+                                        hi[ca:cb, :n_coords])
+            for a in range(pa, pb, point_chunk):
+                b = min(a + point_chunk, pb)
+                inside = np.unpackbits(member[a - pa:b - pa], axis=1, count=cb - ca)
+                out[a:b] += inside.view(bool) @ weights[ca:cb]
     return out
 
 

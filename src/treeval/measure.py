@@ -24,7 +24,9 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import ndtr, ndtri
 
-_MAX_CORNER_DIM = 25
+# Corner sums cost 2^d cdf passes per cell and period; 16 keeps one
+# period_probs call over a few thousand cells within minutes.
+_MAX_CORNER_DIM = 16
 
 
 # ---------------------------------------------------------------- marginals
@@ -103,11 +105,13 @@ def _corner_sum(copula, u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
     """Inclusion-exclusion box probability from corner cdf values.
 
     u_lo / u_hi are (N, d) arrays of marginal cdf values at the cell
-    bounds.  Cost is 2^d cdf calls; d > 25 is rejected.
+    bounds.  Cost is 2^d cdf calls; d > _MAX_CORNER_DIM is rejected.
     """
     n, d = u_lo.shape
     if d > _MAX_CORNER_DIM:
-        raise ValueError(f"corner sum over 2^{d} corners rejected (d > {_MAX_CORNER_DIM})")
+        raise ValueError(f"corner sum over 2^{d} corners rejected (d > {_MAX_CORNER_DIM}); "
+                         f"the limit keeps the corner sum to at most 2^{_MAX_CORNER_DIM} "
+                         "terms per cell and period")
     total = np.zeros(n)
     for mask in range(1 << d):
         pick_lo = np.array([(mask >> j) & 1 for j in range(d)], dtype=bool)
@@ -160,7 +164,9 @@ class CopulaMeasure:
     def __post_init__(self):
         d, T = self.dims
         if d > _MAX_CORNER_DIM:
-            raise ValueError(f"copula measures support at most d = {_MAX_CORNER_DIM}")
+            raise ValueError(f"copula measures support at most d = {_MAX_CORNER_DIM}, "
+                             f"which keeps the corner sum to at most 2^{_MAX_CORNER_DIM} "
+                             "terms per cell and period")
         if len(self.copulas) != T:
             raise ValueError("one copula per period required")
 

@@ -136,14 +136,21 @@ class RegressNowModel:
         return np.asarray(predict(self.model, x1[:, :, None]), dtype=np.float64)
 
 
-def fit_regress_now(x1: np.ndarray, responses, config) -> RegressNowModel:
+def fit_regress_now(x1: np.ndarray, responses, config, valid=None) -> RegressNowModel:
     """Regress date-T cash flows on the first-period driver only.
 
     This is the classical regress-now estimator of the date-1 value: it
     predicts well along observed states but knows nothing about later
     periods.  config may be a TreeConfig, ForestConfig, or BoostConfig.
+    valid is an optional (x1_valid, responses_valid) pair of the same
+    layout; boosting uses it for early stopping.
     """
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x1.ndim != 2:
-        raise ValueError("x1 must have shape (n, d)")
-    return RegressNowModel(model=fit(config, x1[:, :, None], responses))
+    def as_driver(x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError("x1 must have shape (n, d)")
+        return x[:, :, None]
+
+    if valid is not None:
+        valid = (as_driver(valid[0]), valid[1])
+    return RegressNowModel(model=fit(config, as_driver(x1), responses, valid))

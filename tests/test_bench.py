@@ -26,6 +26,7 @@ from treeval.bench import (
     run_bermudan,
     run_experiment,
     run_validation_grid,
+    sample_streams,
     standard_model,
     write_snapshot,
 )
@@ -42,6 +43,7 @@ from treeval.paths import (
     simulate_bs,
     stream_rng,
 )
+from treeval.valuation import fit_regress_now
 
 # ----------------------------------------------------------------- oracles
 
@@ -288,6 +290,16 @@ def test_regress_now_date1_micro():
     est = regress_now_date1(plan)
     assert est.shape == (500,)
     assert np.array_equal(est, regress_now_date1(plan))
+
+
+def test_regress_now_date1_stops_a_boost_on_the_valid_stream():
+    plan = _micro_plan(estimator=BoostConfig(rounds=60, learning_rate=0.5, nodesize=5,
+                                             patience=2))
+    train, valid, test = sample_streams(plan).values()
+    model = fit_regress_now(train.driver.data[:, :, 0], train.payoffs, plan.estimator,
+                            (valid.driver.data[:, :, 0], valid.payoffs))
+    assert model.model.n_rounds < 60
+    assert np.array_equal(regress_now_date1(plan), model.predict(test.driver.data[:, :, 0]))
 
 
 # ---------------------------------------------------------- Bermudan harness

@@ -344,6 +344,26 @@ def test_risk_rejects_a_surface_from_another_sample(tmp_path, capsys):
     assert not (out / "risk.csv").exists()
 
 
+@pytest.mark.parametrize("resimulate", [True, False])
+def test_value_rejects_artifacts_of_other_dims(tmp_path, capsys, resimulate):
+    # True: train at d = 3, then resimulate at d = 2, so the model and the
+    # sample disagree; False: d = 2 artifacts valued under a d = 3 config
+    out = tmp_path / "run"
+    d3 = _cfg(tmp_path, MICRO.replace("d: 2", "d: 3"), "d3.yaml")
+    d2 = _cfg(tmp_path, MICRO, "d2.yaml")
+    _staged(d3 if resimulate else d2, out, ("simulate", "train"))
+    if resimulate:
+        _staged(d2, out, ("simulate",))
+    cfg = d2 if resimulate else d3
+    capsys.readouterr()
+    rc = main(["value", "--config", cfg, "--out", str(out)])
+    assert rc == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT:")
+    assert "flat_tree.npz" in line and "samples.npz" in line
+    assert not (out / "value_surface_tree.csv").exists()
+
+
 @pytest.mark.parametrize("edit", ["drop", "duplicate", "renumber"])
 def test_risk_rejects_a_surface_with_gaps_in_scenario_ids(tmp_path, capsys, edit):
     cfg = _cfg(tmp_path)

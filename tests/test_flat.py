@@ -112,6 +112,117 @@ def test_weighted_membership_prefix_columns(fitted):
     np.testing.assert_array_equal(ones, np.full(40, fe.n_cells))
 
 
+def reference_membership(ptf, lo, hi, weights, n_coords,
+                         point_chunk=1024, cell_chunk=8192):
+    """Dense kernel: every point compared with every cell bound.
+
+    This is how membership sums were computed before the bitmap kernel,
+    kept to check that ``weighted_membership`` returns the same bits.
+    """
+    k = ptf.shape[0]
+    n = weights.size
+    out = np.zeros(k)
+    for a in range(0, k, point_chunk):
+        b = min(a + point_chunk, k)
+        xs = ptf[a:b]
+        acc = np.zeros(b - a)
+        for ca in range(0, n, cell_chunk):
+            cb = min(ca + cell_chunk, n)
+            inside = np.ones((b - a, cb - ca), dtype=bool)
+            for c in range(n_coords):
+                col = xs[:, c, None]
+                inside &= col > lo[None, ca:cb, c]
+                inside &= col <= hi[None, ca:cb, c]
+                if not inside.any():
+                    break
+            acc += inside @ weights[ca:cb]
+        out[a:b] = acc
+    return out
+
+
+def _grid_cells(rng, n, P):
+    """Cells whose bounds come from a few shared values, zeros of either sign."""
+    grid = np.array([-np.inf, -1.0, -0.5, 0.0, 0.25, 1.0, np.inf])
+    i = rng.integers(0, grid.size - 1, size=(n, P))
+    j = i + 1 + (rng.integers(0, grid.size, size=(n, P)) % (grid.size - 1 - i))
+    lo, hi = grid[i], grid[j]
+    lo[(lo == 0.0) & (rng.random((n, P)) < 0.5)] = -0.0
+    hi[(hi == 0.0) & (rng.random((n, P)) < 0.5)] = -0.0
+    return lo, hi
+
+
+def _edge_points(rng, k, lo, hi):
+    """Points on cell bounds, one ulp either side of them, and on -0.0 / +0.0."""
+    b = np.unique(np.concatenate([lo.ravel(), hi.ravel()]))
+    b = b[np.isfinite(b)]
+    coords = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                             [-0.0, 0.0], rng.standard_normal(8)])
+    return rng.choice(coords, size=(k, lo.shape[1]))
+
+
+def _assert_same_bits(ptf, lo, hi, w, n_coords, **chunks):
+    got = weighted_membership(ptf, lo, hi, w, n_coords, **chunks)
+    want = reference_membership(ptf, lo, hi, w, n_coords, **chunks)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_bitmap_membership_matches_dense_reference_on_edges():
+    rng = np.random.default_rng(40)
+    P = 4
+    lo, hi = _grid_cells(rng, 300, P)
+    assert (lo < hi).all()
+    assert np.signbit(lo[lo == 0.0]).any() and not np.signbit(lo[lo == 0.0]).all()
+    assert np.isneginf(lo).any() and np.isposinf(hi).any()
+    # weights over 16 decades: any change in summation order shows in the bits
+    w = rng.standard_normal(300) * 10.0 ** rng.uniform(-8, 8, 300)
+    ptf = _edge_points(rng, 1000 + 37, lo, hi)
+    on_bound = (ptf[:, None, :] == lo[None]) | (ptf[:, None, :] == hi[None])
+    assert on_bound.any(axis=(1, 2)).mean() > 0.5
+    for n_coords in (0, 2, P):
+        _assert_same_bits(ptf, lo, hi, w, n_coords)
+        # more cells than one cell chunk, k not a multiple of the point chunk
+        _assert_same_bits(ptf, lo, hi, w, n_coords, point_chunk=64, cell_chunk=100)
+        _assert_same_bits(ptf, lo, hi, w, n_coords, point_chunk=1000, cell_chunk=63)
+        # points coded three point chunks at a time, in six such spans
+        _assert_same_bits(ptf, lo, hi, w, n_coords, point_chunk=64, cell_chunk=200)
+        _assert_same_bits(ptf[:1], lo, hi, w, n_coords)
+        _assert_same_bits(ptf[:1], lo, hi, w, n_coords, point_chunk=1, cell_chunk=7)
+
+
+def test_bitmap_membership_single_column_edges():
+    # one cell (lo, hi] per pair of distinct grid values: each point's cell
+    # count is checked against hand-counted half-open intervals
+    grid = np.array([-np.inf, -1.0, 0.0, 2.0, np.inf])
+    pairs = [(a, b) for a in range(grid.size) for b in range(a + 1, grid.size)]
+    lo = grid[[a for a, _ in pairs]][:, None]
+    hi = grid[[b for _, b in pairs]][:, None]
+    hi[hi == 0.0] = -0.0
+    x = np.array([-1.0, np.nextafter(-1.0, 0.0), -0.0, 0.0, np.nextafter(0.0, 1.0),
+                  np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)])[:, None]
+    got = weighted_membership(x, lo, hi, np.ones(len(pairs)), 1)
+    want = ((x > lo.T) & (x <= hi.T)).sum(axis=1).astype(float)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, [4, 6, 6, 6, 6, 6, 6, 4])
+    _assert_same_bits(x, lo, hi, np.linspace(-1.0, 3.0, len(pairs)), 1)
+
+
+def test_bitmap_membership_matches_dense_reference_on_fits(fitted):
+    x, y, _, forest, boost = fitted
+    rng = np.random.default_rng(41)
+    for model in (forest, boost):
+        fe = flatten_model(model)
+        lo, hi, w = fe.lo, fe.hi, fe.values
+        assert fe.n_cells > 64
+        pts = np.concatenate([sample_driver(500, 2, 2, seed=42).flat(), x.flat(),
+                              _edge_points(rng, 300, lo, hi)])
+        for n_coords in (0, 2, 4):
+            _assert_same_bits(pts, lo, hi, w, n_coords)
+            _assert_same_bits(pts, lo, hi, w, n_coords, point_chunk=100,
+                              cell_chunk=fe.n_cells // 3)
+            _assert_same_bits(pts[:1], lo, hi, w, n_coords)
+
+
 def test_flat_ensemble_validation():
     with pytest.raises(ValueError):
         FlatEnsemble(lo=np.zeros((2, 1)), hi=np.ones((3, 1)),

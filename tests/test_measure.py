@@ -135,9 +135,11 @@ def test_clayton_rectangle_touching_zero_boundary():
 
 
 def test_corner_sum_rejects_high_dimension():
-    # 2^d corner evaluations: the measure itself refuses d > 25
-    with pytest.raises(ValueError):
-        CopulaMeasure.clayton(1.0, 26, 1)
+    # 2^d corner evaluations per cell and period: the measure refuses d > 16
+    for d in (26, 17):
+        with pytest.raises(ValueError, match="2\\^16 terms per cell and period"):
+            CopulaMeasure.clayton(1.0, d, 1)
+    assert CopulaMeasure.clayton(1.0, 16, 1).dims == (16, 1)
 
 
 def test_gaussian_kernel_validation():

@@ -156,6 +156,21 @@ def test_regress_now_recovers_first_period_function():
     np.testing.assert_allclose(model.predict(x1), y, rtol=0, atol=1e-12)
 
 
+def test_regress_now_boost_stops_early_on_validation_pair():
+    # responses are noise: with a validation pair the boost keeps few rounds
+    rng = np.random.default_rng(59)
+    x1, xv = rng.standard_normal((200, 2)), rng.standard_normal((100, 2))
+    y, yv = rng.standard_normal(200), rng.standard_normal(100)
+    cfg = BoostConfig(rounds=40, learning_rate=0.5, nodesize=2, patience=3)
+    grown = fit_regress_now(x1, y, cfg).model
+    stopped = fit_regress_now(x1, y, cfg, (xv, yv)).model
+    assert grown.n_rounds == 40
+    assert stopped.n_rounds < 10
+    assert stopped.n_rounds == fit_boost(x1[:, :, None], y, cfg, xv[:, :, None], yv).n_rounds
+    with pytest.raises(ValueError):
+        fit_regress_now(x1, y, cfg, (xv[:, 0], yv))
+
+
 def test_regress_now_validation():
     with pytest.raises(TypeError):
         fit_regress_now(np.zeros((4, 1)), np.zeros(4), config="boost")
