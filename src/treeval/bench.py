@@ -504,7 +504,6 @@ class BermudanPlan:
     """Single-asset Bermudan put study on the log-price recursion."""
 
     z0: float = 0.0
-    rate: float = 0.0
     sigma: float = 0.2
     strike: float = 1.0
     n_dates: int = 7
@@ -519,6 +518,10 @@ class BermudanPlan:
     es_alpha: float = 0.99
 
     def __post_init__(self):
+        if not all(np.isfinite([self.z0, self.sigma, self.strike, self.horizon])):
+            raise ValueError("z0, sigma, strike and horizon must be finite")
+        if self.sigma <= 0 or self.strike <= 0:
+            raise ValueError("sigma and strike must be positive")
         if self.n_dates < 1 or self.horizon <= 0:
             raise ValueError("need n_dates >= 1 and horizon > 0")
         if min(self.n_train, self.n_test) < 1:
@@ -528,19 +531,14 @@ class BermudanPlan:
         _check_resample(self.estimator, self.n_train)
 
     def exercise_spec(self) -> ExerciseSpec:
+        """The put at rate 0: the same undiscounted payoff on every date 0..T."""
         T = self.n_dates
-        steps = np.full(T, self.horizon / T)
-        model = log_bs_localvol(self.z0, self.rate, self.sigma, steps)
-        cum = np.concatenate([[0.0], np.cumsum(steps)])
-        payoffs = []
-        for t in range(T + 1):
-            disc = float(np.exp(-self.rate * cum[t]))
+        model = log_bs_localvol(self.z0, 0.0, self.sigma, np.full(T, self.horizon / T))
 
-            def g(z, _disc=disc):
-                return _disc * np.maximum(self.strike - np.exp(z[:, 0]), 0.0)
+        def g(z):
+            return np.maximum(self.strike - np.exp(z[:, 0]), 0.0)
 
-            payoffs.append(g)
-        return ExerciseSpec(model=model, payoffs=tuple(payoffs))
+        return ExerciseSpec(model=model, payoffs=(g,) * (T + 1))
 
 
 @dataclass(frozen=True)
@@ -559,17 +557,17 @@ class BermudanReport:
 def _bermudan_truth(plan: BermudanPlan, z_test: np.ndarray) -> np.ndarray:
     """Exact value process on test paths: Black put values, shape (k, T+1).
 
-    Valid because with rate = 0 early exercise is suboptimal, so the
-    Bermudan value equals the European one at every date.
+    Valid because the plan's rate is 0, where early exercise is
+    suboptimal, so the Bermudan value equals the European one at every
+    date.
     """
     T = plan.n_dates
     k = z_test.shape[0]
     out = np.empty((k, T + 1))
     for t in range(T):
         tau = plan.horizon * (T - t) / T
-        out[:, t] = black_put_price(z_test[:, 0, t], plan.strike, plan.rate, plan.sigma, tau)
-    out[:, T] = np.exp(-plan.rate * plan.horizon) * \
-        np.maximum(plan.strike - np.exp(z_test[:, 0, T]), 0.0)
+        out[:, t] = black_put_price(z_test[:, 0, t], plan.strike, 0.0, plan.sigma, tau)
+    out[:, T] = np.maximum(plan.strike - np.exp(z_test[:, 0, T]), 0.0)
     return out
 
 
@@ -606,7 +604,7 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
     cont = lead.continuation_matrix(z_test)
     values = lead.values_on(z_test, cont=cont)
     truth = _bermudan_truth(plan, z_test)
-    true_v0 = float(black_put_price(plan.z0, plan.strike, plan.rate, plan.sigma, plan.horizon))
+    true_v0 = float(black_put_price(plan.z0, plan.strike, 0.0, plan.sigma, plan.horizon))
     l2_rows = tuple((t, normalized_l2(values[:, t], truth[:, t], true_v0)) for t in range(T))
     stopping = stopping_distribution(lead, z_test, cont)
     stopping_now = None

@@ -16,7 +16,7 @@ expectation on Z_t directly).
 from __future__ import annotations
 
 from dataclasses import dataclass, is_dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.random import SeedSequence
@@ -24,7 +24,7 @@ from scipy.special import ndtr
 
 from .ensemble import fit, predict
 from .flat import FlatEnsemble, flatten_model
-from .measure import GaussianKernel, normal_interval_prob, rect_prob_gaussian
+from .measure import normal_interval_prob
 from .paths import LocalVolModel
 
 
@@ -91,18 +91,25 @@ def _phi_form(fe: FlatEnsemble):
 
 
 def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray,
-                      abs_tol: float = 1e-6, point_chunk: int = 512) -> np.ndarray:
+                      point_chunk: int = 512) -> np.ndarray:
     """sum_i v_i P[N(mean_k, B_k B_k^T) in cell_i] for a batch of kernels.
 
-    mean is (k, m) and cov_factor is (k, m, d).  One-dimensional kernels
-    use the telescoped cdf form (exact, one cdf call per distinct cell
-    bound); diagonal kernels are evaluated exactly per dimension; other
-    correlated kernels fall back to per-point quasi Monte Carlo rectangle
-    probabilities (accurate but far slower).
+    mean is (k, m), cov_factor is (k, m, d) and fe is a one-period fit
+    on the m state coordinates (dims (m, 1)).  Two exact closed forms:
+    one-dimensional kernels use the telescoped cdf form (one cdf call
+    per distinct cell bound), and kernels whose B_k B_k^T has every
+    off-diagonal entry exactly 0 multiply per-coordinate normal interval
+    probabilities.  Any other kernel raises ValueError.
     """
+    if cov_factor.ndim != 3 or mean.shape != cov_factor.shape[:2]:
+        raise ValueError(f"mean must be (k, m) and cov_factor (k, m, d); got "
+                         f"{mean.shape} and {cov_factor.shape}")
+    k, m = mean.shape
+    if fe.dims != (m, 1):
+        raise ValueError(f"the cell sum needs a one-period fit on the {m} state "
+                         f"coordinates, dims ({m}, 1); got {fe.dims}")
     lo, hi = fe.lo, fe.hi  # one period: column j bounds state coordinate j
     values = fe.values
-    k, m = mean.shape
     cov = np.einsum("kmd,knd->kmn", cov_factor, cov_factor)
     out = np.empty(k)
     if m == 1:
@@ -126,22 +133,17 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
             u = (q[None, :] - mu[sel, None]) / sd[sel, None]
             out[sel] = ndtr(u) @ w + const
         return out
+    if cov[:, ~np.eye(m, dtype=bool)].any():
+        raise ValueError("the cell sum is exact only for m = 1 or diagonal B B^T; "
+                         "this kernel has correlated coordinates")
     diag = np.sqrt(np.einsum("kmm->km", cov))
-    if np.allclose(cov, np.einsum("km,mn->kmn", diag**2, np.eye(m)), atol=0.0):
-        for a in range(0, k, point_chunk):
-            b = min(a + point_chunk, k)
-            probs = np.ones((b - a, values.size))
-            for j in range(m):
-                probs *= normal_interval_prob(mean[a:b, j, None], diag[a:b, j, None],
-                                              lo[None, :, j], hi[None, :, j])
-            out[a:b] = probs @ values
-        return out
-    for i in range(k):
-        kern = GaussianKernel(mean[i], cov[i])
-        acc = 0.0
-        for c in range(values.size):
-            acc += values[c] * rect_prob_gaussian(kern, lo[c], hi[c], abs_tol).estimate
-        out[i] = acc
+    for a in range(0, k, point_chunk):
+        b = min(a + point_chunk, k)
+        probs = np.ones((b - a, values.size))
+        for j in range(m):
+            probs *= normal_interval_prob(mean[a:b, j, None], diag[a:b, j, None],
+                                          lo[None, :, j], hi[None, :, j])
+        out[a:b] = probs @ values
     return out
 
 
@@ -161,7 +163,6 @@ class BermudanValue:
     continuation0: float
     flats: tuple = ()        # mode "later": flats[t] integrates to C_t
     now_models: tuple = ()   # mode "now": now_models[t] predicts C_t(Z_t)
-    abs_tol: float = 1e-6
 
     @property
     def n_dates(self) -> int:
@@ -180,7 +181,7 @@ class BermudanValue:
         if self.mode == "later":
             mean = np.asarray(self.spec.model.drift_fn(t, z), dtype=np.float64)
             load = np.asarray(self.spec.model.diffusion_fn(t, z), dtype=np.float64)
-            return gaussian_cell_sum(self.flats[t], mean, load, self.abs_tol)
+            return gaussian_cell_sum(self.flats[t], mean, load)
         return np.asarray(predict(self.now_models[t], z[:, :, None]), dtype=np.float64)
 
     def continuation_matrix(self, z_paths: np.ndarray) -> np.ndarray:
@@ -216,8 +217,7 @@ def _backward_labels(spec: ExerciseSpec, z_paths: np.ndarray):
     return np.asarray(g_T, dtype=np.float64)
 
 
-def price_regress_later(spec: ExerciseSpec, z_paths: np.ndarray, config,
-                        abs_tol: float = 1e-6) -> BermudanValue:
+def price_regress_later(spec: ExerciseSpec, z_paths: np.ndarray, config) -> BermudanValue:
     """Backward induction with closed-form continuation values.
 
     z_paths holds training state paths of shape (n, m, T+1).  At each
@@ -242,15 +242,15 @@ def price_regress_later(spec: ExerciseSpec, z_paths: np.ndarray, config,
             z0 = spec.model.z0[None, :]
             mean = np.asarray(spec.model.drift_fn(0, z0), dtype=np.float64)
             load = np.asarray(spec.model.diffusion_fn(0, z0), dtype=np.float64)
-            cont0 = float(gaussian_cell_sum(fe, mean, load, abs_tol)[0])
+            cont0 = float(gaussian_cell_sum(fe, mean, load)[0])
             break
         mean = np.asarray(spec.model.drift_fn(t, zt), dtype=np.float64)
         load = np.asarray(spec.model.diffusion_fn(t, zt), dtype=np.float64)
-        cont = gaussian_cell_sum(fe, mean, load, abs_tol)
+        cont = gaussian_cell_sum(fe, mean, load)
         labels = np.maximum(np.asarray(spec.payoffs[t](zt), dtype=np.float64), cont)
     g0 = float(np.asarray(spec.payoffs[0](spec.model.z0[None, :]), dtype=np.float64)[0])
     return BermudanValue(spec=spec, mode="later", value0=max(g0, cont0),
-                         continuation0=cont0, flats=tuple(flats), abs_tol=abs_tol)
+                         continuation0=cont0, flats=tuple(flats))
 
 
 def price_regress_now(spec: ExerciseSpec, z_paths: np.ndarray, config) -> BermudanValue:

@@ -152,9 +152,8 @@ _EST_KEYS = {
                "n_resample": int, "max_depth": int, "seed": int},
     "tree": {"nodesize": int, "max_depth": int, "features": None, "seed": int},
 }
-_BERMUDAN_KEYS = {"z0": float, "rate": float, "sigma": float, "strike": float,
-                  "n_dates": int, "horizon": float, "n_train": int, "n_test": int,
-                  "mode": str}
+_BERMUDAN_KEYS = {"z0": float, "sigma": float, "strike": float, "n_dates": int,
+                  "horizon": float, "n_train": int, "n_test": int, "mode": str}
 _ENUMS = {"sampling": {"bootstrap", "subsample_with", "subsample_without"},
           "mode": {"later", "now", "both"}}
 # optional estimator fields, which a YAML null sets to None; every other key rejects null
@@ -420,10 +419,12 @@ def cmd_bermudan(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
+    # build the Bermudan plan first so a bad section fails before any fit
+    bermudan = cfg.bermudan_plan() if cfg.has_bermudan else None
     out = cfg.require_out()
     report = run_experiment(plan, out)
-    if cfg.has_bermudan:
-        run_bermudan(cfg.bermudan_plan(), out / "bermudan")
+    if bermudan is not None:
+        run_bermudan(bermudan, out / "bermudan")
     digest = bundle_hash(out)
     with open(out / "bundle.hash", "w") as fh:
         fh.write(digest + "\n")

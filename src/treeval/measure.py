@@ -1,28 +1,25 @@
-"""Rectangle probabilities of the driver law and of Gaussian kernels.
+"""Rectangle probabilities of the driver law and of normal intervals.
 
 Conditional valuation needs, for every period s and cell slice
-``(a_s, b_s]`` in R^d, the probability ``Q_s[(a_s, b_s]]``.  Three
+``(a_s, b_s]`` in R^d, the probability ``Q_s[(a_s, b_s]]``.  Two
 families are supported:
 
 * ProductMeasure: independent coordinates, probability is the product
   of marginal cdf differences.
 * CopulaMeasure: joint cdf C(F_1(x_1), ..., F_d(x_d)); the rectangle
   probability is the 2^d signed corner sum (inclusion-exclusion).
-* GaussianKernel: a general N(mean, cov) law with exact one-dimensional
-  and diagonal cases and a randomized-lattice quasi Monte Carlo
-  evaluator for correlated dimensions.
 
-Bounds use -inf / +inf for unbounded sides throughout.
+``normal_interval_prob`` gives the one-dimensional normal interval
+probability that the Bermudan cell sum multiplies across independent
+coordinates.  Bounds use -inf / +inf for unbounded sides throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 # Corner sums cost 2^d cdf passes per cell and period; 16 keeps one
 # period_probs call over a few thousand cells within minutes.
@@ -189,51 +186,14 @@ class CopulaMeasure:
         return _corner_sum(self.copulas[s], u_lo, u_hi)
 
 
-def rect_prob_product(measure: ProductMeasure, s: int, low, high) -> float:
-    """Probability of one rectangle (low, high] in R^d under Q_s."""
+def rect_prob(measure, s: int, low, high) -> float:
+    """Probability of one rectangle (low, high] in R^d under Q_s of any measure."""
     low = np.asarray(low, dtype=np.float64)[None, :]
     high = np.asarray(high, dtype=np.float64)[None, :]
     return float(measure.period_probs(s, low, high)[0])
 
 
-def rect_prob_copula(measure: CopulaMeasure, s: int, low, high) -> float:
-    low = np.asarray(low, dtype=np.float64)[None, :]
-    high = np.asarray(high, dtype=np.float64)[None, :]
-    return float(measure.period_probs(s, low, high)[0])
-
-
-# --------------------------------------------------------- Gaussian kernel
-
-@dataclass(frozen=True)
-class GaussRectResult:
-    estimate: float
-    error: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class GaussianKernel:
-    """N(mean, cov) law on R^m; cov must be symmetric PSD (within 1e-10)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=np.float64))
-        m = self.mean.size
-        if self.mean.ndim != 1 or self.cov.shape != (m, m):
-            raise ValueError("mean must be (m,) and cov (m, m)")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-10):
-            raise ValueError("cov must be symmetric")
-        scale = max(1.0, float(np.abs(np.diag(self.cov)).max()))
-        if np.linalg.eigvalsh(self.cov).min() < -1e-10 * scale:
-            raise ValueError("cov must be positive semidefinite")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
+# ------------------------------------------------------ Gaussian intervals
 
 def normal_interval_prob(mu, sd, low, high) -> np.ndarray:
     """P(low < Z <= high) for Z ~ N(mu, sd^2), broadcasting all inputs.
@@ -254,110 +214,3 @@ def normal_interval_prob(mu, sd, low, high) -> np.ndarray:
     if (~pos).any():
         out = np.where(pos, out, ((low < mu) & (mu <= high)).astype(np.float64))
     return out
-
-
-def _first_primes(k: int) -> np.ndarray:
-    primes = []
-    cand = 2
-    while len(primes) < k:
-        if all(cand % p for p in primes if p * p <= cand):
-            primes.append(cand)
-        cand += 1
-    return np.asarray(primes, dtype=np.float64)
-
-
-def _phi_clip(u: np.ndarray) -> np.ndarray:
-    # keep ndtri arguments strictly inside (0, 1)
-    tiny = 1e-15
-    return ndtri(np.clip(u, tiny, 1.0 - tiny))
-
-
-def _genz_estimate(mean, chol, low, high, n_points: int, shifts: np.ndarray) -> np.ndarray:
-    """Lattice-rule estimates of the rectangle probability, one per shift.
-
-    Sequential conditioning after the Cholesky substitution x = L y: the
-    first coordinate integrates exactly, the rest map lattice uniforms
-    through the conditional normal cdfs (baker's transform applied for
-    smoothness).
-    """
-    m = mean.size
-    a = low - mean
-    b = high - mean
-    d1 = ndtr(a[0] / chol[0, 0]) if np.isfinite(a[0]) else 0.0
-    e1 = ndtr(b[0] / chol[0, 0]) if np.isfinite(b[0]) else 1.0
-    if m == 1:
-        return np.full(shifts.shape[0], e1 - d1)
-    gens = np.sqrt(_first_primes(m - 1))
-    k = np.arange(1, n_points + 1)[:, None]
-    base = k * gens[None, :]
-    out = np.empty(shifts.shape[0])
-    for si in range(shifts.shape[0]):
-        w = np.abs(2.0 * np.modf(base + shifts[si][None, :])[0] - 1.0)
-        f = np.full(n_points, e1 - d1)
-        di = np.full(n_points, d1)
-        ei = np.full(n_points, e1)
-        y = np.empty((n_points, m - 1))
-        for i in range(1, m):
-            y[:, i - 1] = _phi_clip(di + w[:, i - 1] * (ei - di))
-            t = y[:, :i] @ chol[i, :i]
-            sd = chol[i, i]
-            di = ndtr((a[i] - t) / sd) if np.isfinite(a[i]) else np.zeros(n_points)
-            ei = ndtr((b[i] - t) / sd) if np.isfinite(b[i]) else np.ones(n_points)
-            f *= np.maximum(ei - di, 0.0)
-        out[si] = float(np.mean(f))
-    return out
-
-
-def rect_prob_gaussian(kernel: GaussianKernel, low, high, abs_tol: float = 1e-6,
-                       max_points: int = 1 << 17, n_shifts: int = 12,
-                       rng: Optional[Generator] = None) -> GaussRectResult:
-    """P(low < Z <= high] for Z ~ kernel, with an error bound.
-
-    Exact for m = 1 and for diagonal covariances.  Otherwise a
-    randomized lattice rule refines until three standard errors across
-    shifts fall below abs_tol or the point budget is exhausted; the
-    result then reports converged = False with the achieved bound.
-    """
-    low = np.asarray(low, dtype=np.float64)
-    high = np.asarray(high, dtype=np.float64)
-    m = kernel.dim
-    if low.shape != (m,) or high.shape != (m,):
-        raise ValueError("bounds must have shape (m,)")
-    if not (low < high).all():
-        raise ValueError("rectangle requires low < high componentwise")
-    var = np.diag(kernel.cov)
-    # zero-variance coordinates carry point mass at the mean
-    fixed = var == 0.0
-    if fixed.any():
-        inside = (low[fixed] < kernel.mean[fixed]) & (kernel.mean[fixed] <= high[fixed])
-        if not inside.all():
-            return GaussRectResult(0.0, 0.0, True)
-        if fixed.all():
-            return GaussRectResult(1.0, 0.0, True)
-        keep = ~fixed
-        sub = GaussianKernel(kernel.mean[keep], kernel.cov[np.ix_(keep, keep)])
-        return rect_prob_gaussian(sub, low[keep], high[keep], abs_tol, max_points, n_shifts, rng)
-    off = kernel.cov - np.diag(var)
-    if not off.any():
-        p = normal_interval_prob(kernel.mean, np.sqrt(var), low, high)
-        return GaussRectResult(float(np.prod(p)), 0.0, True)
-    if n_shifts < 8:
-        raise ValueError("n_shifts must be >= 8 for a usable error bound")
-    try:
-        chol = np.linalg.cholesky(kernel.cov)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * max(1.0, float(var.max()))
-        chol = np.linalg.cholesky(kernel.cov + jitter * np.eye(m))
-    if rng is None:
-        rng = Generator(Philox(SeedSequence(20120521)))
-    shifts = rng.random((n_shifts, m - 1))
-    n_points = 1 << 10
-    while True:
-        ests = _genz_estimate(kernel.mean, chol, low, high, n_points, shifts)
-        est = float(np.mean(ests))
-        err = 3.0 * float(np.std(ests, ddof=1)) / np.sqrt(n_shifts)
-        if err <= abs_tol:
-            return GaussRectResult(min(max(est, 0.0), 1.0), err, True)
-        if n_points >= max_points:
-            return GaussRectResult(min(max(est, 0.0), 1.0), err, False)
-        n_points *= 2

@@ -33,12 +33,9 @@ from treeval.ensemble import (
 from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
 from treeval.measure import (
     CopulaMeasure,
-    GaussianKernel,
     IndependenceCopula,
     ProductMeasure,
-    rect_prob_copula,
-    rect_prob_gaussian,
-    rect_prob_product,
+    rect_prob,
 )
 from treeval.paths import (
     STREAM_TEST,
@@ -200,10 +197,10 @@ def test_var_es_exact_values_and_ordering():
 
 
 def test_rectangle_probability_suite():
-    """Rectangle probabilities: normalization, additivity, copulas, kernels."""
+    """Rectangle probabilities: normalization, additivity, copulas."""
     rng = np.random.default_rng(11)
     pm = ProductMeasure.standard_normal(3, 2)
-    full = rect_prob_product(pm, 0, [-np.inf] * 3, [np.inf] * 3)
+    full = rect_prob(pm, 0, [-np.inf] * 3, [np.inf] * 3)
     assert full == 1.0
 
     worst_add = 0.0
@@ -215,9 +212,9 @@ def test_rectangle_probability_suite():
         hi_left, lo_right = hi.copy(), lo.copy()
         hi_left[j] = mid
         lo_right[j] = mid
-        whole = rect_prob_product(pm, 1, lo, hi)
-        parts = rect_prob_product(pm, 1, lo, hi_left) + \
-            rect_prob_product(pm, 1, lo_right, hi)
+        whole = rect_prob(pm, 1, lo, hi)
+        parts = rect_prob(pm, 1, lo, hi_left) + \
+            rect_prob(pm, 1, lo_right, hi)
         worst_add = max(worst_add, abs(whole - parts))
     assert worst_add <= 1e-10
 
@@ -227,8 +224,8 @@ def test_rectangle_probability_suite():
     for _ in range(20):
         lo = rng.uniform(-2.0, 0.0, 3)
         hi = lo + rng.uniform(0.3, 3.0, 3)
-        worst_ind = max(worst_ind, abs(rect_prob_copula(cm_ind, 0, lo, hi) -
-                                       rect_prob_product(pm, 0, lo, hi)))
+        worst_ind = max(worst_ind, abs(rect_prob(cm_ind, 0, lo, hi) -
+                                       rect_prob(pm, 0, lo, hi)))
     assert worst_ind <= 1e-12
 
     # Clayton boxes against a gamma-frailty sampling oracle
@@ -245,30 +242,13 @@ def test_rectangle_probability_suite():
         inside = np.all((z_draws > lo) & (z_draws <= hi), axis=1)
         p_hat = float(inside.mean())
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
-        score = abs(rect_prob_copula(cm, 0, lo, hi) - p_hat) / se
+        score = abs(rect_prob(cm, 0, lo, hi) - p_hat) / se
         worst_clayton = max(worst_clayton, score)
     assert worst_clayton <= 3.0
 
-    # correlated 2-D Gaussian kernel against plain MC
-    cov = np.array([[1.0, 0.6], [0.6, 1.25]])
-    mean = np.array([0.1, -0.2])
-    kern = GaussianKernel(mean, cov)
-    chol = np.linalg.cholesky(cov)
-    m = 1_000_000
-    draws = mean + rng.standard_normal((m, 2)) @ chol.T
-    worst_gauss = 0.0
-    for _ in range(4):
-        lo = rng.uniform(-1.5, 0.0, 2)
-        hi = lo + rng.uniform(0.5, 2.5, 2)
-        est = rect_prob_gaussian(kern, lo, hi, abs_tol=1e-5).estimate
-        inside = np.all((draws > lo) & (draws <= hi), axis=1)
-        p_hat = float(inside.mean())
-        se = math.sqrt(p_hat * (1.0 - p_hat) / m)
-        worst_gauss = max(worst_gauss, abs(est - p_hat) / se)
-    assert worst_gauss <= 3.0
     print(f"\nPASS rectangle probabilities: normalization exact, additivity "
           f"{worst_add:.1e}, independence gap {worst_ind:.1e}, clayton max |z| "
-          f"{worst_clayton:.2f}, gaussian max |z| {worst_gauss:.2f}")
+          f"{worst_clayton:.2f}")
 
 
 def test_bermudan_put_stopping_and_errors():

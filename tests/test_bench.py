@@ -305,15 +305,14 @@ def test_regress_now_date1_stops_a_boost_on_the_valid_stream():
 # ---------------------------------------------------------- Bermudan harness
 
 
-def test_bermudan_plan_payoffs_discounted():
-    plan = BermudanPlan(rate=0.05, n_dates=4, horizon=1.0)
+def test_bermudan_plan_payoffs_are_the_undiscounted_put():
+    plan = BermudanPlan(strike=1.1, n_dates=4, horizon=1.0)
     spec = plan.exercise_spec()
     assert spec.n_dates == 5
-    z = np.array([[-0.5]])
-    for t in (0, 2, 4):
-        disc = math.exp(-0.05 * t / 4.0)
-        want = disc * (1.0 - math.exp(-0.5))
-        assert spec.payoffs[t](z)[0] == pytest.approx(want, rel=1e-14)
+    z = np.array([[-0.5], [0.0], [0.2]])
+    want = np.maximum(1.1 - np.exp(z[:, 0]), 0.0)
+    for t in range(5):
+        assert np.array_equal(spec.payoffs[t](z), want)
 
 
 def test_bermudan_plan_validation():
@@ -323,6 +322,10 @@ def test_bermudan_plan_validation():
         BermudanPlan(n_train=0)
     with pytest.raises(ValueError):
         BermudanPlan(mode="sideways")
+    for bad in ({"sigma": 0.0}, {"strike": -1.0}, {"z0": float("nan")},
+                {"horizon": float("inf")}):
+        with pytest.raises(ValueError):
+            BermudanPlan(**bad)
 
 
 def test_bermudan_truth_columns():

@@ -145,19 +145,48 @@ def test_cell_sum_diagonal_matches_mc():
         assert got[i] == pytest.approx(vals.mean(), abs=4 * se)
 
 
-def test_cell_sum_correlated_matches_mc():
+def test_cell_sum_diagonal_zero_sd_is_indicator_times_cdf():
+    # one coordinate without variance: its point mass puts each cell's
+    # probability at 1{lo < mu <= hi} times the other coordinate's cdf difference
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(300, 2, 1))
+    y = x[:, 0, 0] + np.cos(x[:, 1, 0]) + 0.05 * rng.normal(size=300)
+    fe = flatten_model(fit_tree(x, y, TreeConfig(nodesize=20)))
+    mean = np.array([[0.3, -0.4], [-1.1, 0.2], [0.0, 1.5]])
+    sd = np.array([0.0, 0.8])
+    got = gaussian_cell_sum(fe, mean, np.broadcast_to(np.diag(sd), (3, 2, 2)))
+    lo, hi = fe.lo, fe.hi
+    for i in range(3):
+        inside = ((lo[:, 0] < mean[i, 0]) & (mean[i, 0] <= hi[:, 0])).astype(np.float64)
+        cdf = ndtr((hi[:, 1] - mean[i, 1]) / sd[1]) - ndtr((lo[:, 1] - mean[i, 1]) / sd[1])
+        assert got[i] == pytest.approx(np.sum(fe.values * inside * cdf), rel=1e-12, abs=1e-14)
+
+
+def test_cell_sum_rejects_correlated_kernel():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 2, 1))
     y = np.where(x[:, 0, 0] + 0.5 * x[:, 1, 0] > 0, 1.0, -1.0)
     fe = flatten_model(fit_tree(x, y, TreeConfig(nodesize=60)))
     load = np.array([[0.9, 0.3], [0.1, 1.1]])
-    mean = np.array([[0.2, -0.1]])
-    got = gaussian_cell_sum(fe, mean, load[None], abs_tol=1e-5)
-    n = 500_000
-    draws = mean[0] + rng.normal(size=(n, 2)) @ load.T
-    vals = evaluate_flat(fe, draws[:, :, None])
-    se = vals.std(ddof=1) / math.sqrt(n)
-    assert got[0] == pytest.approx(vals.mean(), abs=4 * se + 1e-4)
+    with pytest.raises(ValueError, match="exact only for m = 1 or diagonal B B\\^T"):
+        gaussian_cell_sum(fe, np.array([[0.2, -0.1]]), load[None])
+
+
+def _flat_dims(d: int, T: int):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(100, d, T))
+    return flatten_model(fit_tree(x, x.sum(axis=(1, 2)), TreeConfig(nodesize=20)))
+
+
+@pytest.mark.parametrize("fe_dims, mean_shape, load_shape", [
+    ((2, 1), (4, 1), (4, 1, 1)),   # two-coordinate fit, one-state kernel
+    ((1, 2), (4, 1), (4, 1, 1)),   # two-period fit integrated as one step
+    ((1, 1), (2, 1), (3, 1, 1)),   # two means next to three loads
+])
+def test_cell_sum_rejects_mismatched_shapes(fe_dims, mean_shape, load_shape):
+    fe = _flat_dims(*fe_dims)
+    with pytest.raises(ValueError):
+        gaussian_cell_sum(fe, np.zeros(mean_shape), np.full(load_shape, 0.5))
 
 
 # -------------------------------------------------------- backward induction

@@ -302,6 +302,9 @@ bermudan:
      "rounds"),
     (["train"], MICRO.replace("nodesize: 30", "nodesize: null"), "nodesize"),
     (["simulate"], MICRO.replace("n_test: 150", "n_test: null"), "plan.n_test"),
+    (["bermudan"], "bermudan:\n  strike: -1.0\n", "strike"),
+    (["bermudan"], "bermudan:\n  sigma: 0.0\n", "sigma"),
+    (["bermudan"], "bermudan:\n  rate: 0.05\n", "unknown key 'bermudan.rate'"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)
@@ -309,6 +312,15 @@ def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     assert rc == EXIT_CONFIG
     line = _err_line(capsys)
     assert line.startswith("CONFIG_ERROR:") and needle in line
+
+
+def test_report_rejects_a_bad_bermudan_section_before_any_fit(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["report", "--config", _cfg(tmp_path, MICRO + "bermudan:\n  strike: -1.0\n"),
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "strike" in _err_line(capsys)
+    assert not out.exists()
 
 
 def test_null_unsets_optional_estimator_fields(tmp_path, capsys):
