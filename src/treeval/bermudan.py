@@ -25,6 +25,7 @@ from scipy.special import ndtr
 from .ensemble import fit, predict
 from .flat import FlatEnsemble, flatten_model
 from .measure import normal_interval_prob
+from .parallel import get_threads, thread_map
 from .paths import LocalVolModel
 
 
@@ -126,12 +127,27 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
             mu0 = mu[~pos]
             out[~pos] = (q[None, :] >= mu0[:, None]).astype(np.float64) @ w + const
         idx = np.flatnonzero(pos)
-        # keep the (chunk x bounds) workspace near 32 MB
+        # each (chunk x bounds) block stays near 32 MB, and at most two full
+        # blocks are in flight whatever the thread count
         chunk = max(1, min(point_chunk, int(4e6 // max(q.size, 1)) or 1))
-        for a in range(0, idx.size, chunk):
-            sel = idx[a:a + chunk]
-            u = (q[None, :] - mu[sel, None]) / sd[sel, None]
-            out[sel] = ndtr(u) @ w + const
+        starts = range(0, idx.size, chunk)
+        lanes = min(get_threads(), len(starts), max(1, int(8e6 // (chunk * q.size))))
+        # the blocks are allocated here, not on the workers, so the
+        # workers' malloc arenas do not each keep a block's pages
+        blocks = [np.empty((chunk, q.size)) for _ in range(lanes)]
+
+        def run(lane):
+            for a in starts[lane::lanes]:
+                sel = idx[a:a + chunk]
+                u = blocks[lane][:sel.size]
+                np.subtract(q[None, :], mu[sel, None], out=u)
+                u /= sd[sel, None]
+                out[sel] = ndtr(u, out=u) @ w + const
+
+        # ndtr and the product release the GIL.  A block holds the same rows
+        # whatever the thread count: BLAS sums a row in an order that depends
+        # on its place in the block, so the bits depend on the chunk alone
+        thread_map(run, range(lanes))
         return out
     if cov[:, ~np.eye(m, dtype=bool)].any():
         raise ValueError("the cell sum is exact only for m = 1 or diagonal B B^T; "
@@ -331,6 +347,8 @@ def black_put_price(z, strike: float, rate: float, sigma: float, tau: float):
         raise ValueError("tau must be positive")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if not strike > 0:
+        raise ValueError("strike must be positive")
     z = np.asarray(z, dtype=np.float64)
     sq = sigma * np.sqrt(tau)
     d1 = (z - np.log(strike) + (rate + 0.5 * sigma * sigma) * tau) / sq

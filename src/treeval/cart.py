@@ -14,6 +14,12 @@ the split nodes' rows are regrouped into their children without sorting
 again.  The finished nodes are numbered as depth-first, left-first growth
 would allocate them, so the trees match that order node for node.
 
+A forest's trees grow together: their rows are laid end to end, each
+tree's columns are sorted on their own, and every depth scores the nodes
+of all trees in one pass, so the numpy call overhead of a depth is paid
+once for all the trees.  Each tree comes out as it would if grown alone.
+Predictions likewise route every (tree, point) pair in one pass.
+
 Every point and every cell bound is stored time-major: a path with d
 assets over T periods is a row of P = d*T columns, and column
 ``c = s*d + j`` holds asset j of period s+1.  The first ``t*d`` columns
@@ -185,22 +191,34 @@ def _training_points(sample) -> tuple:
 # stays within an eighth of it.
 _BLOCK = 32768
 
+# Trees grown together keep their presort arrays (see ``_presort``) within
+# this many elements; a tree that alone exceeds it grows on its own.
+_GROW_BUDGET = 1 << 18
 
-def _presort(X: np.ndarray) -> tuple:
-    """Column-major copy of rows X (n, P) and each column's stable sort order.
 
-    Returns (XT, order): XT is (P, n+1) and order is (P+1, n+1); order[c]
-    lists the rows by their value in column c and order[P] lists them in
-    ascending order.  Column n is a sentinel row: XT[:, n] = +inf and
-    order[:, n] = n.  It pads node blocks: it sorts last, its response is
-    taken as zero and no midpoint next to it is admissible.
+def _presort(Xs) -> tuple:
+    """Column-major copy of the row sets Xs, each column sorted per set.
+
+    Xs is a sequence of (n_m, P) row arrays laid end to end in one row
+    space of n = sum n_m rows.  Returns (XT, order): XT is (P, n+1) and
+    order is (P+1, n+1).  Within the positions of each set, order[c]
+    lists its rows by their value in column c (a stable sort of that set
+    alone) and order[P] lists them in ascending order.  Column n is a
+    sentinel row: XT[:, n] = +inf and order[:, n] = n.  It pads node
+    blocks: it sorts last, its response is taken as zero and no midpoint
+    next to it is admissible.
     """
-    n, P = X.shape
+    P = Xs[0].shape[1]
+    n = sum(X.shape[0] for X in Xs)
     XT = np.empty((P, n + 1))
-    XT[:, :n] = X.T
     XT[:, n] = np.inf
     order = np.empty((P + 1, n + 1), dtype=np.intp)
-    order[:P, :n] = np.argsort(XT[:, :n], axis=1, kind="stable")
+    a = 0
+    for X in Xs:
+        b = a + X.shape[0]
+        XT[:, a:b] = X.T
+        np.add(np.argsort(XT[:, a:b], axis=1, kind="stable"), a, out=order[:P, a:b])
+        a = b
     order[P, :n] = np.arange(n)
     order[:, n] = n
     return XT, order
@@ -311,7 +329,7 @@ def best_split(features: np.ndarray, responses: np.ndarray,
         return None
     cands = np.zeros((1, features.shape[1]), dtype=bool)
     cands[0, slice(None) if candidates is None else np.asarray(candidates, dtype=np.intp)] = True
-    XT, order = _presort(features)
+    XT, order = _presort([features])
     coord, z, score = _split_nodes(XT, np.append(y, 0.0), order, np.array([y.size]),
                                    np.add.reduce(y), cands)
     if coord[0] < 0:
@@ -319,17 +337,17 @@ def best_split(features: np.ndarray, responses: np.ndarray,
     return int(coord[0]), float(z[0]), float(score[0])
 
 
-def _candidates(rng: Generator, P: int, features, can: np.ndarray) -> np.ndarray:
+def _candidates(rngs, tree: np.ndarray, P: int, features, can: np.ndarray) -> np.ndarray:
     """The (nodes, P) mask of split columns: none where can is False.
 
     When features < P, each node that can split draws its own columns
-    from rng, in node order.
+    from its tree's rng, rngs[tree[i]], in node order.
     """
     if features == "all" or features >= P:
         return np.repeat(can[:, None], P, axis=1)
     mask = np.zeros((can.size, P), dtype=bool)
     for i in np.flatnonzero(can):
-        mask[i, rng.choice(P, size=features, replace=False)] = True
+        mask[i, rngs[tree[i]].choice(P, size=features, replace=False)] = True
     return mask
 
 
@@ -371,29 +389,44 @@ def _allocation_order(levels: list, dims) -> RegressionTree:
                           value=value, count=count, dims=dims)
 
 
-def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
-               rng: Optional[Generator] = None) -> RegressionTree:
-    """Grow a tree one depth at a time on time-major rows X (k, P).
-
-    Each column of X is argsorted once.  Every node keeps its rows as a
-    stable subsequence of each column's order and of the ascending order,
-    so all nodes of a depth are scored together by ``_split_nodes`` and
-    their children are regrouped without sorting again.  At the end the
-    nodes are numbered in the order depth-first, left-first growth
-    allocates them.  The ensembles call this directly.
-    """
-    y = np.asarray(responses, dtype=np.float64)
-    if y.shape != (X.shape[0],):
+def _check_responses(y, n: int) -> np.ndarray:
+    """y as a float vector of n finite responses, else ValueError."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
         raise ValueError("responses must be a vector with one entry per path")
     if not np.isfinite(y).all():
         raise ValueError("responses contain non-finite entries")
-    if rng is None:
-        rng = Generator(Philox(SeedSequence(cfg.seed)))
-    n, P = X.shape
-    XT, order = _presort(X)
-    y = np.append(y, 0.0)  # the sentinel's response
-    size = np.array([n])
-    levels = []
+    return y
+
+
+def _batch_size(n: int, P: int) -> int:
+    """How many trees on n rows of P columns grow together within _GROW_BUDGET."""
+    return max(1, _GROW_BUDGET // ((2 * P + 1) * (n + 1)))
+
+
+def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs) -> list:
+    """Grow one tree per (X, y, rng), all together one depth at a time.
+
+    Xs holds time-major row arrays (n_m, P) and ys their responses.  The
+    trees' rows are laid end to end in one row space and each column is
+    argsorted per tree, so the roots are the first depth's nodes.  Every
+    node keeps its rows as a stable subsequence of its tree's column
+    orders and of the ascending order, so all nodes of a depth, of every
+    tree, are scored together by ``_split_nodes`` and their children are
+    regrouped without sorting again.  Nodes stay in tree order within a
+    depth, and a node draws its candidate columns from its own tree's
+    rng, so each tree is the tree it would be if grown alone.  At the end
+    each tree's nodes are numbered in the order depth-first, left-first
+    growth allocates them.
+    """
+    y = np.concatenate([_check_responses(r, X.shape[0]) for X, r in zip(Xs, ys)]
+                       + [np.zeros(1)])  # the sentinel's response last
+    P = Xs[0].shape[1]
+    XT, order = _presort(Xs)
+    n = XT.shape[1] - 1
+    size = np.array([X.shape[0] for X in Xs])
+    tree = np.arange(len(Xs))  # the tree of each node of the depth
+    levels = [[] for _ in Xs]
     for depth in itertools.count():
         rows = order[P, :int(size.sum())]
         start = np.cumsum(size) - size
@@ -402,12 +435,17 @@ def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
                          for a, k in zip(start.tolist(), size.tolist())])
         feature = np.full(size.size, _LEAF)
         threshold = np.full(size.size, np.nan)
-        levels.append((feature, threshold, sums / np.maximum(size, 1), size))
+        value = sums / np.maximum(size, 1)
+        # each tree's nodes of the depth as views, filled in below
+        ends = np.searchsorted(tree, np.arange(len(Xs) + 1))
+        for m in np.unique(tree).tolist():
+            at = slice(ends[m], ends[m + 1])
+            levels[m].append((feature[at], threshold[at], value[at], size[at]))
         can = (size >= cfg.nodesize) & (cfg.max_depth is None or depth < cfg.max_depth)
         if not can.any():
             break
         coord, z, _ = _split_nodes(XT, y, order, size, sums,
-                                   _candidates(rng, P, cfg.features, can))
+                                   _candidates(rngs, tree, P, cfg.features, can))
         split = coord >= 0
         if not split.any():
             break
@@ -432,8 +470,20 @@ def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
             grouped[c0:c0 + step, to_left] = A[s == 0].reshape(A.shape[0], -1)
             grouped[c0:c0 + step, to_right] = A[s == 1].reshape(A.shape[0], -1)
         grouped[:, width] = n
-        order, size = grouped, kids
-    return _allocation_order(levels, dims)
+        order, size, tree = grouped, kids, np.repeat(tree[split], 2)
+    return [_allocation_order(lv, dims) for lv in levels]
+
+
+def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
+               rng: Optional[Generator] = None) -> RegressionTree:
+    """Grow a tree one depth at a time on time-major rows X (k, P).
+
+    The one-tree call of ``_grow_trees``; rng defaults to the stream of
+    cfg.seed.  Boosting and ``fit_tree`` call this directly.
+    """
+    if rng is None:
+        rng = Generator(Philox(SeedSequence(cfg.seed)))
+    return _grow_trees([X], [responses], cfg, dims, [rng])[0]
 
 
 def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig(),
@@ -447,18 +497,33 @@ def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig(),
     return _grow_tree(X, responses, cfg, dims, rng)
 
 
+def _predict_trees(trees, X: np.ndarray) -> np.ndarray:
+    """Route time-major rows X (k, P) through every tree; (len(trees), k) leaf values.
+
+    The trees' node arrays are laid end to end, child links offset to
+    match, and all (tree, row) pairs descend together, one level a pass.
+    """
+    k = X.shape[0]
+    n = np.array([t.n_nodes for t in trees])
+    off = np.cumsum(n) - n
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    left = np.concatenate([t.left + o for t, o in zip(trees, off)])
+    right = np.concatenate([t.right + o for t, o in zip(trees, off)])
+    node = np.repeat(off, k)  # pair i is row i % k of tree i // k
+    active = feature[node] != _LEAF
+    while active.any():
+        pairs = np.flatnonzero(active)
+        cur = node[pairs]
+        go_left = X[pairs % k, feature[cur]] <= threshold[cur]
+        node[pairs] = np.where(go_left, left[cur], right[cur])
+        active[pairs] = feature[node[pairs]] != _LEAF
+    return np.concatenate([t.value for t in trees])[node].reshape(len(trees), k)
+
+
 def _predict_points(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     """Route time-major rows X (k, P) to their leaves; one value per row."""
-    node = np.zeros(X.shape[0], dtype=np.int32)
-    active = tree.feature[node] != _LEAF
-    while active.any():
-        rows = np.flatnonzero(active)
-        cur = node[rows]
-        f = tree.feature[cur]
-        go_left = X[rows, f] <= tree.threshold[cur]
-        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
-        active[rows] = tree.feature[node[rows]] != _LEAF
-    return tree.value[node]
+    return _predict_trees((tree,), X)[0]
 
 
 def predict_tree(tree: RegressionTree, x) -> np.ndarray | float:

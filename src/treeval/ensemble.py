@@ -21,8 +21,9 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .cart import (RegressionTree, TreeConfig, _as_points, _grow_tree,
-                   _predict_points, _training_points, fit_tree, predict_tree)
+from .cart import (RegressionTree, TreeConfig, _as_points, _batch_size, _check_responses,
+                   _grow_tree, _grow_trees, _predict_points, _predict_trees,
+                   _training_points, fit_tree, predict_tree)
 
 _SAMPLINGS = ("bootstrap", "subsample_with", "subsample_without")
 
@@ -104,19 +105,22 @@ def fit_forest(sample, responses, cfg: ForestConfig = ForestConfig()) -> FittedF
 
     Tree m is grown on rows resampled from stream (seed, m), so each
     tree's data and split draws depend only on (seed, m) and are stable
-    under re-runs.
+    under re-runs.  The trees grow together in batches (see
+    ``cart._grow_trees``), as many at a time as ``cart._batch_size``
+    allows, which changes no tree.
     """
     X, dims = _training_points(sample)
     n = X.shape[0]
-    y = np.asarray(responses, dtype=np.float64)
+    y = _check_responses(responses, n)
     tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth,
                           features=cfg.features)
-    seqs = SeedSequence(cfg.seed).spawn(cfg.n_trees)
+    rngs = [Generator(Philox(s)) for s in SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    step = _batch_size(cfg.resample_size(n), X.shape[1])
     trees = []
-    for m in range(cfg.n_trees):
-        rng = Generator(Philox(seqs[m]))
-        rows = _resample_rows(rng, n, cfg)
-        trees.append(_grow_tree(X[rows], y[rows], tree_cfg, dims, rng))
+    for a in range(0, cfg.n_trees, step):
+        batch = rngs[a:a + step]
+        rows = [_resample_rows(rng, n, cfg) for rng in batch]
+        trees += _grow_trees([X[r] for r in rows], [y[r] for r in rows], tree_cfg, dims, batch)
     return FittedForest(trees=tuple(trees), dims=dims, config=cfg)
 
 
@@ -239,7 +243,7 @@ def predict(model, x) -> np.ndarray | float:
         raise TypeError(f"cannot predict with object of type {type(model).__name__}")
     X, single = _as_points(x, model.dims)
     if isinstance(model, FittedForest):
-        out = np.mean([_predict_points(t, X) for t in model.trees], axis=0)
+        out = np.mean(_predict_trees(model.trees, X), axis=0)
     else:
         acc = np.zeros(X.shape[0])
         for tree, gamma in zip(model.trees, model.gammas):

@@ -364,3 +364,19 @@ def test_run_bermudan_bundle_deterministic(tmp_path):
         run_bermudan(plan, out_dir=tmp_path / sub)
         h.append(bundle_hash(tmp_path / sub))
     assert h[0] == h[1]
+
+
+def test_run_bermudan_forest_bundle_same_at_one_and_two_threads(tmp_path):
+    """Forest trees grown together and the threaded cdf sum: no byte moves with threads."""
+    plan = BermudanPlan(n_train=600, n_test=1300, n_dates=3, seed=3, mode="both",
+                        estimator=ForestConfig(n_trees=6, nodesize=20, features=1, seed=11))
+    before = get_threads()
+    h = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            run_bermudan(plan, out_dir=tmp_path / str(threads))
+            h.append(bundle_hash(tmp_path / str(threads)))
+    finally:
+        set_threads(before)
+    assert h[0] == h[1]

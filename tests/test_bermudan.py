@@ -19,7 +19,9 @@ from treeval.bermudan import (
 )
 from treeval.cart import TreeConfig, fit_tree
 from treeval.ensemble import BoostConfig, fit_boost
+from treeval.bermudan import _phi_form
 from treeval.flat import evaluate_flat, flatten_model
+from treeval.parallel import get_threads, set_threads
 from treeval.paths import log_bs_localvol, sample_driver, simulate_localvol
 
 
@@ -68,6 +70,12 @@ def test_black_put_validation():
         black_put_price(0.0, 1.0, 0.0, 0.2, 0.0)
     with pytest.raises(ValueError):
         black_put_price(0.0, 1.0, 0.0, -0.2, 1.0)
+
+
+@pytest.mark.parametrize("strike", [0.0, -1.0, math.nan])
+def test_black_put_rejects_a_strike_that_is_not_positive(strike):
+    with pytest.raises(ValueError, match="strike"):
+        black_put_price(0.0, strike, 0.0, 0.2, 1.0)
 
 
 # ------------------------------------------------------ Gaussian cell sums
@@ -126,6 +134,42 @@ def test_cell_sum_chunk_invariance():
     a = gaussian_cell_sum(fe, mu, cf, point_chunk=2)
     b = gaussian_cell_sum(fe, mu, cf, point_chunk=512)
     assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+
+
+def _serial_cell_sum(fe, mu, sd, chunk):
+    """The 1-d cell sum block by block on one thread, point masses left out."""
+    q, w, const = _phi_form(fe)
+    out = np.full(mu.size, np.nan)
+    idx = np.flatnonzero(sd > 0.0)
+    for a in range(0, idx.size, chunk):
+        sel = idx[a:a + chunk]
+        out[sel] = ndtr((q[None, :] - mu[sel, None]) / sd[sel, None]) @ w + const
+    return out
+
+
+def test_cell_sum_same_bits_at_one_and_two_threads():
+    """Blocks of points run on the pool, each with the rows it has on one thread."""
+    fe = _flat_1d(n=3000, seed=3)
+    rng = np.random.default_rng(2)
+    k = 1301  # not a multiple of either chunk
+    mu = rng.normal(size=(k, 1))
+    cf = rng.uniform(0.05, 1.5, size=(k, 1, 1))
+    cf[::9] = 0.0
+    sd = cf[:, 0, 0]
+    before = get_threads()
+    try:
+        got = {}
+        for threads in (1, 2):
+            set_threads(threads)
+            got[threads] = [gaussian_cell_sum(fe, mu, cf, point_chunk=c) for c in (100, 512)]
+    finally:
+        set_threads(before)
+    for chunk, a, b in zip((100, 512), got[1], got[2]):
+        assert np.array_equal(a, b), chunk
+        want = _serial_cell_sum(fe, mu[:, 0], sd, chunk)
+        pos = sd > 0.0
+        assert np.array_equal(b[pos], want[pos]), chunk
+        assert b[~pos] == pytest.approx(evaluate_flat(fe, mu[~pos, :, None]), rel=1e-12)
 
 
 def test_cell_sum_diagonal_matches_mc():

@@ -1,6 +1,7 @@
 """Single-tree fitting: split selection, growth controls, leaf cells."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from treeval import cart, ensemble
-from treeval.cart import (RegressionTree, TreeConfig, _grow_tree, best_split,
+from treeval.cart import (RegressionTree, TreeConfig, _grow_tree, _grow_trees, best_split,
                           fit_tree, predict_tree)
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest
 from treeval.paths import sample_driver
@@ -417,13 +418,16 @@ def test_ensemble_trees_match_depth_first_reference(monkeypatch):
     """Boost residual rounds and bootstrap forest trees, grown inside the fits."""
     grown = []
 
-    def checked(X, y, cfg, dims, rng=None):
-        tree = _grow_tree(X, y, cfg, dims, rng)
-        assert_same_tree(tree, reference_grow(X, y, cfg))
-        grown.append(X.shape[0] - np.unique(X, axis=0).shape[0])  # duplicated rows
-        return tree
+    def checked(Xs, ys, cfg, dims, rngs):
+        trees = _grow_trees(Xs, ys, cfg, dims, rngs)
+        for X, y, tree in zip(Xs, ys, trees):
+            assert_same_tree(tree, reference_grow(X, y, cfg))
+            grown.append(X.shape[0] - np.unique(X, axis=0).shape[0])  # duplicated rows
+        return trees
 
-    monkeypatch.setattr(ensemble, "_grow_tree", checked)
+    # boosting reaches the batched grower through _grow_tree, the forest directly
+    monkeypatch.setattr(cart, "_grow_trees", checked)
+    monkeypatch.setattr(ensemble, "_grow_trees", checked)
     x = sample_driver(300, 2, 2, seed=41)
     y = np.maximum(1.0 - x.flat().min(axis=1), 0.0)
     fit_boost(x, y, BoostConfig(rounds=5, nodesize=8, max_depth=8, seed=2))
@@ -448,3 +452,94 @@ def test_candidate_draws_follow_level_order():
             if tree.feature[i] >= 0:
                 assert tree.feature[i] in cols
     assert drawn > 20 and (tree.feature >= 0).sum() > 10
+
+
+# --- forests: trees grown together equal trees grown one at a time -------
+
+def _forest_one_by_one(x, y, cfg):
+    """The forest as a loop of single ``_grow_tree`` calls, one stream (seed, m) per tree."""
+    X, dims = cart._training_points(x)
+    tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth, features=cfg.features)
+    trees = []
+    for s in SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = Generator(Philox(s))
+        rows = ensemble._resample_rows(rng, X.shape[0], cfg)
+        trees.append(_grow_tree(X[rows], y[rows], tree_cfg, dims, rng))
+    return trees
+
+
+FOREST_CASES = {
+    "bootstrap": ForestConfig(n_trees=6, nodesize=4, seed=3),
+    "subsample_with": ForestConfig(n_trees=5, nodesize=3, sampling="subsample_with",
+                                   n_resample=150, seed=4),
+    "subsample_without": ForestConfig(n_trees=5, nodesize=3, sampling="subsample_without",
+                                      n_resample=200, seed=5),
+    "features_below_P": ForestConfig(n_trees=7, nodesize=2, features=2, seed=6),
+    "max_depth": ForestConfig(n_trees=4, nodesize=2, max_depth=3, features=3, seed=7),
+    "root_only": ForestConfig(n_trees=3, nodesize=400, seed=8),
+}
+
+
+def _forest_data():
+    x = sample_driver(350, 3, 2, seed=45)
+    y = np.sin(x.flat() @ np.arange(1.0, 7.0)) + 0.1 * np.random.default_rng(46).standard_normal(350)
+    return x, y
+
+
+@pytest.mark.parametrize("case", sorted(FOREST_CASES))
+def test_forest_trees_equal_single_tree_growth(case):
+    x, y = _forest_data()
+    cfg = FOREST_CASES[case]
+    ff = fit_forest(x, y, cfg)
+    want = _forest_one_by_one(x, y, cfg)
+    assert len(ff.trees) == len(want)
+    for got, ref in zip(ff.trees, want):
+        assert_same_tree(got, ref)
+    depths = [_depth(t).max() for t in ff.trees]
+    if case == "root_only":
+        assert max(depths) == 0
+    else:
+        assert min(depths) >= 3 and len({t.n_nodes for t in ff.trees}) > 1
+
+
+@pytest.mark.parametrize("case", ["bootstrap", "features_below_P"])
+def test_forest_batches_change_no_tree(case, monkeypatch):
+    x, y = _forest_data()
+    cfg = FOREST_CASES[case]
+    whole = fit_forest(x, y, cfg)
+    per_tree = (2 * 6 + 1) * (cfg.resample_size(350) + 1)
+    assert cart._batch_size(350, 6) >= cfg.n_trees  # one batch by default
+    batches = []
+    grow = ensemble._grow_trees
+    monkeypatch.setattr(ensemble, "_grow_trees",
+                        lambda Xs, *a: batches.append(len(Xs)) or grow(Xs, *a))
+    monkeypatch.setattr(cart, "_GROW_BUDGET", 2 * per_tree + 1)
+    split = fit_forest(x, y, cfg)
+    assert batches == [2] * (cfg.n_trees // 2) + [1] * (cfg.n_trees % 2)
+    for a, b in zip(whole.trees, split.trees):
+        assert_same_tree(a, b)
+
+
+def test_forest_growth_memory_stays_near_one_tree():
+    """Batches hold the stacked presort arrays to a budget, not to the tree count."""
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((4000, 6, 4))  # P = 24
+    y = np.sin(x[:, :, 0].sum(axis=1)) + 0.1 * rng.standard_normal(4000)
+    cfg = ForestConfig(n_trees=50, nodesize=5, max_depth=3, seed=9)
+    X, dims = cart._training_points(x)
+    tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth)
+    rng0 = Generator(Philox(SeedSequence(cfg.seed).spawn(1)[0]))
+    rows = ensemble._resample_rows(rng0, 4000, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _grow_tree(X[rows], y[rows], tree_cfg, dims, rng0)
+        one = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fit_forest(x, y, cfg)
+        forest = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    print(f"growth peaks: one tree {one} B, forest of 50 {forest} B")
+    assert forest <= 2 * one, (forest, one)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
-from treeval.cart import TreeConfig, fit_tree, predict_tree
-from treeval.ensemble import (BoostConfig, ForestConfig, fit_boost,
+from treeval.cart import TreeConfig, _as_points, _predict_points, fit_tree, predict_tree
+from treeval.ensemble import (BoostConfig, ForestConfig, _resample_rows, fit_boost,
                               fit_forest, predict)
 from treeval.paths import sample_driver
 
@@ -75,6 +76,51 @@ def test_forest_config_validation():
     with pytest.raises(ValueError):
         fit_forest(np.zeros((4, 1, 1)), np.zeros(4),
                    ForestConfig(sampling="bootstrap", n_resample=3))
+
+
+def test_forest_rejects_responses_longer_than_the_sample(toy):
+    x, y = toy
+    with pytest.raises(ValueError, match="one entry per path"):
+        fit_forest(x, np.append(y, 0.0), ForestConfig(n_trees=2, nodesize=10))
+
+
+def test_forest_rejects_responses_shorter_than_the_sample(toy):
+    x, y = toy
+    with pytest.raises(ValueError, match="one entry per path"):
+        fit_forest(x, y[:-1], ForestConfig(n_trees=2, nodesize=10))
+
+
+def test_forest_rejects_a_nan_response_that_no_tree_draws(toy):
+    x, y = toy
+    cfg = ForestConfig(n_trees=3, nodesize=10, sampling="subsample_without",
+                       n_resample=50, seed=4)
+    for s in SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        assert 0 not in _resample_rows(Generator(Philox(s)), 120, cfg)  # no tree draws row 0
+    bad = y.copy()
+    bad[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_forest(x, bad, cfg)
+
+
+@pytest.mark.parametrize("cfg", [ForestConfig(n_trees=9, nodesize=3, features=2, seed=4),
+                                 ForestConfig(n_trees=4, max_depth=0, seed=5)],
+                         ids=["features_2", "root_only"])
+def test_forest_predict_is_the_mean_of_its_trees_bitwise(cfg):
+    """All trees are routed in one pass; the mean is that of the per-tree routes."""
+    x = sample_driver(500, 3, 2, seed=26)
+    y = np.cos(x.flat() @ np.arange(1.0, 7.0))
+    ff = fit_forest(x, y, cfg)
+    pts = sample_driver(777, 3, 2, seed=27)
+    X, _ = _as_points(pts, ff.dims)
+    per_tree = [_predict_points(t, X) for t in ff.trees]
+    assert np.array_equal(predict(ff, pts), np.mean(per_tree, axis=0))
+    for tree, got in zip(ff.trees, per_tree):
+        for i in range(0, X.shape[0], 97):  # walk a few rows by hand
+            node = 0
+            while tree.feature[node] >= 0:
+                f = tree.feature[node]
+                node = tree.left[node] if X[i, f] <= tree.threshold[node] else tree.right[node]
+            assert got[i] == tree.value[node]
 
 
 def test_boost_single_full_step_interpolates(toy):
