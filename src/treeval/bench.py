@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.random import Philox
 
 from .bermudan import (ExerciseSpec, black_put_price, price_regress_later,
                        price_regress_now, stopping_distribution)
@@ -29,7 +30,8 @@ from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
                     BlackScholesModel, DriverSample, Payoff, log_bs_localvol,
                     payoff_value, sample_driver, simulate_bs,
-                    simulate_localvol, stream_rng, _draw_bits, _normal_from_bits)
+                    simulate_localvol, _keyed_bits, _normal_from_bits,
+                    _stream_keys)
 from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
                    risk_report)
 from .valuation import ValueSurface, fit_regress_now, value_surface
@@ -58,9 +60,12 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
     For scenario i the inner tail draws (X_2..X_T) come from the stream
     (seed, inner, i), so estimates are reproducible per scenario and
     independent of everything else, the thread count and the blocking
-    included.  Blocks of consecutive scenarios holding about 1024 inner
-    paths are simulated and priced together; chunk caps the scenarios of
-    one ``thread_map`` item, which holds whole blocks.  Returns (values,
+    included.  The Philox keys of all k streams come from one vectorised
+    pass of SeedSequence's hash, and each ``thread_map`` item rekeys one
+    bit generator per scenario instead of building a generator.  Blocks
+    of consecutive scenarios holding about ``_BLOCK_PATHS`` inner paths
+    are simulated and priced together; chunk caps the scenarios of one
+    ``thread_map`` item, which holds whole blocks.  Returns (values,
     standard errors), each of shape (k,).
     """
     if n_inner < 1:
@@ -74,12 +79,13 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
         return vals, np.zeros(k)
     block = max(1, min(chunk, _BLOCK_PATHS // n_inner))
     vals, ses = np.empty(k), np.zeros(k)
+    keys = _stream_keys(seed, (STREAM_INNER,), np.arange(k))
 
-    def run_block(a, b):
+    def run_block(bitgen, a, b):
         m = b - a
         raw = np.empty((m, n_inner, d, T - 1), dtype=np.uint64)
         for j in range(m):
-            raw[j] = _draw_bits(stream_rng(seed, STREAM_INNER, a + j), (n_inner, d, T - 1))
+            raw[j] = _keyed_bits(bitgen, keys[a + j], (n_inner, d, T - 1))
         full = np.empty((m, n_inner, d, T))
         full[:, :, :, 0] = x1[a:b, None, :]
         full[:, :, :, 1:] = _normal_from_bits(raw)
@@ -92,8 +98,9 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
     def run_chunk(bounds):
         # each block writes its own slice of vals and ses
         a, b = bounds
+        bitgen = Philox(0)  # rekeyed per scenario
         for i in range(a, b, block):
-            run_block(i, min(i + block, b))
+            run_block(bitgen, i, min(i + block, b))
 
     step = chunk // block * block  # whole blocks per thread_map item, at most chunk scenarios
     thread_map(run_chunk, [(a, min(a + step, k)) for a in range(0, k, step)])

@@ -298,20 +298,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_samples(out: Path):
+def _samples_path(out: Path) -> Path:
     path = out / "samples.npz"
     if not path.exists():
         raise ArtifactError(f"missing samples.npz in {out} (run the simulate stage first)")
-    return np.load(path)
+    return path
+
+
+def _read_arrays(path: Path, *names: str) -> tuple:
+    """The named arrays of an npz archive, each inflated once; the archive is closed."""
+    with np.load(path) as data:
+        return tuple(data[name] for name in names)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
-    data = _load_samples(out)
+    x_train, y_train, x_valid, y_valid = _read_arrays(
+        _samples_path(out), "train_driver", "train_payoff", "valid_driver", "valid_payoff")
     name = plan.estimator_kind
-    fitted = fit(plan.estimator, data["train_driver"], data["train_payoff"],
-                 (data["valid_driver"], data["valid_payoff"]))
+    fitted = fit(plan.estimator, x_train, y_train, (x_valid, y_valid))
     fe = flatten_model(fitted)
     save_flat(fe, out / f"flat_{name}.npz")
     write_flat_text(fe, out / f"flat_{name}.txt")
@@ -336,24 +342,26 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
             raise ConfigError(f"--t: expected integers or T, got {' '.join(dates_arg)}") from None
         dates = _check_dates(dates, T, "--t")
     out = cfg.require_out()
-    data = _load_samples(out)
+    samples = _samples_path(out)
     name = plan.estimator_kind
     flat_path = out / f"flat_{name}.npz"
     if not flat_path.exists():
         raise ArtifactError(f"missing {flat_path.name} in {out} (run the train stage first)")
     fe = load_flat(flat_path)
-    drivers = tuple(data["test_driver"].shape[1:])
+    x_test, = _read_arrays(samples, "test_driver")
+    drivers = tuple(x_test.shape[1:])
     dims = (plan.model.n_assets, T)
     if not fe.dims == drivers == dims:
         raise ArtifactError(f"{flat_path.name} has dims (d, T) = {fe.dims} and samples.npz "
                             f"test drivers have {drivers}, but the config gives "
                             f"{dims}; rerun simulate and train with this config")
     measure = plan.measure
-    surface = value_surface(fe, measure, dates, data["test_driver"],
+    surface = value_surface(fe, measure, dates, x_test,
                             meta={"estimator": name, "seed": plan.seed})
+    del x_test  # the CSV write is the stage's memory peak
     surface.to_csv(out / f"value_surface_{name}.csv")
     surface.write_meta(out / f"value_surface_{name}.meta.json")
-    print(f"valued {data['test_driver'].shape[0]} scenarios at dates {list(dates)} "
+    print(f"valued {surface.values.shape[0]} scenarios at dates {list(dates)} "
           f"-> {out / f'value_surface_{name}.csv'}")
     return EXIT_OK
 
@@ -386,10 +394,11 @@ def _load_surface(path: Path) -> ValueSurface:
 def cmd_risk(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
-    data = _load_samples(out)
+    samples = _samples_path(out)
     name = plan.estimator_kind
     surface = _load_surface(out / f"value_surface_{name}.csv")
-    n_test = data["test_driver"].shape[0]
+    x_test, y_test = _read_arrays(samples, "test_driver", "test_payoff")
+    n_test = x_test.shape[0]
     if surface.values.shape[0] != n_test:
         raise ArtifactError(f"value_surface_{name}.csv holds {surface.values.shape[0]} "
                             f"scenarios but samples.npz holds {n_test} test scenarios; "
@@ -398,9 +407,8 @@ def cmd_risk(cfg: RunConfig) -> int:
         if t not in surface.dates:
             raise ArtifactError(f"value surface lacks date {t}; rerun value with "
                                 "--t including 0 and 1")
-    y_test = data["test_payoff"]
     v0, _ = oracle_v0(y_test)
-    v1, _ = oracle_v1(plan.payoff, plan.model, data["test_driver"][:, :, 0],
+    v1, _ = oracle_v1(plan.payoff, plan.model, x_test[:, :, 0],
                       plan.n_inner, plan.seed)
     risk_stage(plan, surface, v0, v1, y_test, out)
     print(f"risk tables written to {out}")

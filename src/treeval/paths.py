@@ -15,6 +15,8 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -42,6 +44,90 @@ def stream_rng(seed: int, *tags: int) -> Generator:
 def _draw_bits(rng: Generator, shape) -> np.ndarray:
     """53-bit integers; ``_normal_from_bits`` maps them to standard normals."""
     return rng.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+
+
+# SeedSequence's uint32 hash (numpy/random/bit_generator.pyx): pool size,
+# hashmix constants, mix multipliers and xorshift
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list:
+    """SeedSequence's coding of an int: little-endian 32-bit words, [0] for 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("seeds and stream tags must be non-negative")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_keys(seed: int, tags: tuple, ids) -> np.ndarray:
+    """Philox keys of ``stream_rng(seed, *tags, i)`` for every i in ids, shape (n, 2).
+
+    One pass of SeedSequence's hash over all ids at once: the hash
+    constants do not depend on the data, so every round is one uint32
+    array op.  Ids must lie in [0, 2**32), where SeedSequence codes them
+    as one word.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and (ids.min() < 0 or ids.max() > _MASK32)):
+        raise ValueError("stream ids must be a 1-D array of integers in [0, 2**32)")
+    run = _uint32_words(seed)
+    run += [0] * (_POOL - len(run))  # padded to the pool size when a spawn key follows
+    words = run + [w for t in tags for w in _uint32_words(t)]
+    entropy = [np.full(ids.size, w, dtype=np.uint32) for w in words] + [ids.astype(np.uint32)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # generate_state(2, uint64): four words cycling over the pool, paired little-endian
+    const = _INIT_B
+    state = []
+    for w in pool:
+        w = w ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        w = w * np.uint32(const)
+        state.append((w ^ (w >> np.uint32(16))).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+def _keyed_bits(bitgen: Philox, key: np.ndarray, shape) -> np.ndarray:
+    """``_draw_bits`` on the stream whose Philox key is ``key``, from a reused bit generator.
+
+    A Philox stream is a pure function of its key, so resetting the
+    counter and buffer replays it from the start.  ``integers(0, 2**53)``
+    on 64-bit words is Lemire's bounded draw with a power-of-two range,
+    which never rejects and returns the top 53 bits of each raw word.
+    """
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                    "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen.random_raw(math.prod(shape)).reshape(shape) >> np.uint64(11)
 
 
 def _normal_from_bits(raw: np.ndarray) -> np.ndarray:

@@ -13,16 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def empirical_var(losses, alpha: float) -> float:
-    """Left empirical alpha-quantile: the ceil(alpha*n)-th order statistic."""
+def _left_quantiles(losses, levels) -> np.ndarray:
+    """``empirical_var`` at every level, from one sort of the sample."""
     losses = np.asarray(losses, dtype=np.float64)
+    levels = np.asarray(levels, dtype=np.float64)
     n = losses.size
     if n == 0:
         raise ValueError("empty loss sample")
-    if not 0 < alpha <= 1:
+    if not ((0 < levels) & (levels <= 1)).all():
         raise ValueError("alpha must lie in (0, 1]")
-    k = min(max(math.ceil(alpha * n), 1), n)
-    return float(np.sort(losses)[k - 1])
+    k = np.clip(np.ceil(levels * n), 1, n).astype(np.intp)
+    return np.sort(losses)[k - 1]
+
+
+def empirical_var(losses, alpha: float) -> float:
+    """Left empirical alpha-quantile: the ceil(alpha*n)-th order statistic."""
+    return float(_left_quantiles(losses, [alpha])[0])
 
 
 def empirical_es(losses, alpha: float) -> float:
@@ -67,8 +73,8 @@ def detrended_qq(est_losses, true_losses, levels=None):
     estimator sits on the zero line.
     """
     levels = default_quantile_grid() if levels is None else np.asarray(levels, dtype=np.float64)
-    tq = np.array([empirical_var(true_losses, a) for a in levels])
-    eq = np.array([empirical_var(est_losses, a) for a in levels])
+    tq = _left_quantiles(true_losses, levels)
+    eq = _left_quantiles(est_losses, levels)
     return levels, tq, eq - tq
 
 

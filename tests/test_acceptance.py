@@ -48,6 +48,9 @@ from treeval.paths import (
 from treeval.risk import empirical_es, empirical_var, normalized_l2
 from treeval.valuation import value_at, value_surface
 
+# the slow end-to-end tier: `pytest -m "not acceptance"` runs the unit tests alone
+pytestmark = pytest.mark.acceptance
+
 D, T = 6, 2
 
 

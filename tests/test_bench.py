@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtri
 
 import treeval as tv
+from treeval import bench, paths
 from treeval.bench import (
     BermudanPlan,
     ExperimentPlan,
@@ -120,6 +121,38 @@ def test_oracle_v1_matches_per_scenario_reference(kind, d, n_inner):
             assert np.array_equal(ses, want_ses), threads
     finally:
         set_threads(before)
+
+
+def test_oracle_v1_builds_no_generator_per_scenario(monkeypatch):
+    model = standard_model("min_put", d=2)
+    payoff = desk_plan("min_put").payoff
+    x1 = sample_driver(50, 2, model.n_periods, 3, (STREAM_TEST,)).data[:, :, 0]
+    want_vals, want_ses = _oracle_v1_per_scenario(payoff, model, x1, 7, seed=9)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("oracle_v1 built a generator per scenario")
+
+    monkeypatch.setattr(bench, "stream_rng", no_generator, raising=False)
+    monkeypatch.setattr(paths, "stream_rng", no_generator)
+    monkeypatch.setattr(paths, "Generator", no_generator)
+    vals, ses = oracle_v1(payoff, model, x1, n_inner=7, seed=9)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(ses, want_ses)
+
+
+def test_oracle_v1_matches_black_put_truth():
+    """With d = 1 and rate 0 the min-put is a put, so V_1 is Black's price."""
+    model = standard_model("min_put", d=1)
+    payoff = Payoff("min_put", strike=1.0)
+    k = 2000
+    x1 = sample_driver(k, 1, model.n_periods, 0, (STREAM_TEST,)).data[:, :, 0]
+    v1, se = oracle_v1(payoff, model, x1, n_inner=200, seed=0)
+    sigma, (dt1, tau) = model.vols[0, 0], model.steps
+    log_s1 = sigma * math.sqrt(dt1) * x1[:, 0] - 0.5 * sigma**2 * dt1
+    truth = black_put_price(log_s1, 1.0, 0.0, sigma, tau)
+    z = (v1 - truth) / se
+    assert abs(z.mean()) < 5.0 / math.sqrt(k)
+    assert 0.8 <= np.mean(z**2) <= 1.2
 
 
 def test_oracle_v1_tower_matches_v0():

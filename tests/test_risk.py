@@ -159,6 +159,23 @@ def test_detrended_qq_constant_shift():
     assert tq[1] == empirical_var(truth, 0.5)
 
 
+def test_detrended_qq_is_empirical_var_per_level():
+    # each level's quantile is the ceil(alpha * n)-th order statistic
+    rng = np.random.default_rng(5)
+    n = 997
+    est, truth = rng.normal(size=n), rng.standard_t(3, size=n)
+    levels, tq, det = detrended_qq(est, truth)
+    rank = [min(max(math.ceil(a * n), 1), n) - 1 for a in levels]
+    want_tq = np.sort(truth)[rank]
+    want_eq = np.sort(est)[rank]
+    assert np.array_equal(tq, want_tq)
+    assert np.array_equal(det, want_eq - want_tq)
+    with pytest.raises(ValueError):
+        detrended_qq(est, truth, levels=[0.5, 0.0])
+    with pytest.raises(ValueError):
+        detrended_qq(est, [], levels=[0.5])
+
+
 def test_normalized_l2_hand_value():
     # RMS of (1,1) differences = 1, reference 2 -> 50%
     est = np.array([3.0, 5.0])
