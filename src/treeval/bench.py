@@ -244,12 +244,11 @@ _STREAMS = {"train": STREAM_TRAIN, "valid": STREAM_VALID, "test": STREAM_TEST}
 
 class StreamSample(NamedTuple):
     driver: DriverSample
-    prices: np.ndarray   # (n, d, T+1) price paths
     payoffs: np.ndarray  # (n,) discounted payoffs
 
 
 def sample_streams(plan: ExperimentPlan, tags: Sequence[str] = tuple(_STREAMS)) -> dict:
-    """Driver samples, price paths and payoffs of the plan's seed streams.
+    """Driver samples and payoffs of the plan's seed streams.
 
     tags picks among "train", "valid" and "test"; only those streams
     are drawn.  Each comes from its own (seed, stream) generator, so a
@@ -262,7 +261,7 @@ def sample_streams(plan: ExperimentPlan, tags: Sequence[str] = tuple(_STREAMS)) 
     for tag in tags:
         driver = sample_driver(sizes[tag], d, T, plan.seed, (_STREAMS[tag],))
         prices = simulate_bs(plan.model, driver)
-        out[tag] = StreamSample(driver, prices, payoff_value(plan.payoff, plan.model, prices))
+        out[tag] = StreamSample(driver, payoff_value(plan.payoff, plan.model, prices))
     return out
 
 

@@ -281,21 +281,41 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.require_out()
     streams = sample_streams(plan)
     arrays = {}
-    meta = {"seed": plan.seed, "name": plan.name}
     for tag, s in streams.items():
         arrays[f"{tag}_driver"] = s.driver.data
-        arrays[f"{tag}_prices"] = s.prices
         arrays[f"{tag}_payoff"] = s.payoffs
-        meta[f"n_{tag}"] = s.payoffs.size
-    np.savez_compressed(out / "samples.npz", **arrays)
-    meta["dims"] = [plan.model.n_assets, plan.model.n_periods]
+    # stored, not deflated: random float64 barely compresses, and the later
+    # stages read only these arrays (np.load reads deflated archives too)
+    np.savez(out / "samples.npz", **arrays)
     write_snapshot(out / "config.snapshot", plan)
     with open(out / "samples_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump({"name": plan.name, **_samples_meta(plan)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote samples for {sum(s.payoffs.size for s in streams.values())} paths "
           f"to {out}")
     return EXIT_OK
+
+
+def _samples_meta(plan: ExperimentPlan) -> dict:
+    """The fields of samples_meta.json that fix the drawn samples."""
+    return {"seed": plan.seed, "n_train": plan.n_train, "n_valid": plan.valid_size,
+            "n_test": plan.n_test, "dims": [plan.model.n_assets, plan.model.n_periods]}
+
+
+def _check_samples_meta(out: Path, plan: ExperimentPlan) -> None:
+    """Reject samples that simulate drew for another seed, sizes or dims."""
+    path = out / "samples_meta.json"
+    if not path.exists():
+        raise ArtifactError(f"missing samples_meta.json in {out} (run the simulate stage first)")
+    with open(path) as fh:
+        meta = json.load(fh)
+    want = _samples_meta(plan)
+    bad = [key for key in want if meta.get(key) != want[key]]
+    if bad:
+        raise ArtifactError(
+            "samples_meta.json records " + ", ".join(f"{k} {meta.get(k)}" for k in bad)
+            + " but the config gives " + ", ".join(f"{k} {want[k]}" for k in bad)
+            + "; rerun simulate with this config")
 
 
 def _samples_path(out: Path) -> Path:
@@ -314,8 +334,10 @@ def _read_arrays(path: Path, *names: str) -> tuple:
 def cmd_train(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
+    samples = _samples_path(out)
+    _check_samples_meta(out, plan)
     x_train, y_train, x_valid, y_valid = _read_arrays(
-        _samples_path(out), "train_driver", "train_payoff", "valid_driver", "valid_payoff")
+        samples, "train_driver", "train_payoff", "valid_driver", "valid_payoff")
     name = plan.estimator_kind
     fitted = fit(plan.estimator, x_train, y_train, (x_valid, y_valid))
     fe = flatten_model(fitted)
@@ -355,6 +377,7 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
         raise ArtifactError(f"{flat_path.name} has dims (d, T) = {fe.dims} and samples.npz "
                             f"test drivers have {drivers}, but the config gives "
                             f"{dims}; rerun simulate and train with this config")
+    _check_samples_meta(out, plan)
     measure = plan.measure
     surface = value_surface(fe, measure, dates, x_test,
                             meta={"estimator": name, "seed": plan.seed})
@@ -403,6 +426,7 @@ def cmd_risk(cfg: RunConfig) -> int:
         raise ArtifactError(f"value_surface_{name}.csv holds {surface.values.shape[0]} "
                             f"scenarios but samples.npz holds {n_test} test scenarios; "
                             "rerun the value stage")
+    _check_samples_meta(out, plan)
     for t in (0, 1):
         if t not in surface.dates:
             raise ArtifactError(f"value surface lacks date {t}; rerun value with "

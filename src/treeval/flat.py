@@ -239,17 +239,19 @@ def write_flat_text(fe: FlatEnsemble, path) -> None:
     in time-major order, with unbounded sides written as -inf / inf.
     Floats are written with repr precision so the round trip is exact.
     """
-    lo, hi = fe.lo, fe.hi
     d, T = fe.dims
+    rows = np.empty((fe.n_cells, 1 + 2 * d * T))
+    rows[:, 0] = fe.values
+    rows[:, 1::2] = fe.lo
+    rows[:, 2::2] = fe.hi
+    # repr each distinct float once; unique over the bits keeps -0.0 apart from 0.0
+    bits, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
+    words = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    lines = words[inverse].reshape(rows.shape).tolist()
     with open(path, "w") as fh:
         fh.write(_TEXT_HEADER + "\n")
         fh.write(f"{d} {T} {fe.n_cells}\n")
-        for i in range(fe.n_cells):
-            parts = [repr(float(fe.values[i]))]
-            for c in range(d * T):
-                parts.append(repr(float(lo[i, c])))
-                parts.append(repr(float(hi[i, c])))
-            fh.write(" ".join(parts) + "\n")
+        fh.writelines(" ".join(row) + "\n" for row in lines)
 
 
 def read_flat_text(path) -> FlatEnsemble:

@@ -17,6 +17,7 @@ model evaluation on the full path.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,6 +26,9 @@ import numpy as np
 from .cart import _as_points
 from .ensemble import fit, predict
 from .flat import FlatEnsemble, weighted_membership
+
+# scenarios formatted per write in ValueSurface.to_csv; bounds the row strings held at once
+_CSV_BLOCK = 512
 
 
 def period_prob_matrix(fe: FlatEnsemble, measure) -> np.ndarray:
@@ -85,11 +89,15 @@ class ValueSurface:
 
         Values are written as ``repr`` of the float, which reads back exactly.
         """
-        rows = np.asarray(self.values, dtype=np.float64).tolist()
-        text = "".join(f"{i},{t},{v!r}\r\n"
-                       for i, row in enumerate(rows) for t, v in zip(self.dates, row))
+        values = np.asarray(self.values, dtype=np.float64)
         with open(path, "w", newline="") as fh:
-            fh.write("scenario_id,t,value\r\n" + text)
+            fh.write("scenario_id,t,value")
+            for start in range(0, values.shape[0], _CSV_BLOCK):
+                block = values[start:start + _CSV_BLOCK]
+                prefixes = [f"\r\n{i},{t},"
+                            for i in range(start, start + block.shape[0]) for t in self.dates]
+                fh.write("".join(map(operator.add, prefixes, map(repr, block.ravel().tolist()))))
+            fh.write("\r\n")
 
     def write_meta(self, path) -> None:
         with open(path, "w") as fh:

@@ -7,11 +7,13 @@ artifact handoff between stages.
 
 import argparse
 import csv
+import json
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,11 @@ from treeval.cli import (
     _load_surface,
     main,
 )
+from treeval.bench import sample_streams
 from treeval.ensemble import BoostConfig
 from treeval.measure import CopulaMeasure
-from treeval.valuation import ValueSurface
+from treeval.paths import simulate_bs
+from treeval.valuation import _CSV_BLOCK, ValueSurface
 
 MICRO = """
 experiment:
@@ -245,6 +249,52 @@ def test_staged_chain_and_report_write_the_same_files(tmp_path, capsys, text, da
         assert (staged / name).read_bytes() == (report / name).read_bytes(), name
 
 
+def test_samples_archive_holds_six_stored_arrays(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", _cfg(tmp_path), "--out", str(out)]) == EXIT_OK
+    with zipfile.ZipFile(out / "samples.npz") as zf:
+        infos = zf.infolist()
+    assert {info.filename for info in infos} == {f"{tag}_{kind}.npy" for tag in
+                                                 ("train", "valid", "test")
+                                                 for kind in ("driver", "payoff")}
+    assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+    # the arrays are the streams' drivers and payoffs, dtypes included
+    plan = RunConfig(yaml.safe_load(MICRO), _ns()).european_plan()
+    with np.load(out / "samples.npz") as data:
+        for tag, s in sample_streams(plan).items():
+            for name, want in ((f"{tag}_driver", s.driver.data), (f"{tag}_payoff", s.payoffs)):
+                assert data[name].dtype == want.dtype and np.array_equal(data[name], want)
+    meta = {"dims": [2, 2], "n_test": 150, "n_train": 120, "n_valid": 60, "name": "micro",
+            "seed": 0}
+    assert (out / "samples_meta.json").read_text() == \
+        json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+
+def test_stages_read_archives_in_the_older_deflated_format(tmp_path, capsys):
+    # older versions deflated samples.npz and also stored the price paths
+    cfg = _cfg(tmp_path)
+    new, old = tmp_path / "new", tmp_path / "old"
+    for out in (new, old):
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    plan = RunConfig(yaml.safe_load(MICRO), _ns()).european_plan()
+    arrays = {}
+    for tag, s in sample_streams(plan).items():
+        arrays.update({f"{tag}_driver": s.driver.data,
+                       f"{tag}_prices": simulate_bs(plan.model, s.driver),
+                       f"{tag}_payoff": s.payoffs})
+    np.savez_compressed(old / "samples.npz", **arrays)
+    for out in (new, old):
+        _staged(cfg, out, ("train", "value", "risk"))
+    capsys.readouterr()
+    names = sorted(p.name for p in new.iterdir() if p.name != "samples.npz")
+    assert sorted(p.name for p in old.iterdir() if p.name != "samples.npz") == names
+    for name in ("flat_tree.txt", "value_surface_tree.csv", "risk.csv", "qq_t1.csv",
+                 "qq_tT.csv"):
+        assert name in names
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
 def test_corrupt_artifact_is_runtime_error(tmp_path, capsys):
     cfg = _cfg(tmp_path)
     out = tmp_path / "run"
@@ -376,6 +426,56 @@ def test_value_rejects_artifacts_of_other_dims(tmp_path, capsys, resimulate):
     assert not (out / "value_surface_tree.csv").exists()
 
 
+def test_stages_reject_samples_of_another_config(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = _cfg(tmp_path)
+    n100 = _cfg(tmp_path, MICRO.replace("n_train: 120", "n_train: 100"), "n100.yaml")
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["train", "--config", n100, "--out", str(out), "--seed", "2"])
+    assert rc == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert "samples_meta.json" in line and "seed" in line and "n_train" in line
+    assert not (out / "flat_tree.npz").exists()
+    assert main(["train", "--config", cfg, "--out", str(out), "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["value", "--config", cfg, "--out", str(out), "--seed", "2"]) == EXIT_ARTIFACT
+    assert "samples_meta.json records seed 1" in _err_line(capsys)
+    assert not (out / "value_surface_tree.csv").exists()
+    assert main(["value", "--config", cfg, "--out", str(out), "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["risk", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_ARTIFACT
+    assert "config gives seed 3" in _err_line(capsys)
+    assert not (out / "risk.csv").exists()
+
+
+@pytest.mark.parametrize("field, recorded", [
+    ("seed", 7), ("n_train", 121), ("n_valid", 59), ("n_test", 149), ("dims", [3, 2]),
+    ("missing", None),
+])
+def test_stages_check_every_samples_meta_field(tmp_path, capsys, field, recorded):
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "run"
+    _staged(cfg, out, ("simulate", "train", "value"))
+    path = out / "samples_meta.json"
+    if field == "missing":
+        path.unlink()
+    else:
+        meta = json.loads(path.read_text())
+        meta[field] = recorded
+        path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    for stage in ("train", "value", "risk"):
+        assert main([stage, "--config", cfg, "--out", str(out)]) == EXIT_ARTIFACT, stage
+        line = _err_line(capsys)
+        assert line.startswith("MISSING_ARTIFACT:") and "samples_meta.json" in line, stage
+        if field == "missing":
+            assert "missing samples_meta.json" in line
+        else:
+            assert f"records {field} {recorded}" in line, line
+    assert not (out / "risk.csv").exists()
+
+
 @pytest.mark.parametrize("edit", ["drop", "duplicate", "renumber"])
 def test_risk_rejects_a_surface_with_gaps_in_scenario_ids(tmp_path, capsys, edit):
     cfg = _cfg(tmp_path)
@@ -447,6 +547,33 @@ def test_surface_csv_round_trip_is_exact(tmp_path):
         assert back.dates == (0, 1, 12)
         assert np.array_equal(back.values, values)
         assert np.array_equal(np.signbit(back.values), np.signbit(values))
+
+
+def _row_generator_bytes(surface: ValueSurface, path: Path) -> bytes:
+    # reference: the one-generator form of ValueSurface.to_csv that the blocks replaced
+    rows = np.asarray(surface.values, dtype=np.float64).tolist()
+    text = "".join(f"{i},{t},{v!r}\r\n"
+                   for i, row in enumerate(rows) for t, v in zip(surface.dates, row))
+    with open(path, "w", newline="") as fh:
+        fh.write("scenario_id,t,value\r\n" + text)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+def test_surface_csv_blocks_write_the_same_bytes(tmp_path, k):
+    awkward = np.array([-0.0, 1e-05, 1e16, 5e-324, 2.225073858507201e-308, 0.1 + 0.2,
+                        1.0000000000000002, -1.2345678901234567e-7, 123456789.12345679,
+                        np.inf, -np.inf, 1e300, 0.0])
+    rng = np.random.default_rng(k)
+    values = rng.normal(size=(k, 3)) * 10.0 ** rng.integers(-20, 20, size=(k, 3))
+    # the awkward values in the first and the last rows
+    flat = values.reshape(-1)
+    for start in {0, max(0, flat.size - awkward.size)}:
+        flat[start:start + awkward.size] = awkward[:flat.size - start]
+    surface = ValueSurface(dates=(0, 1, 12), values=values)
+    path = tmp_path / "value_surface_x.csv"
+    surface.to_csv(path)
+    assert path.read_bytes() == _row_generator_bytes(surface, tmp_path / "ref.csv")
 
 
 # ----------------------------------------------------------------- bermudan

@@ -318,3 +318,43 @@ def test_text_bytes_follow_leaf_cells(tmp_path):
     path = tmp_path / "boost.txt"
     write_flat_text(flatten_boost(boost), path)
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _per_cell_text(fe: FlatEnsemble) -> bytes:
+    # reference: the per-cell, per-float loop that write_flat_text replaced
+    d, T = fe.dims
+    lines = ["treeval-flat 1", f"{d} {T} {fe.n_cells}"]
+    for i in range(fe.n_cells):
+        parts = [repr(float(fe.values[i]))]
+        for c in range(d * T):
+            parts.append(repr(float(fe.lo[i, c])))
+            parts.append(repr(float(fe.hi[i, c])))
+        lines.append(" ".join(parts))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_text_bytes_match_the_per_cell_loop_on_edge_bounds(tmp_path):
+    # distinct by comparison, sorted; zeros get a random sign below, so a
+    # bound pair may read (-0.0, x), (0.0, x) or (x, -0.0) with -0.0 != 0.0 in text
+    pool = np.array([-np.inf, -1e308, -0.1 - 0.2, -5e-324, 0.0, 5e-324, 2.225073858507201e-308,
+                     1e-05, 0.30000000000000004, 1.0000000000000002, 123456789.12345679,
+                     np.inf])
+    rng = np.random.default_rng(11)
+    n, d, T = 300, 2, 3
+    ends = np.sort(np.stack([rng.choice(pool.size, size=2, replace=False)
+                             for _ in range(n * d * T)]), axis=1)
+    lo, hi = (pool[ends[:, j]].reshape(n, d * T) for j in (0, 1))
+    lo[(lo == 0.0) & (rng.random(lo.shape) < 0.5)] = -0.0
+    hi[(hi == 0.0) & (rng.random(hi.shape) < 0.5)] = -0.0
+    values = rng.choice(np.array([-0.0, 0.0, 5e-324, -1.2345678901234567e-7, 1e300]), size=n)
+    values[:5] = rng.normal(size=5)
+    fe = FlatEnsemble(lo=lo, hi=hi, values=values, dims=(d, T))
+    path = tmp_path / "edges.txt"
+    write_flat_text(fe, path)
+    text = path.read_bytes()
+    assert text == _per_cell_text(fe)
+    for word in (b" -0.0 ", b" 0.0 ", b" 5e-324 ", b" -5e-324 ", b" -inf ", b" inf"):
+        assert word in text, word
+    back = read_flat_text(path)
+    for got, want in ((back.lo, lo), (back.hi, hi), (back.values, values)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
