@@ -153,7 +153,6 @@ class ExperimentPlan:
     seed: int = 0
     var_alpha: float = 0.995
     es_alpha: float = 0.99
-    measure: Optional[object] = None  # default product of standard normals
 
     def __post_init__(self):
         if min(self.n_train, self.n_test, self.n_inner) < 1:
@@ -377,9 +376,7 @@ def _config_text_field(name: str, value, indent: str) -> str:
         inner = _config_text(value, indent + "  ")
         return f"{indent}{name}:\n{inner}"
     if isinstance(value, np.ndarray):
-        return f"{indent}{name}: {np.array2string(value, separator=',', threshold=64)}"
-    if isinstance(value, tuple) and value and hasattr(value[0], "__len__") and not isinstance(value[0], str):
-        return f"{indent}{name}:\n" + "\n".join(f"{indent}  {item!r}" for item in value)
+        value = value.tolist()  # exact and never summarised, on one line
     return f"{indent}{name}: {value!r}"
 
 
@@ -442,7 +439,6 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     clock = time.perf_counter
     t_start = clock()
     d, T = plan.model.n_assets, plan.model.n_periods
-    measure = plan.measure if plan.measure is not None else ProductMeasure.standard_normal(d, T)
     train, valid, test = sample_streams(plan).values()
     y_test = test.payoffs
     timings.append(("sampling", clock() - t_start))
@@ -464,7 +460,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     fe = flatten_model(fitted)
     timings.append((f"flatten_{name}", clock() - t0))
     t0 = clock()
-    surface = value_surface(fe, measure, dates, test.driver,
+    surface = value_surface(fe, ProductMeasure.standard_normal(d, T), dates, test.driver,
                             meta={"estimator": name, "seed": plan.seed, "n_cells": fe.n_cells})
     timings.append((f"value_{name}", clock() - t0))
     l2_rows = []
@@ -487,9 +483,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
 
     config_hash = ""
     if out is not None:
-        config_hash = write_snapshot(out / "config.snapshot", plan,
-                                     extras={"measure": type(measure).__name__,
-                                             "dates": dates})
+        config_hash = write_snapshot(out / "config.snapshot", plan, extras={"dates": dates})
         _write_csv(out / "l2_errors.csv", ("estimator", "t", "l2_error_pct"),
                    [(name, t, _fmt(e)) for t, e in l2_rows])
         surface.to_csv(out / f"value_surface_{name}.csv")

@@ -163,6 +163,14 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
     return out
 
 
+def _cell_continuation(model: LocalVolModel, fe: FlatEnsemble, t: int,
+                       z: np.ndarray) -> np.ndarray:
+    """C_t at states z of shape (k, m): fe integrated against the date-t kernel."""
+    mean = np.asarray(model.drift_fn(t, z), dtype=np.float64)
+    load = np.asarray(model.diffusion_fn(t, z), dtype=np.float64)
+    return gaussian_cell_sum(fe, mean, load)
+
+
 @dataclass(frozen=True)
 class BermudanValue:
     """Fitted Bermudan value functions over dates 0..T.
@@ -195,9 +203,7 @@ class BermudanValue:
             raise ValueError(f"continuation defined for t in 0..{T - 1}")
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         if self.mode == "later":
-            mean = np.asarray(self.spec.model.drift_fn(t, z), dtype=np.float64)
-            load = np.asarray(self.spec.model.diffusion_fn(t, z), dtype=np.float64)
-            return gaussian_cell_sum(self.flats[t], mean, load)
+            return _cell_continuation(self.spec.model, self.flats[t], t, z)
         return np.asarray(predict(self.now_models[t], z[:, :, None]), dtype=np.float64)
 
     def continuation_matrix(self, z_paths: np.ndarray) -> np.ndarray:
@@ -255,14 +261,9 @@ def price_regress_later(spec: ExerciseSpec, z_paths: np.ndarray, config) -> Berm
         flats[t] = fe
         zt = z_paths[:, :, t]
         if t == 0:
-            z0 = spec.model.z0[None, :]
-            mean = np.asarray(spec.model.drift_fn(0, z0), dtype=np.float64)
-            load = np.asarray(spec.model.diffusion_fn(0, z0), dtype=np.float64)
-            cont0 = float(gaussian_cell_sum(fe, mean, load)[0])
+            cont0 = float(_cell_continuation(spec.model, fe, 0, spec.model.z0[None, :])[0])
             break
-        mean = np.asarray(spec.model.drift_fn(t, zt), dtype=np.float64)
-        load = np.asarray(spec.model.diffusion_fn(t, zt), dtype=np.float64)
-        cont = gaussian_cell_sum(fe, mean, load)
+        cont = _cell_continuation(spec.model, fe, t, zt)
         labels = np.maximum(np.asarray(spec.payoffs[t](zt), dtype=np.float64), cont)
     g0 = float(np.asarray(spec.payoffs[0](spec.model.z0[None, :]), dtype=np.float64)[0])
     return BermudanValue(spec=spec, mode="later", value0=max(g0, cont0),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
                     standard_model, write_snapshot)
 from .ensemble import fit
 from .flat import flatten_model, load_flat, save_flat, write_flat_text
-from .measure import CopulaMeasure, ProductMeasure
+from .measure import ProductMeasure
 from .parallel import set_threads
 from .paths import BlackScholesModel, Payoff
 from .valuation import ValueSurface, value_surface
@@ -108,8 +108,7 @@ def _build_payoff(doc: dict) -> Payoff:
 
 def _build_model(doc: dict, payoff_kind: str) -> BlackScholesModel:
     """The payoff's standard model with the keys the config sets replaced."""
-    node = _section(doc, "model", {"kind", "d", "rate", "vol", "initial_price", "steps"})
-    _get(node, "model", "kind", str, "black_scholes", enum={"black_scholes"})
+    node = _section(doc, "model", {"d", "rate", "vol", "initial_price", "steps"})
     try:
         model = standard_model(payoff_kind, **_present(node, "model", {"d": int, "rate": float}))
         d = model.n_assets
@@ -126,21 +125,6 @@ def _build_model(doc: dict, payoff_kind: str) -> BlackScholesModel:
         return replace(model, **changes)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"model: {e}") from None
-
-
-def _build_measure(doc: dict, d: int, T: int):
-    node = _section(doc, "measure", {"kind", "theta"})
-    kind = _get(node, "measure", "kind", str, "product_normal",
-                enum={"product_normal", "clayton"})
-    try:
-        if kind == "clayton":
-            theta = _get(node, "measure", "theta", float)
-            if theta is None:
-                raise ConfigError("measure.theta is required for the clayton measure")
-            return CopulaMeasure.clayton(theta, d, T)
-        return ProductMeasure.standard_normal(d, T)
-    except ValueError as e:
-        raise ConfigError(f"measure: {e}") from None
 
 
 # settable keys and their types per estimator kind ("features", an int or "all",
@@ -193,7 +177,7 @@ class RunConfig:
     def __init__(self, doc: dict, args):
         if not isinstance(doc, dict):
             raise ConfigError("top-level config must be a mapping")
-        known = {"experiment", "model", "payoff", "measure", "plan", "estimator", "bermudan"}
+        known = {"experiment", "model", "payoff", "plan", "estimator", "bermudan"}
         for key in doc:
             if key not in known:
                 raise ConfigError(f"unknown section '{key}' "
@@ -214,7 +198,6 @@ class RunConfig:
     def european_plan(self) -> ExperimentPlan:
         payoff = _build_payoff(self.doc)
         model = _build_model(self.doc, payoff.kind)
-        measure = _build_measure(self.doc, model.n_assets, model.n_periods)
         node = _section(self.doc, "plan",
                         {"n_train", "n_valid", "n_test", "n_inner", "dates"})
         base = (paper_plan if self.scale == "paper" else desk_plan)(payoff.kind)
@@ -234,7 +217,7 @@ class RunConfig:
             fields["estimator"] = _build_estimator(self.doc["estimator"], "estimator")
         try:
             return replace(base, name=self.name, payoff=payoff, model=model, dates=dates,
-                           seed=self.seed, measure=measure, **fields)
+                           seed=self.seed, **fields)
         except ValueError as e:
             raise ConfigError(f"plan: {e}") from None
 
@@ -302,20 +285,25 @@ def _samples_meta(plan: ExperimentPlan) -> dict:
             "n_test": plan.n_test, "dims": [plan.model.n_assets, plan.model.n_periods]}
 
 
-def _check_samples_meta(out: Path, plan: ExperimentPlan) -> None:
-    """Reject samples that simulate drew for another seed, sizes or dims."""
-    path = out / "samples_meta.json"
+def _check_meta(path: Path, want: dict, stage: str, key=None) -> None:
+    """Reject an upstream artifact whose recorded fields differ from want.
+
+    path is the JSON file the upstream stage wrote; key picks the dict
+    within it that holds the fields.  stage names the stage that writes it.
+    """
     if not path.exists():
-        raise ArtifactError(f"missing samples_meta.json in {out} (run the simulate stage first)")
+        raise ArtifactError(f"missing {path.name} in {path.parent} "
+                            f"(run the {stage} stage first)")
     with open(path) as fh:
         meta = json.load(fh)
-    want = _samples_meta(plan)
-    bad = [key for key in want if meta.get(key) != want[key]]
+    if key is not None:
+        meta = meta.get(key) or {}
+    bad = [k for k in want if meta.get(k) != want[k]]
     if bad:
         raise ArtifactError(
-            "samples_meta.json records " + ", ".join(f"{k} {meta.get(k)}" for k in bad)
+            f"{path.name} records " + ", ".join(f"{k} {meta.get(k)}" for k in bad)
             + " but the config gives " + ", ".join(f"{k} {want[k]}" for k in bad)
-            + "; rerun simulate with this config")
+            + f"; rerun {stage} with this config")
 
 
 def _samples_path(out: Path) -> Path:
@@ -335,7 +323,7 @@ def cmd_train(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
     samples = _samples_path(out)
-    _check_samples_meta(out, plan)
+    _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
     x_train, y_train, x_valid, y_valid = _read_arrays(
         samples, "train_driver", "train_payoff", "valid_driver", "valid_payoff")
     name = plan.estimator_kind
@@ -344,7 +332,8 @@ def cmd_train(cfg: RunConfig) -> int:
     save_flat(fe, out / f"flat_{name}.npz")
     write_flat_text(fe, out / f"flat_{name}.txt")
     with open(out / "training.json", "w") as fh:
-        info = {"estimator": name, "n_cells": int(fe.n_cells), "seed": plan.seed}
+        info = {"estimator": name, "n_cells": int(fe.n_cells), "seed": plan.seed,
+                "config": asdict(plan.estimator)}
         if hasattr(fitted, "n_rounds"):
             info["rounds"] = int(fitted.n_rounds)
         json.dump(info, fh, indent=2, sort_keys=True)
@@ -377,10 +366,11 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
         raise ArtifactError(f"{flat_path.name} has dims (d, T) = {fe.dims} and samples.npz "
                             f"test drivers have {drivers}, but the config gives "
                             f"{dims}; rerun simulate and train with this config")
-    _check_samples_meta(out, plan)
-    measure = plan.measure
-    surface = value_surface(fe, measure, dates, x_test,
-                            meta={"estimator": name, "seed": plan.seed})
+    _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
+    config = asdict(plan.estimator)
+    _check_meta(out / "training.json", config, "train", key="config")
+    surface = value_surface(fe, ProductMeasure.standard_normal(*dims), dates, x_test,
+                            meta={"estimator": name, "seed": plan.seed, "config": config})
     del x_test  # the CSV write is the stage's memory peak
     surface.to_csv(out / f"value_surface_{name}.csv")
     surface.write_meta(out / f"value_surface_{name}.meta.json")
@@ -426,7 +416,9 @@ def cmd_risk(cfg: RunConfig) -> int:
         raise ArtifactError(f"value_surface_{name}.csv holds {surface.values.shape[0]} "
                             f"scenarios but samples.npz holds {n_test} test scenarios; "
                             "rerun the value stage")
-    _check_samples_meta(out, plan)
+    _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
+    _check_meta(out / f"value_surface_{name}.meta.json", asdict(plan.estimator), "value",
+                key="config")
     for t in (0, 1):
         if t not in surface.dates:
             raise ArtifactError(f"value surface lacks date {t}; rerun value with "

@@ -1,6 +1,9 @@
 """Tests for the oracle estimators, experiment plans, and report bundles."""
 
+import ast
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +267,44 @@ def test_write_snapshot_deterministic(tmp_path):
     assert "n_train: 5000" in text
     h3 = write_snapshot(tmp_path / "c.snapshot", plan, extras={"k": 1})
     assert h3 != h1
+
+
+def _with_model(plan, **changes):
+    return replace(plan, model=replace(plan.model, **changes))
+
+
+def _nine_asset_plan(vol_44):
+    vols = 0.2 * np.eye(9)
+    vols[4, 4] = vol_44
+    return _with_model(desk_plan("min_put"), initial_prices=np.ones(9), vols=vols)
+
+
+def _steps_plan(steps):
+    return _with_model(desk_plan("min_put"), steps=np.asarray(steps, dtype=np.float64))
+
+
+_GRID_100 = np.full(100, 0.01)
+
+
+@pytest.mark.parametrize("plan_a, plan_b, field", [
+    # one entry of an array above 64 elements
+    (_nine_asset_plan(0.2), _nine_asset_plan(0.3), "vols"),
+    (_steps_plan(_GRID_100), _steps_plan(np.where(np.arange(100) == 50, 0.02, 0.01)),
+     "steps"),
+    # a difference below the eighth digit
+    (_steps_plan([1 / 12, 11 / 12]), _steps_plan([1 / 12 + 1e-10, 11 / 12]), "steps"),
+])
+def test_snapshot_writes_arrays_exactly(tmp_path, plan_a, plan_b, field):
+    hashes = []
+    for tag, plan in (("a", plan_a), ("b", plan_b)):
+        hashes.append(write_snapshot(tmp_path / f"{tag}.snapshot", plan))
+        lines = (tmp_path / f"{tag}.snapshot").read_text().splitlines()
+        # every line carries its key, so an array never continues on a keyless line
+        assert all(re.match(r"^ *\w+:( |$)", line) for line in lines), lines
+        text, = [line.split(": ", 1)[1] for line in lines
+                 if line.strip().startswith(f"{field}:")]
+        assert ast.literal_eval(text) == getattr(plan.model, field).tolist()
+    assert hashes[0] != hashes[1]
 
 
 def test_bundle_hash_ignores_timings(tmp_path):

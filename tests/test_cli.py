@@ -31,7 +31,6 @@ from treeval.cli import (
 )
 from treeval.bench import sample_streams
 from treeval.ensemble import BoostConfig
-from treeval.measure import CopulaMeasure
 from treeval.paths import simulate_bs
 from treeval.valuation import _CSV_BLOCK, ValueSurface
 
@@ -168,16 +167,16 @@ def test_default_estimator_is_boost():
                                          max_depth=15, patience=20, seed=7)
 
 
-def test_clayton_measure_configuration():
-    doc = {"payoff": {"kind": "min_put"}, "model": {"d": 2},
-           "measure": {"kind": "clayton", "theta": 2.0}}
-    plan = RunConfig(doc, _ns()).european_plan()
-    assert isinstance(plan.measure, CopulaMeasure)
-    from treeval.cli import ConfigError
-
-    with pytest.raises(ConfigError, match="theta"):
-        RunConfig({"payoff": {"kind": "min_put"},
-                   "measure": {"kind": "clayton"}}, _ns()).european_plan()
+def test_readme_config_builds_both_plans():
+    # the README's example config must name only keys the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    cfg = RunConfig(yaml.safe_load(blocks[0]), _ns())
+    plan = cfg.european_plan()
+    assert (plan.payoff.kind, plan.model.n_assets, plan.estimator_kind) == \
+        ("min_put", 6, "boost")
+    assert cfg.has_bermudan and cfg.bermudan_plan().mode == "both"
 
 
 # ------------------------------------------------------------- stage chain
@@ -355,6 +354,13 @@ bermudan:
     (["bermudan"], "bermudan:\n  strike: -1.0\n", "strike"),
     (["bermudan"], "bermudan:\n  sigma: 0.0\n", "sigma"),
     (["bermudan"], "bermudan:\n  rate: 0.05\n", "unknown key 'bermudan.rate'"),
+    # the pipelines value under the N(0, 1) law their samplers draw; no other law is set
+    pytest.param(["simulate"], MICRO + "measure:\n  kind: clayton\n  theta: 2.0\n",
+                 "unknown section 'measure'", id="measure-clayton"),
+    pytest.param(["report"], MICRO + "measure:\n  kind: product_normal\n",
+                 "unknown section 'measure'", id="measure-product-normal"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  kind: black_scholes"),
+                 "unknown key 'model.kind'", id="model-kind"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)
@@ -473,6 +479,44 @@ def test_stages_check_every_samples_meta_field(tmp_path, capsys, field, recorded
             assert "missing samples_meta.json" in line
         else:
             assert f"records {field} {recorded}" in line, line
+    assert not (out / "risk.csv").exists()
+
+
+def test_stages_reject_a_model_of_other_estimator_settings(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = _cfg(tmp_path)
+    ns5 = _cfg(tmp_path, MICRO.replace("nodesize: 30", "nodesize: 5"), "ns5.yaml")
+    _staged(cfg, out, ("simulate", "train"))
+    capsys.readouterr()
+    assert json.loads((out / "training.json").read_text())["config"] == \
+        {"nodesize": 30, "max_depth": None, "features": "all", "seed": 7}
+    assert main(["value", "--config", ns5, "--out", str(out)]) == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT:") and "training.json" in line
+    assert "records nodesize 30 but the config gives nodesize 5" in line
+    assert not (out / "value_surface_tree.csv").exists()
+    _staged(cfg, out, ("value",))
+    capsys.readouterr()
+    assert json.loads((out / "value_surface_tree.meta.json").read_text())["config"] == \
+        json.loads((out / "training.json").read_text())["config"]
+    assert main(["risk", "--config", ns5, "--out", str(out)]) == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT:") and "value_surface_tree.meta.json" in line
+    assert "records nodesize 30 but the config gives nodesize 5" in line
+    assert not (out / "risk.csv").exists()
+
+
+@pytest.mark.parametrize("stage, name", [("value", "training.json"),
+                                         ("risk", "value_surface_tree.meta.json")])
+def test_stages_reject_a_missing_estimator_record(tmp_path, capsys, stage, name):
+    out = tmp_path / "run"
+    cfg = _cfg(tmp_path)
+    _staged(cfg, out, ("simulate", "train", "value"))
+    (out / name).unlink()
+    capsys.readouterr()
+    assert main([stage, "--config", cfg, "--out", str(out)]) == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith(f"MISSING_ARTIFACT: missing {name} in {out}"), line
     assert not (out / "risk.csv").exists()
 
 
