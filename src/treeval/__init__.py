@@ -19,9 +19,8 @@ from .flat import (FlatEnsemble, evaluate_flat, flatten_boost, flatten_forest,
 from .measure import (ClaytonCopula, CopulaMeasure, IndependenceCopula,
                       NormalMarginal, ProductMeasure, UniformMarginal,
                       normal_interval_prob, rect_prob)
-from .valuation import (RegressNowModel, ValueSurface, fit_regress_now,
-                        period_prob_matrix, tail_products, value_at,
-                        value_surface)
+from .valuation import (ValueSurface, period_prob_matrix, tail_products,
+                        value_at, value_surface)
 from .bermudan import (BermudanValue, ExerciseSpec, black_put_price,
                        gaussian_cell_sum, price_regress_later,
                        price_regress_now, stopping_distribution, stopping_rule)

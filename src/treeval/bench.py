@@ -34,7 +34,7 @@ from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
                     _stream_keys)
 from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
                    risk_report)
-from .valuation import ValueSurface, fit_regress_now, value_surface
+from .valuation import ValueSurface, value_surface
 
 # ------------------------------------------------------------------ oracles
 
@@ -162,6 +162,8 @@ class ExperimentPlan:
         if type(self.estimator) not in _KINDS:
             raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
         _check_resample(self.estimator, self.n_train)
+        if self.dates is not None:
+            _check_dates(self.dates, self.model.n_periods, "plan.dates", risk=True)
 
     @property
     def estimator_kind(self) -> str:
@@ -176,6 +178,21 @@ class ExperimentPlan:
     def eval_dates(self) -> tuple:
         return self.dates if self.dates is not None else \
             tuple(sorted({0, 1, self.model.n_periods}))
+
+
+def _check_dates(dates, T: int, what: str, risk: bool = False) -> tuple:
+    """dates as a tuple of distinct dates in 0..T, else ValueError naming what.
+
+    risk also requires dates 0 and 1, which the date-1 loss V_0 - V_1 reads.
+    """
+    if any(not 0 <= t <= T for t in dates):
+        raise ValueError(f"{what}: dates must lie in 0..{T}, got {list(dates)}")
+    if len(set(dates)) != len(dates):
+        raise ValueError(f"{what}: dates must be distinct, got {list(dates)}")
+    if risk and not {0, 1} <= set(dates):
+        raise ValueError(f"{what} must include 0 and 1 (risk reads V_0 - V_1), "
+                         f"got {list(dates)}")
+    return tuple(dates)
 
 
 def _check_resample(config, n_train: int) -> None:
@@ -589,16 +606,14 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
     z_test = simulate_localvol(spec.model, test)
     timings.append(("sampling", clock() - t0))
 
-    bv = bv_now = None
-    if plan.mode in ("later", "both"):
+    # the first fit gives the report's values and stopping; "both" adds regress-now
+    price = {"later": price_regress_later, "now": price_regress_now}
+    fitted = []
+    for mode in ("later", "now") if plan.mode == "both" else (plan.mode,):
         t0 = clock()
-        bv = price_regress_later(spec, z_train, plan.estimator)
-        timings.append(("fit_later", clock() - t0))
-    if plan.mode in ("now", "both"):
-        t0 = clock()
-        bv_now = price_regress_now(spec, z_train, plan.estimator)
-        timings.append(("fit_now", clock() - t0))
-    lead = bv if bv is not None else bv_now
+        fitted.append(price[mode](spec, z_train, plan.estimator))
+        timings.append((f"fit_{mode}", clock() - t0))
+    lead = fitted[0]
 
     t0 = clock()
     cont = lead.continuation_matrix(z_test)
@@ -607,11 +622,9 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
     true_v0 = float(black_put_price(plan.z0, plan.strike, 0.0, plan.sigma, plan.horizon))
     l2_rows = tuple((t, normalized_l2(values[:, t], truth[:, t], true_v0)) for t in range(T))
     stopping = stopping_distribution(lead, z_test, cont)
-    stopping_now = None
-    value0_now = None
-    if plan.mode == "both":
-        stopping_now = stopping_distribution(bv_now, z_test)
-        value0_now = bv_now.value0
+    stopping_now = value0_now = None
+    if len(fitted) == 2:
+        stopping_now, value0_now = stopping_distribution(fitted[1], z_test), fitted[1].value0
     timings.append(("evaluate", clock() - t0))
 
     config_hash = ""
@@ -658,6 +671,7 @@ def regress_now_date1(plan: ExperimentPlan, config=None) -> np.ndarray:
     """
     config = config if config is not None else plan.estimator
     train, valid, test = sample_streams(plan, ("train", "valid", "test")).values()
-    model = fit_regress_now(train.driver.data[:, :, 0], train.payoffs, config,
-                            (valid.driver.data[:, :, 0], valid.payoffs))
-    return model.predict(test.driver.data[:, :, 0])
+    # the first period alone, as a one-period driver
+    model = fit(config, train.driver.data[:, :, :1], train.payoffs,
+                (valid.driver.data[:, :, :1], valid.payoffs))
+    return np.asarray(predict(model, test.driver.data[:, :, :1]), dtype=np.float64)

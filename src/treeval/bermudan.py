@@ -55,13 +55,6 @@ def _step_seed(base_seed: int, t: int) -> int:
     return int(SeedSequence((base_seed, t)).generate_state(1, np.uint64)[0])
 
 
-def _fit_step(features: np.ndarray, labels: np.ndarray, config, t: int):
-    # the per-date seed needs a config dataclass; fit() then checks its kind
-    if not is_dataclass(config):
-        raise TypeError("config must be a TreeConfig, ForestConfig, or BoostConfig")
-    return fit(replace(config, seed=_step_seed(config.seed, t)), features, labels)
-
-
 def _phi_form(fe: FlatEnsemble):
     """Collapse one-dimensional cells into a weighted sum of normal cdfs.
 
@@ -163,30 +156,36 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
     return out
 
 
-def _cell_continuation(model: LocalVolModel, fe: FlatEnsemble, t: int,
-                       z: np.ndarray) -> np.ndarray:
-    """C_t at states z of shape (k, m): fe integrated against the date-t kernel."""
-    mean = np.asarray(model.drift_fn(t, z), dtype=np.float64)
-    load = np.asarray(model.diffusion_fn(t, z), dtype=np.float64)
-    return gaussian_cell_sum(fe, mean, load)
+def _continuation(model: LocalVolModel, mode: str, fitted, t: int,
+                  z: np.ndarray) -> np.ndarray:
+    """C_t at states z of shape (k, m) from the date-t model of either mode.
+
+    Regress-later integrates its flat fit against the date-t kernel;
+    regress-now predicts with its fit.
+    """
+    if mode == "later":
+        mean = np.asarray(model.drift_fn(t, z), dtype=np.float64)
+        load = np.asarray(model.diffusion_fn(t, z), dtype=np.float64)
+        return gaussian_cell_sum(fitted, mean, load)
+    return np.asarray(predict(fitted, z[:, :, None]), dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class BermudanValue:
     """Fitted Bermudan value functions over dates 0..T.
 
-    mode "later" stores flattened date-(t+1) value models whose
-    continuation is integrated in closed form; mode "now" stores direct
-    conditional-expectation models evaluated at Z_t.  value0 is the
-    date-0 price max(g_0(z0), continuation0).
+    models[t] gives the continuation C_t.  In mode "later" it is the
+    flattened fit of the date-(t+1) value on Z_{t+1}, integrated in
+    closed form; in mode "now" it is the fit of that value on Z_t,
+    evaluated by prediction.  value0 is the date-0 price
+    max(g_0(z0), continuation0).
     """
 
     spec: ExerciseSpec
     mode: str
     value0: float
     continuation0: float
-    flats: tuple = ()        # mode "later": flats[t] integrates to C_t
-    now_models: tuple = ()   # mode "now": now_models[t] predicts C_t(Z_t)
+    models: tuple
 
     @property
     def n_dates(self) -> int:
@@ -202,9 +201,7 @@ class BermudanValue:
         if not 0 <= t < T:
             raise ValueError(f"continuation defined for t in 0..{T - 1}")
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        if self.mode == "later":
-            return _cell_continuation(self.spec.model, self.flats[t], t, z)
-        return np.asarray(predict(self.now_models[t], z[:, :, None]), dtype=np.float64)
+        return _continuation(self.spec.model, self.mode, self.models[t], t, z)
 
     def continuation_matrix(self, z_paths: np.ndarray) -> np.ndarray:
         """C_t(Z_t) along state paths for t = 0..T-1, shape (k, T).
@@ -234,69 +231,59 @@ class BermudanValue:
         return out
 
 
-def _backward_labels(spec: ExerciseSpec, z_paths: np.ndarray):
-    g_T = spec.payoffs[-1](z_paths[:, :, -1])
-    return np.asarray(g_T, dtype=np.float64)
+def _backward_induction(spec: ExerciseSpec, z_paths: np.ndarray, config,
+                        mode: str) -> BermudanValue:
+    """Fit C_T-1 .. C_0 backward along training state paths (n, m, T+1).
+
+    Labels start as g_T(Z_T).  At date t they are fitted on Z_{t+1}
+    (mode "later", the fit then flattened) or on Z_t (mode "now"), each
+    date's fit seeded from the config seed and t; the fit gives C_t and
+    the labels roll back as max(g_t, C_t).
+    """
+    z_paths = np.asarray(z_paths, dtype=np.float64)
+    n, m, Tp1 = z_paths.shape
+    T = Tp1 - 1
+    if m != spec.model.n_state or T != spec.model.n_periods:
+        raise ValueError("state paths do not match the model dims")
+    # the per-date seed needs a config dataclass; fit() then checks its kind
+    if not is_dataclass(config):
+        raise TypeError("config must be a TreeConfig, ForestConfig, or BoostConfig")
+    later = mode == "later"
+    labels = np.asarray(spec.payoffs[T](z_paths[:, :, T]), dtype=np.float64)
+    models = [None] * T
+    for t in range(T - 1, -1, -1):
+        step = replace(config, seed=_step_seed(config.seed, t))
+        fitted = fit(step, z_paths[:, :, t + 1 if later else t, None], labels)
+        models[t] = flatten_model(fitted) if later else fitted
+        # C_0: regress-later integrates at z0 alone; regress-now predicts on
+        # the n training states, which all equal z0, and keeps the first
+        zt = spec.model.z0[None, :] if later and t == 0 else z_paths[:, :, t]
+        cont = _continuation(spec.model, mode, models[t], t, zt)
+        if t > 0:
+            labels = np.maximum(np.asarray(spec.payoffs[t](zt), dtype=np.float64), cont)
+    cont0 = float(cont[0])
+    g0 = float(np.asarray(spec.payoffs[0](spec.model.z0[None, :]), dtype=np.float64)[0])
+    return BermudanValue(spec=spec, mode=mode, value0=max(g0, cont0),
+                         continuation0=cont0, models=tuple(models))
 
 
 def price_regress_later(spec: ExerciseSpec, z_paths: np.ndarray, config) -> BermudanValue:
-    """Backward induction with closed-form continuation values.
+    """Regress-later: fit each date-(t+1) value on Z_{t+1}, integrate it in closed form.
 
-    z_paths holds training state paths of shape (n, m, T+1).  At each
-    date the date-(t+1) value cross-section is fitted as a function of
-    Z_{t+1}, flattened, and integrated against the Gaussian transition
-    kernel to give C_t; labels then roll back as max(g_t, C_t).
+    z_paths holds training state paths of shape (n, m, T+1).  Each
+    flattened fit is integrated against the Gaussian transition kernel
+    to give C_t.
     """
-    z_paths = np.asarray(z_paths, dtype=np.float64)
-    n, m, Tp1 = z_paths.shape
-    T = Tp1 - 1
-    if m != spec.model.n_state or T != spec.model.n_periods:
-        raise ValueError("state paths do not match the model dims")
-    labels = _backward_labels(spec, z_paths)
-    flats = [None] * T
-    cont0 = 0.0
-    for t in range(T - 1, -1, -1):
-        fitted = _fit_step(z_paths[:, :, t + 1][:, :, None], labels, config, t)
-        fe = flatten_model(fitted)
-        flats[t] = fe
-        zt = z_paths[:, :, t]
-        if t == 0:
-            cont0 = float(_cell_continuation(spec.model, fe, 0, spec.model.z0[None, :])[0])
-            break
-        cont = _cell_continuation(spec.model, fe, t, zt)
-        labels = np.maximum(np.asarray(spec.payoffs[t](zt), dtype=np.float64), cont)
-    g0 = float(np.asarray(spec.payoffs[0](spec.model.z0[None, :]), dtype=np.float64)[0])
-    return BermudanValue(spec=spec, mode="later", value0=max(g0, cont0),
-                         continuation0=cont0, flats=tuple(flats))
+    return _backward_induction(spec, z_paths, config, "later")
 
 
 def price_regress_now(spec: ExerciseSpec, z_paths: np.ndarray, config) -> BermudanValue:
-    """Backward induction with direct conditional-expectation regression.
+    """Regress-now: fit each date-(t+1) value on Z_t and use the fit as C_t.
 
-    At each date the next-date value cross-section is regressed on the
-    current state Z_t; the fitted model itself is used as C_t.  At t = 0
-    the features are constant, so the model degenerates to the plain
-    average, which is the correct date-0 continuation.
+    At t = 0 the features are constant, so the model degenerates to the
+    plain average, which is the correct date-0 continuation.
     """
-    z_paths = np.asarray(z_paths, dtype=np.float64)
-    n, m, Tp1 = z_paths.shape
-    T = Tp1 - 1
-    if m != spec.model.n_state or T != spec.model.n_periods:
-        raise ValueError("state paths do not match the model dims")
-    labels = _backward_labels(spec, z_paths)
-    models = [None] * T
-    for t in range(T - 1, -1, -1):
-        fitted = _fit_step(z_paths[:, :, t][:, :, None], labels, config, t)
-        models[t] = fitted
-        zt = z_paths[:, :, t]
-        cont = np.asarray(predict(fitted, zt[:, :, None]), dtype=np.float64)
-        if t == 0:
-            cont0 = float(cont[0])
-            break
-        labels = np.maximum(np.asarray(spec.payoffs[t](zt), dtype=np.float64), cont)
-    g0 = float(np.asarray(spec.payoffs[0](spec.model.z0[None, :]), dtype=np.float64)[0])
-    return BermudanValue(spec=spec, mode="now", value0=max(g0, cont0),
-                         continuation0=cont0, now_models=tuple(models))
+    return _backward_induction(spec, z_paths, config, "now")
 
 
 def stopping_rule(bv: BermudanValue, z_paths: np.ndarray,

@@ -22,7 +22,7 @@ import yaml
 from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
                     desk_plan, oracle_v0, oracle_v1, paper_bermudan_plan, paper_plan,
                     risk_stage, run_bermudan, run_experiment, sample_streams,
-                    standard_model, write_snapshot)
+                    standard_model, write_snapshot, _check_dates as _date_rule)
 from .ensemble import fit
 from .flat import flatten_model, load_flat, save_flat, write_flat_text
 from .measure import ProductMeasure
@@ -209,10 +209,7 @@ class RunConfig:
         if dates is not None:
             if not isinstance(dates, list) or not all(isinstance(t, int) for t in dates):
                 raise ConfigError("plan.dates must be a list of integers")
-            dates = _check_dates(dates, model.n_periods, "plan.dates")
-            if not {0, 1} <= set(dates):
-                raise ConfigError(f"plan.dates must include 0 and 1 (risk reads V_0 - V_1), "
-                                  f"got {list(dates)}")
+            dates = _check_dates(dates, model.n_periods, "plan.dates", risk=True)
         if self.doc.get("estimator") is not None:
             fields["estimator"] = _build_estimator(self.doc["estimator"], "estimator")
         try:
@@ -234,12 +231,12 @@ class RunConfig:
         return self.out
 
 
-def _check_dates(dates, T: int, what: str) -> tuple:
-    if any(not 0 <= t <= T for t in dates):
-        raise ConfigError(f"{what}: dates must lie in 0..{T}, got {list(dates)}")
-    if len(set(dates)) != len(dates):
-        raise ConfigError(f"{what}: dates must be distinct, got {list(dates)}")
-    return tuple(dates)
+def _check_dates(dates, T: int, what: str, risk: bool = False) -> tuple:
+    # the plan's date rule, its ValueError a config error with the same message
+    try:
+        return _date_rule(dates, T, what, risk)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def load_config(args) -> RunConfig:

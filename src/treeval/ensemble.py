@@ -190,7 +190,7 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
         if valid_responses is None:
             raise ValueError("valid_sample requires valid_responses")
         vX, _ = _as_points(valid_sample, dims)
-        vy = np.asarray(valid_responses, dtype=np.float64)
+        vy = _check_responses(valid_responses, vX.shape[0])
 
     base = float(np.mean(y))
     cur = np.full(y.size, base)

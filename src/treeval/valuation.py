@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cart import _as_points
-from .ensemble import fit, predict
 from .flat import FlatEnsemble, weighted_membership
 
 # scenarios formatted per write in ValueSurface.to_csv; bounds the row strings held at once
@@ -128,37 +127,3 @@ def value_surface(fe: FlatEnsemble, measure, dates: Sequence[int], scenarios,
         else:
             out[:, col] = weighted_membership(X, fe.lo, fe.hi, w, t * d)
     return ValueSurface(dates=dates, values=out, meta=dict(meta or {}))
-
-
-@dataclass(frozen=True)
-class RegressNowModel:
-    """Date-1 value model regressed directly on the first-period driver."""
-
-    model: object
-
-    def predict(self, x1: np.ndarray) -> np.ndarray:
-        """Evaluate at first-period cross-sections x1 of shape (k, d)."""
-        x1 = np.asarray(x1, dtype=np.float64)
-        if x1.ndim != 2:
-            raise ValueError("x1 must have shape (k, d)")
-        return np.asarray(predict(self.model, x1[:, :, None]), dtype=np.float64)
-
-
-def fit_regress_now(x1: np.ndarray, responses, config, valid=None) -> RegressNowModel:
-    """Regress date-T cash flows on the first-period driver only.
-
-    This is the classical regress-now estimator of the date-1 value: it
-    predicts well along observed states but knows nothing about later
-    periods.  config may be a TreeConfig, ForestConfig, or BoostConfig.
-    valid is an optional (x1_valid, responses_valid) pair of the same
-    layout; boosting uses it for early stopping.
-    """
-    def as_driver(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("x1 must have shape (n, d)")
-        return x[:, :, None]
-
-    if valid is not None:
-        valid = (as_driver(valid[0]), valid[1])
-    return RegressNowModel(model=fit(config, as_driver(x1), responses, valid))

@@ -35,7 +35,7 @@ from treeval.bench import (
     write_snapshot,
 )
 from treeval.cart import TreeConfig
-from treeval.ensemble import BoostConfig, ForestConfig
+from treeval.ensemble import BoostConfig, ForestConfig, fit, predict
 from treeval.parallel import get_threads, set_threads
 from treeval.paths import (
     STREAM_INNER,
@@ -47,7 +47,6 @@ from treeval.paths import (
     simulate_bs,
     stream_rng,
 )
-from treeval.valuation import fit_regress_now
 
 # ----------------------------------------------------------------- oracles
 
@@ -208,6 +207,12 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(name="x", payoff=payoff, model=model,
                        estimator=TreeConfig(), n_valid=0)
+    # dates the run cannot serve fail here, not after sampling, the oracles and the fit
+    for dates, needle in (((0, 2), "must include 0 and 1"), ((0, 1, 7), "must lie in 0..2"),
+                          ((1, 1, 0), "must be distinct")):
+        with pytest.raises(ValueError, match=needle):
+            ExperimentPlan(name="x", payoff=payoff, model=model,
+                           estimator=TreeConfig(), dates=dates)
 
 
 def test_paper_rf_grid_combos():
@@ -370,10 +375,10 @@ def test_regress_now_date1_stops_a_boost_on_the_valid_stream():
     plan = _micro_plan(estimator=BoostConfig(rounds=60, learning_rate=0.5, nodesize=5,
                                              patience=2))
     train, valid, test = sample_streams(plan).values()
-    model = fit_regress_now(train.driver.data[:, :, 0], train.payoffs, plan.estimator,
-                            (valid.driver.data[:, :, 0], valid.payoffs))
-    assert model.model.n_rounds < 60
-    assert np.array_equal(regress_now_date1(plan), model.predict(test.driver.data[:, :, 0]))
+    model = fit(plan.estimator, train.driver.data[:, :, :1], train.payoffs,
+                (valid.driver.data[:, :, :1], valid.payoffs))
+    assert model.n_rounds < 60
+    assert np.array_equal(regress_now_date1(plan), predict(model, test.driver.data[:, :, :1]))
 
 
 # ---------------------------------------------------------- Bermudan harness
@@ -454,3 +459,21 @@ def test_run_bermudan_forest_bundle_same_at_one_and_two_threads(tmp_path):
     finally:
         set_threads(before)
     assert h[0] == h[1]
+
+
+@pytest.mark.parametrize("estimator", [
+    ForestConfig(n_trees=6, nodesize=20, features=1, seed=11),
+    BoostConfig(rounds=20, learning_rate=0.3, nodesize=20, max_depth=3, seed=5),
+], ids=["forest", "boost"])
+def test_run_bermudan_both_is_later_plus_now(tmp_path, estimator):
+    """One backward loop serves both modes; a "both" run leaks nothing between them."""
+    plan = BermudanPlan(n_train=400, n_test=700, n_dates=3, seed=4, estimator=estimator)
+    rep = {mode: run_bermudan(replace(plan, mode=mode), out_dir=tmp_path / mode)
+           for mode in ("both", "later", "now")}
+    assert np.array_equal(rep["both"].stopping, rep["later"].stopping)
+    assert rep["both"].value0 == rep["later"].value0
+    assert (tmp_path / "both" / "bermudan_l2.csv").read_bytes() == \
+        (tmp_path / "later" / "bermudan_l2.csv").read_bytes()
+    assert np.array_equal(rep["both"].stopping_now, rep["now"].stopping)
+    assert rep["both"].value0_now == rep["now"].value0
+    assert rep["later"].stopping_now is None and rep["now"].value0_now is None

@@ -367,9 +367,9 @@ def test_regress_now_continuation_is_model_prediction():
     z = simulate_localvol(model, x)
     bv = price_regress_now(spec, z, TreeConfig(nodesize=30))
     assert bv.mode == "now"
-    assert len(bv.now_models) == T and bv.flats == ()
+    assert len(bv.models) == T
     z1 = z[:40, :, 1]
     from treeval.ensemble import predict
 
-    want = predict(bv.now_models[1], z1[:, :, None])
+    want = predict(bv.models[1], z1[:, :, None])
     assert np.array_equal(bv.continuation(1, z1), want)

@@ -6,7 +6,9 @@ artifact handoff between stages.
 """
 
 import argparse
+import ast
 import csv
+import importlib
 import json
 import os
 import re
@@ -177,6 +179,24 @@ def test_readme_config_builds_both_plans():
     assert (plan.payoff.kind, plan.model.n_assets, plan.estimator_kind) == \
         ("min_put", 6, "boost")
     assert cfg.has_bermudan and cfg.bermudan_plan().mode == "both"
+
+
+def test_readme_python_blocks_import_only_existing_names():
+    # parsed, not run: every name a README example imports from treeval must exist
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    imported = []
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "treeval":
+                imported += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(alias.name, None) for alias in node.names
+                             if alias.name.split(".")[0] == "treeval"]
+    assert blocks and imported
+    for module, name in imported:
+        mod = importlib.import_module(module)
+        assert name is None or hasattr(mod, name), f"README imports {name} from {module}"
 
 
 # ------------------------------------------------------------- stage chain

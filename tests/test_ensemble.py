@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
 from treeval.cart import TreeConfig, _as_points, _predict_points, fit_tree, predict_tree
-from treeval.ensemble import (BoostConfig, ForestConfig, _resample_rows, fit_boost,
+from treeval.ensemble import (BoostConfig, ForestConfig, _resample_rows, fit, fit_boost,
                               fit_forest, predict)
 from treeval.paths import sample_driver
 
@@ -189,6 +189,20 @@ def test_boost_validation_requires_responses(toy):
         fit_boost(x, y, BoostConfig(rounds=2), valid_sample=x)
 
 
+@pytest.mark.parametrize("spoil, needle", [
+    (lambda vy: np.where(np.arange(vy.size) == 17, np.nan, vy), "non-finite"),
+    (lambda vy: vy[:1], "one entry per path"),  # would broadcast against every point
+], ids=["one-nan", "one-response"])
+def test_boost_rejects_bad_validation_responses(spoil, needle):
+    # either used to pass silently and keep 0 rounds
+    rng = np.random.default_rng(26)
+    x, vx = rng.standard_normal((200, 1, 2)), rng.standard_normal((100, 1, 2))
+    y, vy = rng.standard_normal(200), rng.standard_normal(100)
+    with pytest.raises(ValueError, match=needle):
+        fit_boost(x, y, BoostConfig(rounds=30, learning_rate=0.5, nodesize=2, patience=3),
+                  valid_sample=vx, valid_responses=spoil(vy))
+
+
 def test_boost_config_validation():
     with pytest.raises(ValueError):
         BoostConfig(rounds=0)
@@ -211,6 +225,19 @@ def test_boost_refit_is_deterministic(toy):
 def test_predict_rejects_unknown_models():
     with pytest.raises(TypeError):
         predict(object(), np.zeros((1, 1, 1)))
+
+
+def test_fit_rejects_unknown_configs_and_foreign_layouts():
+    # a regress-now fit on a one-period slice relies on these checks
+    rng = np.random.default_rng(59)
+    x, xv = rng.standard_normal((200, 2, 1)), rng.standard_normal((100, 2, 1))
+    y, yv = rng.standard_normal(200), rng.standard_normal(100)
+    with pytest.raises(TypeError):
+        fit("boost", x, y)
+    with pytest.raises(ValueError, match="expected d\\*T = 2"):
+        fit(BoostConfig(rounds=5, patience=3), x, y, (xv[:, 0, 0], yv))
+    with pytest.raises(ValueError, match="expected d\\*T = 2"):
+        predict(fit(TreeConfig(), x, y), np.zeros(3))
 
 
 def test_predict_single_point_shapes(toy):

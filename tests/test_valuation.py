@@ -12,8 +12,7 @@ from treeval.ensemble import BoostConfig, fit_boost, predict
 from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
 from treeval.measure import ProductMeasure
 from treeval.paths import sample_driver
-from treeval.valuation import (RegressNowModel, ValueSurface, fit_regress_now,
-                               period_prob_matrix, tail_products, value_at,
+from treeval.valuation import (ValueSurface, period_prob_matrix, tail_products, value_at,
                                value_surface)
 
 
@@ -145,41 +144,6 @@ def test_value_surface_csv_round_trip(tmp_path, fitted_flat):
     meta_path = tmp_path / "surface.meta.json"
     surf.write_meta(meta_path)
     assert json.loads(meta_path.read_text()) == {"estimator": "boost", "seed": 57}
-
-
-def test_regress_now_recovers_first_period_function():
-    # when y depends only on x1, the regress-now tree interpolates it
-    rng = np.random.default_rng(58)
-    x1 = rng.standard_normal((100, 2))
-    y = np.sign(x1[:, 0]) + 0.5 * np.sign(x1[:, 1])
-    model = fit_regress_now(x1, y, TreeConfig(nodesize=2))
-    np.testing.assert_allclose(model.predict(x1), y, rtol=0, atol=1e-12)
-
-
-def test_regress_now_boost_stops_early_on_validation_pair():
-    # responses are noise: with a validation pair the boost keeps few rounds
-    rng = np.random.default_rng(59)
-    x1, xv = rng.standard_normal((200, 2)), rng.standard_normal((100, 2))
-    y, yv = rng.standard_normal(200), rng.standard_normal(100)
-    cfg = BoostConfig(rounds=40, learning_rate=0.5, nodesize=2, patience=3)
-    grown = fit_regress_now(x1, y, cfg).model
-    stopped = fit_regress_now(x1, y, cfg, (xv, yv)).model
-    assert grown.n_rounds == 40
-    assert stopped.n_rounds < 10
-    assert stopped.n_rounds == fit_boost(x1[:, :, None], y, cfg, xv[:, :, None], yv).n_rounds
-    with pytest.raises(ValueError):
-        fit_regress_now(x1, y, cfg, (xv[:, 0], yv))
-
-
-def test_regress_now_validation():
-    with pytest.raises(TypeError):
-        fit_regress_now(np.zeros((4, 1)), np.zeros(4), config="boost")
-    with pytest.raises(ValueError):
-        fit_regress_now(np.zeros(4), np.zeros(4), TreeConfig())
-    model = fit_regress_now(np.zeros((4, 1)) + np.arange(4)[:, None],
-                            np.arange(4.0), TreeConfig())
-    with pytest.raises(ValueError):
-        model.predict(np.zeros(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
