@@ -7,9 +7,9 @@ value process, risk measures, and early-exercise prices analytically.
 """
 
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
-                    BlackScholesModel, DriverSample, LocalVolModel, Payoff,
-                    log_bs_localvol, payoff_value, sample_driver, simulate_bs,
-                    simulate_localvol, stream_rng)
+                    BlackScholesModel, LocalVolModel, Payoff, log_bs_localvol,
+                    payoff_value, sample_driver, simulate_bs, simulate_localvol,
+                    stream_rng)
 from .cart import RegressionTree, TreeConfig, best_split, fit_tree, predict_tree
 from .ensemble import (BoostConfig, FittedBoost, FittedForest, ForestConfig,
                        fit, fit_boost, fit_forest, predict)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,10 +29,9 @@ from .flat import flatten_model
 from .measure import ProductMeasure
 from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
-                    BlackScholesModel, DriverSample, Payoff, log_bs_localvol,
-                    payoff_value, sample_driver, simulate_bs,
-                    simulate_localvol, _keyed_bits, _normal_from_bits,
-                    _stream_keys)
+                    BlackScholesModel, Payoff, log_bs_localvol, payoff_value,
+                    sample_driver, simulate_bs, simulate_localvol, _keyed_bits,
+                    _normal_from_bits, _stream_keys)
 from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
                    risk_report)
 from .valuation import ValueSurface, value_surface
@@ -163,7 +163,8 @@ class ExperimentPlan:
             raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
         _check_resample(self.estimator, self.n_train)
         if self.dates is not None:
-            _check_dates(self.dates, self.model.n_periods, "plan.dates", risk=True)
+            object.__setattr__(self, "dates", _check_dates(
+                self.dates, self.model.n_periods, "plan.dates", risk=True))
 
     @property
     def estimator_kind(self) -> str:
@@ -181,10 +182,13 @@ class ExperimentPlan:
 
 
 def _check_dates(dates, T: int, what: str, risk: bool = False) -> tuple:
-    """dates as a tuple of distinct dates in 0..T, else ValueError naming what.
+    """dates as a tuple of distinct integer dates in 0..T, else ValueError naming what.
 
     risk also requires dates 0 and 1, which the date-1 loss V_0 - V_1 reads.
     """
+    if not all(isinstance(t, numbers.Integral) for t in dates):
+        raise ValueError(f"{what}: dates must be integers, got {list(dates)}")
+    dates = tuple(int(t) for t in dates)
     if any(not 0 <= t <= T for t in dates):
         raise ValueError(f"{what}: dates must lie in 0..{T}, got {list(dates)}")
     if len(set(dates)) != len(dates):
@@ -192,7 +196,7 @@ def _check_dates(dates, T: int, what: str, risk: bool = False) -> tuple:
     if risk and not {0, 1} <= set(dates):
         raise ValueError(f"{what} must include 0 and 1 (risk reads V_0 - V_1), "
                          f"got {list(dates)}")
-    return tuple(dates)
+    return dates
 
 
 def _check_resample(config, n_train: int) -> None:
@@ -259,7 +263,7 @@ _STREAMS = {"train": STREAM_TRAIN, "valid": STREAM_VALID, "test": STREAM_TEST}
 
 
 class StreamSample(NamedTuple):
-    driver: DriverSample
+    driver: np.ndarray  # (n, d, T) driver paths
     payoffs: np.ndarray  # (n,) discounted payoffs
 
 
@@ -462,7 +466,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
 
     t0 = clock()
     v0, v0_se = oracle_v0(y_test)
-    v1, v1_se = oracle_v1(plan.payoff, plan.model, test.driver.data[:, :, 0], plan.n_inner,
+    v1, v1_se = oracle_v1(plan.payoff, plan.model, test.driver[:, :, 0], plan.n_inner,
                           plan.seed)
     timings.append(("oracles", clock() - t0))
     if v0 == 0:
@@ -672,6 +676,6 @@ def regress_now_date1(plan: ExperimentPlan, config=None) -> np.ndarray:
     config = config if config is not None else plan.estimator
     train, valid, test = sample_streams(plan, ("train", "valid", "test")).values()
     # the first period alone, as a one-period driver
-    model = fit(config, train.driver.data[:, :, :1], train.payoffs,
-                (valid.driver.data[:, :, :1], valid.payoffs))
-    return np.asarray(predict(model, test.driver.data[:, :, :1]), dtype=np.float64)
+    model = fit(config, train.driver[:, :, :1], train.payoffs,
+                (valid.driver[:, :, :1], valid.payoffs))
+    return np.asarray(predict(model, test.driver[:, :, :1]), dtype=np.float64)

@@ -25,8 +25,8 @@ assets over T periods is a row of P = d*T columns, and column
 ``c = s*d + j`` holds asset j of period s+1.  The first ``t*d`` columns
 therefore describe the first t periods, which is what conditional
 valuation slices on.  ``_as_points`` is the one place where the other
-accepted layouts (a DriverSample, (k, d, T) batches, a single (d, T)
-point) are turned into these rows; everything past it works on (k, P).
+accepted layouts ((k, d, T) batches, a single (d, T) point) are turned
+into these rows; everything past it works on (k, P).
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-
-from .paths import DriverSample
 
 _LEAF = -1
 
@@ -147,17 +145,14 @@ def _time_major(a: np.ndarray) -> np.ndarray:
 def _as_points(x, dims) -> tuple:
     """Coerce points to time-major rows; every public entry point reads points here.
 
-    Accepts a DriverSample, a batch (k, d, T), a single point (d, T),
-    flat rows (k, P) or a single flat point (P,), with P = d*T and
-    dims = (d, T).  A 2-D input whose shape equals dims is one (d, T)
-    point; any other 2-D input is flat rows.  Returns (X, single): X
-    has shape (k, P) and single says the input was one point.  Raises
-    ValueError when the layout does not match dims or a coordinate is
-    not finite.
+    Accepts a batch (k, d, T), a single point (d, T), flat rows (k, P)
+    or a single flat point (P,), with P = d*T and dims = (d, T).  A 2-D
+    input whose shape equals dims is one (d, T) point; any other 2-D
+    input is flat rows.  Returns (X, single): X has shape (k, P) and
+    single says the input was one point.  Raises ValueError when the
+    layout does not match dims or a coordinate is not finite.
     """
     d, T = dims
-    if isinstance(x, DriverSample):
-        x = x.data
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1 or x.shape == (d, T)
     if x.ndim == 2 and single:
@@ -178,10 +173,10 @@ def _as_points(x, dims) -> tuple:
 
 
 def _training_points(sample) -> tuple:
-    """(X, dims) of a training sample: a DriverSample or an (n, d, T) array."""
-    dims = sample.data.shape[1:] if isinstance(sample, DriverSample) else np.shape(sample)[1:]
+    """(X, dims) of a training sample, an (n, d, T) array."""
+    dims = np.shape(sample)[1:]
     if len(dims) != 2:
-        raise ValueError("sample must be a DriverSample or an (n, d, T) array")
+        raise ValueError("sample must be an (n, d, T) array")
     return _as_points(sample, dims)[0], dims
 
 
@@ -490,8 +485,8 @@ def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig(),
              rng: Optional[Generator] = None) -> RegressionTree:
     """Grow a regression tree on driver paths against responses.
 
-    sample may be a DriverSample or an (n, d, T) array; responses must
-    be finite with one entry per path.
+    sample is an (n, d, T) array; responses must be finite with one
+    entry per path.
     """
     X, dims = _training_points(sample)
     return _grow_tree(X, responses, cfg, dims, rng)

@@ -262,7 +262,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     streams = sample_streams(plan)
     arrays = {}
     for tag, s in streams.items():
-        arrays[f"{tag}_driver"] = s.driver.data
+        arrays[f"{tag}_driver"] = s.driver
         arrays[f"{tag}_payoff"] = s.payoffs
     # stored, not deflated: random float64 barely compresses, and the later
     # stages read only these arrays (np.load reads deflated archives too)
@@ -355,6 +355,8 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
     flat_path = out / f"flat_{name}.npz"
     if not flat_path.exists():
         raise ArtifactError(f"missing {flat_path.name} in {out} (run the train stage first)")
+    config = asdict(plan.estimator)
+    _check_meta(out / "training.json", config, "train", key="config")
     fe = load_flat(flat_path)
     x_test, = _read_arrays(samples, "test_driver")
     drivers = tuple(x_test.shape[1:])
@@ -364,8 +366,6 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
                             f"test drivers have {drivers}, but the config gives "
                             f"{dims}; rerun simulate and train with this config")
     _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
-    config = asdict(plan.estimator)
-    _check_meta(out / "training.json", config, "train", key="config")
     surface = value_surface(fe, ProductMeasure.standard_normal(*dims), dates, x_test,
                             meta={"estimator": name, "seed": plan.seed, "config": config})
     del x_test  # the CSV write is the stage's memory peak
@@ -391,6 +391,9 @@ def _load_surface(path: Path) -> ValueSurface:
                             "(rerun the value stage)")
     ids, t, value = rows.T
     dates = np.unique(t)
+    if (dates % 1 != 0).any():  # also NaN and inf
+        raise ArtifactError(f"{path.name}: dates must be integers, got "
+                            f"{dates.tolist()} (rerun the value stage)")
     k = ids.size // dates.size
     order = np.lexsort((ids, t))  # date-major, then scenario id
     if ids.size != dates.size * k or \

@@ -15,7 +15,7 @@ tracks validation error and rolls back to the best iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

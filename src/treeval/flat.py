@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import RegressionTree, _as_points, _time_major
+from .cart import RegressionTree, _as_points
 
 _TEXT_HEADER = "treeval-flat 1"
 
@@ -222,14 +222,10 @@ def save_flat(fe: FlatEnsemble, path) -> None:
 
 
 def load_flat(path) -> FlatEnsemble:
-    """Read save_flat output, including files that store (N, d, T) lows / highs."""
+    """Read save_flat output."""
     with np.load(path) as z:
-        dims = tuple(int(v) for v in z["dims"])
-        if "lows" in z:
-            lo, hi = _time_major(z["lows"]), _time_major(z["highs"])
-        else:
-            lo, hi = z["lo"], z["hi"]
-        return FlatEnsemble(lo=lo, hi=hi, values=z["values"], dims=dims)
+        return FlatEnsemble(lo=z["lo"], hi=z["hi"], values=z["values"],
+                            dims=tuple(int(v) for v in z["dims"]))
 
 
 def write_flat_text(fe: FlatEnsemble, path) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -139,51 +139,14 @@ def _normal_from_bits(raw: np.ndarray) -> np.ndarray:
     return ndtri(u)
 
 
-@dataclass(frozen=True)
-class DriverSample:
-    """n driver paths: i.i.d. standard normal vectors over T periods.
+def sample_driver(n: int, d: int, T: int, seed: int, stream: tuple = (STREAM_TRAIN,)) -> np.ndarray:
+    """n independent driver paths of dimension d over T periods, shape (n, d, T).
 
-    Attributes
-    ----------
-    data : ndarray, shape (n, d, T)
-        ``data[i, :, s]`` is the period-(s+1) innovation of path i.
-    seed : int
-        Seed the sample was drawn from.
-    stream : tuple of int
-        Stream tags used alongside the seed.
+    ``x[i, :, s]`` is the period-(s+1) innovation of path i.
     """
-
-    data: np.ndarray
-    seed: int
-    stream: tuple = (STREAM_TRAIN,)
-
-    def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ValueError("driver sample must have shape (n, d, T)")
-        n, d, T = self.data.shape
-        if min(n, d, T) < 1:
-            raise ValueError("driver sample dimensions must all be >= 1")
-        if not np.isfinite(self.data).all():
-            raise ValueError("driver sample contains non-finite entries")
-
-    @property
-    def dims(self) -> tuple:
-        return self.data.shape
-
-    def flat(self) -> np.ndarray:
-        """Time-major flattening, shape (n, T*d): column s*d + j holds
-        coordinate j of period s+1."""
-        from .cart import _time_major  # cart imports this module
-        return _time_major(self.data)
-
-
-def sample_driver(n: int, d: int, T: int, seed: int, stream: tuple = (STREAM_TRAIN,)) -> DriverSample:
-    """Draw n independent driver paths of dimension d over T periods."""
     if min(n, d, T) < 1:
         raise ValueError("n, d, T must all be >= 1")
-    rng = stream_rng(seed, *stream)
-    data = _normal_from_bits(_draw_bits(rng, (n, d, T)))
-    return DriverSample(data=data, seed=seed, stream=tuple(stream))
+    return _normal_from_bits(_draw_bits(stream_rng(seed, *stream), (n, d, T)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +184,7 @@ class BlackScholesModel:
         return self.steps.size
 
 
-def simulate_bs(model: BlackScholesModel, x: DriverSample | np.ndarray) -> np.ndarray:
+def simulate_bs(model: BlackScholesModel, x: np.ndarray) -> np.ndarray:
     """Price paths under the model driven by x.
 
     Returns an array of shape (n, d, T+1) with ``prices[:, :, 0]`` equal
@@ -230,7 +193,7 @@ def simulate_bs(model: BlackScholesModel, x: DriverSample | np.ndarray) -> np.nd
         S_{i,t} = S_{i,t-1} * exp(sigma_i^T X_t sqrt(Delta_t)
                                   + (r - |sigma_i|^2 / 2) Delta_t).
     """
-    data = x.data if isinstance(x, DriverSample) else np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     n, d, T = data.shape
     if d != model.n_assets or T != model.n_periods:
         raise ValueError("driver dims do not match model dims")
@@ -329,9 +292,9 @@ class LocalVolModel:
         return self.z0.size
 
 
-def simulate_localvol(model: LocalVolModel, x: DriverSample | np.ndarray) -> np.ndarray:
+def simulate_localvol(model: LocalVolModel, x: np.ndarray) -> np.ndarray:
     """State paths of shape (n, m, T+1) with ``z[:, :, 0] = z0``."""
-    data = x.data if isinstance(x, DriverSample) else np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     n, d, T = data.shape
     if d != model.n_driver or T != model.n_periods:
         raise ValueError("driver dims do not match model dims")

@@ -17,6 +17,7 @@ model evaluation on the full path.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -109,11 +110,14 @@ def value_surface(fe: FlatEnsemble, measure, dates: Sequence[int], scenarios,
     """Conditional values at each date along each scenario path.
 
     scenarios holds full driver paths in any layout ``cart._as_points``
-    reads, typically a DriverSample or a (k, d, T) array; date t uses
-    only the first t periods of each path.  Cell probabilities are
-    computed once and shared across dates and scenarios.
+    reads, typically a (k, d, T) array; date t uses only the first t
+    periods of each path.  Dates must be integers in 0..T.  Cell
+    probabilities are computed once and shared across dates and
+    scenarios.
     """
     d, T = fe.dims
+    if not all(isinstance(t, numbers.Integral) for t in dates):
+        raise ValueError(f"dates must be integers, got {list(dates)}")
     dates = tuple(int(t) for t in dates)
     if any(not 0 <= t <= T for t in dates):
         raise ValueError(f"dates must lie in 0..{T}")

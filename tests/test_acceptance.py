@@ -119,7 +119,7 @@ def test_date1_closed_form_matches_conditional_mc(small_flat):
     """V_1(x_1) in closed form agrees with per-prefix nested Monte Carlo."""
     fe = small_flat
     measure = ProductMeasure.standard_normal(D, T)
-    prefixes = sample_driver(50, D, T, 7, (STREAM_TEST,)).data[:, :, 0]
+    prefixes = sample_driver(50, D, T, 7, (STREAM_TEST,))[:, :, 0]
     lows1, highs1 = fe.lo[:, :D], fe.hi[:, :D]
     n_inner = 100_000
     worst = 0.0

@@ -79,7 +79,7 @@ def test_oracle_v1_single_period_is_exact():
 def test_oracle_v1_reproducible_and_chunk_invariant():
     model = standard_model("min_put", d=2)
     payoff = Payoff("min_put", strike=1.0)
-    x1 = sample_driver(30, 2, 2, 0, (STREAM_TEST,)).data[:, :, 0]
+    x1 = sample_driver(30, 2, 2, 0, (STREAM_TEST,))[:, :, 0]
     a_vals, a_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5, chunk=7)
     b_vals, b_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5, chunk=256)
     assert np.array_equal(a_vals, b_vals)
@@ -112,7 +112,7 @@ def _oracle_v1_per_scenario(payoff, model, x1, n_inner, seed):
 def test_oracle_v1_matches_per_scenario_reference(kind, d, n_inner):
     model = standard_model(kind, d=d)
     payoff = desk_plan(kind).payoff
-    x1 = sample_driver(300, d, model.n_periods, 3, (STREAM_TEST,)).data[:, :, 0]
+    x1 = sample_driver(300, d, model.n_periods, 3, (STREAM_TEST,))[:, :, 0]
     want_vals, want_ses = _oracle_v1_per_scenario(payoff, model, x1, n_inner, seed=9)
     before = get_threads()
     try:
@@ -128,7 +128,7 @@ def test_oracle_v1_matches_per_scenario_reference(kind, d, n_inner):
 def test_oracle_v1_builds_no_generator_per_scenario(monkeypatch):
     model = standard_model("min_put", d=2)
     payoff = desk_plan("min_put").payoff
-    x1 = sample_driver(50, 2, model.n_periods, 3, (STREAM_TEST,)).data[:, :, 0]
+    x1 = sample_driver(50, 2, model.n_periods, 3, (STREAM_TEST,))[:, :, 0]
     want_vals, want_ses = _oracle_v1_per_scenario(payoff, model, x1, 7, seed=9)
 
     def no_generator(*args, **kwargs):
@@ -147,7 +147,7 @@ def test_oracle_v1_matches_black_put_truth():
     model = standard_model("min_put", d=1)
     payoff = Payoff("min_put", strike=1.0)
     k = 2000
-    x1 = sample_driver(k, 1, model.n_periods, 0, (STREAM_TEST,)).data[:, :, 0]
+    x1 = sample_driver(k, 1, model.n_periods, 0, (STREAM_TEST,))[:, :, 0]
     v1, se = oracle_v1(payoff, model, x1, n_inner=200, seed=0)
     sigma, (dt1, tau) = model.vols[0, 0], model.steps
     log_s1 = sigma * math.sqrt(dt1) * x1[:, 0] - 0.5 * sigma**2 * dt1
@@ -164,7 +164,7 @@ def test_oracle_v1_tower_matches_v0():
     test = sample_driver(3000, 2, 2, 0, (STREAM_TEST,))
     y = payoff_value(payoff, model, simulate_bs(model, test))
     v0, v0_se = oracle_v0(y)
-    v1, _ = oracle_v1(payoff, model, test.data[:, :, 0], n_inner=100, seed=0)
+    v1, _ = oracle_v1(payoff, model, test[:, :, 0], n_inner=100, seed=0)
     tol = 4.0 * math.sqrt(v0_se**2 + v1.var(ddof=1) / v1.size)
     assert abs(v1.mean() - v0) <= tol
 
@@ -209,10 +209,20 @@ def test_plan_validation():
                        estimator=TreeConfig(), n_valid=0)
     # dates the run cannot serve fail here, not after sampling, the oracles and the fit
     for dates, needle in (((0, 2), "must include 0 and 1"), ((0, 1, 7), "must lie in 0..2"),
-                          ((1, 1, 0), "must be distinct")):
+                          ((1, 1, 0), "must be distinct"),
+                          # a truncated 1.5 would value date 1 twice
+                          ((0, 1, 1.5), "must be integers"), ((0, 1, 2.0), "must be integers")):
         with pytest.raises(ValueError, match=needle):
             ExperimentPlan(name="x", payoff=payoff, model=model,
                            estimator=TreeConfig(), dates=dates)
+
+
+def test_list_dates_hash_as_the_tuple(tmp_path):
+    as_list = desk_plan("min_put", dates=[0, 1, 2])
+    as_tuple = desk_plan("min_put", dates=(0, 1, 2))
+    assert as_list.dates == (0, 1, 2) and type(as_list.dates) is tuple
+    assert write_snapshot(tmp_path / "list.snapshot", as_list) == \
+        write_snapshot(tmp_path / "tuple.snapshot", as_tuple)
 
 
 def test_paper_rf_grid_combos():
@@ -375,10 +385,10 @@ def test_regress_now_date1_stops_a_boost_on_the_valid_stream():
     plan = _micro_plan(estimator=BoostConfig(rounds=60, learning_rate=0.5, nodesize=5,
                                              patience=2))
     train, valid, test = sample_streams(plan).values()
-    model = fit(plan.estimator, train.driver.data[:, :, :1], train.payoffs,
-                (valid.driver.data[:, :, :1], valid.payoffs))
+    model = fit(plan.estimator, train.driver[:, :, :1], train.payoffs,
+                (valid.driver[:, :, :1], valid.payoffs))
     assert model.n_rounds < 60
-    assert np.array_equal(regress_now_date1(plan), predict(model, test.driver.data[:, :, :1]))
+    assert np.array_equal(regress_now_date1(plan), predict(model, test.driver[:, :, :1]))
 
 
 # ---------------------------------------------------------- Bermudan harness

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from treeval import cart, ensemble
-from treeval.cart import (RegressionTree, TreeConfig, _grow_tree, _grow_trees, best_split,
-                          fit_tree, predict_tree)
+from treeval.cart import (RegressionTree, TreeConfig, _grow_tree, _grow_trees, _time_major,
+                          best_split, fit_tree, predict_tree)
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest
 from treeval.paths import sample_driver
 
@@ -131,22 +131,22 @@ def test_fit_tree_constant_response_is_single_leaf():
 
 def test_fit_tree_max_depth_zero_is_mean_stump():
     x = sample_driver(32, 1, 2, seed=3)
-    y = x.data[:, 0, 0] ** 2
+    y = x[:, 0, 0] ** 2
     tree = fit_tree(x, y, TreeConfig(max_depth=0))
     assert tree.n_leaves == 1
-    assert predict_tree(tree, x.data[:1])[0] == pytest.approx(y.mean(), rel=1e-15)
+    assert predict_tree(tree, x[:1])[0] == pytest.approx(y.mean(), rel=1e-15)
 
 
 def test_fit_tree_max_depth_bounds_leaf_count():
     x = sample_driver(256, 2, 2, seed=4)
-    y = np.sin(x.flat() @ np.arange(1.0, 5.0))
+    y = np.sin(_time_major(x) @ np.arange(1.0, 5.0))
     tree = fit_tree(x, y, TreeConfig(max_depth=3))
     assert tree.n_leaves <= 8
 
 
 def test_nodesize_blocks_small_cells():
     x = sample_driver(40, 1, 1, seed=7)
-    y = np.sign(x.data[:, 0, 0])
+    y = np.sign(x[:, 0, 0])
     tree = fit_tree(x, y, TreeConfig(nodesize=10))
     _, _, _, counts = tree.leaf_cells()
     # a split node must hold >= nodesize points, so any leaf created by
@@ -169,7 +169,7 @@ def test_config_validation():
 
 def test_fit_tree_deterministic_per_seed():
     x = sample_driver(128, 3, 2, seed=8)
-    y = np.cos(x.flat().sum(axis=1))
+    y = np.cos(_time_major(x).sum(axis=1))
     a = fit_tree(x, y, TreeConfig(features=2, seed=5))
     b = fit_tree(x, y, TreeConfig(features=2, seed=5))
     np.testing.assert_array_equal(a.feature, b.feature)
@@ -182,10 +182,10 @@ def test_fit_tree_deterministic_per_seed():
 
 def test_leaf_cells_partition_space():
     x = sample_driver(100, 2, 2, seed=9)
-    y = x.flat() @ np.array([1.0, -2.0, 0.5, 3.0])
+    y = _time_major(x) @ np.array([1.0, -2.0, 0.5, 3.0])
     tree = fit_tree(x, y, TreeConfig(nodesize=5))
     lows, highs, values, counts = tree.leaf_cells()
-    pts = sample_driver(500, 2, 2, seed=10).flat()
+    pts = _time_major(sample_driver(500, 2, 2, seed=10))
     inside = (pts[:, None, :] > lows[None]) & (pts[:, None, :] <= highs[None])
     member = inside.all(axis=2)
     # exactly one leaf contains each point, and its value is the prediction
@@ -197,15 +197,15 @@ def test_leaf_cells_partition_space():
 
 def test_predict_tree_input_shapes_agree():
     x = sample_driver(64, 2, 3, seed=11)
-    y = x.flat()[:, 0] * x.flat()[:, 4]
+    y = _time_major(x)[:, 0] * _time_major(x)[:, 4]
     tree = fit_tree(x, y, TreeConfig(nodesize=8))
     batch = sample_driver(10, 2, 3, seed=12)
     via_sample = predict_tree(tree, batch)
-    via_array = predict_tree(tree, batch.data)
-    via_flat = predict_tree(tree, batch.flat())
+    via_array = predict_tree(tree, batch)
+    via_flat = predict_tree(tree, _time_major(batch))
     np.testing.assert_array_equal(via_sample, via_array)
     np.testing.assert_array_equal(via_sample, via_flat)
-    single = predict_tree(tree, batch.data[0])
+    single = predict_tree(tree, batch[0])
     assert isinstance(single, float)
     assert single == via_sample[0]
 
@@ -429,7 +429,7 @@ def test_ensemble_trees_match_depth_first_reference(monkeypatch):
     monkeypatch.setattr(cart, "_grow_trees", checked)
     monkeypatch.setattr(ensemble, "_grow_trees", checked)
     x = sample_driver(300, 2, 2, seed=41)
-    y = np.maximum(1.0 - x.flat().min(axis=1), 0.0)
+    y = np.maximum(1.0 - _time_major(x).min(axis=1), 0.0)
     fit_boost(x, y, BoostConfig(rounds=5, nodesize=8, max_depth=8, seed=2))
     assert len(grown) == 5
     fit_forest(x, y, ForestConfig(n_trees=3, nodesize=5, seed=3))
@@ -439,7 +439,7 @@ def test_ensemble_trees_match_depth_first_reference(monkeypatch):
 def test_candidate_draws_follow_level_order():
     """With features < P, each node that may split draws its columns, left to right per depth."""
     x = sample_driver(400, 3, 2, seed=43)
-    y = np.cos(x.flat() @ np.arange(1.0, 7.0))
+    y = np.cos(_time_major(x) @ np.arange(1.0, 7.0))
     cfg = TreeConfig(nodesize=6, max_depth=7, features=2, seed=9)
     tree = fit_tree(x, y, cfg)
     depth = _depth(tree)
@@ -482,7 +482,8 @@ FOREST_CASES = {
 
 def _forest_data():
     x = sample_driver(350, 3, 2, seed=45)
-    y = np.sin(x.flat() @ np.arange(1.0, 7.0)) + 0.1 * np.random.default_rng(46).standard_normal(350)
+    noise = 0.1 * np.random.default_rng(46).standard_normal(350)
+    y = np.sin(_time_major(x) @ np.arange(1.0, 7.0)) + noise
     return x, y
 
 

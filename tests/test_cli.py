@@ -281,7 +281,7 @@ def test_samples_archive_holds_six_stored_arrays(tmp_path, capsys):
     plan = RunConfig(yaml.safe_load(MICRO), _ns()).european_plan()
     with np.load(out / "samples.npz") as data:
         for tag, s in sample_streams(plan).items():
-            for name, want in ((f"{tag}_driver", s.driver.data), (f"{tag}_payoff", s.payoffs)):
+            for name, want in ((f"{tag}_driver", s.driver), (f"{tag}_payoff", s.payoffs)):
                 assert data[name].dtype == want.dtype and np.array_equal(data[name], want)
     meta = {"dims": [2, 2], "n_test": 150, "n_train": 120, "n_valid": 60, "name": "micro",
             "seed": 0}
@@ -298,7 +298,7 @@ def test_stages_read_archives_in_the_older_deflated_format(tmp_path, capsys):
     plan = RunConfig(yaml.safe_load(MICRO), _ns()).european_plan()
     arrays = {}
     for tag, s in sample_streams(plan).items():
-        arrays.update({f"{tag}_driver": s.driver.data,
+        arrays.update({f"{tag}_driver": s.driver,
                        f"{tag}_prices": simulate_bs(plan.model, s.driver),
                        f"{tag}_payoff": s.payoffs})
     np.savez_compressed(old / "samples.npz", **arrays)
@@ -577,6 +577,48 @@ def test_risk_rejects_an_unreadable_surface(tmp_path, capsys, edit):
     assert rc == EXIT_ARTIFACT
     line = _err_line(capsys)
     assert line.startswith("MISSING_ARTIFACT:") and "value_surface_tree.csv" in line
+
+
+def test_risk_rejects_a_surface_with_fractional_dates(tmp_path, capsys):
+    # read as int, every date-1.5 row would pass for a date-1 row
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "run"
+    _staged(cfg, out, ("simulate", "train", "value"))
+    path = out / "value_surface_tree.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    for k, line in enumerate(lines[1:], start=1):
+        fields = line.split(b",")
+        if len(fields) == 3 and fields[1] == b"1":
+            lines[k] = b",".join((fields[0], b"1.5", fields[2]))
+    path.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    assert main(["risk", "--config", cfg, "--out", str(out)]) == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT:") and "dates must be integers" in line
+    assert not (out / "risk.csv").exists()
+
+
+def test_value_rejects_a_grid_layout_directory(tmp_path, capsys):
+    # a directory from before the time-major layout: lows / highs of shape
+    # (N, d, T) and a training.json without the config record
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "run"
+    _staged(cfg, out, ("simulate", "train"))
+    path = out / "flat_tree.npz"
+    with np.load(path) as z:
+        arrays = dict(z)
+    n, (d, T) = arrays["values"].size, arrays["dims"]
+    for new, old in (("lows", "lo"), ("highs", "hi")):
+        arrays[new] = arrays.pop(old).reshape(n, T, d).transpose(0, 2, 1)
+    np.savez_compressed(path, **arrays)
+    info = json.loads((out / "training.json").read_text())
+    del info["config"]
+    (out / "training.json").write_text(json.dumps(info))
+    capsys.readouterr()
+    assert main(["value", "--config", cfg, "--out", str(out)]) == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT:") and "training.json" in line
+    assert not (out / "value_surface_tree.csv").exists()
 
 
 def _csv_writer_bytes(surface: ValueSurface, path: Path) -> bytes:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
-from treeval.cart import TreeConfig, _as_points, _predict_points, fit_tree, predict_tree
+from treeval.cart import (TreeConfig, _as_points, _predict_points, _time_major, fit_tree,
+                          predict_tree)
 from treeval.ensemble import (BoostConfig, ForestConfig, _resample_rows, fit, fit_boost,
                               fit_forest, predict)
 from treeval.paths import sample_driver
@@ -13,7 +14,7 @@ from treeval.paths import sample_driver
 @pytest.fixture(scope="module")
 def toy():
     x = sample_driver(120, 2, 2, seed=21)
-    y = np.sin(x.flat() @ np.array([1.0, 0.5, -0.7, 0.2]))
+    y = np.sin(_time_major(x) @ np.array([1.0, 0.5, -0.7, 0.2]))
     return x, y
 
 
@@ -108,7 +109,7 @@ def test_forest_rejects_a_nan_response_that_no_tree_draws(toy):
 def test_forest_predict_is_the_mean_of_its_trees_bitwise(cfg):
     """All trees are routed in one pass; the mean is that of the per-tree routes."""
     x = sample_driver(500, 3, 2, seed=26)
-    y = np.cos(x.flat() @ np.arange(1.0, 7.0))
+    y = np.cos(_time_major(x) @ np.arange(1.0, 7.0))
     ff = fit_forest(x, y, cfg)
     pts = sample_driver(777, 3, 2, seed=27)
     X, _ = _as_points(pts, ff.dims)
@@ -176,7 +177,7 @@ def test_boost_early_stopping_rolls_back_to_best_round():
 def test_boost_without_patience_keeps_all_rounds(toy):
     x, y = toy
     vx = sample_driver(50, 2, 2, seed=25)
-    vy = np.sin(vx.flat() @ np.array([1.0, 0.5, -0.7, 0.2]))
+    vy = np.sin(_time_major(vx) @ np.array([1.0, 0.5, -0.7, 0.2]))
     boost = fit_boost(x, y, BoostConfig(rounds=8, max_depth=2),
                       valid_sample=vx, valid_responses=vy)
     assert boost.n_rounds == 8
@@ -244,8 +245,8 @@ def test_predict_single_point_shapes(toy):
     x, y = toy
     ff = fit_forest(x, y, ForestConfig(n_trees=2, nodesize=20, seed=8))
     boost = fit_boost(x, y, BoostConfig(rounds=2, max_depth=2))
-    single = x.data[0]
+    single = x[0]
     assert isinstance(predict(ff, single), float)
     assert isinstance(predict(boost, single), float)
-    batch = predict(boost, x.data[:3])
+    batch = predict(boost, x[:3])
     assert batch.shape == (3,)

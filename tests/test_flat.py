@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from treeval.cart import TreeConfig, fit_tree
+from treeval.cart import TreeConfig, _time_major, fit_tree
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest
 from treeval.flat import (FlatEnsemble, evaluate_flat, flatten_boost,
                           flatten_forest, flatten_model, flatten_tree,
@@ -16,7 +16,7 @@ from treeval.paths import sample_driver
 @pytest.fixture(scope="module")
 def fitted():
     x = sample_driver(150, 2, 2, seed=31)
-    y = np.cos(x.flat() @ np.array([0.8, -0.4, 1.1, 0.3]))
+    y = np.cos(_time_major(x) @ np.array([0.8, -0.4, 1.1, 0.3]))
     tree = fit_tree(x, y, TreeConfig(nodesize=6))
     forest = fit_forest(x, y, ForestConfig(n_trees=5, nodesize=8, features=2, seed=2))
     boost = fit_boost(x, y, BoostConfig(rounds=12, learning_rate=0.4, max_depth=3))
@@ -38,7 +38,7 @@ def test_flatten_tree_cells_partition(fitted):
     fe = flatten_tree(tree)
     pts = sample_driver(400, 2, 2, seed=33)
     lo, hi = fe.lo, fe.hi
-    flat_pts = pts.flat()
+    flat_pts = _time_major(pts)
     inside = (flat_pts[:, None, :] > lo[None]) & (flat_pts[:, None, :] <= hi[None])
     member = inside.all(axis=2)
     assert (member.sum(axis=1) == 1).all()
@@ -80,8 +80,8 @@ def test_flatten_model_rejects_unknown():
 def test_evaluate_flat_single_point(fitted):
     x, y, tree, _, _ = fitted
     fe = flatten_tree(tree)
-    single = evaluate_flat(fe, x.data[0])
-    batch = evaluate_flat(fe, x.data[:1])
+    single = evaluate_flat(fe, x[0])
+    batch = evaluate_flat(fe, x[:1])
     assert isinstance(single, float)
     assert single == batch[0]
 
@@ -90,7 +90,7 @@ def test_weighted_membership_chunking_invariance(fitted):
     x, y, _, forest, _ = fitted
     fe = flatten_forest(forest)
     lo, hi = fe.lo, fe.hi
-    pts = sample_driver(57, 2, 2, seed=35).flat()
+    pts = _time_major(sample_driver(57, 2, 2, seed=35))
     base = weighted_membership(pts, lo, hi, fe.values, lo.shape[1])
     for pc, cc in ((3, 2), (8, 1000), (1000, 5)):
         alt = weighted_membership(pts, lo, hi, fe.values, lo.shape[1],
@@ -103,7 +103,7 @@ def test_weighted_membership_prefix_columns(fitted):
     x, y, tree, _, _ = fitted
     fe = flatten_tree(tree)
     lo, hi = fe.lo, fe.hi
-    pts = sample_driver(40, 2, 2, seed=36).flat()
+    pts = _time_major(sample_driver(40, 2, 2, seed=36))
     full = weighted_membership(pts, lo, hi, fe.values, 4)
     head = weighted_membership(pts, lo, hi, fe.values, 2)
     # prefix membership counts more cells, so the weighted sums differ
@@ -214,7 +214,8 @@ def test_bitmap_membership_matches_dense_reference_on_fits(fitted):
         fe = flatten_model(model)
         lo, hi, w = fe.lo, fe.hi, fe.values
         assert fe.n_cells > 64
-        pts = np.concatenate([sample_driver(500, 2, 2, seed=42).flat(), x.flat(),
+        pts = np.concatenate([_time_major(sample_driver(500, 2, 2, seed=42)),
+                              _time_major(x),
                               _edge_points(rng, 300, lo, hi)])
         for n_coords in (0, 2, 4):
             _assert_same_bits(pts, lo, hi, w, n_coords)
@@ -282,30 +283,9 @@ def test_text_reader_rejects_corrupt_files(tmp_path):
         read_flat_text(path)
 
 
-def test_load_flat_reads_grid_layout_files(tmp_path):
-    # files written before the time-major layout store lows / highs as (N, d, T)
-    x = sample_driver(200, 3, 2, seed=37)
-    y = np.sin(x.flat() @ np.linspace(-1.0, 1.0, 6))
-    boost = fit_boost(x, y, BoostConfig(rounds=6, learning_rate=0.3, max_depth=3, seed=4))
-    fe = flatten_boost(boost)
-    n, (d, T) = fe.n_cells, fe.dims
-    path = tmp_path / "grid.npz"
-    np.savez_compressed(path, lows=fe.lo.reshape(n, T, d).transpose(0, 2, 1),
-                        highs=fe.hi.reshape(n, T, d).transpose(0, 2, 1),
-                        values=fe.values, dims=np.asarray(fe.dims, dtype=np.int64))
-    back = load_flat(path)
-    np.testing.assert_array_equal(back.lo, fe.lo)
-    np.testing.assert_array_equal(back.hi, fe.hi)
-    np.testing.assert_array_equal(back.values, fe.values)
-    assert back.dims == fe.dims
-    pts = sample_driver(300, 3, 2, seed=38)
-    np.testing.assert_allclose(evaluate_flat(back, pts), predict(boost, pts),
-                               rtol=1e-12, atol=1e-12)
-
-
 def test_text_bytes_follow_leaf_cells(tmp_path):
     x = sample_driver(200, 3, 2, seed=39)
-    y = np.cos(x.flat() @ np.linspace(1.0, -0.5, 6))
+    y = np.cos(_time_major(x) @ np.linspace(1.0, -0.5, 6))
     boost = fit_boost(x, y, BoostConfig(rounds=6, learning_rate=0.3, max_depth=3, seed=5))
     cells = [(boost.base_value, np.full(6, -np.inf), np.full(6, np.inf))]
     for tree, gamma in zip(boost.trees, boost.gammas):

@@ -5,11 +5,11 @@ import pytest
 from numpy.random import Philox, SeedSequence
 from scipy.special import ndtr
 
-from treeval.paths import (BlackScholesModel, DriverSample, LocalVolModel,
-                           Payoff, STREAM_INNER, STREAM_TEST, STREAM_TRAIN,
-                           STREAM_VALID, _draw_bits, _keyed_bits, _stream_keys,
-                           log_bs_localvol, payoff_value, sample_driver,
-                           simulate_bs, simulate_localvol, stream_rng)
+from treeval.cart import _time_major
+from treeval.paths import (BlackScholesModel, LocalVolModel, Payoff, STREAM_INNER,
+                           STREAM_TEST, STREAM_TRAIN, STREAM_VALID, _draw_bits,
+                           _keyed_bits, _stream_keys, log_bs_localvol, payoff_value,
+                           sample_driver, simulate_bs, simulate_localvol, stream_rng)
 
 
 def test_stream_rng_is_deterministic_per_tag():
@@ -71,15 +71,26 @@ def test_stream_keys_reject_bad_input():
 
 def test_sample_driver_shape_and_determinism():
     s = sample_driver(50, 3, 4, seed=11)
-    assert s.data.shape == (50, 3, 4)
-    assert s.dims == (50, 3, 4)
+    assert s.shape == (50, 3, 4)
     t = sample_driver(50, 3, 4, seed=11)
-    np.testing.assert_array_equal(s.data, t.data)
+    np.testing.assert_array_equal(s, t)
+
+
+def test_sample_driver_bits_are_pinned():
+    # every samples.npz byte follows from these draws; a change to the
+    # sampler's streams or its normal transform shows here
+    x = sample_driver(3, 2, 2, seed=11, stream=(STREAM_TEST,))
+    assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (3, 2, 2)
+    want = [-1.1031482254419955, 0.8563469655312789, 0.7374309246236461,
+            -0.5507877243995233, 0.25957192977951754, -2.213610906707156,
+            -0.15568934837906678, 1.1408341777638138, 0.04945033408348346,
+            0.3387152492591746, 0.9433647214859061, -1.0130902596962983]
+    assert x.ravel().tolist() == want
 
 
 def test_sample_driver_moments():
     s = sample_driver(200_000, 2, 1, seed=3)
-    x = s.data.ravel()
+    x = s.ravel()
     n = x.size
     assert abs(x.mean()) < 3.0 / np.sqrt(n)
     assert abs(x.var() - 1.0) < 3.0 * np.sqrt(2.0 / n)
@@ -87,8 +98,7 @@ def test_sample_driver_moments():
 
 def test_flat_layout_is_time_major():
     data = np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4)
-    s = DriverSample(data=data, seed=0, stream=(0,))
-    flat = s.flat()
+    flat = _time_major(data)
     assert flat.shape == (2, 12)
     d = 3
     for period in range(4):
@@ -118,7 +128,7 @@ def test_simulate_bs_is_martingale_at_zero_rate():
                               vols=np.array([[0.2]]),
                               rate=0.0, steps=np.array([0.5, 0.5]))
     x = sample_driver(100_000, 1, 2, seed=5)
-    prices = simulate_bs(model, x.data)
+    prices = simulate_bs(model, x)
     terminal = prices[:, 0, -1]
     se = terminal.std(ddof=1) / np.sqrt(terminal.size)
     assert abs(terminal.mean() - 1.0) < 3 * se
@@ -197,10 +207,10 @@ def test_localvol_log_bs_recursion_matches_cumsum():
     steps = np.full(7, 1.0 / 7.0)
     model = log_bs_localvol(0.0, 0.0, 0.2, steps)
     x = sample_driver(64, 1, 7, seed=9)
-    z = simulate_localvol(model, x.data)
+    z = simulate_localvol(model, x)
     assert z.shape == (64, 1, 8)
     drift = -0.5 * 0.04 * steps
-    expected = np.cumsum(0.2 * np.sqrt(steps) * x.data[:, 0, :] + drift, axis=1)
+    expected = np.cumsum(0.2 * np.sqrt(steps) * x[:, 0, :] + drift, axis=1)
     np.testing.assert_allclose(z[:, 0, 1:], expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(z[:, 0, 0], 0.0)
 
@@ -210,7 +220,7 @@ def test_localvol_terminal_price_is_lognormal_martingale():
     steps = np.full(7, 1.0 / 7.0)
     model = log_bs_localvol(0.0, 0.0, 0.2, steps)
     x = sample_driver(100_000, 1, 7, seed=17)
-    z = simulate_localvol(model, x.data)
+    z = simulate_localvol(model, x)
     s = np.exp(z[:, 0, -1])
     se = s.std(ddof=1) / np.sqrt(s.size)
     assert abs(s.mean() - 1.0) < 3 * se
@@ -227,4 +237,4 @@ def test_localvol_rejects_nonfinite_states():
                           diffusion_fn=unit_diff, n_driver=1, n_periods=2)
     x = sample_driver(4, 1, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_localvol(model, x.data)
+        simulate_localvol(model, x)

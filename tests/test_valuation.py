@@ -72,7 +72,7 @@ def test_value_at_validation():
 @pytest.fixture(scope="module")
 def fitted_flat():
     x = sample_driver(400, 2, 2, seed=51)
-    y = np.maximum(1.0 - np.exp(0.2 * x.data[:, :, -1]).min(axis=1), 0.0)
+    y = np.maximum(1.0 - np.exp(0.2 * x[:, :, -1]).min(axis=1), 0.0)
     boost = fit_boost(x, y, BoostConfig(rounds=15, learning_rate=0.3, max_depth=3))
     fe = flatten_model(boost)
     q = ProductMeasure.standard_normal(2, 2)
@@ -91,7 +91,7 @@ def test_value_surface_matches_value_at(fitted_flat):
     pts = sample_driver(5, 2, 2, seed=53)
     surf = value_surface(fe, q, (0, 1, 2), pts)
     for i in range(5):
-        v1 = value_at(fe, q, 1, prefix=pts.data[i, :, :1])
+        v1 = value_at(fe, q, 1, prefix=pts[i, :, :1])
         # batch and single-point paths may differ by summation order only
         assert surf.column(1)[i] == pytest.approx(v1, rel=1e-12, abs=1e-15)
     v0 = value_at(fe, q, 0)
@@ -124,7 +124,10 @@ def test_value_surface_validation(fitted_flat):
     with pytest.raises(ValueError):
         value_surface(fe, q, (0, 3), pts)
     with pytest.raises(ValueError):
-        value_surface(fe, q, (0,), pts.data[:, :1, :])
+        value_surface(fe, q, (0,), pts[:, :1, :])
+    with pytest.raises(ValueError, match="integers"):  # not truncated to a second date 1
+        value_surface(fe, q, (0, 1, 1.5), pts)
+    assert value_surface(fe, q, np.array([0, 2]), pts).dates == (0, 2)
 
 
 def test_value_surface_csv_round_trip(tmp_path, fitted_flat):
@@ -151,11 +154,11 @@ def test_value_surface_csv_round_trip(tmp_path, fitted_flat):
                                   "predict", "fit_tree"])
 def test_non_finite_points_are_rejected(call, bad):
     x = sample_driver(60, 2, 2, seed=59)
-    y = x.data[:, 0, :].sum(axis=1)
+    y = x[:, 0, :].sum(axis=1)
     boost = fit_boost(x, y, BoostConfig(rounds=3, max_depth=2))
     fe = flatten_model(boost)
     q = ProductMeasure.standard_normal(2, 2)
-    pts = x.data.copy()
+    pts = x.copy()
     pts[3, 1, 0] = bad
     calls = {
         "value_surface": lambda: value_surface(fe, q, (0, 1, 2), pts),
