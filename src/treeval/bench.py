@@ -186,7 +186,7 @@ def _check_dates(dates, T: int, what: str, risk: bool = False) -> tuple:
 
     risk also requires dates 0 and 1, which the date-1 loss V_0 - V_1 reads.
     """
-    if not all(isinstance(t, numbers.Integral) for t in dates):
+    if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in dates):
         raise ValueError(f"{what}: dates must be integers, got {list(dates)}")
     dates = tuple(int(t) for t in dates)
     if any(not 0 <= t <= T for t in dates):

@@ -85,7 +85,7 @@ def _phi_form(fe: FlatEnsemble):
 
 
 def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray,
-                      point_chunk: int = 512) -> np.ndarray:
+                      point_chunk: int = 64) -> np.ndarray:
     """sum_i v_i P[N(mean_k, B_k B_k^T) in cell_i] for a batch of kernels.
 
     mean is (k, m), cov_factor is (k, m, d) and fe is a one-period fit
@@ -120,8 +120,9 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
             mu0 = mu[~pos]
             out[~pos] = (q[None, :] >= mu0[:, None]).astype(np.float64) @ w + const
         idx = np.flatnonzero(pos)
-        # each (chunk x bounds) block stays near 32 MB, and at most two full
-        # blocks are in flight whatever the thread count
+        # each lane reuses one (chunk x bounds) block: 0.4 MB at 64 rows and
+        # 800 bounds, at most 32 MB, and the lanes' blocks at most 64 MB in
+        # all whatever the thread count
         chunk = max(1, min(point_chunk, int(4e6 // max(q.size, 1)) or 1))
         starts = range(0, idx.size, chunk)
         lanes = min(get_threads(), len(starts), max(1, int(8e6 // (chunk * q.size))))
@@ -138,8 +139,10 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
                 out[sel] = ndtr(u, out=u) @ w + const
 
         # ndtr and the product release the GIL.  A block holds the same rows
-        # whatever the thread count: BLAS sums a row in an order that depends
-        # on its place in the block, so the bits depend on the chunk alone
+        # whatever the thread count, so the bits do not depend on it.  A
+        # block of one row is a dot product, not gemv, and sums in another
+        # order: with one BLAS thread, another chunk changes at most the
+        # last bits of the last point, when idx.size = 1 (mod chunk)
         thread_map(run, range(lanes))
         return out
     if cov[:, ~np.eye(m, dtype=bool)].any():
@@ -196,12 +199,20 @@ class BermudanValue:
                           dtype=np.float64)
 
     def continuation(self, t: int, z: np.ndarray) -> np.ndarray:
-        """C_t at states z of shape (k, m), for t = 0..T-1."""
+        """C_t at states z of shape (k, m), for t = 0..T-1.
+
+        Each distinct state is valued once, in the order of its first
+        row.  At t = 0 every path is at z0, valued alone as in the fit,
+        so C_0 along paths is continuation0 bit for bit.
+        """
         T = self.spec.model.n_periods
         if not 0 <= t < T:
             raise ValueError(f"continuation defined for t in 0..{T - 1}")
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return _continuation(self.spec.model, self.mode, self.models[t], t, z)
+        _, first, inverse = np.unique(z, axis=0, return_index=True, return_inverse=True)
+        keep = np.sort(first)
+        cont = _continuation(self.spec.model, self.mode, self.models[t], t, z[keep])
+        return cont[np.searchsorted(keep, first[inverse.reshape(-1)])]
 
     def continuation_matrix(self, z_paths: np.ndarray) -> np.ndarray:
         """C_t(Z_t) along state paths for t = 0..T-1, shape (k, T).
@@ -255,9 +266,8 @@ def _backward_induction(spec: ExerciseSpec, z_paths: np.ndarray, config,
         step = replace(config, seed=_step_seed(config.seed, t))
         fitted = fit(step, z_paths[:, :, t + 1 if later else t, None], labels)
         models[t] = flatten_model(fitted) if later else fitted
-        # C_0: regress-later integrates at z0 alone; regress-now predicts on
-        # the n training states, which all equal z0, and keeps the first
-        zt = spec.model.z0[None, :] if later and t == 0 else z_paths[:, :, t]
+        # every path starts at z0, so C_0 is valued there alone
+        zt = spec.model.z0[None, :] if t == 0 else z_paths[:, :, t]
         cont = _continuation(spec.model, mode, models[t], t, zt)
         if t > 0:
             labels = np.maximum(np.asarray(spec.payoffs[t](zt), dtype=np.float64), cont)

@@ -170,7 +170,7 @@ def _packed_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
 def weighted_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                         weights: np.ndarray, n_coords: int,
-                        point_chunk: int = 1024, cell_chunk: int = 8192) -> np.ndarray:
+                        point_chunk: int = 128, cell_chunk: int = 8192) -> np.ndarray:
     """sum_i weights[i] 1{lo_i < x <= hi_i on the first n_coords columns}.
 
     ptf is (k, P) finite flat points, as ``cart._as_points`` returns
@@ -186,6 +186,16 @@ def weighted_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     gives, and its product with the weights is added to the points'
     sums cell chunk after cell chunk: each sum keeps the operands and
     the order of that dense kernel, and so its bits.
+
+    numpy casts each boolean block to a float64 copy before the product,
+    so the point chunk sets the kernel's working set: a 1 MB boolean
+    block and its 8 MB copy at 128 x 8192 cells.  With one BLAS thread
+    the point chunk, a multiple of four, does not change the bits of a
+    point in a block of two or more rows: OpenBLAS ``dgemv`` sums a
+    block's rows four at a time and its last len % 4 rows by a kernel
+    that len % 4 alone selects.  A block of one row is a dot product,
+    summed in another order, so when k = 1 (mod point_chunk) the last
+    point may differ in its last bits from a run with another chunk.
     """
     k = ptf.shape[0]
     n = weights.size

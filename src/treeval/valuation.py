@@ -116,7 +116,7 @@ def value_surface(fe: FlatEnsemble, measure, dates: Sequence[int], scenarios,
     scenarios.
     """
     d, T = fe.dims
-    if not all(isinstance(t, numbers.Integral) for t in dates):
+    if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in dates):
         raise ValueError(f"dates must be integers, got {list(dates)}")
     dates = tuple(int(t) for t in dates)
     if any(not 0 <= t <= T for t in dates):

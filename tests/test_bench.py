@@ -217,6 +217,12 @@ def test_plan_validation():
                            estimator=TreeConfig(), dates=dates)
 
 
+def test_desk_plan_rejects_boolean_dates():
+    # a bool is an int to Python, and True would run as date 1
+    with pytest.raises(ValueError, match="must be integers"):
+        desk_plan("min_put", dates=(0, True, 2))
+
+
 def test_list_dates_hash_as_the_tuple(tmp_path):
     as_list = desk_plan("min_put", dates=[0, 1, 2])
     as_tuple = desk_plan("min_put", dates=(0, 1, 2))

@@ -2,6 +2,7 @@
 induction, stopping rules, and the lognormal put benchmark."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from treeval.bermudan import (
     stopping_rule,
 )
 from treeval.cart import TreeConfig, fit_tree
-from treeval.ensemble import BoostConfig, fit_boost
+from treeval.ensemble import BoostConfig, ForestConfig, fit_boost
 from treeval.bermudan import _phi_form
-from treeval.flat import evaluate_flat, flatten_model
+from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
 from treeval.parallel import get_threads, set_threads
 from treeval.paths import log_bs_localvol, sample_driver, simulate_localvol
 
@@ -172,6 +173,30 @@ def test_cell_sum_same_bits_at_one_and_two_threads():
         assert b[~pos] == pytest.approx(evaluate_flat(fe, mu[~pos, :, None]), rel=1e-12)
 
 
+def test_cell_sum_working_set_stays_small():
+    # each lane reuses one (chunk x bounds) block: 0.4 MB at 64 x 800 bounds,
+    # against 3.3 MB for 512-row blocks
+    rng = np.random.default_rng(5)
+    b = np.sort(rng.normal(size=800))
+    lo = np.concatenate([[-np.inf], b])[:, None]
+    hi = np.concatenate([b, [np.inf]])[:, None]
+    fe = FlatEnsemble(lo=lo, hi=hi, values=rng.normal(size=801), dims=(1, 1))
+    mu = rng.normal(size=(4000, 1))
+    cf = rng.uniform(0.05, 1.5, size=(4000, 1, 1))
+    before = get_threads()
+    set_threads(2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gaussian_cell_sum(fe, mu, cf)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        set_threads(before)
+    print(f"cell sum peak {peak} B")
+    assert peak < 2e6, peak
+
+
 def test_cell_sum_diagonal_matches_mc():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(500, 2, 1))
@@ -310,6 +335,21 @@ def test_continuation_matrix_consistency():
                           stopping_rule(bv, z_test, cont))
     assert np.array_equal(bv.values_on(z_test),
                           bv.values_on(z_test, cont=cont))
+
+
+def test_paths_value_date_zero_as_the_fit_does():
+    """Every path starts at z0, valued alone on paths as in the fit."""
+    T = 3
+    model = log_bs_localvol(0.0, 0.0, 0.2, np.full(T, 1.0 / T))
+    spec = ExerciseSpec(model=model, payoffs=_put_payoffs(T + 1))
+    z_train = simulate_localvol(model, sample_driver(1000, 1, T, 5, (tv.STREAM_TRAIN,)))
+    z_test = simulate_localvol(model, sample_driver(400, 1, T, 5, (tv.STREAM_TEST,)))
+    cfg = ForestConfig(n_trees=8, nodesize=5, features=1, seed=2)
+    for price in (price_regress_later, price_regress_now):
+        bv = price(spec, z_train, cfg)
+        cont = bv.continuation_matrix(z_test)
+        assert (cont[:, 0] == bv.continuation0).all()
+        assert (bv.values_on(z_test, cont=cont)[:, 0] == bv.value0).all()
 
 
 def test_values_on_shape_and_dominance():

@@ -381,6 +381,8 @@ bermudan:
                  "unknown section 'measure'", id="measure-product-normal"),
     pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  kind: black_scholes"),
                  "unknown key 'model.kind'", id="model-kind"),
+    pytest.param(["simulate"], MICRO.replace("n_inner: 10", "n_inner: 10\n  dates: [0, true, 2]"),
+                 "plan.dates", id="dates-boolean"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)

@@ -127,6 +127,8 @@ def test_value_surface_validation(fitted_flat):
         value_surface(fe, q, (0,), pts[:, :1, :])
     with pytest.raises(ValueError, match="integers"):  # not truncated to a second date 1
         value_surface(fe, q, (0, 1, 1.5), pts)
+    with pytest.raises(ValueError, match="integers"):  # not run as date 1
+        value_surface(fe, q, (0, True), pts)
     assert value_surface(fe, q, np.array([0, 2]), pts).dates == (0, 2)
 
 
