@@ -16,9 +16,6 @@ from .ensemble import (BoostConfig, FittedBoost, FittedForest, ForestConfig,
 from .flat import (FlatEnsemble, evaluate_flat, flatten_boost, flatten_forest,
                    flatten_model, flatten_tree, load_flat, read_flat_text,
                    save_flat, write_flat_text)
-from .measure import (ClaytonCopula, CopulaMeasure, IndependenceCopula,
-                      NormalMarginal, ProductMeasure, UniformMarginal,
-                      normal_interval_prob, rect_prob)
 from .valuation import (ValueSurface, period_prob_matrix, tail_products,
                         value_at, value_surface)
 from .bermudan import (BermudanValue, ExerciseSpec, black_put_price,

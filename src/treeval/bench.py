@@ -26,7 +26,6 @@ from .bermudan import (ExerciseSpec, black_put_price, price_regress_later,
 from .cart import TreeConfig
 from .ensemble import BoostConfig, ForestConfig, fit, predict
 from .flat import flatten_model
-from .measure import ProductMeasure
 from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
                     BlackScholesModel, Payoff, log_bs_localvol, payoff_value,
@@ -459,7 +458,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     timings = []
     clock = time.perf_counter
     t_start = clock()
-    d, T = plan.model.n_assets, plan.model.n_periods
+    T = plan.model.n_periods
     train, valid, test = sample_streams(plan).values()
     y_test = test.payoffs
     timings.append(("sampling", clock() - t_start))
@@ -481,7 +480,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     fe = flatten_model(fitted)
     timings.append((f"flatten_{name}", clock() - t0))
     t0 = clock()
-    surface = value_surface(fe, ProductMeasure.standard_normal(d, T), dates, test.driver,
+    surface = value_surface(fe, dates, test.driver,
                             meta={"estimator": name, "seed": plan.seed, "n_cells": fe.n_cells})
     timings.append((f"value_{name}", clock() - t0))
     l2_rows = []

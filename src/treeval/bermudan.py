@@ -24,7 +24,6 @@ from scipy.special import ndtr
 
 from .ensemble import fit, predict
 from .flat import FlatEnsemble, flatten_model
-from .measure import normal_interval_prob
 from .parallel import get_threads, thread_map
 from .paths import LocalVolModel
 
@@ -82,6 +81,27 @@ def _phi_form(fe: FlatEnsemble):
     w_u = np.bincount(inv, weights=ws, minlength=q_u.size)
     keep = w_u != 0.0
     return q_u[keep], w_u[keep], const
+
+
+def _normal_interval_prob(mu, sd, low, high) -> np.ndarray:
+    """P(low < Z <= high) for Z ~ N(mu, sd^2), broadcasting all inputs.
+
+    Degenerate sd = 0 falls back to the point-mass indicator
+    1{low < mu <= high}.
+    """
+    mu, sd, low, high = np.broadcast_arrays(
+        np.asarray(mu, dtype=np.float64), np.asarray(sd, dtype=np.float64),
+        np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64))
+    out = np.empty(mu.shape)
+    pos = sd > 0
+    if pos.any():
+        with np.errstate(invalid="ignore"):
+            hi = np.where(np.isposinf(high), 1.0, ndtr((high - mu) / np.where(pos, sd, 1.0)))
+            lo = np.where(np.isneginf(low), 0.0, ndtr((low - mu) / np.where(pos, sd, 1.0)))
+        out = np.where(pos, np.maximum(hi - lo, 0.0), out)
+    if (~pos).any():
+        out = np.where(pos, out, ((low < mu) & (mu <= high)).astype(np.float64))
+    return out
 
 
 def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray,
@@ -153,8 +173,8 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
         b = min(a + point_chunk, k)
         probs = np.ones((b - a, values.size))
         for j in range(m):
-            probs *= normal_interval_prob(mean[a:b, j, None], diag[a:b, j, None],
-                                          lo[None, :, j], hi[None, :, j])
+            probs *= _normal_interval_prob(mean[a:b, j, None], diag[a:b, j, None],
+                                           lo[None, :, j], hi[None, :, j])
         out[a:b] = probs @ values
     return out
 

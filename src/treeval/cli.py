@@ -25,7 +25,6 @@ from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
                     standard_model, write_snapshot, _check_dates as _date_rule)
 from .ensemble import fit
 from .flat import flatten_model, load_flat, save_flat, write_flat_text
-from .measure import ProductMeasure
 from .parallel import set_threads
 from .paths import BlackScholesModel, Payoff
 from .valuation import ValueSurface, value_surface
@@ -366,7 +365,7 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
                             f"test drivers have {drivers}, but the config gives "
                             f"{dims}; rerun simulate and train with this config")
     _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
-    surface = value_surface(fe, ProductMeasure.standard_normal(*dims), dates, x_test,
+    surface = value_surface(fe, dates, x_test,
                             meta={"estimator": name, "seed": plan.seed, "config": config})
     del x_test  # the CSV write is the stage's memory peak
     surface.to_csv(out / f"value_surface_{name}.csv")

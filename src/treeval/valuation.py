@@ -1,13 +1,19 @@
 """Closed-form dynamic valuation of flattened tree models.
 
 For a model f(x) = sum_i v_i 1{x in A_i} with product cells
-A_i = prod_s A_{i,s} and an i.i.d. driver, the conditional expectation
-given the first t periods is available in closed form:
+A_i = prod_s A_{i,s}, the conditional expectation given the first t
+periods is available in closed form:
 
     V_t(x_1..x_t) = sum_i v_i * 1{x_s in A_{i,s}, s <= t}
                            * prod_{s > t} Q_s[A_{i,s}].
 
-Evaluating it therefore costs one membership test on the observed
+Q_s is the law of the period-s driver, the independent N(0, 1)
+coordinates that ``paths.sample_driver`` draws, so Q_s[A_{i,s}] is a
+product of normal cdf differences.  Cash flows are sampled from that
+law, and the closed form is their conditional expectation only under
+it; no other law can be chosen.
+
+Evaluating V_t therefore costs one membership test on the observed
 prefix plus precomputed per-period cell probabilities; no nested
 simulation is involved.  t = 0 uses the empty prefix (membership 1) and
 t = T has an empty probability tail (product 1), which reduces to plain
@@ -23,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from .cart import _as_points
 from .flat import FlatEnsemble, weighted_membership
@@ -31,15 +38,17 @@ from .flat import FlatEnsemble, weighted_membership
 _CSV_BLOCK = 512
 
 
-def period_prob_matrix(fe: FlatEnsemble, measure) -> np.ndarray:
-    """Per-cell per-period slice probabilities, shape (N, T)."""
+def period_prob_matrix(fe: FlatEnsemble) -> np.ndarray:
+    """Per-cell per-period slice probabilities under N(0, 1) drivers, shape (N, T).
+
+    Column s is the product over coordinates j, left to right, of
+    Phi(hi) - Phi(lo) for the cell's period-s bounds.
+    """
     d, T = fe.dims
-    if measure.dims != (d, T):
-        raise ValueError("measure dims do not match the ensemble dims")
-    probs = np.empty((fe.n_cells, T))
-    for s in range(T):
-        cols = slice(s * d, (s + 1) * d)
-        probs[:, s] = measure.period_probs(s, fe.lo[:, cols], fe.hi[:, cols])
+    edges = np.maximum(ndtr(fe.hi) - ndtr(fe.lo), 0.0).reshape(-1, T, d)
+    probs = np.ones((fe.n_cells, T))
+    for j in range(d):
+        probs *= edges[:, :, j]
     return probs
 
 
@@ -52,7 +61,7 @@ def tail_products(probs: np.ndarray) -> np.ndarray:
     return tails
 
 
-def value_at(fe: FlatEnsemble, measure, t: int, prefix=None) -> float:
+def value_at(fe: FlatEnsemble, t: int, prefix=None) -> float:
     """Conditional value at date t given the observed driver prefix.
 
     prefix holds the first t periods as one point of dims (d, t): a
@@ -61,7 +70,7 @@ def value_at(fe: FlatEnsemble, measure, t: int, prefix=None) -> float:
     d, T = fe.dims
     if not 0 <= t <= T:
         raise ValueError(f"date {t} outside 0..{T}")
-    tails = tail_products(period_prob_matrix(fe, measure))
+    tails = tail_products(period_prob_matrix(fe))
     w = fe.values * tails[:, t]
     if t == 0:
         return float(w.sum())
@@ -105,7 +114,7 @@ class ValueSurface:
             fh.write("\n")
 
 
-def value_surface(fe: FlatEnsemble, measure, dates: Sequence[int], scenarios,
+def value_surface(fe: FlatEnsemble, dates: Sequence[int], scenarios,
                   meta: Optional[dict] = None) -> ValueSurface:
     """Conditional values at each date along each scenario path.
 
@@ -122,7 +131,7 @@ def value_surface(fe: FlatEnsemble, measure, dates: Sequence[int], scenarios,
     if any(not 0 <= t <= T for t in dates):
         raise ValueError(f"dates must lie in 0..{T}")
     X, _ = _as_points(scenarios, fe.dims)
-    tails = tail_products(period_prob_matrix(fe, measure))
+    tails = tail_products(period_prob_matrix(fe))
     out = np.empty((X.shape[0], len(dates)))
     for col, t in enumerate(dates):
         w = fe.values * tails[:, t]

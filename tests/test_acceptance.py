@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from test_cart import brute_force_split
 from treeval.bench import (
@@ -31,12 +30,6 @@ from treeval.ensemble import (
     predict,
 )
 from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
-from treeval.measure import (
-    CopulaMeasure,
-    IndependenceCopula,
-    ProductMeasure,
-    rect_prob,
-)
 from treeval.paths import (
     STREAM_TEST,
     STREAM_TRAIN,
@@ -46,7 +39,7 @@ from treeval.paths import (
     simulate_bs,
 )
 from treeval.risk import empirical_es, empirical_var, normalized_l2
-from treeval.valuation import value_at, value_surface
+from treeval.valuation import period_prob_matrix, value_at, value_surface
 
 # the slow end-to-end tier: `pytest -m "not acceptance"` runs the unit tests alone
 pytestmark = pytest.mark.acceptance
@@ -118,13 +111,12 @@ def test_flat_form_reproduces_every_ensemble_kind(minput_training):
 def test_date1_closed_form_matches_conditional_mc(small_flat):
     """V_1(x_1) in closed form agrees with per-prefix nested Monte Carlo."""
     fe = small_flat
-    measure = ProductMeasure.standard_normal(D, T)
     prefixes = sample_driver(50, D, T, 7, (STREAM_TEST,))[:, :, 0]
     lows1, highs1 = fe.lo[:, :D], fe.hi[:, :D]
     n_inner = 100_000
     worst = 0.0
     for i, x1 in enumerate(prefixes):
-        closed = value_at(fe, measure, 1, x1[:, None])
+        closed = value_at(fe, 1, x1[:, None])
         # conditioning on X_1 = x1 freezes the first-period membership,
         # so only cells whose first-period slab contains x1 survive
         inside = np.all((lows1 < x1) & (x1 <= highs1), axis=1)
@@ -144,9 +136,8 @@ def test_date1_closed_form_matches_conditional_mc(small_flat):
 def test_tower_identity_between_dates(small_flat):
     """The date-1 value column averages back to the date-0 value."""
     fe = small_flat
-    measure = ProductMeasure.standard_normal(D, T)
     test = sample_driver(20_000, D, T, 13, (STREAM_TEST,))
-    surface = value_surface(fe, measure, (0, 1), test)
+    surface = value_surface(fe, (0, 1), test)
     v0 = float(surface.column(0)[0])
     v1 = surface.column(1)
     sigma = float(v1.std(ddof=1)) / math.sqrt(v1.size)
@@ -200,58 +191,34 @@ def test_var_es_exact_values_and_ordering():
 
 
 def test_rectangle_probability_suite():
-    """Rectangle probabilities: normalization, additivity, copulas."""
+    """Standard-normal cell probabilities: normalization and additivity."""
     rng = np.random.default_rng(11)
-    pm = ProductMeasure.standard_normal(3, 2)
-    full = rect_prob(pm, 0, [-np.inf] * 3, [np.inf] * 3)
-    assert full == 1.0
+    d, T = 3, 2
+    full = FlatEnsemble(lo=np.full((1, d * T), -np.inf), hi=np.full((1, d * T), np.inf),
+                        values=np.ones(1), dims=(d, T))
+    assert (period_prob_matrix(full) == 1.0).all()
 
-    worst_add = 0.0
+    # one cell per (whole, left part, right part) box, each box in period 2
+    lows, highs = [], []
     for _ in range(20):
-        lo = rng.uniform(-2.0, 0.0, 3)
-        hi = lo + rng.uniform(0.5, 2.5, 3)
-        j = int(rng.integers(3))
+        lo = rng.uniform(-2.0, 0.0, d)
+        hi = lo + rng.uniform(0.5, 2.5, d)
+        j = int(rng.integers(d))
         mid = 0.5 * (lo[j] + hi[j])
         hi_left, lo_right = hi.copy(), lo.copy()
         hi_left[j] = mid
         lo_right[j] = mid
-        whole = rect_prob(pm, 1, lo, hi)
-        parts = rect_prob(pm, 1, lo, hi_left) + \
-            rect_prob(pm, 1, lo_right, hi)
-        worst_add = max(worst_add, abs(whole - parts))
+        lows += [lo, lo, lo_right]
+        highs += [hi, hi_left, hi]
+    period1 = np.full((len(lows), d), np.inf)
+    cells = FlatEnsemble(lo=np.hstack([-period1, lows]), hi=np.hstack([period1, highs]),
+                         values=np.ones(len(lows)), dims=(d, T))
+    whole, left, right = period_prob_matrix(cells)[:, 1].reshape(-1, 3).T
+    worst_add = float(np.max(np.abs(whole - (left + right))))
     assert worst_add <= 1e-10
 
-    cm_ind = CopulaMeasure(grid=pm.grid, copulas=(IndependenceCopula(),) * 2,
-                           dims=(3, 2))
-    worst_ind = 0.0
-    for _ in range(20):
-        lo = rng.uniform(-2.0, 0.0, 3)
-        hi = lo + rng.uniform(0.3, 3.0, 3)
-        worst_ind = max(worst_ind, abs(rect_prob(cm_ind, 0, lo, hi) -
-                                       rect_prob(pm, 0, lo, hi)))
-    assert worst_ind <= 1e-12
-
-    # Clayton boxes against a gamma-frailty sampling oracle
-    theta = 2.0
-    cm = CopulaMeasure.clayton(theta, 3, 1)
-    n = 2_000_000
-    frailty = rng.gamma(1.0 / theta, size=n)
-    u = (1.0 + rng.exponential(size=(n, 3)) / frailty[:, None]) ** (-1.0 / theta)
-    z_draws = ndtri(u)
-    worst_clayton = 0.0
-    for _ in range(4):
-        lo = rng.uniform(-1.5, 0.0, 3)
-        hi = lo + rng.uniform(0.5, 2.0, 3)
-        inside = np.all((z_draws > lo) & (z_draws <= hi), axis=1)
-        p_hat = float(inside.mean())
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
-        score = abs(rect_prob(cm, 0, lo, hi) - p_hat) / se
-        worst_clayton = max(worst_clayton, score)
-    assert worst_clayton <= 3.0
-
     print(f"\nPASS rectangle probabilities: normalization exact, additivity "
-          f"{worst_add:.1e}, independence gap {worst_ind:.1e}, clayton max |z| "
-          f"{worst_clayton:.2f}")
+          f"{worst_add:.1e}")
 
 
 def test_bermudan_put_stopping_and_errors():

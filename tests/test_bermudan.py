@@ -20,7 +20,7 @@ from treeval.bermudan import (
 )
 from treeval.cart import TreeConfig, fit_tree
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost
-from treeval.bermudan import _phi_form
+from treeval.bermudan import _normal_interval_prob, _phi_form
 from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
 from treeval.parallel import get_threads, set_threads
 from treeval.paths import log_bs_localvol, sample_driver, simulate_localvol
@@ -229,6 +229,20 @@ def test_cell_sum_diagonal_zero_sd_is_indicator_times_cdf():
         inside = ((lo[:, 0] < mean[i, 0]) & (mean[i, 0] <= hi[:, 0])).astype(np.float64)
         cdf = ndtr((hi[:, 1] - mean[i, 1]) / sd[1]) - ndtr((lo[:, 1] - mean[i, 1]) / sd[1])
         assert got[i] == pytest.approx(np.sum(fe.values * inside * cdf), rel=1e-12, abs=1e-14)
+
+
+def test_normal_interval_prob_matches_cdf_difference():
+    mu, sd = 0.4, 1.3
+    lo, hi = -0.2, 2.0
+    expect = ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)
+    assert _normal_interval_prob(mu, sd, lo, hi) == pytest.approx(expect, rel=1e-15)
+
+
+def test_normal_interval_prob_degenerate_sd():
+    assert _normal_interval_prob(0.5, 0.0, 0.0, 1.0) == 1.0
+    assert _normal_interval_prob(1.5, 0.0, 0.0, 1.0) == 0.0
+    assert _normal_interval_prob(0.0, 0.0, 0.0, 1.0) == 0.0  # lower edge open
+    assert _normal_interval_prob(1.0, 0.0, 0.0, 1.0) == 1.0  # upper edge closed
 
 
 def test_cell_sum_rejects_correlated_kernel():

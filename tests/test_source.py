@@ -7,6 +7,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treeval"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -32,3 +33,48 @@ def test_unused_import_check_sees_leftovers():
 def test_modules_import_only_names_they_use(path):
     assert MODULES, SRC
     assert _unused_imports(ast.parse(path.read_text())) == [], path.name
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Module-level private functions, classes and constants; dunders are exempt."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _dead_private_names(trees: dict) -> list:
+    """``module: name`` for each private definition no module references."""
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name in _private_definitions(tree) if name not in used]
+
+
+def test_dead_private_name_check_sees_orphans():
+    trees = {
+        "a.py": ast.parse("__version__ = '1'\n_MAX_DIM = 16\n_LIMIT: int = 2\n_LO, _HI = 0, 1\n"
+                          "def _grid(): pass\ndef _corner(): return _LIMIT\n"
+                          "class _Copula: pass\ndef _seed(): pass\n"),
+        "b.py": ast.parse("from .a import _seed as seed\nimport a\n"
+                          "print(a._grid(), a._HI, seed())\n"),
+    }
+    assert _dead_private_names(trees) == ["a.py: _MAX_DIM", "a.py: _LO", "a.py: _corner",
+                                          "a.py: _Copula"]
+
+
+def test_every_private_name_is_referenced():
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    assert trees, SRC
+    assert _dead_private_names(trees) == []

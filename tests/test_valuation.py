@@ -10,7 +10,6 @@ from scipy.special import ndtr
 from treeval.cart import TreeConfig, fit_tree
 from treeval.ensemble import BoostConfig, fit_boost, predict
 from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
-from treeval.measure import ProductMeasure
 from treeval.paths import sample_driver
 from treeval.valuation import (ValueSurface, period_prob_matrix, tail_products, value_at,
                                value_surface)
@@ -25,14 +24,13 @@ def half_space_model():
 
 def test_half_space_value_process_hand_values():
     fe = half_space_model()
-    q = ProductMeasure.standard_normal(1, 2)
     # V_0 = P(X_1 > 0) = 1/2 exactly
-    assert value_at(fe, q, 0) == 0.5
+    assert value_at(fe, 0) == 0.5
     # V_1(x_1) = 1{x_1 > 0}
-    assert value_at(fe, q, 1, prefix=np.array([[0.7]])) == 1.0
-    assert value_at(fe, q, 1, prefix=np.array([[-0.7]])) == 0.0
+    assert value_at(fe, 1, prefix=np.array([[0.7]])) == 1.0
+    assert value_at(fe, 1, prefix=np.array([[-0.7]])) == 0.0
     # V_2 is the model itself
-    assert value_at(fe, q, 2, prefix=np.array([[0.7, 9.9]])) == 1.0
+    assert value_at(fe, 2, prefix=np.array([[0.7, 9.9]])) == 1.0
 
 
 def test_box_cell_tail_probabilities():
@@ -40,33 +38,75 @@ def test_box_cell_tail_probabilities():
     lo = np.array([[0.0, -1.0]])
     hi = np.array([[1.0, 2.0]])
     fe = FlatEnsemble(lo=lo, hi=hi, values=np.array([3.0]), dims=(1, 2))
-    q = ProductMeasure.standard_normal(1, 2)
     p1 = ndtr(1.0) - ndtr(0.0)
     p2 = ndtr(2.0) - ndtr(-1.0)
-    assert value_at(fe, q, 0) == pytest.approx(3.0 * p1 * p2, rel=1e-14)
+    assert value_at(fe, 0) == pytest.approx(3.0 * p1 * p2, rel=1e-14)
     # conditioning on a first period inside the slab leaves the tail
-    assert value_at(fe, q, 1, prefix=np.array([[0.5]])) == pytest.approx(3.0 * p2, rel=1e-14)
-    assert value_at(fe, q, 1, prefix=np.array([[1.5]])) == 0.0
+    assert value_at(fe, 1, prefix=np.array([[0.5]])) == pytest.approx(3.0 * p2, rel=1e-14)
+    assert value_at(fe, 1, prefix=np.array([[1.5]])) == 0.0
 
 
 def test_period_prob_matrix_and_tails():
     fe = half_space_model()
-    q = ProductMeasure.standard_normal(1, 2)
-    probs = period_prob_matrix(fe, q)
+    probs = period_prob_matrix(fe)
     np.testing.assert_allclose(probs, [[0.5, 1.0]], rtol=0, atol=0)
     tails = tail_products(probs)
     np.testing.assert_allclose(tails, [[0.5, 1.0, 1.0]], rtol=0, atol=0)
 
 
+def _cells(lo, hi, dims):
+    """FlatEnsemble of unit-value cells from per-cell bound rows."""
+    lo, hi = np.atleast_2d(lo).astype(np.float64), np.atleast_2d(hi).astype(np.float64)
+    return FlatEnsemble(lo=lo, hi=hi, values=np.ones(lo.shape[0]), dims=dims)
+
+
+def test_period_prob_matrix_normalization_and_half_space():
+    # (d, T) = (2, 3): cell 0 is all of R^6, cell 1 cuts x_{1,1} > 0
+    inf = np.inf
+    full = [-inf] * 6
+    fe = _cells([full, [0.0] + full[1:]], [[inf] * 6, [inf] * 6], (2, 3))
+    probs = period_prob_matrix(fe)
+    np.testing.assert_array_equal(probs, [[1.0, 1.0, 1.0], [0.5, 1.0, 1.0]])
+
+
+def test_period_prob_matrix_box_value():
+    fe = _cells([-1.0, -1.0], [1.0, 1.0], (2, 1))
+    edge = ndtr(1.0) - ndtr(-1.0)
+    assert period_prob_matrix(fe)[0, 0] == pytest.approx(edge * edge, rel=1e-15)
+
+
+def test_period_prob_matrix_additivity():
+    cut = 0.3
+    fe = _cells([[-0.7, -1.2], [-0.7, -1.2], [cut, -1.2]],
+                [[1.4, 0.9], [cut, 0.9], [1.4, 0.9]], (2, 1))
+    whole, left, right = period_prob_matrix(fe)[:, 0]
+    assert abs(whole - (left + right)) < 1e-10
+
+
+def test_period_prob_matrix_is_the_left_to_right_cdf_product():
+    # pins the arithmetic: per period, coordinates multiplied in order
+    # from 1.0, each factor max(Phi(hi) - Phi(lo), 0); d = 3 so that
+    # another order would round differently
+    d, T = 3, 2
+    x = sample_driver(600, d, T, seed=58)
+    y = np.maximum(1.0 - np.exp(0.2 * x.sum(axis=2)).min(axis=1), 0.0) + x[:, 0, 0]
+    fe = flatten_model(fit_boost(x, y, BoostConfig(rounds=20, learning_rate=0.3,
+                                                   max_depth=4, nodesize=5)))
+    assert np.isneginf(fe.lo).any() and np.isposinf(fe.hi).any()
+    ref = np.ones((fe.n_cells, T))
+    for s in range(T):
+        for j in range(d):
+            c = s * d + j
+            ref[:, s] *= np.maximum(ndtr(fe.hi[:, c]) - ndtr(fe.lo[:, c]), 0.0)
+    assert np.array_equal(ref, period_prob_matrix(fe))
+
+
 def test_value_at_validation():
     fe = half_space_model()
-    q = ProductMeasure.standard_normal(1, 2)
     with pytest.raises(ValueError):
-        value_at(fe, q, 3)
+        value_at(fe, 3)
     with pytest.raises(ValueError):
-        value_at(fe, q, 1)  # missing prefix
-    with pytest.raises(ValueError):
-        value_at(fe, ProductMeasure.standard_normal(2, 2), 0)
+        value_at(fe, 1)  # missing prefix
 
 
 @pytest.fixture(scope="module")
@@ -75,67 +115,66 @@ def fitted_flat():
     y = np.maximum(1.0 - np.exp(0.2 * x[:, :, -1]).min(axis=1), 0.0)
     boost = fit_boost(x, y, BoostConfig(rounds=15, learning_rate=0.3, max_depth=3))
     fe = flatten_model(boost)
-    q = ProductMeasure.standard_normal(2, 2)
-    return fe, q
+    return fe
 
 
 def test_terminal_date_reduces_to_model_evaluation(fitted_flat):
-    fe, q = fitted_flat
+    fe = fitted_flat
     pts = sample_driver(200, 2, 2, seed=52)
-    surf = value_surface(fe, q, (0, 1, 2), pts)
+    surf = value_surface(fe, (0, 1, 2), pts)
     np.testing.assert_array_equal(surf.column(2), evaluate_flat(fe, pts))
 
 
 def test_value_surface_matches_value_at(fitted_flat):
-    fe, q = fitted_flat
+    fe = fitted_flat
     pts = sample_driver(5, 2, 2, seed=53)
-    surf = value_surface(fe, q, (0, 1, 2), pts)
+    surf = value_surface(fe, (0, 1, 2), pts)
     for i in range(5):
-        v1 = value_at(fe, q, 1, prefix=pts[i, :, :1])
+        v1 = value_at(fe, 1, prefix=pts[i, :, :1])
         # batch and single-point paths may differ by summation order only
         assert surf.column(1)[i] == pytest.approx(v1, rel=1e-12, abs=1e-15)
-    v0 = value_at(fe, q, 0)
+    v0 = value_at(fe, 0)
     np.testing.assert_array_equal(surf.column(0), np.full(5, v0))
 
 
 def test_tower_property_of_closed_form(fitted_flat):
     # E[V_1(X_1)] = V_0 under the sampling measure
-    fe, q = fitted_flat
+    fe = fitted_flat
     pts = sample_driver(20_000, 2, 2, seed=54)
-    surf = value_surface(fe, q, (0, 1), pts)
+    surf = value_surface(fe, (0, 1), pts)
     v1 = surf.column(1)
     se = v1.std(ddof=1) / np.sqrt(v1.size)
     assert abs(v1.mean() - surf.column(0)[0]) < 3 * se
 
 
 def test_value_surface_linearity(fitted_flat):
-    fe, q = fitted_flat
+    fe = fitted_flat
     scaled = FlatEnsemble(lo=fe.lo, hi=fe.hi,
                           values=2.5 * fe.values, dims=fe.dims)
     pts = sample_driver(50, 2, 2, seed=55)
-    a = value_surface(fe, q, (0, 1, 2), pts)
-    b = value_surface(scaled, q, (0, 1, 2), pts)
+    a = value_surface(fe, (0, 1, 2), pts)
+    b = value_surface(scaled, (0, 1, 2), pts)
     np.testing.assert_allclose(b.values, 2.5 * a.values, rtol=1e-13, atol=1e-15)
 
 
 def test_value_surface_validation(fitted_flat):
-    fe, q = fitted_flat
+    fe = fitted_flat
     pts = sample_driver(4, 2, 2, seed=56)
     with pytest.raises(ValueError):
-        value_surface(fe, q, (0, 3), pts)
+        value_surface(fe, (0, 3), pts)
     with pytest.raises(ValueError):
-        value_surface(fe, q, (0,), pts[:, :1, :])
+        value_surface(fe, (0,), pts[:, :1, :])
     with pytest.raises(ValueError, match="integers"):  # not truncated to a second date 1
-        value_surface(fe, q, (0, 1, 1.5), pts)
+        value_surface(fe, (0, 1, 1.5), pts)
     with pytest.raises(ValueError, match="integers"):  # not run as date 1
-        value_surface(fe, q, (0, True), pts)
-    assert value_surface(fe, q, np.array([0, 2]), pts).dates == (0, 2)
+        value_surface(fe, (0, True), pts)
+    assert value_surface(fe, np.array([0, 2]), pts).dates == (0, 2)
 
 
 def test_value_surface_csv_round_trip(tmp_path, fitted_flat):
-    fe, q = fitted_flat
+    fe = fitted_flat
     pts = sample_driver(7, 2, 2, seed=57)
-    surf = value_surface(fe, q, (0, 2), pts, meta={"estimator": "boost", "seed": 57})
+    surf = value_surface(fe, (0, 2), pts, meta={"estimator": "boost", "seed": 57})
     path = tmp_path / "surface.csv"
     surf.to_csv(path)
     with open(path) as fh:
@@ -159,12 +198,11 @@ def test_non_finite_points_are_rejected(call, bad):
     y = x[:, 0, :].sum(axis=1)
     boost = fit_boost(x, y, BoostConfig(rounds=3, max_depth=2))
     fe = flatten_model(boost)
-    q = ProductMeasure.standard_normal(2, 2)
     pts = x.copy()
     pts[3, 1, 0] = bad
     calls = {
-        "value_surface": lambda: value_surface(fe, q, (0, 1, 2), pts),
-        "value_at": lambda: value_at(fe, q, 1, prefix=pts[3, :, :1]),
+        "value_surface": lambda: value_surface(fe, (0, 1, 2), pts),
+        "value_at": lambda: value_at(fe, 1, prefix=pts[3, :, :1]),
         "evaluate_flat": lambda: evaluate_flat(fe, pts),
         "predict": lambda: predict(boost, pts),
         "fit_tree": lambda: fit_tree(pts, y, TreeConfig()),
