@@ -82,12 +82,9 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
 
     def run_block(bitgen, a, b):
         m = b - a
-        raw = np.empty((m, n_inner, d, T - 1), dtype=np.uint64)
-        for j in range(m):
-            raw[j] = _keyed_bits(bitgen, keys[a + j], (n_inner, d, T - 1))
         full = np.empty((m, n_inner, d, T))
         full[:, :, :, 0] = x1[a:b, None, :]
-        full[:, :, :, 1:] = _normal_from_bits(raw)
+        full[:, :, :, 1:] = _normal_from_bits(_keyed_bits(bitgen, keys[a:b], (n_inner, d, T - 1)))
         paths = simulate_bs(model, full.reshape(m * n_inner, d, T))
         y = payoff_value(payoff, model, paths).reshape(m, n_inner)
         vals[a:b] = y.mean(axis=1)

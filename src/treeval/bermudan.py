@@ -134,16 +134,17 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray
             return out
         mu = mean[:, 0]
         pos = sd > 0.0
-        if not pos.all():
-            # a point mass at mu lands in the half-open cell (a, b] when
-            # mu <= b and mu > a, so the step weight at bound q is 1{mu <= q}
-            mu0 = mu[~pos]
-            out[~pos] = (q[None, :] >= mu0[:, None]).astype(np.float64) @ w + const
-        idx = np.flatnonzero(pos)
         # each lane reuses one (chunk x bounds) block: 0.4 MB at 64 rows and
         # 800 bounds, at most 32 MB, and the lanes' blocks at most 64 MB in
         # all whatever the thread count
         chunk = max(1, min(point_chunk, int(4e6 // max(q.size, 1)) or 1))
+        # a point mass at mu lands in the half-open cell (a, b] when
+        # mu <= b and mu > a, so the step weight at bound q is 1{mu <= q}
+        mass = np.flatnonzero(~pos)
+        for i in range(0, mass.size, chunk):
+            sel = mass[i:i + chunk]
+            out[sel] = (q[None, :] >= mu[sel, None]).astype(np.float64) @ w + const
+        idx = np.flatnonzero(pos)
         starts = range(0, idx.size, chunk)
         lanes = min(get_threads(), len(starts), max(1, int(8e6 // (chunk * q.size))))
         # the blocks are allocated here, not on the workers, so the

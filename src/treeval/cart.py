@@ -14,6 +14,15 @@ the split nodes' rows are regrouped into their children without sorting
 again.  The finished nodes are numbered as depth-first, left-first growth
 would allocate them, so the trees match that order node for node.
 
+The split search scores every cut of a column from the response prefix
+sums alone and takes the first minimum; only then does it read the two
+values at that cut.  If their midpoint lies strictly between them, the
+cut is also the first minimum over the admissible cuts, since masking
+the others (ties, midpoints that round onto an endpoint) only raises
+scores to +inf.  Otherwise that column of that node is scanned again
+with the inadmissible cuts masked.  Either way the split is the one an
+exhaustive masked scan finds, bit for bit.
+
 A forest's trees grow together: their rows are laid end to end, each
 tree's columns are sorted on their own, and every depth scores the nodes
 of all trees in one pass, so the numpy call overhead of a depth is paid
@@ -233,6 +242,28 @@ def _node_groups(size: np.ndarray, nodes: np.ndarray, P: int):
         i = j
 
 
+def _masked_min(XT, R, cols, score) -> tuple:
+    """First admissible minimum of each row of score: (score, midpoint) per row.
+
+    Row i of R (m, K) holds one node's rows by value in column cols[i],
+    padded with the sentinel, and row i of score (m, K - 1) the scores of
+    the cuts between consecutive positions.  A cut is admissible when its
+    midpoint lies strictly between the two values; the others score +inf
+    here.
+    """
+    x = XT[cols[:, None], R]
+    lo, hi = x[:, :-1], x[:, 1:]
+    z = lo + hi
+    z *= 0.5
+    # a midpoint that rounds onto an endpoint would leave a child empty
+    ok = lo < z
+    ok &= z < hi
+    score[~ok] = np.inf
+    j = np.argmin(score, axis=1)
+    i = np.arange(j.size)
+    return score[i, j], z[i, j]
+
+
 def _split_nodes(XT, y, order, size, sy, cands) -> tuple:
     """Best split of each node of one depth, from presorted columns.
 
@@ -246,6 +277,16 @@ def _split_nodes(XT, y, order, size, sy, cands) -> tuple:
     Returns (coord, threshold, score) per node; coord is -1 where the node
     has no candidate, its responses are constant or no split strictly
     improves on the parent SSE.  Ties go to the smallest (coord, threshold).
+
+    Scoring reads only the responses.  Every cut between two of a node's
+    rows is scored, the first minimum j of each (node, column) is taken,
+    and only then are the values at j and j + 1 read.  When their
+    midpoint lies strictly between them, j is also the first minimum over
+    the admissible cuts: those keep their scores and the others only
+    rise to +inf, so no cut before j can tie or beat it.  Otherwise
+    (tied values, or a midpoint that rounds onto an endpoint) that
+    (node, column) is scanned again with the inadmissible cuts masked
+    (``_masked_min``).  The splits are those of a fully masked scan.
     """
     P, stride = XT.shape
     start = np.cumsum(size) - size
@@ -265,19 +306,16 @@ def _split_nodes(XT, y, order, size, sy, cands) -> tuple:
         at = np.arange(k[-1, 0])
         pos = np.where(at < k, start[nodes][:, None] + at, order.shape[1] - 1)
         nl = at[1:] * 1.0  # left child sizes 1 .. largest - 1
-        nr = np.maximum(k - nl, 1.0)  # padding positions are never admissible
+        nr = np.maximum(k - nl, 1.0)  # no division by zero past a node's last row
+        pad = nl >= k  # no cut after a node's last row
         step = max(1, _BLOCK // pos.size)
         for c0 in range(0, P, step):
             cols = np.arange(c0, min(c0 + step, P))
             R = np.take(order[cols[0]:cols[-1] + 1], pos, axis=1)
-            xo = np.take(XT, R + (stride * cols)[:, None, None])
             yo = np.take(y, R)
             cy = np.cumsum(yo, axis=2)
             yo *= yo
             cy2 = np.cumsum(yo, axis=2)
-            lo, hi = xo[..., :-1], xo[..., 1:]
-            z = lo + hi
-            z *= 0.5
             sl, sl2 = cy[..., :-1], cy2[..., :-1]
             # score = (sl2 - sl*sl/nl) + (sr2 - sr*sr/nr), in place
             sr = cy[..., -1:] - sl
@@ -288,15 +326,23 @@ def _split_nodes(XT, y, order, size, sy, cands) -> tuple:
             score /= nl
             np.subtract(sl2, score, out=score)
             score += sr
-            # a midpoint that rounds onto an endpoint would leave a child empty
-            ok = lo < z
-            ok &= z < hi
-            score[~ok] = np.inf
-            # first minimum = smallest threshold; score and z are contiguous
+            np.copyto(score, np.inf, where=pad)
+            # first minimum = smallest threshold; score and R are contiguous
             j = np.argmin(score, axis=2)
-            j += score.shape[2] * np.arange(j.size).reshape(j.shape)
-            best[nodes[:, None], cols] = np.take(score, j).T
-            cut[nodes[:, None], cols] = np.take(z, j).T
+            flat = np.arange(j.size).reshape(j.shape)
+            s = np.take(score, j + score.shape[2] * flat)
+            rj = j + R.shape[2] * flat
+            off = (stride * cols)[:, None]
+            lo = np.take(XT, np.take(R, rj) + off)
+            hi = np.take(XT, np.take(R, rj + 1) + off)
+            z = lo + hi
+            z *= 0.5
+            bad = ~((lo < z) & (z < hi))
+            if bad.any():
+                c, i = np.nonzero(bad)
+                s[c, i], z[c, i] = _masked_min(XT, R[c, i], cols[c], score[c, i])
+            best[nodes[:, None], cols] = s.T
+            cut[nodes[:, None], cols] = z.T
     best[~cands] = np.inf
     col = np.argmin(best, axis=1)  # first minimum = smallest coordinate
     i = np.arange(size.size)
@@ -399,12 +445,16 @@ def _batch_size(n: int, P: int) -> int:
     return max(1, _GROW_BUDGET // ((2 * P + 1) * (n + 1)))
 
 
-def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs) -> list:
+def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs,
+                presorted: Optional[tuple] = None, fitted: Optional[np.ndarray] = None) -> list:
     """Grow one tree per (X, y, rng), all together one depth at a time.
 
     Xs holds time-major row arrays (n_m, P) and ys their responses.  The
     trees' rows are laid end to end in one row space and each column is
-    argsorted per tree, so the roots are the first depth's nodes.  Every
+    argsorted per tree, so the roots are the first depth's nodes;
+    presorted, when given, is ``_presort(Xs)`` made once for many calls,
+    which growth only reads.  fitted, when given, receives each row's
+    leaf value, which is the tree's prediction at that row.  Every
     node keeps its rows as a stable subsequence of its tree's column
     orders and of the ascending order, so all nodes of a depth, of every
     tree, are scored together by ``_split_nodes`` and their children are
@@ -417,7 +467,7 @@ def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs) -> list:
     y = np.concatenate([_check_responses(r, X.shape[0]) for X, r in zip(Xs, ys)]
                        + [np.zeros(1)])  # the sentinel's response last
     P = Xs[0].shape[1]
-    XT, order = _presort(Xs)
+    XT, order = _presort(Xs) if presorted is None else presorted
     n = XT.shape[1] - 1
     size = np.array([X.shape[0] for X in Xs])
     tree = np.arange(len(Xs))  # the tree of each node of the depth
@@ -431,6 +481,9 @@ def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs) -> list:
         feature = np.full(size.size, _LEAF)
         threshold = np.full(size.size, np.nan)
         value = sums / np.maximum(size, 1)
+        if fitted is not None:
+            # a row's node at the last depth that holds it is its leaf
+            fitted[rows] = np.repeat(value, size)
         # each tree's nodes of the depth as views, filled in below
         ends = np.searchsorted(tree, np.arange(len(Xs) + 1))
         for m in np.unique(tree).tolist():
@@ -474,7 +527,7 @@ def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
     """Grow a tree one depth at a time on time-major rows X (k, P).
 
     The one-tree call of ``_grow_trees``; rng defaults to the stream of
-    cfg.seed.  Boosting and ``fit_tree`` call this directly.
+    cfg.seed.
     """
     if rng is None:
         rng = Generator(Philox(SeedSequence(cfg.seed)))
@@ -497,8 +550,9 @@ def _predict_trees(trees, X: np.ndarray) -> np.ndarray:
 
     The trees' node arrays are laid end to end, child links offset to
     match, and all (tree, row) pairs descend together, one level a pass.
+    Each pass routes only the pairs still at a split node.
     """
-    k = X.shape[0]
+    k, P = X.shape
     n = np.array([t.n_nodes for t in trees])
     off = np.cumsum(n) - n
     feature = np.concatenate([t.feature for t in trees])
@@ -506,13 +560,14 @@ def _predict_trees(trees, X: np.ndarray) -> np.ndarray:
     left = np.concatenate([t.left + o for t, o in zip(trees, off)])
     right = np.concatenate([t.right + o for t, o in zip(trees, off)])
     node = np.repeat(off, k)  # pair i is row i % k of tree i // k
-    active = feature[node] != _LEAF
-    while active.any():
-        pairs = np.flatnonzero(active)
-        cur = node[pairs]
-        go_left = X[pairs % k, feature[cur]] <= threshold[cur]
-        node[pairs] = np.where(go_left, left[cur], right[cur])
-        active[pairs] = feature[node[pairs]] != _LEAF
+    pairs = np.flatnonzero(feature[node] != _LEAF)
+    cur = node[pairs]
+    while pairs.size:
+        go_left = np.take(X, pairs % k * P + feature[cur]) <= threshold[cur]
+        cur = np.where(go_left, left[cur], right[cur])
+        node[pairs] = cur
+        keep = feature[cur] != _LEAF
+        pairs, cur = pairs[keep], cur[keep]
     return np.concatenate([t.value for t in trees])[node].reshape(len(trees), k)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .cart import (RegressionTree, TreeConfig, _as_points, _batch_size, _check_responses,
-                   _grow_tree, _grow_trees, _predict_points, _predict_trees,
+                   _grow_trees, _predict_points, _predict_trees, _presort,
                    _training_points, fit_tree, predict_tree)
 
 _SAMPLINGS = ("bootstrap", "subsample_with", "subsample_without")
@@ -200,10 +200,12 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
         vcur = np.full(vy.size, base)
         best_err = float(np.mean((vcur - vy) ** 2))
     seqs = SeedSequence(cfg.seed).spawn(cfg.rounds)
+    presorted = _presort([X])  # every round splits the same X
+    g = np.empty(y.size)  # the round's tree at X, written by growth
     for t in range(cfg.rounds):
         resid = cur - y
-        tree = _grow_tree(X, resid, tree_cfg, dims, Generator(Philox(seqs[t])))
-        g = _predict_points(tree, X)
+        tree, = _grow_trees([X], [resid], tree_cfg, dims, [Generator(Philox(seqs[t]))],
+                            presorted, g)
         den = float(np.sum(g * g))
         if den == 0.0:
             break

@@ -115,19 +115,28 @@ def _stream_keys(seed: int, tags: tuple, ids) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=1)
 
 
-def _keyed_bits(bitgen: Philox, key: np.ndarray, shape) -> np.ndarray:
-    """``_draw_bits`` on the stream whose Philox key is ``key``, from a reused bit generator.
+def _keyed_bits(bitgen: Philox, keys: np.ndarray, shape) -> np.ndarray:
+    """``_draw_bits`` on each stream whose Philox key is a row of keys, from one bit generator.
 
-    A Philox stream is a pure function of its key, so resetting the
-    counter and buffer replays it from the start.  ``integers(0, 2**53)``
-    on 64-bit words is Lemire's bounded draw with a power-of-two range,
-    which never rejects and returns the top 53 bits of each raw word.
+    keys is one key (2,), giving an array of the given shape, or (m, 2),
+    giving (m, *shape).  A Philox stream is a pure function of its key,
+    so resetting the counter and buffer replays it from the start: one
+    state dict serves every stream and only its key is set per stream.
+    ``integers(0, 2**53)`` on 64-bit words is Lemire's bounded draw with a
+    power-of-two range, which never rejects and returns the top 53 bits
+    of each raw word.
     """
-    bitgen.state = {"bit_generator": "Philox",
-                    "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                    "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                    "has_uint32": 0, "uinteger": 0}
-    return bitgen.random_raw(math.prod(shape)).reshape(shape) >> np.uint64(11)
+    keys = np.asarray(keys, dtype=np.uint64)
+    n = math.prod(shape)
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    raw = np.empty((keys.size // 2, n), dtype=np.uint64)
+    for row, key in zip(raw, keys.reshape(-1, 2).tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        row[:] = bitgen.random_raw(n)
+    raw >>= np.uint64(11)
+    return raw.reshape(keys.shape[:-1] + tuple(shape))
 
 
 def _normal_from_bits(raw: np.ndarray) -> np.ndarray:

@@ -173,16 +173,15 @@ def test_cell_sum_same_bits_at_one_and_two_threads():
         assert b[~pos] == pytest.approx(evaluate_flat(fe, mu[~pos, :, None]), rel=1e-12)
 
 
-def test_cell_sum_working_set_stays_small():
-    # each lane reuses one (chunk x bounds) block: 0.4 MB at 64 x 800 bounds,
-    # against 3.3 MB for 512-row blocks
+def _cell_sum_peak(sd_scale):
+    """Traced peak bytes of a 2-thread cell sum: 4,000 points, 800 bounds."""
     rng = np.random.default_rng(5)
     b = np.sort(rng.normal(size=800))
     lo = np.concatenate([[-np.inf], b])[:, None]
     hi = np.concatenate([b, [np.inf]])[:, None]
     fe = FlatEnsemble(lo=lo, hi=hi, values=rng.normal(size=801), dims=(1, 1))
     mu = rng.normal(size=(4000, 1))
-    cf = rng.uniform(0.05, 1.5, size=(4000, 1, 1))
+    cf = sd_scale * rng.uniform(0.05, 1.5, size=(4000, 1, 1))
     before = get_threads()
     set_threads(2)
     tracemalloc.start()
@@ -194,6 +193,20 @@ def test_cell_sum_working_set_stays_small():
         tracemalloc.stop()
         set_threads(before)
     print(f"cell sum peak {peak} B")
+    return peak
+
+
+def test_cell_sum_working_set_stays_small():
+    # each lane reuses one (chunk x bounds) block: 0.4 MB at 64 x 800 bounds,
+    # against 3.3 MB for 512-row blocks
+    peak = _cell_sum_peak(1.0)
+    assert peak < 2e6, peak
+
+
+def test_cell_sum_point_masses_run_in_blocks():
+    # every sd is 0: the indicator rows go in the same 64-row blocks, not
+    # one (4000 x 800) product of 28.9 MB
+    peak = _cell_sum_peak(0.0)
     assert peak < 2e6, peak
 
 

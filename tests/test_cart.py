@@ -418,14 +418,14 @@ def test_ensemble_trees_match_depth_first_reference(monkeypatch):
     """Boost residual rounds and bootstrap forest trees, grown inside the fits."""
     grown = []
 
-    def checked(Xs, ys, cfg, dims, rngs):
-        trees = _grow_trees(Xs, ys, cfg, dims, rngs)
+    def checked(Xs, ys, cfg, dims, rngs, *grow):
+        trees = _grow_trees(Xs, ys, cfg, dims, rngs, *grow)
         for X, y, tree in zip(Xs, ys, trees):
             assert_same_tree(tree, reference_grow(X, y, cfg))
             grown.append(X.shape[0] - np.unique(X, axis=0).shape[0])  # duplicated rows
         return trees
 
-    # boosting reaches the batched grower through _grow_tree, the forest directly
+    # boosting and the forest call the batched grower from the ensemble module
     monkeypatch.setattr(cart, "_grow_trees", checked)
     monkeypatch.setattr(ensemble, "_grow_trees", checked)
     x = sample_driver(300, 2, 2, seed=41)
@@ -434,6 +434,74 @@ def test_ensemble_trees_match_depth_first_reference(monkeypatch):
     assert len(grown) == 5
     fit_forest(x, y, ForestConfig(n_trees=3, nodesize=5, seed=3))
     assert len(grown) == 8 and min(grown[5:]) > 0
+
+
+def _ulp_step(rng):
+    # distinct values, but the response steps between 1 and 1+ulp, where no
+    # midpoint lies strictly between: the best cut over all positions is there
+    x = np.concatenate([rng.uniform(0.0, 0.9, 30), [1.0, np.nextafter(1.0, 2.0)],
+                        rng.uniform(1.1, 2.0, 30)])
+    return x[:, None], np.where(x > 1.0, 10.0, 0.0) + 0.01 * x, TreeConfig(max_depth=1)
+
+
+@pytest.mark.parametrize("case", ["integer_ties", "adjacent_floats", "ulp_step"])
+def test_tied_or_unsplittable_best_cut_is_rescanned_masked(case, monkeypatch):
+    """The first minimum over all cuts can sit between tied values or on a
+    midpoint that rounds onto an endpoint; those (node, column) pairs are
+    scanned again with such cuts masked, and the tree is unchanged."""
+    rescans = []
+
+    def counted(XT, R, cols, score):
+        rescans.append(cols.size)
+        return masked_min(XT, R, cols, score)
+
+    masked_min = cart._masked_min
+    monkeypatch.setattr(cart, "_masked_min", counted)
+    X, y, cfg = {**CASES, "ulp_step": _ulp_step}[case](np.random.default_rng(31))
+    tree = _grow_tree(X, y, cfg, (X.shape[1], 1))
+    assert sum(rescans) > 0
+    if case == "ulp_step":
+        assert np.unique(X).size == X.size
+        assert tree.threshold[0] not in (1.0, np.nextafter(1.0, 2.0))
+    assert_same_tree(tree, reference_grow(X, y, cfg))
+
+
+def _boost_data():
+    # every other row repeats an earlier one with another response
+    x = sample_driver(240, 2, 2, seed=44)
+    x = np.concatenate([x, x[::2]])
+    y = np.maximum(1.0 - _time_major(x).min(axis=1), 0.0)
+    return x, y + 0.1 * np.random.default_rng(8).standard_normal(y.size)
+
+
+def test_boost_rounds_take_their_fitted_values_from_growth(monkeypatch):
+    rounds = []
+
+    def checked(Xs, ys, cfg, dims, rngs, presorted, fitted):
+        trees = _grow_trees(Xs, ys, cfg, dims, rngs, presorted, fitted)
+        assert np.array_equal(fitted, cart._predict_points(trees[0], Xs[0]))
+        rounds.append(np.unique(fitted).size)
+        return trees
+
+    monkeypatch.setattr(ensemble, "_grow_trees", checked)
+    x, y = _boost_data()
+    fit_boost(x, y, BoostConfig(rounds=6, nodesize=4, max_depth=6, seed=5))
+    assert len(rounds) == 6 and min(rounds) > 10
+
+
+def test_boost_rounds_share_one_presort_and_leave_it_unchanged(monkeypatch):
+    shared = []
+
+    def recorded(Xs, ys, cfg, dims, rngs, presorted, fitted):
+        shared.append(presorted)
+        return _grow_trees(Xs, ys, cfg, dims, rngs, presorted, fitted)
+
+    monkeypatch.setattr(ensemble, "_grow_trees", recorded)
+    x, y = _boost_data()
+    fit_boost(x, y, BoostConfig(rounds=4, nodesize=4, max_depth=6, seed=5))
+    assert len(shared) == 4 and all(p is shared[0] for p in shared)
+    XT, order = cart._presort([_time_major(x)])
+    assert np.array_equal(shared[0][0], XT) and np.array_equal(shared[0][1], order)
 
 
 def test_candidate_draws_follow_level_order():
