@@ -20,7 +20,8 @@ from treeval.bermudan import (
 )
 from treeval.cart import TreeConfig, fit_tree
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost
-from treeval.bermudan import _normal_interval_prob, _phi_form
+from treeval import bermudan
+from treeval.bermudan import _chebyshev_degree, _normal_interval_prob, _phi_form
 from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
 from treeval.parallel import get_threads, set_threads
 from treeval.paths import log_bs_localvol, sample_driver, simulate_localvol
@@ -157,31 +158,47 @@ def test_cell_sum_same_bits_at_one_and_two_threads():
     cf = rng.uniform(0.05, 1.5, size=(k, 1, 1))
     cf[::9] = 0.0
     sd = cf[:, 0, 0]
+    # one sd for every point but the point masses: the interpolated path
+    shared = np.where(cf > 0.0, 0.6, 0.0)
+    pos = sd > 0.0
+    assert _chebyshev_degree(mu[pos, 0], shared[pos, 0, 0]) > 0
     before = get_threads()
     try:
-        got = {}
+        got, got_shared = {}, {}
         for threads in (1, 2):
             set_threads(threads)
             got[threads] = [gaussian_cell_sum(fe, mu, cf, point_chunk=c) for c in (100, 512)]
+            got_shared[threads] = [gaussian_cell_sum(fe, mu, shared, point_chunk=c)
+                                   for c in (100, 512)]
     finally:
         set_threads(before)
     for chunk, a, b in zip((100, 512), got[1], got[2]):
         assert np.array_equal(a, b), chunk
         want = _serial_cell_sum(fe, mu[:, 0], sd, chunk)
-        pos = sd > 0.0
         assert np.array_equal(b[pos], want[pos]), chunk
         assert b[~pos] == pytest.approx(evaluate_flat(fe, mu[~pos, :, None]), rel=1e-12)
+    for chunk, a, b in zip((100, 512), got_shared[1], got_shared[2]):
+        assert np.array_equal(a, b), chunk
+        assert np.array_equal(b[~pos], got[2][0][~pos]), chunk
+    assert np.allclose(got_shared[2][0], got_shared[2][1], rtol=0.0, atol=1e-13)
 
 
-def _cell_sum_peak(sd_scale):
-    """Traced peak bytes of a 2-thread cell sum: 4,000 points, 800 bounds."""
-    rng = np.random.default_rng(5)
-    b = np.sort(rng.normal(size=800))
+def _random_phi_fit(rng, n_bounds):
+    """n_bounds + 1 adjacent cells with random values, bounds drawn N(0, 1)."""
+    b = np.sort(rng.normal(size=n_bounds))
     lo = np.concatenate([[-np.inf], b])[:, None]
     hi = np.concatenate([b, [np.inf]])[:, None]
-    fe = FlatEnsemble(lo=lo, hi=hi, values=rng.normal(size=801), dims=(1, 1))
+    return FlatEnsemble(lo=lo, hi=hi, values=rng.normal(size=n_bounds + 1), dims=(1, 1))
+
+
+def _cell_sum_peak(sd_scale, shared=False):
+    """Traced peak bytes of a 2-thread cell sum: 4,000 points, 800 bounds."""
+    rng = np.random.default_rng(5)
+    fe = _random_phi_fit(rng, 800)
     mu = rng.normal(size=(4000, 1))
     cf = sd_scale * rng.uniform(0.05, 1.5, size=(4000, 1, 1))
+    if shared:
+        cf[:] = sd_scale * 0.7
     before = get_threads()
     set_threads(2)
     tracemalloc.start()
@@ -208,6 +225,75 @@ def test_cell_sum_point_masses_run_in_blocks():
     # one (4000 x 800) product of 28.9 MB
     peak = _cell_sum_peak(0.0)
     assert peak < 2e6, peak
+
+
+def test_cell_sum_shared_sd_interpolation_stays_small():
+    # the nodes go through the same 64-row blocks and the barycentric
+    # formula reuses one (64 x nodes) buffer
+    peak = _cell_sum_peak(1.0, shared=True)
+    assert peak < 2e6, peak
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
+def test_cell_sum_interpolation_matches_direct_sum(ratio):
+    """Shared-sd batches with half-range h = ratio * sd stay within 1e-14 per unit weight."""
+    rng = np.random.default_rng(int(ratio * 10))
+    for _ in range(3):
+        fe = _random_phi_fit(rng, int(rng.integers(50, 900)))
+        q, w, const = _phi_form(fe)
+        s = rng.uniform(0.05, 2.0)
+        c = rng.normal()
+        mu = c + rng.uniform(-ratio * s, ratio * s, size=4000)
+        mu[:2] = c - ratio * s, c + ratio * s  # the ends of the range are nodes
+        assert _chebyshev_degree(mu, np.full(mu.size, s)) > 0
+        got = gaussian_cell_sum(fe, mu[:, None], np.full((mu.size, 1, 1), s))
+        want = ndtr((q[None, :] - mu[:, None]) / s) @ w + const
+        err = np.max(np.abs(got - want))
+        assert err <= 1e-14 * (abs(const) + np.abs(w).sum()), (ratio, err)
+
+
+def _count_ndtr(monkeypatch):
+    seen = []
+
+    def counted(u, *args, **kwargs):
+        seen.append(np.size(u))
+        return ndtr(u, *args, **kwargs)
+
+    monkeypatch.setattr(bermudan, "ndtr", counted)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["shared", "varying", "small", "one_mean"])
+def test_cell_sum_ndtr_count_follows_the_selection_rule(monkeypatch, case):
+    rng = np.random.default_rng(8)
+    fe = _random_phi_fit(rng, 600)
+    Q = _phi_form(fe)[0].size
+    k = 10 if case == "small" else 4000
+    mu = np.zeros(k) if case == "one_mean" else rng.normal(size=k)
+    s = 0.4
+    sd = rng.uniform(0.3, 0.5, size=k) if case == "varying" else np.full(k, s)
+    seen = _count_ndtr(monkeypatch)
+    gaussian_cell_sum(fe, mu[:, None], sd[:, None, None])
+    if case == "shared":
+        n = math.ceil(8 * 0.5 * (mu.max() - mu.min()) / s) + 16
+        assert sum(seen) == (n + 1) * Q
+    elif case == "one_mean":
+        assert sum(seen) == Q
+    else:
+        assert sum(seen) == k * Q
+
+
+@pytest.mark.parametrize("arg", ["mean", "cov_factor"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cell_sum_rejects_non_finite_inputs(arg, bad):
+    # cells (-inf, 0] -> 1 and (0, inf) -> 2: a NaN loading once passed as a
+    # point mass at 0.5 and gave 2.0
+    fe = FlatEnsemble(lo=np.array([[-np.inf], [0.0]]), hi=np.array([[0.0], [np.inf]]),
+                      values=np.array([1.0, 2.0]), dims=(1, 1))
+    args = {"mean": np.array([[0.5], [0.1]]), "cov_factor": np.full((2, 1, 1), 0.3)}
+    args[arg][0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_cell_sum(fe, args["mean"], args["cov_factor"])
 
 
 def test_cell_sum_diagonal_matches_mc():
