@@ -28,12 +28,11 @@ from typing import Optional
 
 import numpy as np
 from numpy.random import SeedSequence
-from scipy.special import ndtr
 
 from .ensemble import fit, predict
 from .flat import FlatEnsemble, flatten_model
 from .parallel import get_threads, thread_map
-from .paths import LocalVolModel
+from .paths import LocalVolModel, ndtr
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,56 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
+import importlib
 import math
 import operator
+import os
+import sys
+import types
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
+
+
+def _special_ufuncs():
+    """The module that holds scipy's compiled ``ndtr`` and ``ndtri`` ufuncs.
+
+    treeval needs only these two, but ``import scipy.special`` runs the
+    package's ``__init__``, which also loads its array-API layer,
+    ``scipy.linalg`` and the orthogonal polynomials: 0.2-0.3 s and
+    about 12 MB per process.  So, unless ``scipy.special`` is already loaded,
+    the compiled ``scipy.special._ufuncs`` extension is imported under a
+    bare stand-in parent module, and every ``scipy.special*`` entry the
+    load added to ``sys.modules`` is removed again.  Removing them all,
+    not only the stand-in, lets a later ``import scipy.special`` load
+    the real package with all its submodules (``errstate`` needs
+    ``_special_ufuncs``).  The ufuncs are the objects scipy exports
+    under ``scipy.special``, so their values are the same.  If the
+    extension cannot be loaded this way, the package is imported.
+    """
+    loaded = sys.modules.get("scipy.special")
+    if loaded is not None:
+        return loaded
+    import scipy
+    before = set(sys.modules)
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+    sys.modules["scipy.special"] = stub
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    except ImportError:
+        pass
+    finally:
+        for name in [n for n in sys.modules if n not in before
+                     and (n == "scipy.special" or n.startswith("scipy.special."))]:
+            del sys.modules[name]
+    return importlib.import_module("scipy.special")
+
+
+# Phi and its inverse; the one place treeval loads scipy's special functions
+ndtr, ndtri = operator.attrgetter("ndtr", "ndtri")(_special_ufuncs())
 
 # Stream tags. Keeping them centralized avoids accidental stream reuse
 # between pipeline stages that must stay statistically independent.
@@ -143,9 +185,12 @@ def _normal_from_bits(raw: np.ndarray) -> np.ndarray:
     # Inverse-CDF transform of u = (k + 1/2) * 2^-53 with k a 53-bit
     # integer, so u lies strictly inside (0, 1) and draws are finite.
     # Elementwise, so a block of several streams' bits transforms to the
-    # same values as each stream's bits alone.
-    u = (raw.astype(np.float64) + 0.5) * (0.5**53)
-    return ndtri(u)
+    # same values as each stream's bits alone.  Every step writes into
+    # the one float copy of raw.
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 0.5**53
+    return ndtri(u, out=u)
 
 
 def sample_driver(n: int, d: int, T: int, seed: int, stream: tuple = (STREAM_TRAIN,)) -> np.ndarray:

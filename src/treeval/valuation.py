@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .cart import _as_points
 from .flat import FlatEnsemble, weighted_membership
+from .paths import ndtr
 
 # scenarios formatted per write in ValueSurface.to_csv; bounds the row strings held at once
 _CSV_BLOCK = 512

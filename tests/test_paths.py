@@ -1,15 +1,21 @@
 """Driver sampling, model simulation, and payoff evaluation."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import Philox, SeedSequence
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from treeval.cart import _time_major
 from treeval.paths import (BlackScholesModel, LocalVolModel, Payoff, STREAM_INNER,
                            STREAM_TEST, STREAM_TRAIN, STREAM_VALID, _draw_bits,
-                           _keyed_bits, _stream_keys, log_bs_localvol, payoff_value,
-                           sample_driver, simulate_bs, simulate_localvol, stream_rng)
+                           _keyed_bits, _normal_from_bits, _stream_keys, log_bs_localvol,
+                           payoff_value, sample_driver, simulate_bs, simulate_localvol, stream_rng)
 
 
 def test_stream_rng_is_deterministic_per_tag():
@@ -86,6 +92,17 @@ def test_sample_driver_bits_are_pinned():
             -0.15568934837906678, 1.1408341777638138, 0.04945033408348346,
             0.3387152492591746, 0.9433647214859061, -1.0130902596962983]
     assert x.ravel().tolist() == want
+
+
+def test_normal_from_bits_is_the_inverse_cdf_of_centred_bits():
+    raw = _draw_bits(stream_rng(5, STREAM_INNER), (3, 4, 2, 5))
+    raw[0, 0, 0, :3] = [0, 1, (1 << 53) - 1]
+    want = ndtri((raw.astype(np.float64) + 0.5) * (0.5**53))
+    kept = raw.copy()
+    got = _normal_from_bits(raw)
+    assert got.dtype == np.float64 and got.shape == raw.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(raw, kept)
 
 
 def test_sample_driver_moments():
@@ -238,3 +255,104 @@ def test_localvol_rejects_nonfinite_states():
     x = sample_driver(4, 1, 2, seed=0)
     with pytest.raises(ValueError):
         simulate_localvol(model, x)
+
+
+# ------------------------------------------------- scipy ufuncs in a fresh process
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_CLEAN = """
+def special_modules():
+    return sorted(n for n in sys.modules if n == "scipy.special" or n.startswith("scipy.special."))
+
+def assert_clean():
+    # every scipy.special module is the real one, bound on its parent package
+    assert getattr(sys.modules.get("scipy.special"), "__file__", None), special_modules()
+    for name in special_modules():
+        parent, _, child = name.rpartition(".")
+        assert getattr(sys.modules[parent], child) is sys.modules[name], name
+"""
+
+
+def _fresh(code: str) -> str:
+    """Run code in a new interpreter with treeval importable from src; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = "import sys\n" + _CLEAN + textwrap.dedent(code)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_treeval_import_leaves_no_scipy_special_module():
+    out = _fresh("""
+        import scipy
+        import treeval
+        from treeval import paths
+        assert special_modules() == [], special_modules()
+        assert "special" not in vars(scipy)
+        assert type(paths.ndtr).__name__ == type(paths.ndtri).__name__ == "ufunc"
+        print(paths.ndtr(0.0), paths.ndtri(0.5))
+    """)
+    assert out.split() == ["0.5", "0.0"]
+
+
+def test_later_scipy_special_import_matches_and_keeps_errstate():
+    _fresh("""
+        import numpy as np
+        from treeval import paths
+        import scipy.special
+        assert_clean()
+        x = np.array([-np.inf, -40.0, -38.5, -8.0, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0,
+                      8.5, 40.0, np.inf, np.nan] + np.linspace(-12.0, 12.0, 1001).tolist())
+        u = np.array([0.0, 5e-324, 1e-300, 0.5**53, 1e-10, 0.25, 0.5, 1.0 - 0.5**53, 1.0,
+                      -np.inf, np.inf, np.nan, -0.5, 2.0] + np.linspace(0.0, 1.0, 1001).tolist())
+        for ours, theirs, grid in ((paths.ndtr, scipy.special.ndtr, x),
+                                   (paths.ndtri, scipy.special.ndtri, u)):
+            assert np.array_equal(ours(grid).view(np.uint64), theirs(grid).view(np.uint64))
+        with scipy.special.errstate(all="raise"):
+            try:
+                scipy.special.ndtri(2.0)
+            except scipy.special.SpecialFunctionError:
+                pass
+            else:
+                raise AssertionError("ndtri(2.0) did not raise under errstate(all='raise')")
+    """)
+
+
+def test_loaded_scipy_special_is_used_as_it_is():
+    _fresh("""
+        import scipy.special
+        package = sys.modules["scipy.special"]
+        loaded = special_modules()
+        from treeval import paths
+        assert sys.modules["scipy.special"] is package
+        assert special_modules() == loaded
+        assert paths.ndtr is scipy.special.ndtr and paths.ndtri is scipy.special.ndtri
+        assert_clean()
+    """)
+
+
+def test_failed_extension_load_falls_back_to_the_package():
+    out = _fresh("""
+        class Refuse:
+            # fails one extension import, only while the parent is a bare module
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy.special._gufuncs" and not hasattr(
+                        sys.modules.get("scipy.special"), "__file__"):
+                    print("refused")
+                    raise ImportError("refused under a bare parent")
+                return None
+
+        sys.meta_path.insert(0, Refuse())
+        from treeval import paths
+        import scipy.special
+        assert paths.ndtr is scipy.special.ndtr and paths.ndtri is scipy.special.ndtri
+        assert_clean()
+        with scipy.special.errstate(all="raise"):
+            try:
+                scipy.special.ndtri(2.0)
+            except scipy.special.SpecialFunctionError:
+                print("raised")
+    """)
+    assert out.split() == ["refused", "raised"]

@@ -78,3 +78,37 @@ def test_every_private_name_is_referenced():
     trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
     assert trees, SRC
     assert _dead_private_names(trees) == []
+
+
+def _scipy_special_imports(tree: ast.Module) -> list:
+    """Import statements that load ``scipy.special`` or one of its submodules."""
+    def special(name):
+        return name == "scipy.special" or name.startswith("scipy.special.")
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if special(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            if special(node.module):
+                found.append(node.module)
+            elif node.module == "scipy":
+                found += [f"scipy.{a.name}" for a in node.names if a.name == "special"]
+    return found
+
+
+def test_scipy_special_import_check_sees_every_form():
+    tree = ast.parse("import scipy\nimport scipy.special\nimport scipy.special._ufuncs as u\n"
+                     "from scipy.special import ndtr\nfrom scipy import special, stats\n"
+                     "from scipy.specialty import x\nfrom .special import y\n"
+                     "import scipy.stats\n")
+    assert _scipy_special_imports(tree) == ["scipy.special", "scipy.special._ufuncs",
+                                            "scipy.special", "scipy.special"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "paths.py"],
+                         ids=lambda p: p.name)
+def test_only_paths_imports_scipy_special(path):
+    # paths.py loads ndtr and ndtri without scipy.special's package init;
+    # an import of the package anywhere else would run that init again
+    assert _scipy_special_imports(ast.parse(path.read_text())) == [], path.name
