@@ -9,16 +9,13 @@ continuation value a finite sum of Gaussian rectangle probabilities:
     C_t(z) = sum_i v_i * P[ a_t(z) + b_t(z) X  in  A_i ].
 
 Two estimators are provided: "regress-later" (fit on Z_{t+1}, integrate
-in closed form) and the classical "regress-now" (fit the conditional
-expectation on Z_t directly).
+in closed form; one state coordinate) and the classical "regress-now"
+(fit the conditional expectation on Z_t directly; any state dimension).
 
-When every state of a one-dimensional batch has the same kernel sd s
-(as on log_bs_localvol), C_t is a smooth function of the mean alone.
-If the k means span a half-range h and N = ceil(8 h / s) + 16 gives
-N + 1 < k / 2, the closed form is valued at N + 1 Chebyshev points and
-interpolated at every mean (barycentric Lagrange interpolation, Berrut
-& Trefethen 2004), within 1e-14 per unit of total cell-bound weight of
-the direct sum.  Other batches are summed directly.
+When every state of a batch has the same kernel sd (as on
+log_bs_localvol), C_t is a smooth function of the mean alone, valued at
+Chebyshev points and interpolated at every mean (barycentric Lagrange
+interpolation, Berrut & Trefethen 2004; see gaussian_cell_sum).
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from numpy.random import SeedSequence
 
 from .ensemble import fit, predict
 from .flat import FlatEnsemble, flatten_model
-from .parallel import get_threads, thread_map
 from .paths import LocalVolModel, ndtr
 
 
@@ -90,27 +86,6 @@ def _phi_form(fe: FlatEnsemble):
     return q_u[keep], w_u[keep], const
 
 
-def _normal_interval_prob(mu, sd, low, high) -> np.ndarray:
-    """P(low < Z <= high) for Z ~ N(mu, sd^2), broadcasting all inputs.
-
-    Degenerate sd = 0 falls back to the point-mass indicator
-    1{low < mu <= high}.
-    """
-    mu, sd, low, high = np.broadcast_arrays(
-        np.asarray(mu, dtype=np.float64), np.asarray(sd, dtype=np.float64),
-        np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64))
-    out = np.empty(mu.shape)
-    pos = sd > 0
-    if pos.any():
-        with np.errstate(invalid="ignore"):
-            hi = np.where(np.isposinf(high), 1.0, ndtr((high - mu) / np.where(pos, sd, 1.0)))
-            lo = np.where(np.isneginf(low), 0.0, ndtr((low - mu) / np.where(pos, sd, 1.0)))
-        out = np.where(pos, np.maximum(hi - lo, 0.0), out)
-    if (~pos).any():
-        out = np.where(pos, out, ((low < mu) & (mu <= high)).astype(np.float64))
-    return out
-
-
 # Interpolant degree for a shared-sd batch: N = ceil(8 h / s) + 16 for means
 # spanning [c - h, c + h].  For a 2e-15 max error over 4,001 means, one cdf
 # term of unit weight needed N = 14, 26, 48, 82 and 158 at h/s = 0.5, 2, 5,
@@ -120,28 +95,21 @@ _MIN_NODES = 16
 
 
 def _cdf_sum(q, w, const, mu, sd, chunk):
-    """const + sum_j w_j Phi((q_j - mu_k) / sd_k) at every point, all sd > 0."""
+    """const + sum_j w_j Phi((q_j - mu_k) / sd_k) at every point, all sd > 0.
+
+    Blocks of chunk points reuse one (chunk x bounds) buffer.  A block of
+    one row is a dot product, not gemv, and sums in another order: with
+    one BLAS thread, another chunk changes at most the last bits of the
+    last point, when mu.size = 1 (mod chunk).
+    """
     out = np.empty(mu.size)
-    starts = range(0, mu.size, chunk)
-    lanes = min(get_threads(), len(starts), max(1, int(8e6 // (chunk * q.size))))
-    # the blocks are allocated here, not on the workers, so the
-    # workers' malloc arenas do not each keep a block's pages
-    blocks = [np.empty((chunk, q.size)) for _ in range(lanes)]
-
-    def run(lane):
-        for a in starts[lane::lanes]:
-            b = min(a + chunk, mu.size)
-            u = blocks[lane][:b - a]
-            np.subtract(q[None, :], mu[a:b, None], out=u)
-            u /= sd[a:b, None]
-            out[a:b] = ndtr(u, out=u) @ w + const
-
-    # ndtr and the product release the GIL.  A block holds the same rows
-    # whatever the thread count, so the bits do not depend on it.  A
-    # block of one row is a dot product, not gemv, and sums in another
-    # order: with one BLAS thread, another chunk changes at most the
-    # last bits of the last point, when mu.size = 1 (mod chunk)
-    thread_map(run, range(lanes))
+    buf = np.empty((min(chunk, mu.size), q.size))
+    for a in range(0, mu.size, chunk):
+        b = min(a + chunk, mu.size)
+        u = buf[:b - a]
+        np.subtract(q[None, :], mu[a:b, None], out=u)
+        u /= sd[a:b, None]
+        out[a:b] = ndtr(u, out=u) @ w + const
     return out
 
 
@@ -200,75 +168,57 @@ def _chebyshev_cell_sum(q, w, const, mu, s, n, chunk):
 
 def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray,
                       point_chunk: int = 64) -> np.ndarray:
-    """sum_i v_i P[N(mean_k, B_k B_k^T) in cell_i] for a batch of kernels.
+    """sum_i v_i P[N(mean_k, B_k B_k^T) in cell_i] for a batch of one-state kernels.
 
-    mean is (k, m), cov_factor is (k, m, d) and fe is a one-period fit
-    on the m state coordinates (dims (m, 1)).  One-dimensional kernels
-    use the telescoped cdf form (one cdf call per distinct cell bound),
-    and kernels whose B_k B_k^T has every off-diagonal entry exactly 0
-    multiply per-coordinate normal interval probabilities.  Both are
-    exact closed forms.  Any other kernel, and a non-finite mean or
-    cov_factor, raises ValueError.
+    mean is (k, 1), cov_factor is (k, 1, d) and fe is a one-period fit
+    on the one state coordinate (dims (1, 1)).  Kernel k has sd |B_k|,
+    the norm of its loading row, and the sum is the exact telescoped cdf
+    form (one cdf call per distinct cell bound).  Any other shape, and a
+    non-finite mean or cov_factor, raises ValueError.
 
-    One-dimensional kernels with sd > 0 that all share one sd s (compared
-    exactly) are interpolated when N = ceil(8 h / s) + 16 satisfies
-    N + 1 < k / 2, with h the half-range of their k means: the cdf sum
-    is valued at N + 1 Chebyshev points spanning the means and the
-    barycentric formula serves every mean.  The node rule keeps the
-    error within 1e-14 (|const| + sum_j |w_j|) of the direct sum, where
-    const and w_j are the telescoped form's constant and bound weights.
-    Point masses, varying sd and small batches use the direct sum.
+    Kernels with sd > 0 that all share one sd s (compared exactly) are
+    interpolated when N = ceil(8 h / s) + 16 satisfies N + 1 < k / 2,
+    with h the half-range of their k means: the cdf sum is valued at
+    N + 1 Chebyshev points spanning the means and the barycentric
+    formula serves every mean.  The node rule keeps the error within
+    1e-14 (|const| + sum_j |w_j|) of the direct sum, where const and w_j
+    are the telescoped form's constant and bound weights.  Point masses,
+    varying sd and small batches use the direct sum.
     """
     if cov_factor.ndim != 3 or mean.shape != cov_factor.shape[:2]:
         raise ValueError(f"mean must be (k, m) and cov_factor (k, m, d); got "
                          f"{mean.shape} and {cov_factor.shape}")
     k, m = mean.shape
-    if fe.dims != (m, 1):
-        raise ValueError(f"the cell sum needs a one-period fit on the {m} state "
-                         f"coordinates, dims ({m}, 1); got {fe.dims}")
+    if m != 1 or fe.dims != (1, 1):
+        raise ValueError(f"the cell sum integrates one state coordinate: mean (k, 1), "
+                         f"cov_factor (k, 1, d) and a fit of dims (1, 1); got m = {m} "
+                         f"and dims {fe.dims}")
     if not (np.isfinite(mean).all() and np.isfinite(cov_factor).all()):
         raise ValueError("mean and cov_factor must be finite")
-    lo, hi = fe.lo, fe.hi  # one period: column j bounds state coordinate j
-    values = fe.values
-    cov = np.einsum("kmd,knd->kmn", cov_factor, cov_factor)
+    load = cov_factor[:, 0, :]
+    sd = np.sqrt(np.einsum("kd,kd->k", load, load))
+    q, w, const = _phi_form(fe)
+    if q.size == 0:
+        return np.full(k, const)
     out = np.empty(k)
-    if m == 1:
-        sd = np.sqrt(cov[:, 0, 0])
-        q, w, const = _phi_form(fe)
-        if q.size == 0:
-            out[:] = const
-            return out
-        mu = mean[:, 0]
-        pos = sd > 0.0
-        # each lane reuses one (chunk x bounds) block: 0.4 MB at 64 rows and
-        # 800 bounds, at most 32 MB, and the lanes' blocks at most 64 MB in
-        # all whatever the thread count
-        chunk = max(1, min(point_chunk, int(4e6 // max(q.size, 1)) or 1))
-        # a point mass at mu lands in the half-open cell (a, b] when
-        # mu <= b and mu > a, so the step weight at bound q is 1{mu <= q}
-        mass = np.flatnonzero(~pos)
-        for i in range(0, mass.size, chunk):
-            sel = mass[i:i + chunk]
-            out[sel] = (q[None, :] >= mu[sel, None]).astype(np.float64) @ w + const
-        idx = np.flatnonzero(pos)
-        mu, sd = mu[idx], sd[idx]
-        n = _chebyshev_degree(mu, sd)
-        if n:
-            out[idx] = _chebyshev_cell_sum(q, w, const, mu, sd[0], n, chunk)
-        else:
-            out[idx] = _cdf_sum(q, w, const, mu, sd, chunk)
-        return out
-    if cov[:, ~np.eye(m, dtype=bool)].any():
-        raise ValueError("the cell sum is exact only for m = 1 or diagonal B B^T; "
-                         "this kernel has correlated coordinates")
-    diag = np.sqrt(np.einsum("kmm->km", cov))
-    for a in range(0, k, point_chunk):
-        b = min(a + point_chunk, k)
-        probs = np.ones((b - a, values.size))
-        for j in range(m):
-            probs *= _normal_interval_prob(mean[a:b, j, None], diag[a:b, j, None],
-                                           lo[None, :, j], hi[None, :, j])
-        out[a:b] = probs @ values
+    mu = mean[:, 0]
+    pos = sd > 0.0
+    # one (chunk x bounds) buffer is reused: 0.4 MB at 64 rows and 800
+    # bounds, at most 32 MB
+    chunk = max(1, min(point_chunk, int(4e6 // q.size)))
+    # a point mass at mu lands in the half-open cell (a, b] when
+    # mu <= b and mu > a, so the step weight at bound q is 1{mu <= q}
+    mass = np.flatnonzero(~pos)
+    for i in range(0, mass.size, chunk):
+        sel = mass[i:i + chunk]
+        out[sel] = (q[None, :] >= mu[sel, None]).astype(np.float64) @ w + const
+    idx = np.flatnonzero(pos)
+    mu, sd = mu[idx], sd[idx]
+    n = _chebyshev_degree(mu, sd)
+    if n:
+        out[idx] = _chebyshev_cell_sum(q, w, const, mu, sd[0], n, chunk)
+    else:
+        out[idx] = _cdf_sum(q, w, const, mu, sd, chunk)
     return out
 
 
@@ -340,18 +290,25 @@ class BermudanValue:
             out[:, t] = self.continuation(t, z_paths[:, :, t])
         return out
 
+    def _exercise_and_continuation(self, z_paths, cont):
+        """g_t(Z_t) (k, T+1) and C_t(Z_t) (k, T) on paths; cont is the latter or None."""
+        z_paths = np.asarray(z_paths, dtype=np.float64)
+        k, m, Tp1 = z_paths.shape
+        if cont is None:
+            cont = self.continuation_matrix(z_paths)
+        elif np.shape(cont) != (k, Tp1 - 1):
+            raise ValueError(f"cont must be the ({k}, {Tp1 - 1}) continuation matrix "
+                             f"of these paths; got shape {np.shape(cont)}")
+        g = np.empty((k, Tp1))
+        for t in range(Tp1):
+            g[:, t] = self.exercise(t, z_paths[:, :, t])
+        return g, np.asarray(cont, dtype=np.float64)
+
     def values_on(self, z_paths: np.ndarray,
                   cont: Optional[np.ndarray] = None) -> np.ndarray:
         """Value estimates V_t(Z_t) along state paths, shape (k, T+1)."""
-        z_paths = np.asarray(z_paths, dtype=np.float64)
-        k, m, Tp1 = z_paths.shape
-        T = Tp1 - 1
-        if cont is None:
-            cont = self.continuation_matrix(z_paths)
-        out = np.empty((k, Tp1))
-        for t in range(T):
-            out[:, t] = np.maximum(self.exercise(t, z_paths[:, :, t]), cont[:, t])
-        out[:, T] = self.exercise(T, z_paths[:, :, T])
+        out, cont = self._exercise_and_continuation(z_paths, cont)
+        np.maximum(out[:, :-1], cont, out=out[:, :-1])
         return out
 
 
@@ -393,10 +350,14 @@ def _backward_induction(spec: ExerciseSpec, z_paths: np.ndarray, config,
 def price_regress_later(spec: ExerciseSpec, z_paths: np.ndarray, config) -> BermudanValue:
     """Regress-later: fit each date-(t+1) value on Z_{t+1}, integrate it in closed form.
 
-    z_paths holds training state paths of shape (n, m, T+1).  Each
-    flattened fit is integrated against the Gaussian transition kernel
-    to give C_t.
+    z_paths holds training state paths of shape (n, 1, T+1).  Each
+    flattened fit is integrated against the one-state Gaussian
+    transition kernel to give C_t; a model with m != 1 state coordinates
+    raises ValueError.
     """
+    if spec.model.n_state != 1:
+        raise ValueError(f"regress-later integrates a one-state kernel; this model has "
+                         f"{spec.model.n_state} state coordinates (use price_regress_now)")
     return _backward_induction(spec, z_paths, config, "later")
 
 
@@ -413,27 +374,16 @@ def stopping_rule(bv: BermudanValue, z_paths: np.ndarray,
                   cont: Optional[np.ndarray] = None) -> np.ndarray:
     """First date where exercising is at least as good as continuing.
 
-    Comparisons use a relative tolerance so that exact ties (common for
-    piecewise-constant continuation estimates) stop the path.  Paths
-    that never trigger stop at T.  A precomputed continuation matrix
-    from continuation_matrix may be passed to avoid recomputation.
+    tau is the first t < T with C_t <= g_t + 1e-12 (1 + |g_t|), so that
+    exact ties (common for piecewise-constant continuation estimates)
+    stop the path; paths that never trigger stop at T.  A precomputed
+    continuation matrix from continuation_matrix may be passed to avoid
+    recomputation; it must have shape (k, T).
     """
-    z_paths = np.asarray(z_paths, dtype=np.float64)
-    k, m, Tp1 = z_paths.shape
-    T = Tp1 - 1
-    tau = np.full(k, T, dtype=np.int64)
-    open_mask = np.ones(k, dtype=bool)
-    for t in range(T):
-        if not open_mask.any():
-            break
-        zt = z_paths[open_mask, :, t]
-        g = bv.exercise(t, zt)
-        c = cont[open_mask, t] if cont is not None else bv.continuation(t, zt)
-        stop = c <= g + 1e-12 * (1.0 + np.abs(g))
-        idx = np.flatnonzero(open_mask)[stop]
-        tau[idx] = t
-        open_mask[idx] = False
-    return tau
+    g, cont = bv._exercise_and_continuation(z_paths, cont)
+    g = g[:, :-1]
+    stop = cont <= g + 1e-12 * (1.0 + np.abs(g))
+    return np.where(stop.any(axis=1), stop.argmax(axis=1), cont.shape[1]).astype(np.int64)
 
 
 def stopping_distribution(bv: BermudanValue, z_paths: np.ndarray,

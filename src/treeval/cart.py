@@ -181,6 +181,20 @@ def _as_points(x, dims) -> tuple:
     return np.ascontiguousarray(X), single
 
 
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of a, NaNs as one, as ``np.unique(a)`` gives them.
+
+    A plain ``np.unique`` reads ``np.ma.is_masked``, which imports
+    ``numpy.ma`` into the process on its first call.
+    """
+    s = np.sort(a, axis=None)
+    keep = np.ones(s.size, dtype=bool)
+    # a NaN after a NaN is dropped: sorted NaNs come last, and only NaN != itself
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    keep[1:] &= s[:-1] == s[:-1]
+    return s[keep]
+
+
 def _training_points(sample) -> tuple:
     """(X, dims) of a training sample, an (n, d, T) array."""
     dims = np.shape(sample)[1:]
@@ -486,7 +500,7 @@ def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs,
             fitted[rows] = np.repeat(value, size)
         # each tree's nodes of the depth as views, filled in below
         ends = np.searchsorted(tree, np.arange(len(Xs) + 1))
-        for m in np.unique(tree).tolist():
+        for m in np.flatnonzero(np.diff(ends)).tolist():
             at = slice(ends[m], ends[m + 1])
             levels[m].append((feature[at], threshold[at], value[at], size[at]))
         can = (size >= cfg.nodesize) & (cfg.max_depth is None or depth < cfg.max_depth)

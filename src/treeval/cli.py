@@ -23,6 +23,7 @@ from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
                     desk_plan, oracle_v0, oracle_v1, paper_bermudan_plan, paper_plan,
                     risk_stage, run_bermudan, run_experiment, sample_streams,
                     standard_model, write_snapshot, _check_dates as _date_rule)
+from .cart import _distinct
 from .ensemble import fit
 from .flat import flatten_model, load_flat, save_flat, write_flat_text
 from .parallel import set_threads
@@ -389,7 +390,7 @@ def _load_surface(path: Path) -> ValueSurface:
         raise ArtifactError(f"{path.name}: expected rows of scenario_id,t,value "
                             "(rerun the value stage)")
     ids, t, value = rows.T
-    dates = np.unique(t)
+    dates = _distinct(t)
     if (dates % 1 != 0).any():  # also NaN and inf
         raise ArtifactError(f"{path.name}: dates must be integers, got "
                             f"{dates.tolist()} (rerun the value stage)")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import RegressionTree, _as_points
+from .cart import RegressionTree, _as_points, _distinct
 
 _TEXT_HEADER = "treeval-flat 1"
 
@@ -161,7 +161,7 @@ def _packed_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
     for c in range(ptf.shape[1]):
         lo_c, hi_c = lo[:, c], hi[:, c]
         bounds = np.concatenate([lo_c, hi_c])
-        b = np.unique(bounds[np.isfinite(bounds)])
+        b = _distinct(bounds[np.isfinite(bounds)])
         l = np.where(lo_c == -np.inf, 0, np.searchsorted(b, lo_c) + 1)
         rows = _interval_rows(l, np.searchsorted(b, hi_c), b.size + 1)
         member &= rows[np.searchsorted(b, ptf[:, c])]

@@ -21,10 +21,10 @@ from treeval.bermudan import (
 from treeval.cart import TreeConfig, fit_tree
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost
 from treeval import bermudan
-from treeval.bermudan import _chebyshev_degree, _normal_interval_prob, _phi_form
+from treeval.bermudan import _chebyshev_degree, _phi_form
 from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
 from treeval.parallel import get_threads, set_threads
-from treeval.paths import log_bs_localvol, sample_driver, simulate_localvol
+from treeval.paths import LocalVolModel, log_bs_localvol, sample_driver, simulate_localvol
 
 
 def _phi(x: float) -> float:
@@ -150,7 +150,7 @@ def _serial_cell_sum(fe, mu, sd, chunk):
 
 
 def test_cell_sum_same_bits_at_one_and_two_threads():
-    """Blocks of points run on the pool, each with the rows it has on one thread."""
+    """The thread cap does not change the blocks of points, nor so the bits."""
     fe = _flat_1d(n=3000, seed=3)
     rng = np.random.default_rng(2)
     k = 1301  # not a multiple of either chunk
@@ -192,15 +192,13 @@ def _random_phi_fit(rng, n_bounds):
 
 
 def _cell_sum_peak(sd_scale, shared=False):
-    """Traced peak bytes of a 2-thread cell sum: 4,000 points, 800 bounds."""
+    """Traced peak bytes of a cell sum: 4,000 points, 800 bounds."""
     rng = np.random.default_rng(5)
     fe = _random_phi_fit(rng, 800)
     mu = rng.normal(size=(4000, 1))
     cf = sd_scale * rng.uniform(0.05, 1.5, size=(4000, 1, 1))
     if shared:
         cf[:] = sd_scale * 0.7
-    before = get_threads()
-    set_threads(2)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -208,13 +206,12 @@ def _cell_sum_peak(sd_scale, shared=False):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-        set_threads(before)
     print(f"cell sum peak {peak} B")
     return peak
 
 
 def test_cell_sum_working_set_stays_small():
-    # each lane reuses one (chunk x bounds) block: 0.4 MB at 64 x 800 bounds,
+    # one (chunk x bounds) block is reused: 0.4 MB at 64 x 800 bounds,
     # against 3.3 MB for 512-row blocks
     peak = _cell_sum_peak(1.0)
     assert peak < 2e6, peak
@@ -296,62 +293,23 @@ def test_cell_sum_rejects_non_finite_inputs(arg, bad):
         gaussian_cell_sum(fe, args["mean"], args["cov_factor"])
 
 
-def test_cell_sum_diagonal_matches_mc():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(500, 2, 1))
-    y = x[:, 0, 0] * np.sin(x[:, 1, 0]) + 0.05 * rng.normal(size=500)
-    fe = flatten_model(fit_tree(x, y, TreeConfig(nodesize=25)))
-    mean = np.array([[0.3, -0.2], [0.0, 0.0], [1.0, 0.5]])
-    sds = np.array([[0.8, 1.3], [1.0, 1.0], [0.5, 0.9]])
-    cov_factor = np.stack([np.diag(s) for s in sds])
-    got = gaussian_cell_sum(fe, mean, cov_factor)
-    n = 400_000
-    for i in range(3):
-        draws = mean[i] + rng.normal(size=(n, 2)) * sds[i]
-        vals = evaluate_flat(fe, draws[:, :, None])
-        se = vals.std(ddof=1) / math.sqrt(n)
-        assert got[i] == pytest.approx(vals.mean(), abs=4 * se)
-
-
-def test_cell_sum_diagonal_zero_sd_is_indicator_times_cdf():
-    # one coordinate without variance: its point mass puts each cell's
-    # probability at 1{lo < mu <= hi} times the other coordinate's cdf difference
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(300, 2, 1))
-    y = x[:, 0, 0] + np.cos(x[:, 1, 0]) + 0.05 * rng.normal(size=300)
-    fe = flatten_model(fit_tree(x, y, TreeConfig(nodesize=20)))
-    mean = np.array([[0.3, -0.4], [-1.1, 0.2], [0.0, 1.5]])
-    sd = np.array([0.0, 0.8])
-    got = gaussian_cell_sum(fe, mean, np.broadcast_to(np.diag(sd), (3, 2, 2)))
-    lo, hi = fe.lo, fe.hi
-    for i in range(3):
-        inside = ((lo[:, 0] < mean[i, 0]) & (mean[i, 0] <= hi[:, 0])).astype(np.float64)
-        cdf = ndtr((hi[:, 1] - mean[i, 1]) / sd[1]) - ndtr((lo[:, 1] - mean[i, 1]) / sd[1])
-        assert got[i] == pytest.approx(np.sum(fe.values * inside * cdf), rel=1e-12, abs=1e-14)
-
-
-def test_normal_interval_prob_matches_cdf_difference():
-    mu, sd = 0.4, 1.3
-    lo, hi = -0.2, 2.0
-    expect = ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)
-    assert _normal_interval_prob(mu, sd, lo, hi) == pytest.approx(expect, rel=1e-15)
-
-
-def test_normal_interval_prob_degenerate_sd():
-    assert _normal_interval_prob(0.5, 0.0, 0.0, 1.0) == 1.0
-    assert _normal_interval_prob(1.5, 0.0, 0.0, 1.0) == 0.0
-    assert _normal_interval_prob(0.0, 0.0, 0.0, 1.0) == 0.0  # lower edge open
-    assert _normal_interval_prob(1.0, 0.0, 0.0, 1.0) == 1.0  # upper edge closed
-
-
-def test_cell_sum_rejects_correlated_kernel():
+def _two_state_cell_sum(load):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 2, 1))
     y = np.where(x[:, 0, 0] + 0.5 * x[:, 1, 0] > 0, 1.0, -1.0)
     fe = flatten_model(fit_tree(x, y, TreeConfig(nodesize=60)))
-    load = np.array([[0.9, 0.3], [0.1, 1.1]])
-    with pytest.raises(ValueError, match="exact only for m = 1 or diagonal B B\\^T"):
-        gaussian_cell_sum(fe, np.array([[0.2, -0.1]]), load[None])
+    return gaussian_cell_sum(fe, np.array([[0.2, -0.1]]), np.asarray(load)[None])
+
+
+def test_cell_sum_rejects_correlated_kernel():
+    with pytest.raises(ValueError, match="one state coordinate"):
+        _two_state_cell_sum([[0.9, 0.3], [0.1, 1.1]])
+
+
+def test_cell_sum_rejects_a_diagonal_two_state_kernel():
+    # independent coordinates were once multiplied out; m = 1 is all a plan draws
+    with pytest.raises(ValueError, match="one state coordinate"):
+        _two_state_cell_sum(np.diag([0.8, 1.3]))
 
 
 def _flat_dims(d: int, T: int):
@@ -424,7 +382,7 @@ def test_price_validates_path_dims():
         price_regress_later(spec, np.zeros((50, 1, T + 1)), config="boost")
 
 
-def _small_put_fixture():
+def _small_put_fixture(price=price_regress_later):
     T = 4
     model = log_bs_localvol(0.0, 0.0, 0.2, np.full(T, 0.25))
     spec = ExerciseSpec(model=model, payoffs=_put_payoffs(T + 1))
@@ -433,7 +391,7 @@ def _small_put_fixture():
     z_train = simulate_localvol(model, x_train)
     z_test = simulate_localvol(model, x_test)
     cfg = BoostConfig(rounds=40, learning_rate=0.3, nodesize=10, max_depth=4, seed=1)
-    bv = price_regress_later(spec, z_train, cfg)
+    bv = price(spec, z_train, cfg)
     return spec, bv, z_test
 
 
@@ -486,6 +444,78 @@ def test_stopping_distribution_properties():
     assert dist.shape == (T + 1,)
     assert np.all(dist >= 0.0)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _open_path_stopping(bv, z_paths):
+    """The per-date rule that values C_t only on the paths still open at t."""
+    k, _, Tp1 = z_paths.shape
+    tau = np.full(k, Tp1 - 1)
+    still_open = np.ones(k, dtype=bool)
+    for t in range(Tp1 - 1):
+        idx = np.flatnonzero(still_open)
+        zt = z_paths[idx, :, t]
+        g = bv.exercise(t, zt)
+        stop = idx[bv.continuation(t, zt) <= g + 1e-12 * (1.0 + np.abs(g))]
+        tau[stop] = t
+        still_open[stop] = False
+    return tau
+
+
+@pytest.mark.parametrize("price", [price_regress_later, price_regress_now],
+                         ids=["later", "now"])
+def test_stopping_rule_matches_the_open_path_rule(price):
+    spec, bv, z_test = _small_put_fixture(price)
+    tau = stopping_rule(bv, z_test)
+    assert tau.dtype == np.int64
+    assert 0 < np.count_nonzero(tau < spec.model.n_periods) < tau.size
+    assert np.array_equal(tau, _open_path_stopping(bv, z_test))
+    assert np.array_equal(tau, stopping_rule(bv, z_test, bv.continuation_matrix(z_test)))
+
+
+def test_stopping_rule_rejects_a_continuation_matrix_of_another_shape():
+    spec, bv, z_test = _small_put_fixture()  # 600 paths, T = 4
+    for shape in [(600, 5), (600, 3), (599, 4), (600,)]:
+        with pytest.raises(ValueError, match="continuation matrix"):
+            stopping_rule(bv, z_test, np.zeros(shape))
+        with pytest.raises(ValueError, match="continuation matrix"):
+            bv.values_on(z_test, cont=np.zeros(shape))
+
+
+def _two_state_spec(T: int = 3):
+    """Two independent log prices and a put on their mean."""
+    steps = np.full(T, 1.0 / T)
+
+    def drift(t, z):
+        return z - 0.5 * np.array([0.04, 0.09]) * steps[t]
+
+    def diffusion(t, z):
+        return np.broadcast_to(np.diag([0.2, 0.3]) * np.sqrt(steps[t]), z.shape + (2,))
+
+    def g(z):
+        return np.maximum(1.0 - np.exp(z.mean(axis=1)), 0.0)
+
+    model = LocalVolModel(z0=np.zeros(2), drift_fn=drift, diffusion_fn=diffusion,
+                          n_driver=2, n_periods=T)
+    return ExerciseSpec(model=model, payoffs=(g,) * (T + 1))
+
+
+def test_regress_later_rejects_a_two_state_model():
+    spec = _two_state_spec()
+    z = simulate_localvol(spec.model, sample_driver(100, 2, 3, 4, (tv.STREAM_TRAIN,)))
+    with pytest.raises(ValueError, match="one-state"):
+        price_regress_later(spec, z, TreeConfig(nodesize=10))
+
+
+def test_regress_now_runs_on_a_two_state_model():
+    spec = _two_state_spec()
+    T = spec.model.n_periods
+    z = simulate_localvol(spec.model, sample_driver(600, 2, T, 4, (tv.STREAM_TRAIN,)))
+    z_test = simulate_localvol(spec.model, sample_driver(300, 2, T, 4, (tv.STREAM_TEST,)))
+    bv = price_regress_now(spec, z, TreeConfig(nodesize=30))
+    assert bv.value0 == max(0.0, bv.continuation0) and 0.0 < bv.value0 < 1.0
+    vals = bv.values_on(z_test)
+    assert vals.shape == (300, T + 1) and (vals[:, 0] == bv.value0).all()
+    assert np.array_equal(stopping_rule(bv, z_test), _open_path_stopping(bv, z_test))
 
 
 def test_continuation_rejects_out_of_range_date():

@@ -612,3 +612,18 @@ def test_forest_growth_memory_stays_near_one_tree():
         tracemalloc.stop()
     print(f"growth peaks: one tree {one} B, forest of 50 {forest} B")
     assert forest <= 2 * one, (forest, one)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_matches_np_unique(seed):
+    # cart._distinct stands in for a plain np.unique, which imports numpy.ma
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 2, 7, 50):
+        a = rng.integers(-3, 4, size=(n, 2)).astype(np.float64)
+        a[rng.random(a.shape) < 0.2] = np.nan
+        a[rng.random(a.shape) < 0.1] = np.inf
+        want = np.unique(a)
+        got = cart._distinct(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), a
+        ints = rng.integers(0, 5, size=n)
+        assert np.array_equal(cart._distinct(ints), np.unique(ints))

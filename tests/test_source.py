@@ -1,6 +1,10 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -112,3 +116,64 @@ def test_only_paths_imports_scipy_special(path):
     # paths.py loads ndtr and ndtri without scipy.special's package init;
     # an import of the package anywhere else would run that init again
     assert _scipy_special_imports(ast.parse(path.read_text())) == [], path.name
+
+
+def _unique_calls_without_return_flag(tree: ast.Module) -> list:
+    """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
+
+    Such a call reads ``np.ma.is_masked``, which imports ``numpy.ma``
+    into the process; a call that asks for indices, an inverse or counts
+    skips that check.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")):
+            continue
+        if not any(k.arg and k.arg.startswith("return_")
+                   and not (isinstance(k.value, ast.Constant) and not k.value.value)
+                   for k in node.keywords):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_unique_flag_check_sees_bare_calls():
+    tree = ast.parse("np.unique(a)\nnumpy.unique(a, axis=0)\nnp.unique(a, return_index=False)\n"
+                     "np.unique(a, return_inverse=True)\nnp.unique(a, return_counts=flag)\n"
+                     "pd.unique(a)\nnp.unique(a, equal_nan=True, return_index=1)\n")
+    assert _unique_calls_without_return_flag(tree) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_unique_call_passes_a_return_flag(path):
+    # a plain np.unique imports numpy.ma (10-15 ms) inside a timed stage;
+    # cart._distinct gives the same values without it
+    assert _unique_calls_without_return_flag(ast.parse(path.read_text())) == [], path.name
+
+
+def test_fit_valuation_and_surface_read_leave_numpy_ma_unloaded(tmp_path):
+    script = textwrap.dedent(f"""
+        import sys
+        from pathlib import Path
+        import numpy as np
+        import treeval
+        from treeval.cart import TreeConfig, fit_tree
+        from treeval.cli import _load_surface
+        from treeval.flat import evaluate_flat, flatten_model
+        from treeval.valuation import ValueSurface
+        assert "numpy.ma" not in sys.modules, "imported at start"
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(300, 2, 2))
+        fe = flatten_model(fit_tree(x, x.sum(axis=(1, 2)), TreeConfig(nodesize=20)))
+        evaluate_flat(fe, x[:50])
+        path = Path({str(tmp_path / "surface.csv")!r})
+        ValueSurface(dates=(0, 2), values=rng.normal(size=(5, 2))).to_csv(path)
+        assert _load_surface(path).dates == (0, 2)
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
