@@ -7,9 +7,8 @@ value process, risk measures, and early-exercise prices analytically.
 """
 
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
-                    BlackScholesModel, LocalVolModel, Payoff, log_bs_localvol,
-                    payoff_value, sample_driver, simulate_bs, simulate_localvol,
-                    stream_rng)
+                    BlackScholesModel, LogBSModel, Payoff, payoff_value,
+                    sample_driver, simulate_bs, stream_rng)
 from .cart import RegressionTree, TreeConfig, best_split, fit_tree, predict_tree
 from .ensemble import (BoostConfig, FittedBoost, FittedForest, ForestConfig,
                        fit, fit_boost, fit_forest, predict)
@@ -25,10 +24,9 @@ from .risk import (RiskEstimate, RiskReport, default_quantile_grid,
                    detrended_qq, empirical_es, empirical_var, loss_samples,
                    normalized_l2, risk_report)
 from .bench import (BermudanPlan, BermudanReport, ExperimentPlan,
-                    ExperimentReport, ValidationTable, bundle_hash, desk_plan,
-                    oracle_v0, oracle_v1, paper_boost_grid, paper_plan,
-                    paper_rf_grid, run_bermudan, run_experiment,
-                    run_validation_grid, standard_model)
+                    ExperimentReport, bundle_hash, desk_plan, oracle_v0,
+                    oracle_v1, paper_plan, run_bermudan, run_experiment,
+                    standard_model)
 from .parallel import get_threads, set_threads
 
 __version__ = "0.1.0"

@@ -28,9 +28,9 @@ from .ensemble import BoostConfig, ForestConfig, fit, predict
 from .flat import flatten_model
 from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
-                    BlackScholesModel, Payoff, log_bs_localvol, payoff_value,
-                    sample_driver, simulate_bs, simulate_localvol, _keyed_bits,
-                    _normal_from_bits, _stream_keys)
+                    BlackScholesModel, LogBSModel, Payoff, payoff_value,
+                    sample_driver, simulate_bs, _keyed_bits, _normal_from_bits,
+                    _stream_keys)
 from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
                    risk_report)
 from .valuation import ValueSurface, value_surface
@@ -226,33 +226,6 @@ def paper_bermudan_plan(seed: int = 0) -> BermudanPlan:
     return BermudanPlan(n_test=100000, seed=seed)
 
 
-def paper_rf_grid(d: int, T: int) -> tuple:
-    """Published forest validation grid over (n_trees, nodesize, features)."""
-    p_low = int(np.ceil(d * T / 3))
-    out = []
-    for m in (100, 250, 500):
-        for nodesize in (2, 3, 5):
-            for p in (p_low, d * T):
-                out.append((f"rf_m{m}_ns{nodesize}_p{p}",
-                            ForestConfig(n_trees=m, nodesize=nodesize, features=p)))
-    return tuple(out)
-
-
-def paper_boost_grid(rounds_cap: int = 1000, patience: int = 10) -> tuple:
-    """Published boosting validation grid over (nodesize, max_depth).
-
-    The round count of each entry is decided by validation early
-    stopping, so the grid fixes only the tree controls.
-    """
-    out = []
-    for nodesize in (5, 15, 25, 35, 45):
-        for depth in (40, 50, 60, 70, 80, 90):
-            out.append((f"boost_ns{nodesize}_md{depth}",
-                        BoostConfig(rounds=rounds_cap, nodesize=nodesize, max_depth=depth,
-                                    patience=patience)))
-    return tuple(out)
-
-
 # ----------------------------------------------------------- sample stage
 
 _STREAMS = {"train": STREAM_TRAIN, "valid": STREAM_VALID, "test": STREAM_TEST}
@@ -279,52 +252,6 @@ def sample_streams(plan: ExperimentPlan, tags: Sequence[str] = tuple(_STREAMS)) 
         prices = simulate_bs(plan.model, driver)
         out[tag] = StreamSample(driver, payoff_value(plan.payoff, plan.model, prices))
     return out
-
-
-# --------------------------------------------------------- validation stage
-
-
-@dataclass(frozen=True)
-class ValidationRow:
-    name: str
-    config: object
-    error_pct: float
-    n_cells: int
-
-
-@dataclass(frozen=True)
-class ValidationTable:
-    rows: tuple
-
-    @property
-    def best(self) -> ValidationRow:
-        # smallest error; ties broken toward fewer cells, then listing order
-        return min(self.rows, key=lambda r: (r.error_pct, r.n_cells))
-
-
-def run_validation_grid(plan: ExperimentPlan, grid: Sequence) -> ValidationTable:
-    """Fit each (name, config) grid entry on training data and score it on validation.
-
-    Scores are normalized L2 prediction errors of the payoff on the
-    validation sample, in percent of the mean training payoff.  The
-    plan's own estimator is not scored; ``table.best.config`` is the
-    one to put in its place.
-    """
-    if not grid:
-        raise ValueError("empty hyperparameter grid")
-    train, valid = sample_streams(plan, ("train", "valid")).values()
-    y_train, y_valid = train.payoffs, valid.payoffs
-    ref = float(np.mean(y_train))
-    if ref == 0:
-        raise ValueError("degenerate plan: training payoffs average to zero")
-    rows = []
-    for name, config in grid:
-        fitted = fit(config, train.driver, y_train, (valid.driver, y_valid))
-        pred = np.asarray(predict(fitted, valid.driver), dtype=np.float64)
-        rows.append(ValidationRow(name=name, config=config,
-                                  error_pct=normalized_l2(pred, y_valid, ref),
-                                  n_cells=fitted.n_cells))
-    return ValidationTable(rows=tuple(rows))
 
 
 # ------------------------------------------------------------- CSV helpers
@@ -550,7 +477,7 @@ class BermudanPlan:
     def exercise_spec(self) -> ExerciseSpec:
         """The put at rate 0: the same undiscounted payoff on every date 0..T."""
         T = self.n_dates
-        model = log_bs_localvol(self.z0, 0.0, self.sigma, np.full(T, self.horizon / T))
+        model = LogBSModel(self.z0, 0.0, self.sigma, np.full(T, self.horizon / T))
 
         def g(z):
             return np.maximum(self.strike - np.exp(z[:, 0]), 0.0)
@@ -602,8 +529,8 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
     t0 = clock()
     train = sample_driver(plan.n_train, 1, T, plan.seed, (STREAM_TRAIN,))
     test = sample_driver(plan.n_test, 1, T, plan.seed, (STREAM_TEST,))
-    z_train = simulate_localvol(spec.model, train)
-    z_test = simulate_localvol(spec.model, test)
+    z_train = spec.model.simulate(train)
+    z_test = spec.model.simulate(test)
     timings.append(("sampling", clock() - t0))
 
     # the first fit gives the report's values and stopping; "both" adds regress-now

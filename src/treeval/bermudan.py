@@ -1,21 +1,21 @@
 """Early-exercise pricing by backward induction on tree ensembles.
 
-The state follows a Markovian recursion Z_t = a_t(Z_t-1) + b_t(Z_t-1) X_t
-with standard normal innovations, so conditionally on Z_t = z the next
-state is N(a_t(z), b_t(z) b_t(z)^T).  Fitting an ensemble to the date
-t+1 value cross-section and flattening it into interval cells makes the
-continuation value a finite sum of Gaussian rectangle probabilities:
+The state is the log price Z_t of one Black-Scholes asset (paths.LogBSModel),
+so conditionally on Z_t = z the next state is N(z + drift_t, sd_t^2),
+with one sd per date.  Fitting an ensemble to the date t+1 value
+cross-section and flattening it into interval cells makes the
+continuation value a finite sum of Gaussian interval probabilities:
 
-    C_t(z) = sum_i v_i * P[ a_t(z) + b_t(z) X  in  A_i ].
+    C_t(z) = sum_i v_i * P[ z + drift_t + sd_t X  in  (a_i, b_i] ].
 
 Two estimators are provided: "regress-later" (fit on Z_{t+1}, integrate
-in closed form; one state coordinate) and the classical "regress-now"
-(fit the conditional expectation on Z_t directly; any state dimension).
+in closed form) and the classical "regress-now" (fit the conditional
+expectation on Z_t directly).
 
-When every state of a batch has the same kernel sd (as on
-log_bs_localvol), C_t is a smooth function of the mean alone, valued at
-Chebyshev points and interpolated at every mean (barycentric Lagrange
-interpolation, Berrut & Trefethen 2004; see gaussian_cell_sum).
+Since every state of a date shares its kernel sd, C_t is a smooth
+function of the mean alone: a large batch is valued at Chebyshev points
+and interpolated at every mean (barycentric Lagrange interpolation,
+Berrut & Trefethen 2004; see gaussian_cell_sum).
 """
 
 from __future__ import annotations
@@ -28,18 +28,18 @@ from numpy.random import SeedSequence
 
 from .ensemble import fit, predict
 from .flat import FlatEnsemble, flatten_model
-from .paths import LocalVolModel, ndtr
+from .paths import LogBSModel, ndtr
 
 
 @dataclass(frozen=True)
 class ExerciseSpec:
     """Bermudan product: a state model plus one payoff per exercise date.
 
-    payoffs[t] maps (k, m) states to (k,) immediate exercise values,
+    payoffs[t] maps (k, 1) states to (k,) immediate exercise values,
     already expressed in discounted terms, for t = 0..T.
     """
 
-    model: LocalVolModel
+    model: LogBSModel
     payoffs: tuple
 
     def __post_init__(self):
@@ -86,16 +86,19 @@ def _phi_form(fe: FlatEnsemble):
     return q_u[keep], w_u[keep], const
 
 
-# Interpolant degree for a shared-sd batch: N = ceil(8 h / s) + 16 for means
+# Interpolant degree for a batch of means: N = ceil(8 h / s) + 16 for means
 # spanning [c - h, c + h].  For a 2e-15 max error over 4,001 means, one cdf
 # term of unit weight needed N = 14, 26, 48, 82 and 158 at h/s = 0.5, 2, 5,
 # 10 and 20
 _NODES_PER_SD = 8
 _MIN_NODES = 16
+# points per block of the cdf sum; one (chunk x bounds) buffer is reused:
+# 0.4 MB at 64 rows and 800 bounds, at most 32 MB
+_POINT_CHUNK = 64
 
 
-def _cdf_sum(q, w, const, mu, sd, chunk):
-    """const + sum_j w_j Phi((q_j - mu_k) / sd_k) at every point, all sd > 0.
+def _cdf_sum(q, w, const, mu, s, chunk):
+    """const + sum_j w_j Phi((q_j - mu_k) / s) at every point, s > 0.
 
     Blocks of chunk points reuse one (chunk x bounds) buffer.  A block of
     one row is a dot product, not gemv, and sums in another order: with
@@ -108,21 +111,21 @@ def _cdf_sum(q, w, const, mu, sd, chunk):
         b = min(a + chunk, mu.size)
         u = buf[:b - a]
         np.subtract(q[None, :], mu[a:b, None], out=u)
-        u /= sd[a:b, None]
+        u /= s
         out[a:b] = ndtr(u, out=u) @ w + const
     return out
 
 
-def _chebyshev_degree(mu, sd) -> int:
-    """Interpolant degree N for these sd > 0 points, or 0 for the direct sum.
+def _chebyshev_degree(mu, s) -> int:
+    """Interpolant degree N for these means at sd s > 0, or 0 for the direct sum.
 
-    N = ceil(8 h / s) + 16 when every sd equals one s exactly and
-    N + 1 < k / 2, with h the half-range of the k means.
+    N = ceil(8 h / s) + 16 when N + 1 < k / 2, with h the half-range of
+    the k means.
     """
     k = mu.size
-    if k == 0 or (sd != sd[0]).any():
+    if k == 0:
         return 0
-    ratio = _NODES_PER_SD * 0.5 * (mu.max() - mu.min()) / sd[0]
+    ratio = _NODES_PER_SD * 0.5 * (mu.max() - mu.min()) / s
     if not ratio < 0.5 * k:  # also an overflowed range or a tiny sd
         return 0
     n = int(np.ceil(ratio)) + _MIN_NODES
@@ -130,7 +133,7 @@ def _chebyshev_degree(mu, sd) -> int:
 
 
 def _chebyshev_cell_sum(q, w, const, mu, s, n, chunk):
-    """The shared-sd cdf sum at every mean from its values at n + 1 nodes.
+    """The cdf sum at every mean from its values at n + 1 nodes.
 
     C is valued directly at the Chebyshev points of the second kind on
     [min mu, max mu] and interpolated by the barycentric formula (second
@@ -140,11 +143,11 @@ def _chebyshev_cell_sum(q, w, const, mu, s, n, chunk):
     """
     a, b = mu.min(), mu.max()
     if a == b:
-        return np.full(mu.size, _cdf_sum(q, w, const, mu[:1], np.full(1, s), chunk)[0])
+        return np.full(mu.size, _cdf_sum(q, w, const, mu[:1], s, chunk)[0])
     j = np.arange(n + 1)
     nodes = a + 0.5 * (b - a) * (1.0 + np.sin(np.pi * (n - 2 * j) / (2 * n)))
     nodes[0], nodes[-1] = b, a
-    f = _cdf_sum(q, w, const, nodes, np.full(n + 1, s), chunk)
+    f = _cdf_sum(q, w, const, nodes, s, chunk)
     bw = np.where(j % 2 == 0, 1.0, -1.0)
     bw[[0, -1]] *= 0.5
     out = np.empty(mu.size)
@@ -166,73 +169,49 @@ def _chebyshev_cell_sum(q, w, const, mu, s, n, chunk):
     return out
 
 
-def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, cov_factor: np.ndarray,
-                      point_chunk: int = 64) -> np.ndarray:
-    """sum_i v_i P[N(mean_k, B_k B_k^T) in cell_i] for a batch of one-state kernels.
+def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, sd: float) -> np.ndarray:
+    """sum_i v_i P[N(mean_k, sd^2) in cell_i] at each of k means, for one shared sd.
 
-    mean is (k, 1), cov_factor is (k, 1, d) and fe is a one-period fit
-    on the one state coordinate (dims (1, 1)).  Kernel k has sd |B_k|,
-    the norm of its loading row, and the sum is the exact telescoped cdf
-    form (one cdf call per distinct cell bound).  Any other shape, and a
-    non-finite mean or cov_factor, raises ValueError.
+    mean is (k,), sd one finite number > 0, and fe a one-period fit on
+    the one state coordinate (dims (1, 1)); anything else, and a
+    non-finite mean, raises ValueError.  The sum is the exact telescoped
+    cdf form (one cdf call per distinct cell bound).
 
-    Kernels with sd > 0 that all share one sd s (compared exactly) are
-    interpolated when N = ceil(8 h / s) + 16 satisfies N + 1 < k / 2,
-    with h the half-range of their k means: the cdf sum is valued at
-    N + 1 Chebyshev points spanning the means and the barycentric
-    formula serves every mean.  The node rule keeps the error within
-    1e-14 (|const| + sum_j |w_j|) of the direct sum, where const and w_j
-    are the telescoped form's constant and bound weights.  Point masses,
-    varying sd and small batches use the direct sum.
+    When N = ceil(8 h / sd) + 16 satisfies N + 1 < k / 2, with h the
+    half-range of the means, the cdf sum is valued at N + 1 Chebyshev
+    points spanning the means and the barycentric formula serves every
+    mean.  The node rule keeps the error within 1e-14 (|const| +
+    sum_j |w_j|) of the direct sum, where const and w_j are the
+    telescoped form's constant and bound weights.  Smaller batches use
+    the direct sum.
     """
-    if cov_factor.ndim != 3 or mean.shape != cov_factor.shape[:2]:
-        raise ValueError(f"mean must be (k, m) and cov_factor (k, m, d); got "
-                         f"{mean.shape} and {cov_factor.shape}")
-    k, m = mean.shape
-    if m != 1 or fe.dims != (1, 1):
-        raise ValueError(f"the cell sum integrates one state coordinate: mean (k, 1), "
-                         f"cov_factor (k, 1, d) and a fit of dims (1, 1); got m = {m} "
-                         f"and dims {fe.dims}")
-    if not (np.isfinite(mean).all() and np.isfinite(cov_factor).all()):
-        raise ValueError("mean and cov_factor must be finite")
-    load = cov_factor[:, 0, :]
-    sd = np.sqrt(np.einsum("kd,kd->k", load, load))
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.ndim != 1 or fe.dims != (1, 1):
+        raise ValueError(f"the cell sum integrates one state coordinate: mean (k,) and a "
+                         f"fit of dims (1, 1); got mean {mean.shape} and dims {fe.dims}")
+    if not np.isfinite(mean).all():
+        raise ValueError("mean must be finite")
+    if np.ndim(sd) != 0 or not (np.isfinite(sd) and sd > 0):
+        raise ValueError(f"sd must be one finite number > 0; got {sd!r}")
     q, w, const = _phi_form(fe)
     if q.size == 0:
-        return np.full(k, const)
-    out = np.empty(k)
-    mu = mean[:, 0]
-    pos = sd > 0.0
-    # one (chunk x bounds) buffer is reused: 0.4 MB at 64 rows and 800
-    # bounds, at most 32 MB
-    chunk = max(1, min(point_chunk, int(4e6 // q.size)))
-    # a point mass at mu lands in the half-open cell (a, b] when
-    # mu <= b and mu > a, so the step weight at bound q is 1{mu <= q}
-    mass = np.flatnonzero(~pos)
-    for i in range(0, mass.size, chunk):
-        sel = mass[i:i + chunk]
-        out[sel] = (q[None, :] >= mu[sel, None]).astype(np.float64) @ w + const
-    idx = np.flatnonzero(pos)
-    mu, sd = mu[idx], sd[idx]
-    n = _chebyshev_degree(mu, sd)
+        return np.full(mean.size, const)
+    chunk = max(1, min(_POINT_CHUNK, int(4e6 // q.size)))
+    n = _chebyshev_degree(mean, sd)
     if n:
-        out[idx] = _chebyshev_cell_sum(q, w, const, mu, sd[0], n, chunk)
-    else:
-        out[idx] = _cdf_sum(q, w, const, mu, sd, chunk)
-    return out
+        return _chebyshev_cell_sum(q, w, const, mean, sd, n, chunk)
+    return _cdf_sum(q, w, const, mean, sd, chunk)
 
 
-def _continuation(model: LocalVolModel, mode: str, fitted, t: int,
+def _continuation(model: LogBSModel, mode: str, fitted, t: int,
                   z: np.ndarray) -> np.ndarray:
-    """C_t at states z of shape (k, m) from the date-t model of either mode.
+    """C_t at states z of shape (k, 1) from the date-t model of either mode.
 
     Regress-later integrates its flat fit against the date-t kernel;
     regress-now predicts with its fit.
     """
     if mode == "later":
-        mean = np.asarray(model.drift_fn(t, z), dtype=np.float64)
-        load = np.asarray(model.diffusion_fn(t, z), dtype=np.float64)
-        return gaussian_cell_sum(fitted, mean, load)
+        return gaussian_cell_sum(fitted, z[:, 0] + model.drift[t], model.sd[t])
     return np.asarray(predict(fitted, z[:, :, None]), dtype=np.float64)
 
 
@@ -262,7 +241,7 @@ class BermudanValue:
                           dtype=np.float64)
 
     def continuation(self, t: int, z: np.ndarray) -> np.ndarray:
-        """C_t at states z of shape (k, m), for t = 0..T-1.
+        """C_t at states z of shape (k, 1), for t = 0..T-1.
 
         Each distinct state is valued once, in the order of its first
         row.  At t = 0 every path is at z0, valued alone as in the fit,
@@ -272,6 +251,8 @@ class BermudanValue:
         if not 0 <= t < T:
             raise ValueError(f"continuation defined for t in 0..{T - 1}")
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        if z.ndim != 2 or z.shape[1] != 1:
+            raise ValueError(f"states must have shape (k, 1); got {z.shape}")
         _, first, inverse = np.unique(z, axis=0, return_index=True, return_inverse=True)
         keep = np.sort(first)
         cont = _continuation(self.spec.model, self.mode, self.models[t], t, z[keep])
@@ -314,7 +295,7 @@ class BermudanValue:
 
 def _backward_induction(spec: ExerciseSpec, z_paths: np.ndarray, config,
                         mode: str) -> BermudanValue:
-    """Fit C_T-1 .. C_0 backward along training state paths (n, m, T+1).
+    """Fit C_T-1 .. C_0 backward along training state paths (n, 1, T+1).
 
     Labels start as g_T(Z_T).  At date t they are fitted on Z_{t+1}
     (mode "later", the fit then flattened) or on Z_t (mode "now"), each
@@ -322,14 +303,14 @@ def _backward_induction(spec: ExerciseSpec, z_paths: np.ndarray, config,
     the labels roll back as max(g_t, C_t).
     """
     z_paths = np.asarray(z_paths, dtype=np.float64)
-    n, m, Tp1 = z_paths.shape
-    T = Tp1 - 1
-    if m != spec.model.n_state or T != spec.model.n_periods:
-        raise ValueError("state paths do not match the model dims")
+    T = spec.model.n_periods
+    if z_paths.ndim != 3 or z_paths.shape[1:] != (1, T + 1):
+        raise ValueError(f"state paths must have shape (n, 1, {T + 1}); got {z_paths.shape}")
     # the per-date seed needs a config dataclass; fit() then checks its kind
     if not is_dataclass(config):
         raise TypeError("config must be a TreeConfig, ForestConfig, or BoostConfig")
     later = mode == "later"
+    z0 = np.full((1, 1), spec.model.z0)
     labels = np.asarray(spec.payoffs[T](z_paths[:, :, T]), dtype=np.float64)
     models = [None] * T
     for t in range(T - 1, -1, -1):
@@ -337,12 +318,12 @@ def _backward_induction(spec: ExerciseSpec, z_paths: np.ndarray, config,
         fitted = fit(step, z_paths[:, :, t + 1 if later else t, None], labels)
         models[t] = flatten_model(fitted) if later else fitted
         # every path starts at z0, so C_0 is valued there alone
-        zt = spec.model.z0[None, :] if t == 0 else z_paths[:, :, t]
+        zt = z0 if t == 0 else z_paths[:, :, t]
         cont = _continuation(spec.model, mode, models[t], t, zt)
         if t > 0:
             labels = np.maximum(np.asarray(spec.payoffs[t](zt), dtype=np.float64), cont)
     cont0 = float(cont[0])
-    g0 = float(np.asarray(spec.payoffs[0](spec.model.z0[None, :]), dtype=np.float64)[0])
+    g0 = float(np.asarray(spec.payoffs[0](z0), dtype=np.float64)[0])
     return BermudanValue(spec=spec, mode=mode, value0=max(g0, cont0),
                          continuation0=cont0, models=tuple(models))
 
@@ -351,21 +332,18 @@ def price_regress_later(spec: ExerciseSpec, z_paths: np.ndarray, config) -> Berm
     """Regress-later: fit each date-(t+1) value on Z_{t+1}, integrate it in closed form.
 
     z_paths holds training state paths of shape (n, 1, T+1).  Each
-    flattened fit is integrated against the one-state Gaussian
-    transition kernel to give C_t; a model with m != 1 state coordinates
-    raises ValueError.
+    flattened fit is integrated against the date's Gaussian transition
+    kernel to give C_t.
     """
-    if spec.model.n_state != 1:
-        raise ValueError(f"regress-later integrates a one-state kernel; this model has "
-                         f"{spec.model.n_state} state coordinates (use price_regress_now)")
     return _backward_induction(spec, z_paths, config, "later")
 
 
 def price_regress_now(spec: ExerciseSpec, z_paths: np.ndarray, config) -> BermudanValue:
     """Regress-now: fit each date-(t+1) value on Z_t and use the fit as C_t.
 
-    At t = 0 the features are constant, so the model degenerates to the
-    plain average, which is the correct date-0 continuation.
+    z_paths holds training state paths of shape (n, 1, T+1).  At t = 0
+    the features are constant, so the model degenerates to the plain
+    average, which is the correct date-0 continuation.
     """
     return _backward_induction(spec, z_paths, config, "now")
 
@@ -404,9 +382,11 @@ def black_put_price(z, strike: float, rate: float, sigma: float, tau: float):
     With rate = 0 this is the exact value process of the put on a
     driftless lognormal asset (where early exercise is never optimal).
     """
-    if tau <= 0:
+    if not np.isfinite([rate, sigma, tau]).all():
+        raise ValueError("rate, sigma and tau must be finite")
+    if not tau > 0:
         raise ValueError("tau must be positive")
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     if not strike > 0:
         raise ValueError("strike must be positive")

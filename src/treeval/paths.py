@@ -2,10 +2,10 @@
 
 The stochastic driver is an i.i.d. sequence ``X_1, ..., X_T`` of
 d-dimensional standard normal vectors.  Market models map a driver
-sample to state paths: a multivariate Black-Scholes model produces
-price paths ``S_{i,t}``, and a generic local-volatility recursion
-produces state paths ``Z_t``.  Payoffs map price paths to discounted
-cash flows at the final date.
+sample to paths: a multivariate Black-Scholes model produces price
+paths ``S_{i,t}``, and the log price of one Black-Scholes asset gives
+the Bermudan state paths ``Z_t``.  Payoffs map price paths to
+discounted cash flows at the final date.
 
 All randomness flows through counter-based Philox generators keyed by
 ``(seed, stream tags)`` so that train / validation / test / nested
@@ -21,8 +21,8 @@ import operator
 import os
 import sys
 import types
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -320,69 +320,54 @@ def payoff_value(payoff: Payoff, model: BlackScholesModel, prices: np.ndarray) -
 
 
 @dataclass(frozen=True)
-class LocalVolModel:
-    """Markovian state recursion Z_t = a_{t-1}(Z_{t-1}) + b_{t-1}(Z_{t-1}) X_t.
+class LogBSModel:
+    """Log price of one Black-Scholes asset on a deterministic time grid.
 
-    drift_fn(t, z) maps (..., m) states at period start t to (..., m)
-    conditional means; diffusion_fn(t, z) maps them to (..., m, d)
-    loading matrices on the d-dimensional driver.
+    Z_0 = z0 and Z_t = Z_{t-1} + drift[t-1] + sd[t-1] X_t, with
+    drift = (rate - sigma^2/2) Delta and sd = sigma sqrt(Delta) per
+    period, so given Z_t = z the next state is N(z + drift[t], sd[t]^2).
+    ``steps`` holds the period lengths Delta_1, ..., Delta_T.
     """
 
-    z0: np.ndarray
-    drift_fn: Callable
-    diffusion_fn: Callable
-    n_driver: int
-    n_periods: int
+    z0: float
+    rate: float
+    sigma: float
+    steps: np.ndarray
+    drift: np.ndarray = field(init=False, repr=False)
+    sd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=np.float64))
-        if self.z0.ndim != 1:
-            raise ValueError("z0 must be a 1-D state vector")
-        if self.n_driver < 1 or self.n_periods < 1:
-            raise ValueError("n_driver and n_periods must be >= 1")
+        steps = np.asarray(self.steps, dtype=np.float64)
+        if not np.isfinite([self.z0, self.rate]).all():
+            raise ValueError("z0 and rate must be finite")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and positive")
+        if steps.ndim != 1 or steps.size == 0 or not (np.isfinite(steps) & (steps > 0)).all():
+            raise ValueError("steps must be a non-empty 1-D array of finite positive "
+                             "year fractions")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "drift", (self.rate - 0.5 * self.sigma * self.sigma) * steps)
+        object.__setattr__(self, "sd", self.sigma * np.sqrt(steps))
 
     @property
-    def n_state(self) -> int:
-        return self.z0.size
+    def n_periods(self) -> int:
+        return self.steps.size
 
+    def simulate(self, x: np.ndarray) -> np.ndarray:
+        """State paths of shape (n, 1, T+1) driven by x of shape (n, 1, T).
 
-def simulate_localvol(model: LocalVolModel, x: np.ndarray) -> np.ndarray:
-    """State paths of shape (n, m, T+1) with ``z[:, :, 0] = z0``."""
-    data = np.asarray(x, dtype=np.float64)
-    n, d, T = data.shape
-    if d != model.n_driver or T != model.n_periods:
-        raise ValueError("driver dims do not match model dims")
-    m = model.n_state
-    z = np.empty((n, m, T + 1))
-    z[:, :, 0] = model.z0
-    for t in range(1, T + 1):
-        prev = z[:, :, t - 1]
-        mean = np.asarray(model.drift_fn(t - 1, prev), dtype=np.float64)
-        load = np.asarray(model.diffusion_fn(t - 1, prev), dtype=np.float64)
-        if mean.shape != (n, m) or load.shape != (n, m, d):
-            raise ValueError("drift/diffusion output shapes do not match the state")
-        step = mean + np.einsum("nmd,nd->nm", load, data[:, :, t - 1])
-        if not np.isfinite(step).all():
-            raise ValueError(f"state recursion produced non-finite values at t={t}")
-        z[:, :, t] = step
-    return z
-
-
-def log_bs_localvol(z0: float, rate: float, sigma: float, steps: Sequence[float]) -> LocalVolModel:
-    """One-dimensional log-price recursion matching a Black-Scholes asset.
-
-    Z_t = Z_{t-1} + (r - sigma^2/2) Delta_t + sigma sqrt(Delta_t) X_t.
-    """
-    steps = np.asarray(steps, dtype=np.float64)
-    if (steps <= 0).any():
-        raise ValueError("steps must be positive")
-
-    def drift(t, z):
-        return z + (rate - 0.5 * sigma * sigma) * steps[t]
-
-    def diffusion(t, z):
-        out = np.full(z.shape + (1,), sigma * np.sqrt(steps[t]))
-        return out
-
-    return LocalVolModel(z0=np.array([z0]), drift_fn=drift, diffusion_fn=diffusion,
-                         n_driver=1, n_periods=steps.size)
+        Each date adds drift[t], then sd[t] x: two roundings in that
+        order, not a cumulative sum, which would reassociate them.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        T = self.n_periods
+        if x.ndim != 3 or x.shape[1:] != (1, T):
+            raise ValueError(f"driver must have shape (n, 1, {T}); got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("driver must be finite")
+        z = np.empty((x.shape[0], 1, T + 1))
+        z[:, 0, 0] = self.z0
+        for t in range(T):
+            np.add(z[:, 0, t], self.drift[t], out=z[:, 0, t + 1])
+            z[:, 0, t + 1] += self.sd[t] * x[:, 0, t]
+        return z

@@ -15,21 +15,16 @@ from treeval import bench, paths
 from treeval.bench import (
     BermudanPlan,
     ExperimentPlan,
-    ValidationRow,
-    ValidationTable,
     _bermudan_truth,
     black_put_price,
     bundle_hash,
     desk_plan,
     oracle_v0,
     oracle_v1,
-    paper_boost_grid,
     paper_plan,
-    paper_rf_grid,
     regress_now_date1,
     run_bermudan,
     run_experiment,
-    run_validation_grid,
     sample_streams,
     standard_model,
     write_snapshot,
@@ -231,50 +226,6 @@ def test_list_dates_hash_as_the_tuple(tmp_path):
         write_snapshot(tmp_path / "tuple.snapshot", as_tuple)
 
 
-def test_paper_rf_grid_combos():
-    grid = paper_rf_grid(6, 2)
-    assert len(grid) == 18
-    names = [g[0] for g in grid]
-    assert len(set(names)) == 18
-    ps = {g[1].features for g in grid}
-    assert ps == {4, 12}
-    assert {g[1].n_trees for g in grid} == {100, 250, 500}
-    assert {g[1].nodesize for g in grid} == {2, 3, 5}
-    assert all(isinstance(g[1], ForestConfig) for g in grid)
-
-
-def test_paper_boost_grid_combos():
-    grid = paper_boost_grid()
-    assert len(grid) == 30
-    assert {g[1].nodesize for g in grid} == {5, 15, 25, 35, 45}
-    assert {g[1].max_depth for g in grid} == {40, 50, 60, 70, 80, 90}
-    assert all(g[1].rounds == 1000 and g[1].patience == 10 for g in grid)
-
-
-def test_validation_table_tie_breaks():
-    rows = (
-        ValidationRow("a", None, 1.0, 10),
-        ValidationRow("b", None, 0.5, 8),
-        ValidationRow("c", None, 0.5, 5),
-        ValidationRow("d", None, 0.5, 5),
-    )
-    assert ValidationTable(rows).best.name == "c"  # error, then cells, then order
-    assert ValidationTable(rows[:2]).best.name == "b"
-
-
-def test_run_validation_grid_micro():
-    plan = desk_plan("min_put", n_train=300, n_valid=100, n_test=10, n_inner=2)
-    plan = ExperimentPlan(**{**plan.__dict__, "model": standard_model("min_put", d=2)})
-    grid = (("shallow", TreeConfig(nodesize=80)), ("deep", TreeConfig(nodesize=10)))
-    table = run_validation_grid(plan, grid)
-    assert [r.name for r in table.rows] == ["shallow", "deep"]
-    assert all(np.isfinite(r.error_pct) and r.error_pct > 0 for r in table.rows)
-    assert all(r.n_cells >= 1 for r in table.rows)
-    assert table.best in table.rows
-    with pytest.raises(ValueError):
-        run_validation_grid(plan, ())
-
-
 # ------------------------------------------------------------ report bundles
 
 
@@ -462,7 +413,8 @@ def test_run_bermudan_bundle_deterministic(tmp_path):
 
 
 def test_run_bermudan_forest_bundle_same_at_one_and_two_threads(tmp_path):
-    """Forest trees grown together and the threaded cdf sum: no byte moves with threads."""
+    """A forest in both modes, on enough test paths for the interpolated
+    cell sum: no byte moves with the thread cap."""
     plan = BermudanPlan(n_train=600, n_test=1300, n_dates=3, seed=3, mode="both",
                         estimator=ForestConfig(n_trees=6, nodesize=20, features=1, seed=11))
     before = get_threads()

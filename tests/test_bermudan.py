@@ -22,9 +22,8 @@ from treeval.cart import TreeConfig, fit_tree
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost
 from treeval import bermudan
 from treeval.bermudan import _chebyshev_degree, _phi_form
-from treeval.flat import FlatEnsemble, evaluate_flat, flatten_model
-from treeval.parallel import get_threads, set_threads
-from treeval.paths import LocalVolModel, log_bs_localvol, sample_driver, simulate_localvol
+from treeval.flat import FlatEnsemble, flatten_model
+from treeval.paths import LogBSModel, sample_driver
 
 
 def _phi(x: float) -> float:
@@ -68,10 +67,17 @@ def test_black_put_limits():
 
 
 def test_black_put_validation():
-    with pytest.raises(ValueError):
-        black_put_price(0.0, 1.0, 0.0, 0.2, 0.0)
-    with pytest.raises(ValueError):
-        black_put_price(0.0, 1.0, 0.0, -0.2, 1.0)
+    # (rate, sigma, tau): NaN once passed the sign checks and came out as a NaN price
+    for rate, sigma, tau, match in [(0.0, 0.2, 0.0, "tau"), (0.0, 0.2, -1.0, "tau"),
+                                    (0.0, -0.2, 1.0, "sigma"), (0.0, 0.0, 1.0, "sigma"),
+                                    (0.0, 0.2, math.nan, "finite"),
+                                    (math.nan, 0.2, 1.0, "finite"),
+                                    (0.0, math.nan, 1.0, "finite"),
+                                    (0.0, math.inf, 1.0, "finite"),
+                                    (-math.inf, 0.2, 1.0, "finite"),
+                                    (0.0, 0.2, math.inf, "finite")]:
+        with pytest.raises(ValueError, match=match):
+            black_put_price(0.0, 1.0, rate, sigma, tau)
 
 
 @pytest.mark.parametrize("strike", [0.0, -1.0, math.nan])
@@ -103,84 +109,56 @@ def _per_cell_cdf_sum(fe, mu: float, sd: float) -> float:
 def test_cell_sum_1d_matches_per_cell_cdf(kind):
     fe = _flat_1d(kind)
     rng = np.random.default_rng(1)
-    mu = rng.normal(size=(20, 1))
-    sd = rng.uniform(0.2, 2.0, size=20)
-    got = gaussian_cell_sum(fe, mu, sd[:, None, None])
-    want = np.array([_per_cell_cdf_sum(fe, m, s) for m, s in zip(mu[:, 0], sd)])
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    mu = rng.normal(size=20)
+    for s in (0.2, 0.7, 2.0):
+        got = gaussian_cell_sum(fe, mu, s)
+        want = np.array([_per_cell_cdf_sum(fe, m, s) for m in mu])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), s
 
 
-def test_cell_sum_point_mass_equals_indicator():
-    fe = _flat_1d()
-    pts = np.linspace(-2.5, 2.5, 41)[:, None]
-    got = gaussian_cell_sum(fe, pts, np.zeros((41, 1, 1)))
-    want = evaluate_flat(fe, pts[:, :, None])
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-
-def test_cell_sum_mixed_zero_and_positive_sd():
-    fe = _flat_1d()
-    mu = np.array([[0.0], [0.5], [-0.3]])
-    cf = np.array([[[0.0]], [[1.0]], [[0.0]]])
-    got = gaussian_cell_sum(fe, mu, cf)
-    point = evaluate_flat(fe, mu[:, :, None])
-    assert got[0] == pytest.approx(point[0], rel=1e-12)
-    assert got[2] == pytest.approx(point[2], rel=1e-12)
-    assert got[1] == pytest.approx(_per_cell_cdf_sum(fe, 0.5, 1.0), rel=1e-12)
-
-
-def test_cell_sum_chunk_invariance():
-    fe = _flat_1d()
-    mu = np.linspace(-1.0, 1.0, 7)[:, None]
-    cf = np.full((7, 1, 1), 0.7)
-    a = gaussian_cell_sum(fe, mu, cf, point_chunk=2)
-    b = gaussian_cell_sum(fe, mu, cf, point_chunk=512)
-    assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
-
-
-def _serial_cell_sum(fe, mu, sd, chunk):
-    """The 1-d cell sum block by block on one thread, point masses left out."""
+def _serial_cell_sum(fe, mu, s, chunk):
+    """The 1-d cell sum block by block, as the direct path runs it."""
     q, w, const = _phi_form(fe)
-    out = np.full(mu.size, np.nan)
-    idx = np.flatnonzero(sd > 0.0)
-    for a in range(0, idx.size, chunk):
-        sel = idx[a:a + chunk]
-        out[sel] = ndtr((q[None, :] - mu[sel, None]) / sd[sel, None]) @ w + const
+    out = np.empty(mu.size)
+    for a in range(0, mu.size, chunk):
+        out[a:a + chunk] = ndtr((q[None, :] - mu[a:a + chunk, None]) / s) @ w + const
     return out
 
 
-def test_cell_sum_same_bits_at_one_and_two_threads():
-    """The thread cap does not change the blocks of points, nor so the bits."""
+def test_cell_sum_chunk_invariance(monkeypatch):
+    """The block height leaves the direct sum's bits as the reference's."""
     fe = _flat_1d(n=3000, seed=3)
     rng = np.random.default_rng(2)
     k = 1301  # not a multiple of either chunk
-    mu = rng.normal(size=(k, 1))
-    cf = rng.uniform(0.05, 1.5, size=(k, 1, 1))
-    cf[::9] = 0.0
-    sd = cf[:, 0, 0]
-    # one sd for every point but the point masses: the interpolated path
-    shared = np.where(cf > 0.0, 0.6, 0.0)
-    pos = sd > 0.0
-    assert _chebyshev_degree(mu[pos, 0], shared[pos, 0, 0]) > 0
-    before = get_threads()
+    mu = rng.normal(size=k)
+    direct, shared = 0.03, 0.6  # the sd of the direct and of the interpolated path
+    assert _chebyshev_degree(mu, direct) == 0 and _chebyshev_degree(mu, shared) > 0
+    interpolated = []
+    for chunk in (100, 512):
+        monkeypatch.setattr(bermudan, "_POINT_CHUNK", chunk)
+        got = gaussian_cell_sum(fe, mu, direct)
+        assert np.array_equal(got, _serial_cell_sum(fe, mu, direct, chunk)), chunk
+        interpolated.append(gaussian_cell_sum(fe, mu, shared))
+    assert np.allclose(interpolated[0], interpolated[1], rtol=0.0, atol=1e-13)
+
+
+def test_cell_sum_same_bits_at_one_and_two_threads():
+    """The thread cap moves no bit of either path of the cell sum."""
+    fe = _flat_1d(n=3000, seed=3)
+    mu = np.random.default_rng(2).normal(size=1301)
+    direct, shared = 0.03, 0.6
+    assert _chebyshev_degree(mu, direct) == 0 and _chebyshev_degree(mu, shared) > 0
+    before = tv.get_threads()
+    got = {}
     try:
-        got, got_shared = {}, {}
         for threads in (1, 2):
-            set_threads(threads)
-            got[threads] = [gaussian_cell_sum(fe, mu, cf, point_chunk=c) for c in (100, 512)]
-            got_shared[threads] = [gaussian_cell_sum(fe, mu, shared, point_chunk=c)
-                                   for c in (100, 512)]
+            tv.set_threads(threads)
+            got[threads] = [gaussian_cell_sum(fe, mu, s) for s in (direct, shared)]
     finally:
-        set_threads(before)
-    for chunk, a, b in zip((100, 512), got[1], got[2]):
-        assert np.array_equal(a, b), chunk
-        want = _serial_cell_sum(fe, mu[:, 0], sd, chunk)
-        assert np.array_equal(b[pos], want[pos]), chunk
-        assert b[~pos] == pytest.approx(evaluate_flat(fe, mu[~pos, :, None]), rel=1e-12)
-    for chunk, a, b in zip((100, 512), got_shared[1], got_shared[2]):
-        assert np.array_equal(a, b), chunk
-        assert np.array_equal(b[~pos], got[2][0][~pos]), chunk
-    assert np.allclose(got_shared[2][0], got_shared[2][1], rtol=0.0, atol=1e-13)
+        tv.set_threads(before)
+    for a, b in zip(got[1], got[2]):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got[1][0], _serial_cell_sum(fe, mu, direct, bermudan._POINT_CHUNK))
 
 
 def _random_phi_fit(rng, n_bounds):
@@ -191,43 +169,35 @@ def _random_phi_fit(rng, n_bounds):
     return FlatEnsemble(lo=lo, hi=hi, values=rng.normal(size=n_bounds + 1), dims=(1, 1))
 
 
-def _cell_sum_peak(sd_scale, shared=False):
-    """Traced peak bytes of a cell sum: 4,000 points, 800 bounds."""
+def _cell_sum_peak(s):
+    """Traced peak bytes of a cell sum at sd s (4,000 means, 800 bounds), and its degree."""
     rng = np.random.default_rng(5)
     fe = _random_phi_fit(rng, 800)
-    mu = rng.normal(size=(4000, 1))
-    cf = sd_scale * rng.uniform(0.05, 1.5, size=(4000, 1, 1))
-    if shared:
-        cf[:] = sd_scale * 0.7
+    mu = rng.normal(size=4000)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        gaussian_cell_sum(fe, mu, cf)
+        gaussian_cell_sum(fe, mu, s)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     print(f"cell sum peak {peak} B")
-    return peak
+    return peak, _chebyshev_degree(mu, s)
 
 
 def test_cell_sum_working_set_stays_small():
-    # one (chunk x bounds) block is reused: 0.4 MB at 64 x 800 bounds,
-    # against 3.3 MB for 512-row blocks
-    peak = _cell_sum_peak(1.0)
-    assert peak < 2e6, peak
-
-
-def test_cell_sum_point_masses_run_in_blocks():
-    # every sd is 0: the indicator rows go in the same 64-row blocks, not
-    # one (4000 x 800) product of 28.9 MB
-    peak = _cell_sum_peak(0.0)
+    # the direct sum: one (chunk x bounds) block is reused, 0.4 MB at
+    # 64 x 800 bounds, against 3.3 MB for 512-row blocks
+    peak, n = _cell_sum_peak(0.01)
+    assert n == 0
     assert peak < 2e6, peak
 
 
 def test_cell_sum_shared_sd_interpolation_stays_small():
     # the nodes go through the same 64-row blocks and the barycentric
     # formula reuses one (64 x nodes) buffer
-    peak = _cell_sum_peak(1.0, shared=True)
+    peak, n = _cell_sum_peak(0.7)
+    assert n > 0
     assert peak < 2e6, peak
 
 
@@ -242,8 +212,8 @@ def test_cell_sum_interpolation_matches_direct_sum(ratio):
         c = rng.normal()
         mu = c + rng.uniform(-ratio * s, ratio * s, size=4000)
         mu[:2] = c - ratio * s, c + ratio * s  # the ends of the range are nodes
-        assert _chebyshev_degree(mu, np.full(mu.size, s)) > 0
-        got = gaussian_cell_sum(fe, mu[:, None], np.full((mu.size, 1, 1), s))
+        assert _chebyshev_degree(mu, s) > 0
+        got = gaussian_cell_sum(fe, mu, s)
         want = ndtr((q[None, :] - mu[:, None]) / s) @ w + const
         err = np.max(np.abs(got - want))
         assert err <= 1e-14 * (abs(const) + np.abs(w).sum()), (ratio, err)
@@ -260,7 +230,7 @@ def _count_ndtr(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("case", ["shared", "varying", "small", "one_mean"])
+@pytest.mark.parametrize("case", ["shared", "small", "one_mean"])
 def test_cell_sum_ndtr_count_follows_the_selection_rule(monkeypatch, case):
     rng = np.random.default_rng(8)
     fe = _random_phi_fit(rng, 600)
@@ -268,9 +238,8 @@ def test_cell_sum_ndtr_count_follows_the_selection_rule(monkeypatch, case):
     k = 10 if case == "small" else 4000
     mu = np.zeros(k) if case == "one_mean" else rng.normal(size=k)
     s = 0.4
-    sd = rng.uniform(0.3, 0.5, size=k) if case == "varying" else np.full(k, s)
     seen = _count_ndtr(monkeypatch)
-    gaussian_cell_sum(fe, mu[:, None], sd[:, None, None])
+    gaussian_cell_sum(fe, mu, s)
     if case == "shared":
         n = math.ceil(8 * 0.5 * (mu.max() - mu.min()) / s) + 16
         assert sum(seen) == (n + 1) * Q
@@ -280,25 +249,28 @@ def test_cell_sum_ndtr_count_follows_the_selection_rule(monkeypatch, case):
         assert sum(seen) == k * Q
 
 
-@pytest.mark.parametrize("arg", ["mean", "cov_factor"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad, arg", [(b, "mean") for b in (np.nan, np.inf, -np.inf)] +
+                         [(b, "sd") for b in (np.nan, np.inf, -np.inf, 0.0, -0.3)])
 def test_cell_sum_rejects_non_finite_inputs(arg, bad):
-    # cells (-inf, 0] -> 1 and (0, inf) -> 2: a NaN loading once passed as a
-    # point mass at 0.5 and gave 2.0
+    # cells (-inf, 0] -> 1 and (0, inf) -> 2: a NaN or zero sd must not
+    # pass as a point mass at the mean
     fe = FlatEnsemble(lo=np.array([[-np.inf], [0.0]]), hi=np.array([[0.0], [np.inf]]),
                       values=np.array([1.0, 2.0]), dims=(1, 1))
-    args = {"mean": np.array([[0.5], [0.1]]), "cov_factor": np.full((2, 1, 1), 0.3)}
-    args[arg][0] = bad
+    args = {"mean": np.array([0.5, 0.1]), "sd": 0.3}
+    if arg == "mean":
+        args["mean"][0] = bad
+    else:
+        args["sd"] = bad
     with pytest.raises(ValueError, match="finite"):
-        gaussian_cell_sum(fe, args["mean"], args["cov_factor"])
+        gaussian_cell_sum(fe, args["mean"], args["sd"])
 
 
-def _two_state_cell_sum(load):
+def _two_state_cell_sum(sd):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 2, 1))
     y = np.where(x[:, 0, 0] + 0.5 * x[:, 1, 0] > 0, 1.0, -1.0)
     fe = flatten_model(fit_tree(x, y, TreeConfig(nodesize=60)))
-    return gaussian_cell_sum(fe, np.array([[0.2, -0.1]]), np.asarray(load)[None])
+    return gaussian_cell_sum(fe, np.array([[0.2, -0.1]]), np.asarray(sd))
 
 
 def test_cell_sum_rejects_correlated_kernel():
@@ -312,21 +284,26 @@ def test_cell_sum_rejects_a_diagonal_two_state_kernel():
         _two_state_cell_sum(np.diag([0.8, 1.3]))
 
 
+def test_cell_sum_rejects_a_column_mean():
+    # the mean is (k,), not a (k, 1) column of states
+    with pytest.raises(ValueError, match="one state coordinate"):
+        gaussian_cell_sum(_flat_dims(1, 1), np.zeros((4, 1)), 0.5)
+
+
 def _flat_dims(d: int, T: int):
     rng = np.random.default_rng(6)
     x = rng.normal(size=(100, d, T))
     return flatten_model(fit_tree(x, x.sum(axis=(1, 2)), TreeConfig(nodesize=20)))
 
 
-@pytest.mark.parametrize("fe_dims, mean_shape, load_shape", [
-    ((2, 1), (4, 1), (4, 1, 1)),   # two-coordinate fit, one-state kernel
-    ((1, 2), (4, 1), (4, 1, 1)),   # two-period fit integrated as one step
-    ((1, 1), (2, 1), (3, 1, 1)),   # two means next to three loads
+@pytest.mark.parametrize("fe_dims", [
+    (2, 1),   # two-coordinate fit, one-state kernel
+    (1, 2),   # two-period fit integrated as one step
 ])
-def test_cell_sum_rejects_mismatched_shapes(fe_dims, mean_shape, load_shape):
+def test_cell_sum_rejects_mismatched_shapes(fe_dims):
     fe = _flat_dims(*fe_dims)
-    with pytest.raises(ValueError):
-        gaussian_cell_sum(fe, np.zeros(mean_shape), np.full(load_shape, 0.5))
+    with pytest.raises(ValueError, match="one state coordinate"):
+        gaussian_cell_sum(fe, np.zeros(4), 0.5)
 
 
 # -------------------------------------------------------- backward induction
@@ -347,7 +324,7 @@ def _put_payoffs(n_dates: int, strike: float = 1.0):
 
 
 def test_exercise_spec_validation():
-    model = log_bs_localvol(0.0, 0.0, 0.2, np.full(3, 1.0 / 3.0))
+    model = LogBSModel(0.0, 0.0, 0.2, np.full(3, 1.0 / 3.0))
     with pytest.raises(ValueError):
         ExerciseSpec(model=model, payoffs=_const_payoffs(2, 1.0))
     spec = ExerciseSpec(model=model, payoffs=_const_payoffs(4, 1.0))
@@ -356,10 +333,10 @@ def test_exercise_spec_validation():
 
 def test_constant_payoff_prices_exactly():
     T = 3
-    model = log_bs_localvol(0.0, 0.0, 0.2, np.full(T, 1.0 / T))
+    model = LogBSModel(0.0, 0.0, 0.2, np.full(T, 1.0 / T))
     spec = ExerciseSpec(model=model, payoffs=_const_payoffs(T + 1, 2.5))
     x = sample_driver(200, 1, T, 0, (tv.STREAM_TRAIN,))
-    z = simulate_localvol(model, x)
+    z = model.simulate(x)
     for price in (price_regress_later, price_regress_now):
         bv = price(spec, z, TreeConfig(nodesize=2))
         assert bv.value0 == 2.5
@@ -371,25 +348,26 @@ def test_constant_payoff_prices_exactly():
 
 def test_price_validates_path_dims():
     T = 2
-    model = log_bs_localvol(0.0, 0.0, 0.2, np.full(T, 0.5))
+    model = LogBSModel(0.0, 0.0, 0.2, np.full(T, 0.5))
     spec = ExerciseSpec(model=model, payoffs=_put_payoffs(T + 1))
-    bad = np.zeros((50, 2, T + 1))  # two state dims, model has one
-    with pytest.raises(ValueError):
-        price_regress_later(spec, bad, TreeConfig())
-    with pytest.raises(ValueError):
-        price_regress_now(spec, bad, TreeConfig())
+    for bad in (np.zeros((50, 2, T + 1)),   # two state dims, model has one
+                np.zeros((50, 1, T)),       # one date short
+                np.zeros((50, T + 1))):     # no state axis
+        for price in (price_regress_later, price_regress_now):
+            with pytest.raises(ValueError, match="state paths"):
+                price(spec, bad, TreeConfig())
     with pytest.raises(TypeError):
         price_regress_later(spec, np.zeros((50, 1, T + 1)), config="boost")
 
 
 def _small_put_fixture(price=price_regress_later):
     T = 4
-    model = log_bs_localvol(0.0, 0.0, 0.2, np.full(T, 0.25))
+    model = LogBSModel(0.0, 0.0, 0.2, np.full(T, 0.25))
     spec = ExerciseSpec(model=model, payoffs=_put_payoffs(T + 1))
     x_train = sample_driver(800, 1, T, 3, (tv.STREAM_TRAIN,))
     x_test = sample_driver(600, 1, T, 3, (tv.STREAM_TEST,))
-    z_train = simulate_localvol(model, x_train)
-    z_test = simulate_localvol(model, x_test)
+    z_train = model.simulate(x_train)
+    z_test = model.simulate(x_test)
     cfg = BoostConfig(rounds=40, learning_rate=0.3, nodesize=10, max_depth=4, seed=1)
     bv = price(spec, z_train, cfg)
     return spec, bv, z_test
@@ -411,10 +389,10 @@ def test_continuation_matrix_consistency():
 def test_paths_value_date_zero_as_the_fit_does():
     """Every path starts at z0, valued alone on paths as in the fit."""
     T = 3
-    model = log_bs_localvol(0.0, 0.0, 0.2, np.full(T, 1.0 / T))
+    model = LogBSModel(0.0, 0.0, 0.2, np.full(T, 1.0 / T))
     spec = ExerciseSpec(model=model, payoffs=_put_payoffs(T + 1))
-    z_train = simulate_localvol(model, sample_driver(1000, 1, T, 5, (tv.STREAM_TRAIN,)))
-    z_test = simulate_localvol(model, sample_driver(400, 1, T, 5, (tv.STREAM_TEST,)))
+    z_train = model.simulate(sample_driver(1000, 1, T, 5, (tv.STREAM_TRAIN,)))
+    z_test = model.simulate(sample_driver(400, 1, T, 5, (tv.STREAM_TEST,)))
     cfg = ForestConfig(n_trees=8, nodesize=5, features=1, seed=2)
     for price in (price_regress_later, price_regress_now):
         bv = price(spec, z_train, cfg)
@@ -481,43 +459,6 @@ def test_stopping_rule_rejects_a_continuation_matrix_of_another_shape():
             bv.values_on(z_test, cont=np.zeros(shape))
 
 
-def _two_state_spec(T: int = 3):
-    """Two independent log prices and a put on their mean."""
-    steps = np.full(T, 1.0 / T)
-
-    def drift(t, z):
-        return z - 0.5 * np.array([0.04, 0.09]) * steps[t]
-
-    def diffusion(t, z):
-        return np.broadcast_to(np.diag([0.2, 0.3]) * np.sqrt(steps[t]), z.shape + (2,))
-
-    def g(z):
-        return np.maximum(1.0 - np.exp(z.mean(axis=1)), 0.0)
-
-    model = LocalVolModel(z0=np.zeros(2), drift_fn=drift, diffusion_fn=diffusion,
-                          n_driver=2, n_periods=T)
-    return ExerciseSpec(model=model, payoffs=(g,) * (T + 1))
-
-
-def test_regress_later_rejects_a_two_state_model():
-    spec = _two_state_spec()
-    z = simulate_localvol(spec.model, sample_driver(100, 2, 3, 4, (tv.STREAM_TRAIN,)))
-    with pytest.raises(ValueError, match="one-state"):
-        price_regress_later(spec, z, TreeConfig(nodesize=10))
-
-
-def test_regress_now_runs_on_a_two_state_model():
-    spec = _two_state_spec()
-    T = spec.model.n_periods
-    z = simulate_localvol(spec.model, sample_driver(600, 2, T, 4, (tv.STREAM_TRAIN,)))
-    z_test = simulate_localvol(spec.model, sample_driver(300, 2, T, 4, (tv.STREAM_TEST,)))
-    bv = price_regress_now(spec, z, TreeConfig(nodesize=30))
-    assert bv.value0 == max(0.0, bv.continuation0) and 0.0 < bv.value0 < 1.0
-    vals = bv.values_on(z_test)
-    assert vals.shape == (300, T + 1) and (vals[:, 0] == bv.value0).all()
-    assert np.array_equal(stopping_rule(bv, z_test), _open_path_stopping(bv, z_test))
-
-
 def test_continuation_rejects_out_of_range_date():
     spec, bv, z_test = _small_put_fixture()
     T = spec.model.n_periods
@@ -527,13 +468,25 @@ def test_continuation_rejects_out_of_range_date():
         bv.continuation(-1, z_test[:, :, 0])
 
 
+@pytest.mark.parametrize("price", [price_regress_later, price_regress_now],
+                         ids=["later", "now"])
+def test_continuation_rejects_states_of_another_shape(price):
+    # the kernel reads column 0 alone: a second column must fail, not be dropped
+    spec, bv, z_test = _small_put_fixture(price)
+    two = np.concatenate([z_test, z_test], axis=1)
+    with pytest.raises(ValueError, match=r"\(k, 1\)"):
+        bv.continuation(1, two[:, :, 1])
+    with pytest.raises(ValueError, match=r"\(k, 1\)"):
+        bv.values_on(two)
+
+
 def test_single_period_put_recovers_black_value():
     """With one exercise date the price is the European put value."""
     T = 1
-    model = log_bs_localvol(0.0, 0.0, 0.2, np.array([1.0]))
+    model = LogBSModel(0.0, 0.0, 0.2, np.array([1.0]))
     spec = ExerciseSpec(model=model, payoffs=_put_payoffs(T + 1))
     x = sample_driver(3000, 1, T, 7, (tv.STREAM_TRAIN,))
-    z = simulate_localvol(model, x)
+    z = model.simulate(x)
     cfg = BoostConfig(rounds=80, learning_rate=0.3, nodesize=10, max_depth=4, seed=2)
     bv = price_regress_later(spec, z, cfg)
     want = black_put_price(0.0, 1.0, 0.0, 0.2, 1.0)
@@ -544,10 +497,10 @@ def test_single_period_put_recovers_black_value():
 
 def test_regress_now_continuation_is_model_prediction():
     T = 3
-    model = log_bs_localvol(0.0, 0.0, 0.2, np.full(T, 1.0 / T))
+    model = LogBSModel(0.0, 0.0, 0.2, np.full(T, 1.0 / T))
     spec = ExerciseSpec(model=model, payoffs=_put_payoffs(T + 1))
     x = sample_driver(500, 1, T, 9, (tv.STREAM_TRAIN,))
-    z = simulate_localvol(model, x)
+    z = model.simulate(x)
     bv = price_regress_now(spec, z, TreeConfig(nodesize=30))
     assert bv.mode == "now"
     assert len(bv.models) == T

@@ -12,10 +12,10 @@ from numpy.random import Philox, SeedSequence
 from scipy.special import ndtr, ndtri
 
 from treeval.cart import _time_major
-from treeval.paths import (BlackScholesModel, LocalVolModel, Payoff, STREAM_INNER,
+from treeval.paths import (BlackScholesModel, LogBSModel, Payoff, STREAM_INNER,
                            STREAM_TEST, STREAM_TRAIN, STREAM_VALID, _draw_bits,
-                           _keyed_bits, _normal_from_bits, _stream_keys, log_bs_localvol,
-                           payoff_value, sample_driver, simulate_bs, simulate_localvol, stream_rng)
+                           _keyed_bits, _normal_from_bits, _stream_keys,
+                           payoff_value, sample_driver, simulate_bs, stream_rng)
 
 
 def test_stream_rng_is_deterministic_per_tag():
@@ -222,9 +222,9 @@ def test_unknown_payoff_kind_rejected():
 
 def test_localvol_log_bs_recursion_matches_cumsum():
     steps = np.full(7, 1.0 / 7.0)
-    model = log_bs_localvol(0.0, 0.0, 0.2, steps)
+    model = LogBSModel(0.0, 0.0, 0.2, steps)
     x = sample_driver(64, 1, 7, seed=9)
-    z = simulate_localvol(model, x)
+    z = model.simulate(x)
     assert z.shape == (64, 1, 8)
     drift = -0.5 * 0.04 * steps
     expected = np.cumsum(0.2 * np.sqrt(steps) * x[:, 0, :] + drift, axis=1)
@@ -235,26 +235,54 @@ def test_localvol_log_bs_recursion_matches_cumsum():
 def test_localvol_terminal_price_is_lognormal_martingale():
     # E[exp(Z_T)] = 1 for the driftless log recursion
     steps = np.full(7, 1.0 / 7.0)
-    model = log_bs_localvol(0.0, 0.0, 0.2, steps)
+    model = LogBSModel(0.0, 0.0, 0.2, steps)
     x = sample_driver(100_000, 1, 7, seed=17)
-    z = simulate_localvol(model, x)
+    z = model.simulate(x)
     s = np.exp(z[:, 0, -1])
     se = s.std(ddof=1) / np.sqrt(s.size)
     assert abs(s.mean() - 1.0) < 3 * se
 
 
-def test_localvol_rejects_nonfinite_states():
-    def bad_drift(t, z):
-        return np.full(z.shape, np.inf)
+def test_log_bs_model_simulate_is_the_two_operation_recursion():
+    steps = np.array([0.1, 0.25, 0.4, 0.25])
+    model = LogBSModel(-0.3, 0.05, 0.35, steps)
+    x = sample_driver(257, 1, 4, seed=3)
+    z = model.simulate(x)
+    want = np.empty((257, 5))
+    want[:, 0] = -0.3
+    for t, dt in enumerate(steps.tolist()):
+        mean = want[:, t] + (0.05 - 0.5 * 0.35 * 0.35) * dt
+        want[:, t + 1] = mean + 0.35 * np.sqrt(dt) * x[:, 0, t]
+    assert z.shape == (257, 1, 5)
+    assert np.array_equal(z[:, 0, :], want)
+    assert np.array_equal(model.drift, (0.05 - 0.5 * 0.35 * 0.35) * steps)
+    assert np.array_equal(model.sd, 0.35 * np.sqrt(steps)) and model.n_periods == 4
 
-    def unit_diff(t, z):
-        return np.ones(z.shape + (1,))
 
-    model = LocalVolModel(z0=np.zeros(1), drift_fn=bad_drift,
-                          diffusion_fn=unit_diff, n_driver=1, n_periods=2)
+@pytest.mark.parametrize("name, value", [
+    ("z0", np.nan), ("z0", np.inf), ("rate", np.nan), ("rate", -np.inf),
+    ("sigma", np.nan), ("sigma", np.inf), ("sigma", 0.0), ("sigma", -0.2),
+    ("steps", []), ("steps", [[0.5, 0.5]]), ("steps", [0.5, np.nan]),
+    ("steps", [0.5, np.inf]), ("steps", [0.5, 0.0]), ("steps", [0.5, -0.5]),
+])
+def test_log_bs_model_rejects_bad_parameters(name, value):
+    args = dict(z0=0.0, rate=0.0, sigma=0.2, steps=[0.5, 0.5])
+    args[name] = value
+    with pytest.raises(ValueError, match=name):
+        LogBSModel(**args)
+
+
+def test_log_bs_model_simulate_rejects_a_bad_driver():
+    model = LogBSModel(0.0, 0.0, 0.2, np.full(2, 0.5))
     x = sample_driver(4, 1, 2, seed=0)
-    with pytest.raises(ValueError):
-        simulate_localvol(model, x)
+    for bad in (x[:, :, :1], np.concatenate([x, x], axis=1), x[:, 0, :]):
+        with pytest.raises(ValueError, match="shape"):
+            model.simulate(bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = x.copy()
+        bad[2, 0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            model.simulate(bad)
 
 
 # ------------------------------------------------- scipy ufuncs in a fresh process

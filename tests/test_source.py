@@ -118,6 +118,40 @@ def test_only_paths_imports_scipy_special(path):
     assert _scipy_special_imports(ast.parse(path.read_text())) == [], path.name
 
 
+def _parallel_imports(tree: ast.Module) -> list:
+    """Lines of import statements that load treeval's ``parallel`` module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "treeval.parallel" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            hit = module in (".parallel", "treeval.parallel") or (
+                module in (".", "treeval") and any(a.name == "parallel" for a in node.names))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_parallel_import_check_sees_every_form():
+    tree = ast.parse("from .parallel import thread_map\nfrom . import parallel, risk\n"
+                     "import treeval.parallel\nfrom treeval.parallel import set_threads\n"
+                     "from treeval import parallel as p\nfrom .parallelism import x\n"
+                     "import parallel\nfrom .risk import parallel\nfrom ..parallel import y\n")
+    assert _parallel_imports(tree) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name not in ("bench.py", "cli.py", "__init__.py")],
+                         ids=lambda p: p.name)
+def test_only_bench_cli_and_init_import_parallel(path):
+    # the thread cap serves the nested-MC oracle alone, so no other
+    # module's output can depend on the thread count
+    assert _parallel_imports(ast.parse(path.read_text())) == [], path.name
+
+
 def _unique_calls_without_return_flag(tree: ast.Module) -> list:
     """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
 
