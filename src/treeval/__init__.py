@@ -19,7 +19,7 @@ from .valuation import (ValueSurface, period_prob_matrix, tail_products,
                         value_at, value_surface)
 from .bermudan import (BermudanValue, ExerciseSpec, black_put_price,
                        gaussian_cell_sum, price_regress_later,
-                       price_regress_now, stopping_distribution, stopping_rule)
+                       price_regress_now)
 from .risk import (RiskEstimate, RiskReport, default_quantile_grid,
                    detrended_qq, empirical_es, empirical_var, loss_samples,
                    normalized_l2, risk_report)

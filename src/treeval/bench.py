@@ -21,8 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.random import Philox
 
-from .bermudan import (ExerciseSpec, black_put_price, price_regress_later,
-                       price_regress_now, stopping_distribution)
+from .bermudan import ExerciseSpec, black_put_price, price_regress_later, price_regress_now
 from .cart import TreeConfig
 from .ensemble import BoostConfig, ForestConfig, fit, predict
 from .flat import flatten_model
@@ -50,10 +49,12 @@ def oracle_v0(test_payoffs) -> tuple:
 # inner paths simulated together in one oracle block: big enough to amortise the
 # per-call overhead, small enough to keep the block's arrays in cache
 _BLOCK_PATHS = 1024
+# at most this many scenarios per thread_map item of oracle_v1
+_CHUNK = 256
 
 
 def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
-              n_inner: int, seed: int, chunk: int = 256) -> tuple:
+              n_inner: int, seed: int) -> tuple:
     """Nested MC estimate of V_1 at each first-period driver value.
 
     For scenario i the inner tail draws (X_2..X_T) come from the stream
@@ -63,8 +64,8 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
     pass of SeedSequence's hash, and each ``thread_map`` item rekeys one
     bit generator per scenario instead of building a generator.  Blocks
     of consecutive scenarios holding about ``_BLOCK_PATHS`` inner paths
-    are simulated and priced together; chunk caps the scenarios of one
-    ``thread_map`` item, which holds whole blocks.  Returns (values,
+    are simulated and priced together; ``_CHUNK`` caps the scenarios of
+    one ``thread_map`` item, which holds whole blocks.  Returns (values,
     standard errors), each of shape (k,).
     """
     if n_inner < 1:
@@ -76,7 +77,7 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
         # no tail to integrate: the value is the payoff of the one-period path
         vals = payoff_value(payoff, model, simulate_bs(model, x1[:, :, None]))
         return vals, np.zeros(k)
-    block = max(1, min(chunk, _BLOCK_PATHS // n_inner))
+    block = max(1, min(_CHUNK, _BLOCK_PATHS // n_inner))
     vals, ses = np.empty(k), np.zeros(k)
     keys = _stream_keys(seed, (STREAM_INNER,), np.arange(k))
 
@@ -98,7 +99,7 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
         for i in range(a, b, block):
             run_block(bitgen, i, min(i + block, b))
 
-    step = chunk // block * block  # whole blocks per thread_map item, at most chunk scenarios
+    step = _CHUNK // block * block  # whole blocks per thread_map item
     thread_map(run_chunk, [(a, min(a + step, k)) for a in range(0, k, step)])
     return vals, ses
 
@@ -404,8 +405,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     fe = flatten_model(fitted)
     timings.append((f"flatten_{name}", clock() - t0))
     t0 = clock()
-    surface = value_surface(fe, dates, test.driver,
-                            meta={"estimator": name, "seed": plan.seed, "n_cells": fe.n_cells})
+    surface = value_surface(fe, dates, test.driver)
     timings.append((f"value_{name}", clock() - t0))
     l2_rows = []
     if 0 in dates:
@@ -543,15 +543,16 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
     lead = fitted[0]
 
     t0 = clock()
-    cont = lead.continuation_matrix(z_test)
-    values = lead.values_on(z_test, cont=cont)
+    values, tau = lead.on_paths(z_test)
     truth = _bermudan_truth(plan, z_test)
     true_v0 = float(black_put_price(plan.z0, plan.strike, 0.0, plan.sigma, plan.horizon))
     l2_rows = tuple((t, normalized_l2(values[:, t], truth[:, t], true_v0)) for t in range(T))
-    stopping = stopping_distribution(lead, z_test, cont)
+    stopping = np.bincount(tau, minlength=T + 1) / tau.size
     stopping_now = value0_now = None
     if len(fitted) == 2:
-        stopping_now, value0_now = stopping_distribution(fitted[1], z_test), fitted[1].value0
+        tau_now = fitted[1].on_paths(z_test)[1]
+        stopping_now = np.bincount(tau_now, minlength=T + 1) / tau_now.size
+        value0_now = fitted[1].value0
     timings.append(("evaluate", clock() - t0))
 
     config_hash = ""

@@ -10,7 +10,9 @@ continuation value a finite sum of Gaussian interval probabilities:
 
 Two estimators are provided: "regress-later" (fit on Z_{t+1}, integrate
 in closed form) and the classical "regress-now" (fit the conditional
-expectation on Z_t directly).
+expectation on Z_t directly).  On test paths, BermudanValue.on_paths
+gives the value process and the stopping dates from one comparison of
+exercise and continuation values.
 
 Since every state of a date shares its kernel sd, C_t is a smooth
 function of the mean alone: a large batch is valued at Chebyshev points
@@ -21,7 +23,6 @@ Berrut & Trefethen 2004; see gaussian_cell_sum).
 from __future__ import annotations
 
 from dataclasses import dataclass, is_dataclass, replace
-from typing import Optional
 
 import numpy as np
 from numpy.random import SeedSequence
@@ -215,6 +216,14 @@ def _continuation(model: LogBSModel, mode: str, fitted, t: int,
     return np.asarray(predict(fitted, z[:, :, None]), dtype=np.float64)
 
 
+def _state_paths(z_paths, T: int) -> np.ndarray:
+    """z_paths as float64; ValueError unless its shape is (k, 1, T+1)."""
+    z_paths = np.asarray(z_paths, dtype=np.float64)
+    if z_paths.ndim != 3 or z_paths.shape[1:] != (1, T + 1):
+        raise ValueError(f"state paths must have shape (k, 1, {T + 1}); got {z_paths.shape}")
+    return z_paths
+
+
 @dataclass(frozen=True)
 class BermudanValue:
     """Fitted Bermudan value functions over dates 0..T.
@@ -231,14 +240,6 @@ class BermudanValue:
     value0: float
     continuation0: float
     models: tuple
-
-    @property
-    def n_dates(self) -> int:
-        return self.spec.n_dates
-
-    def exercise(self, t: int, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self.spec.payoffs[t](np.asarray(z, dtype=np.float64)),
-                          dtype=np.float64)
 
     def continuation(self, t: int, z: np.ndarray) -> np.ndarray:
         """C_t at states z of shape (k, 1), for t = 0..T-1.
@@ -259,38 +260,38 @@ class BermudanValue:
         return cont[np.searchsorted(keep, first[inverse.reshape(-1)])]
 
     def continuation_matrix(self, z_paths: np.ndarray) -> np.ndarray:
-        """C_t(Z_t) along state paths for t = 0..T-1, shape (k, T).
+        """C_t(Z_t) along state paths (k, 1, T+1) for t = 0..T-1, shape (k, T).
 
-        Computing the matrix once and passing it to values_on and
-        stopping_rule avoids integrating the same kernels twice.
+        Paths with another number of dates, or not of that layout, raise
+        ValueError.
         """
-        z_paths = np.asarray(z_paths, dtype=np.float64)
-        k, m, Tp1 = z_paths.shape
-        out = np.empty((k, Tp1 - 1))
-        for t in range(Tp1 - 1):
+        T = self.spec.model.n_periods
+        z_paths = _state_paths(z_paths, T)
+        out = np.empty((z_paths.shape[0], T))
+        for t in range(T):
             out[:, t] = self.continuation(t, z_paths[:, :, t])
         return out
 
-    def _exercise_and_continuation(self, z_paths, cont):
-        """g_t(Z_t) (k, T+1) and C_t(Z_t) (k, T) on paths; cont is the latter or None."""
-        z_paths = np.asarray(z_paths, dtype=np.float64)
-        k, m, Tp1 = z_paths.shape
-        if cont is None:
-            cont = self.continuation_matrix(z_paths)
-        elif np.shape(cont) != (k, Tp1 - 1):
-            raise ValueError(f"cont must be the ({k}, {Tp1 - 1}) continuation matrix "
-                             f"of these paths; got shape {np.shape(cont)}")
-        g = np.empty((k, Tp1))
-        for t in range(Tp1):
-            g[:, t] = self.exercise(t, z_paths[:, :, t])
-        return g, np.asarray(cont, dtype=np.float64)
+    def on_paths(self, z_paths: np.ndarray) -> tuple:
+        """Value process and stopping dates along state paths (k, 1, T+1).
 
-    def values_on(self, z_paths: np.ndarray,
-                  cont: Optional[np.ndarray] = None) -> np.ndarray:
-        """Value estimates V_t(Z_t) along state paths, shape (k, T+1)."""
-        out, cont = self._exercise_and_continuation(z_paths, cont)
-        np.maximum(out[:, :-1], cont, out=out[:, :-1])
-        return out
+        Returns (values, tau) from one continuation matrix.  values is
+        (k, T+1) with V_t = max(g_t, C_t) for t < T and V_T = g_T.  tau
+        is (k,), the first t < T with C_t <= g_t + 1e-12 (1 + |g_t|), so
+        that exact ties (common for piecewise-constant continuation
+        estimates) stop the path; paths that never trigger stop at T.
+        """
+        cont = self.continuation_matrix(z_paths)
+        z_paths = np.asarray(z_paths, dtype=np.float64)
+        k, T = cont.shape
+        values = np.empty((k, T + 1))
+        for t in range(T + 1):
+            values[:, t] = self.spec.payoffs[t](z_paths[:, :, t])
+        g = values[:, :-1]
+        stop = cont <= g + 1e-12 * (1.0 + np.abs(g))
+        np.maximum(g, cont, out=g)
+        tau = np.where(stop.any(axis=1), stop.argmax(axis=1), T).astype(np.int64)
+        return values, tau
 
 
 def _backward_induction(spec: ExerciseSpec, z_paths: np.ndarray, config,
@@ -302,10 +303,8 @@ def _backward_induction(spec: ExerciseSpec, z_paths: np.ndarray, config,
     date's fit seeded from the config seed and t; the fit gives C_t and
     the labels roll back as max(g_t, C_t).
     """
-    z_paths = np.asarray(z_paths, dtype=np.float64)
     T = spec.model.n_periods
-    if z_paths.ndim != 3 or z_paths.shape[1:] != (1, T + 1):
-        raise ValueError(f"state paths must have shape (n, 1, {T + 1}); got {z_paths.shape}")
+    z_paths = _state_paths(z_paths, T)
     # the per-date seed needs a config dataclass; fit() then checks its kind
     if not is_dataclass(config):
         raise TypeError("config must be a TreeConfig, ForestConfig, or BoostConfig")
@@ -346,30 +345,6 @@ def price_regress_now(spec: ExerciseSpec, z_paths: np.ndarray, config) -> Bermud
     average, which is the correct date-0 continuation.
     """
     return _backward_induction(spec, z_paths, config, "now")
-
-
-def stopping_rule(bv: BermudanValue, z_paths: np.ndarray,
-                  cont: Optional[np.ndarray] = None) -> np.ndarray:
-    """First date where exercising is at least as good as continuing.
-
-    tau is the first t < T with C_t <= g_t + 1e-12 (1 + |g_t|), so that
-    exact ties (common for piecewise-constant continuation estimates)
-    stop the path; paths that never trigger stop at T.  A precomputed
-    continuation matrix from continuation_matrix may be passed to avoid
-    recomputation; it must have shape (k, T).
-    """
-    g, cont = bv._exercise_and_continuation(z_paths, cont)
-    g = g[:, :-1]
-    stop = cont <= g + 1e-12 * (1.0 + np.abs(g))
-    return np.where(stop.any(axis=1), stop.argmax(axis=1), cont.shape[1]).astype(np.int64)
-
-
-def stopping_distribution(bv: BermudanValue, z_paths: np.ndarray,
-                          cont: Optional[np.ndarray] = None) -> np.ndarray:
-    """Empirical distribution of the stopping date, shape (T+1,)."""
-    tau = stopping_rule(bv, z_paths, cont)
-    T = z_paths.shape[2] - 1
-    return np.bincount(tau, minlength=T + 1) / tau.size
 
 
 def black_put_price(z, strike: float, rate: float, sigma: float, tau: float):

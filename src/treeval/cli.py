@@ -268,12 +268,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # stages read only these arrays (np.load reads deflated archives too)
     np.savez(out / "samples.npz", **arrays)
     write_snapshot(out / "config.snapshot", plan)
-    with open(out / "samples_meta.json", "w") as fh:
-        json.dump({"name": plan.name, **_samples_meta(plan)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "samples_meta.json", {"name": plan.name, **_samples_meta(plan)})
     print(f"wrote samples for {sum(s.payoffs.size for s in streams.values())} paths "
           f"to {out}")
     return EXIT_OK
+
+
+def _write_json(path: Path, record: dict) -> None:
+    """One JSON record per file: indented, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _samples_meta(plan: ExperimentPlan) -> dict:
@@ -328,13 +333,11 @@ def cmd_train(cfg: RunConfig) -> int:
     fe = flatten_model(fitted)
     save_flat(fe, out / f"flat_{name}.npz")
     write_flat_text(fe, out / f"flat_{name}.txt")
-    with open(out / "training.json", "w") as fh:
-        info = {"estimator": name, "n_cells": int(fe.n_cells), "seed": plan.seed,
-                "config": asdict(plan.estimator)}
-        if hasattr(fitted, "n_rounds"):
-            info["rounds"] = int(fitted.n_rounds)
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    info = {"estimator": name, "n_cells": int(fe.n_cells), "seed": plan.seed,
+            "config": asdict(plan.estimator)}
+    if hasattr(fitted, "n_rounds"):
+        info["rounds"] = int(fitted.n_rounds)
+    _write_json(out / "training.json", info)
     print(f"fitted {name}: {fe.n_cells} cells -> {out / f'flat_{name}.npz'}")
     return EXIT_OK
 
@@ -366,11 +369,11 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
                             f"test drivers have {drivers}, but the config gives "
                             f"{dims}; rerun simulate and train with this config")
     _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
-    surface = value_surface(fe, dates, x_test,
-                            meta={"estimator": name, "seed": plan.seed, "config": config})
+    surface = value_surface(fe, dates, x_test)
     del x_test  # the CSV write is the stage's memory peak
     surface.to_csv(out / f"value_surface_{name}.csv")
-    surface.write_meta(out / f"value_surface_{name}.meta.json")
+    _write_json(out / f"value_surface_{name}.meta.json",
+                {"estimator": name, "seed": plan.seed, "config": config})
     print(f"valued {surface.values.shape[0]} scenarios at dates {list(dates)} "
           f"-> {out / f'value_surface_{name}.csv'}")
     return EXIT_OK

@@ -168,9 +168,13 @@ def _packed_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
     return member.view(np.uint8)
 
 
+# points and cells per block of weighted_membership
+_POINT_CHUNK = 128
+_CELL_CHUNK = 8192
+
+
 def weighted_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                        weights: np.ndarray, n_coords: int,
-                        point_chunk: int = 128, cell_chunk: int = 8192) -> np.ndarray:
+                        weights: np.ndarray, n_coords: int) -> np.ndarray:
     """sum_i weights[i] 1{lo_i < x <= hi_i on the first n_coords columns}.
 
     ptf is (k, P) finite flat points, as ``cart._as_points`` returns
@@ -178,37 +182,37 @@ def weighted_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     read from a bitmap index instead of comparing every point with every
     bound: per column, cells become rank-code intervals [l, h] and points
     rank codes j, and l <= j <= h holds exactly when lo < x <= hi
-    (``_packed_membership``).  Cells are taken cell_chunk at a time and
-    points a whole number of point chunks, about cell_chunk of them, at
-    a time, so memory stays bounded for any k, and at most one column's
-    interval table is held.  Each (point_chunk x cell_chunk) block of
+    (``_packed_membership``).  Cells are taken _CELL_CHUNK at a time and
+    points a whole number of _POINT_CHUNK blocks, about _CELL_CHUNK of
+    them, at a time, so memory stays bounded for any k, and at most one
+    column's interval table is held.  Each (point block x cell block) of
     bits is unpacked into the boolean block that comparing every bound
     gives, and its product with the weights is added to the points'
-    sums cell chunk after cell chunk: each sum keeps the operands and
+    sums cell block after cell block: each sum keeps the operands and
     the order of that dense kernel, and so its bits.
 
     numpy casts each boolean block to a float64 copy before the product,
-    so the point chunk sets the kernel's working set: a 1 MB boolean
+    so the point block sets the kernel's working set: a 1 MB boolean
     block and its 8 MB copy at 128 x 8192 cells.  With one BLAS thread
-    the point chunk, a multiple of four, does not change the bits of a
-    point in a block of two or more rows: OpenBLAS ``dgemv`` sums a
+    the point block size, a multiple of four, does not change the bits
+    of a point in a block of two or more rows: OpenBLAS ``dgemv`` sums a
     block's rows four at a time and its last len % 4 rows by a kernel
     that len % 4 alone selects.  A block of one row is a dot product,
-    summed in another order, so when k = 1 (mod point_chunk) the last
-    point may differ in its last bits from a run with another chunk.
+    summed in another order, so when k = 1 (mod _POINT_CHUNK) the last
+    point may differ in its last bits from a run with another size.
     """
     k = ptf.shape[0]
     n = weights.size
     out = np.zeros(k)
-    span = point_chunk * max(1, cell_chunk // point_chunk)
+    span = _POINT_CHUNK * max(1, _CELL_CHUNK // _POINT_CHUNK)
     for pa in range(0, k, span):
         pb = min(pa + span, k)
-        for ca in range(0, n, cell_chunk):
-            cb = min(ca + cell_chunk, n)
+        for ca in range(0, n, _CELL_CHUNK):
+            cb = min(ca + _CELL_CHUNK, n)
             member = _packed_membership(ptf[pa:pb, :n_coords], lo[ca:cb, :n_coords],
                                         hi[ca:cb, :n_coords])
-            for a in range(pa, pb, point_chunk):
-                b = min(a + point_chunk, pb)
+            for a in range(pa, pb, _POINT_CHUNK):
+                b = min(a + _POINT_CHUNK, pb)
                 inside = np.unpackbits(member[a - pa:b - pa], axis=1, count=cb - ca)
                 out[a:b] += inside.view(bool) @ weights[ca:cb]
     return out

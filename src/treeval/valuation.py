@@ -22,11 +22,10 @@ model evaluation on the full path.
 
 from __future__ import annotations
 
-import json
 import numbers
 import operator
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -88,7 +87,6 @@ class ValueSurface:
 
     dates: tuple
     values: np.ndarray  # (n_scenarios, len(dates))
-    meta: dict = field(default_factory=dict)
 
     def column(self, t: int) -> np.ndarray:
         return self.values[:, self.dates.index(t)]
@@ -108,14 +106,8 @@ class ValueSurface:
                 fh.write("".join(map(operator.add, prefixes, map(repr, block.ravel().tolist()))))
             fh.write("\r\n")
 
-    def write_meta(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
-
-def value_surface(fe: FlatEnsemble, dates: Sequence[int], scenarios,
-                  meta: Optional[dict] = None) -> ValueSurface:
+def value_surface(fe: FlatEnsemble, dates: Sequence[int], scenarios) -> ValueSurface:
     """Conditional values at each date along each scenario path.
 
     scenarios holds full driver paths in any layout ``cart._as_points``
@@ -139,4 +131,4 @@ def value_surface(fe: FlatEnsemble, dates: Sequence[int], scenarios,
             out[:, col] = w.sum()
         else:
             out[:, col] = weighted_membership(X, fe.lo, fe.hi, w, t * d)
-    return ValueSurface(dates=dates, values=out, meta=dict(meta or {}))
+    return ValueSurface(dates=dates, values=out)

@@ -71,12 +71,14 @@ def test_oracle_v1_single_period_is_exact():
     assert np.array_equal(ses, np.zeros(40))
 
 
-def test_oracle_v1_reproducible_and_chunk_invariant():
+def test_oracle_v1_reproducible_and_chunk_invariant(monkeypatch):
     model = standard_model("min_put", d=2)
     payoff = Payoff("min_put", strike=1.0)
     x1 = sample_driver(30, 2, 2, 0, (STREAM_TEST,))[:, :, 0]
-    a_vals, a_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5, chunk=7)
-    b_vals, b_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5, chunk=256)
+    monkeypatch.setattr(bench, "_CHUNK", 7)
+    a_vals, a_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5)
+    monkeypatch.setattr(bench, "_CHUNK", 256)
+    b_vals, b_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5)
     assert np.array_equal(a_vals, b_vals)
     assert np.array_equal(a_ses, b_ses)
     c_vals, _ = oracle_v1(payoff, model, x1, n_inner=40, seed=6)

@@ -15,8 +15,6 @@ from treeval.bermudan import (
     gaussian_cell_sum,
     price_regress_later,
     price_regress_now,
-    stopping_distribution,
-    stopping_rule,
 )
 from treeval.cart import TreeConfig, fit_tree
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost
@@ -342,8 +340,9 @@ def test_constant_payoff_prices_exactly():
         assert bv.value0 == 2.5
         assert bv.continuation0 == 2.5
         # exercising is exactly as good as continuing, so every path stops now
-        dist = stopping_distribution(bv, z[:50])
-        assert dist[0] == 1.0
+        values, tau = bv.on_paths(z[:50])
+        assert (tau == 0).all()
+        assert (values == 2.5).all()
 
 
 def test_price_validates_path_dims():
@@ -380,10 +379,11 @@ def test_continuation_matrix_consistency():
     assert cont.shape == (z_test.shape[0], T)
     for t in (0, 2, T - 1):
         assert np.array_equal(cont[:, t], bv.continuation(t, z_test[:, :, t]))
-    assert np.array_equal(stopping_rule(bv, z_test),
-                          stopping_rule(bv, z_test, cont))
-    assert np.array_equal(bv.values_on(z_test),
-                          bv.values_on(z_test, cont=cont))
+    # on_paths compares exercise with this same matrix
+    values, _ = bv.on_paths(z_test)
+    g = np.stack([spec.payoffs[t](z_test[:, :, t]) for t in range(T + 1)], axis=1)
+    assert np.array_equal(values[:, :T], np.maximum(g[:, :T], cont))
+    assert np.array_equal(values[:, T], g[:, T])
 
 
 def test_paths_value_date_zero_as_the_fit_does():
@@ -398,13 +398,13 @@ def test_paths_value_date_zero_as_the_fit_does():
         bv = price(spec, z_train, cfg)
         cont = bv.continuation_matrix(z_test)
         assert (cont[:, 0] == bv.continuation0).all()
-        assert (bv.values_on(z_test, cont=cont)[:, 0] == bv.value0).all()
+        assert (bv.on_paths(z_test)[0][:, 0] == bv.value0).all()
 
 
 def test_values_on_shape_and_dominance():
     spec, bv, z_test = _small_put_fixture()
     T = spec.model.n_periods
-    vals = bv.values_on(z_test)
+    vals, _ = bv.on_paths(z_test)
     assert vals.shape == (z_test.shape[0], T + 1)
     # terminal column is the exact payoff; earlier columns dominate exercise
     assert np.array_equal(vals[:, T], spec.payoffs[T](z_test[:, :, T]))
@@ -415,13 +415,20 @@ def test_values_on_shape_and_dominance():
 def test_stopping_distribution_properties():
     spec, bv, z_test = _small_put_fixture()
     T = spec.model.n_periods
-    tau = stopping_rule(bv, z_test)
+    _, tau = bv.on_paths(z_test)
     assert tau.shape == (z_test.shape[0],)
     assert tau.min() >= 0 and tau.max() <= T
-    dist = stopping_distribution(bv, z_test)
+    dist = np.bincount(tau, minlength=T + 1) / tau.size
     assert dist.shape == (T + 1,)
     assert np.all(dist >= 0.0)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+    # a path stops at the first date whose continuation is at most its exercise value
+    cont = bv.continuation_matrix(z_test)
+    g = np.stack([spec.payoffs[t](z_test[:, :, t]) for t in range(T)], axis=1)
+    stop = cont <= g + 1e-12 * (1.0 + np.abs(g))
+    rows = np.flatnonzero(tau < T)
+    assert rows.size > 0 and stop[rows, tau[rows]].all()
+    assert not (stop & (np.arange(T) < tau[:, None])).any()
 
 
 def _open_path_stopping(bv, z_paths):
@@ -432,7 +439,7 @@ def _open_path_stopping(bv, z_paths):
     for t in range(Tp1 - 1):
         idx = np.flatnonzero(still_open)
         zt = z_paths[idx, :, t]
-        g = bv.exercise(t, zt)
+        g = bv.spec.payoffs[t](zt)
         stop = idx[bv.continuation(t, zt) <= g + 1e-12 * (1.0 + np.abs(g))]
         tau[stop] = t
         still_open[stop] = False
@@ -443,20 +450,20 @@ def _open_path_stopping(bv, z_paths):
                          ids=["later", "now"])
 def test_stopping_rule_matches_the_open_path_rule(price):
     spec, bv, z_test = _small_put_fixture(price)
-    tau = stopping_rule(bv, z_test)
+    _, tau = bv.on_paths(z_test)
     assert tau.dtype == np.int64
     assert 0 < np.count_nonzero(tau < spec.model.n_periods) < tau.size
     assert np.array_equal(tau, _open_path_stopping(bv, z_test))
-    assert np.array_equal(tau, stopping_rule(bv, z_test, bv.continuation_matrix(z_test)))
 
 
-def test_stopping_rule_rejects_a_continuation_matrix_of_another_shape():
-    spec, bv, z_test = _small_put_fixture()  # 600 paths, T = 4
-    for shape in [(600, 5), (600, 3), (599, 4), (600,)]:
-        with pytest.raises(ValueError, match="continuation matrix"):
-            stopping_rule(bv, z_test, np.zeros(shape))
-        with pytest.raises(ValueError, match="continuation matrix"):
-            bv.values_on(z_test, cont=np.zeros(shape))
+def test_paths_with_another_number_of_dates_are_rejected():
+    spec, bv, z_test = _small_put_fixture()  # 600 paths, T = 4: five dates
+    longer = np.concatenate([z_test, z_test[:, :, -1:]], axis=2)
+    for bad in (z_test[:, :, :4], longer, z_test[:, 0, :]):
+        with pytest.raises(ValueError, match=r"state paths must have shape \(k, 1, 5\)"):
+            bv.on_paths(bad)
+        with pytest.raises(ValueError, match="state paths"):
+            bv.continuation_matrix(bad)
 
 
 def test_continuation_rejects_out_of_range_date():
@@ -476,8 +483,8 @@ def test_continuation_rejects_states_of_another_shape(price):
     two = np.concatenate([z_test, z_test], axis=1)
     with pytest.raises(ValueError, match=r"\(k, 1\)"):
         bv.continuation(1, two[:, :, 1])
-    with pytest.raises(ValueError, match=r"\(k, 1\)"):
-        bv.values_on(two)
+    with pytest.raises(ValueError, match="state paths"):
+        bv.on_paths(two)
 
 
 def test_single_period_put_recovers_black_value():

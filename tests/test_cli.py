@@ -229,7 +229,10 @@ def test_stage_chain(tmp_path, capsys):
 
     assert main(["value", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "value_surface_tree.csv").exists()
-    assert (out / "value_surface_tree.meta.json").exists()
+    # the value stage's record, byte for byte: indented, keys sorted, one final newline
+    assert (out / "value_surface_tree.meta.json").read_bytes() == (
+        b'{\n  "config": {\n    "features": "all",\n    "max_depth": null,\n'
+        b'    "nodesize": 30,\n    "seed": 7\n  },\n  "estimator": "tree",\n  "seed": 0\n}\n')
 
     assert main(["risk", "--config", cfg, "--out", str(out)]) == EXIT_OK
     for name in ("risk.csv", "qq_t1.csv", "qq_tT.csv"):

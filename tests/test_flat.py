@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from treeval import flat
 from treeval.cart import TreeConfig, _time_major, fit_tree
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest
 from treeval.flat import (FlatEnsemble, evaluate_flat, flatten_boost,
@@ -88,15 +89,16 @@ def test_evaluate_flat_single_point(fitted):
     assert single == batch[0]
 
 
-def test_weighted_membership_chunking_invariance(fitted):
+def test_weighted_membership_chunking_invariance(fitted, monkeypatch):
     x, y, _, forest, _ = fitted
     fe = flatten_forest(forest)
     lo, hi = fe.lo, fe.hi
     pts = _time_major(sample_driver(57, 2, 2, seed=35))
     base = weighted_membership(pts, lo, hi, fe.values, lo.shape[1])
     for pc, cc in ((3, 2), (8, 1000), (1000, 5)):
-        alt = weighted_membership(pts, lo, hi, fe.values, lo.shape[1],
-                                  point_chunk=pc, cell_chunk=cc)
+        monkeypatch.setattr(flat, "_POINT_CHUNK", pc)
+        monkeypatch.setattr(flat, "_CELL_CHUNK", cc)
+        alt = weighted_membership(pts, lo, hi, fe.values, lo.shape[1])
         np.testing.assert_allclose(alt, base, rtol=0, atol=1e-12)
 
 
@@ -163,7 +165,11 @@ def _edge_points(rng, k, lo, hi):
 
 
 def _assert_same_bits(ptf, lo, hi, w, n_coords, **chunks):
-    got = weighted_membership(ptf, lo, hi, w, n_coords, **chunks)
+    # point_chunk / cell_chunk set the kernel's block sizes and the reference's alike
+    with pytest.MonkeyPatch.context() as mp:
+        for name, size in chunks.items():
+            mp.setattr(flat, f"_{name.upper()}", size)
+        got = weighted_membership(ptf, lo, hi, w, n_coords)
     want = reference_membership(ptf, lo, hi, w, n_coords, **chunks)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

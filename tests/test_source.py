@@ -152,6 +152,43 @@ def test_only_bench_cli_and_init_import_parallel(path):
     assert _parallel_imports(ast.parse(path.read_text())) == [], path.name
 
 
+def _block_size_parameters(tree: ast.Module) -> list:
+    """``name(param)`` for each public function or method parameter named chunk or *_chunk."""
+    found = []
+
+    def scan(body, prefix):
+        for node in body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.ClassDef):
+                scan(node.body, f"{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                         + [a.vararg, a.kwarg] if x is not None]
+                found.extend(f"{prefix}{node.name}({n})" for n in names
+                             if n == "chunk" or n.endswith("_chunk"))
+
+    scan(tree.body, "")
+    return found
+
+
+def test_block_size_check_sees_public_parameters():
+    tree = ast.parse("def f(x, chunk=4): pass\ndef g(x, *, point_chunk=1, chunks=2): pass\n"
+                     "def _h(chunk): pass\ndef k(x, chunky=1):\n    def inner(chunk): pass\n"
+                     "class A:\n    def m(self, cell_chunk): pass\n"
+                     "    def _p(self, chunk): pass\nclass _B:\n    def m(self, chunk): pass\n"
+                     "async def a(*chunk): pass\n")
+    assert _block_size_parameters(tree) == ["f(chunk)", "g(point_chunk)", "A.m(cell_chunk)",
+                                            "a(chunk)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_public_signatures_take_no_block_size(path):
+    # block sizes are module constants: they change no value, so no caller sets them
+    assert _block_size_parameters(ast.parse(path.read_text())) == [], path.name
+
+
 def _unique_calls_without_return_flag(tree: ast.Module) -> list:
     """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
 

@@ -1,7 +1,6 @@
 """Closed-form value process of flattened models."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -174,7 +173,7 @@ def test_value_surface_validation(fitted_flat):
 def test_value_surface_csv_round_trip(tmp_path, fitted_flat):
     fe = fitted_flat
     pts = sample_driver(7, 2, 2, seed=57)
-    surf = value_surface(fe, (0, 2), pts, meta={"estimator": "boost", "seed": 57})
+    surf = value_surface(fe, (0, 2), pts)
     path = tmp_path / "surface.csv"
     surf.to_csv(path)
     with open(path) as fh:
@@ -185,9 +184,6 @@ def test_value_surface_csv_round_trip(tmp_path, fitted_flat):
     for row in rows[1:]:
         i, t, val = int(row[0]), int(row[1]), float(row[2])
         assert val == surf.values[i, surf.dates.index(t)]
-    meta_path = tmp_path / "surface.meta.json"
-    surf.write_meta(meta_path)
-    assert json.loads(meta_path.read_text()) == {"estimator": "boost", "seed": 57}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
