@@ -159,6 +159,8 @@ class ExperimentPlan:
         if type(self.estimator) not in _KINDS:
             raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
         _check_resample(self.estimator, self.n_train)
+        if not (0 < self.var_alpha <= 1 and 0 < self.es_alpha < 1):  # as risk_report needs
+            raise ValueError("var_alpha must lie in (0, 1] and es_alpha in (0, 1)")
         if self.dates is not None:
             object.__setattr__(self, "dates", _check_dates(
                 self.dates, self.model.n_periods, "plan.dates", risk=True))
@@ -473,6 +475,8 @@ class BermudanPlan:
         if self.mode not in ("later", "now", "both"):
             raise ValueError('mode must be "later", "now", or "both"')
         _check_resample(self.estimator, self.n_train)
+        if not (0 < self.var_alpha <= 1 and 0 < self.es_alpha < 1):  # as risk_report needs
+            raise ValueError("var_alpha must lie in (0, 1] and es_alpha in (0, 1)")
 
     def exercise_spec(self) -> ExerciseSpec:
         """The put at rate 0: the same undiscounted payoff on every date 0..T."""
@@ -547,12 +551,9 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
     truth = _bermudan_truth(plan, z_test)
     true_v0 = float(black_put_price(plan.z0, plan.strike, 0.0, plan.sigma, plan.horizon))
     l2_rows = tuple((t, normalized_l2(values[:, t], truth[:, t], true_v0)) for t in range(T))
-    stopping = np.bincount(tau, minlength=T + 1) / tau.size
-    stopping_now = value0_now = None
-    if len(fitted) == 2:
-        tau_now = fitted[1].on_paths(z_test)[1]
-        stopping_now = np.bincount(tau_now, minlength=T + 1) / tau_now.size
-        value0_now = fitted[1].value0
+    # one stopping law per fitted mode, the lead's first
+    taus = [tau] + [f.on_paths(z_test)[1] for f in fitted[1:]]
+    laws = [np.bincount(tau, minlength=T + 1) / tau.size for tau in taus]
     timings.append(("evaluate", clock() - t0))
 
     config_hash = ""
@@ -560,11 +561,9 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         config_hash = write_snapshot(out / "config.snapshot", plan)
-        _write_csv(out / "stopping.csv", ("t", "probability"),
-                   [(t, _fmt(p)) for t, p in enumerate(stopping)])
-        if stopping_now is not None:
-            _write_csv(out / "stopping_now.csv", ("t", "probability"),
-                       [(t, _fmt(p)) for t, p in enumerate(stopping_now)])
+        for name, law in zip(("stopping.csv", "stopping_now.csv"), laws):
+            _write_csv(out / name, ("t", "probability"),
+                       [(t, _fmt(p)) for t, p in enumerate(law)])
         _write_csv(out / "bermudan_l2.csv", ("t", "l2_error_pct"),
                    [(t, _fmt(e)) for t, e in l2_rows])
         risk_rows = []
@@ -578,9 +577,11 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
                     "relative_error_pct"), risk_rows)
         _write_csv(out / "timings.csv", ("stage", "seconds"),
                    [(s, _fmt(v)) for s, v in timings])
+    both = len(fitted) == 2
     return BermudanReport(plan=plan, value0=lead.value0, true_value0=true_v0,
-                          stopping=stopping, l2_rows=l2_rows, stopping_now=stopping_now,
-                          value0_now=value0_now,
+                          stopping=laws[0], l2_rows=l2_rows,
+                          stopping_now=laws[1] if both else None,
+                          value0_now=fitted[1].value0 if both else None,
                           out_dir=None if out_dir is None else str(out_dir),
                           config_hash=config_hash)
 

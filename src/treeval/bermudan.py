@@ -118,14 +118,12 @@ def _cdf_sum(q, w, const, mu, s, chunk):
 
 
 def _chebyshev_degree(mu, s) -> int:
-    """Interpolant degree N for these means at sd s > 0, or 0 for the direct sum.
+    """Interpolant degree N for k >= 1 means at sd s > 0, or 0 for the direct sum.
 
     N = ceil(8 h / s) + 16 when N + 1 < k / 2, with h the half-range of
     the k means.
     """
     k = mu.size
-    if k == 0:
-        return 0
     ratio = _NODES_PER_SD * 0.5 * (mu.max() - mu.min()) / s
     if not ratio < 0.5 * k:  # also an overflowed range or a tiny sd
         return 0
@@ -139,12 +137,9 @@ def _chebyshev_cell_sum(q, w, const, mu, s, n, chunk):
     C is valued directly at the Chebyshev points of the second kind on
     [min mu, max mu] and interpolated by the barycentric formula (second
     form, Berrut & Trefethen 2004), block by block in one reused buffer.
-    A mean on a node takes the node's value; a zero range is one direct
-    evaluation.
+    A mean on a node takes the node's value.  The range must not be zero.
     """
     a, b = mu.min(), mu.max()
-    if a == b:
-        return np.full(mu.size, _cdf_sum(q, w, const, mu[:1], s, chunk)[0])
     j = np.arange(n + 1)
     nodes = a + 0.5 * (b - a) * (1.0 + np.sin(np.pi * (n - 2 * j) / (2 * n)))
     nodes[0], nodes[-1] = b, a
@@ -184,7 +179,7 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, sd: float) -> np.ndarr
     mean.  The node rule keeps the error within 1e-14 (|const| +
     sum_j |w_j|) of the direct sum, where const and w_j are the
     telescoped form's constant and bound weights.  Smaller batches use
-    the direct sum.
+    the direct sum.  Equal means are valued once, as one mean alone.
     """
     mean = np.asarray(mean, dtype=np.float64)
     if mean.ndim != 1 or fe.dims != (1, 1):
@@ -195,9 +190,11 @@ def gaussian_cell_sum(fe: FlatEnsemble, mean: np.ndarray, sd: float) -> np.ndarr
     if np.ndim(sd) != 0 or not (np.isfinite(sd) and sd > 0):
         raise ValueError(f"sd must be one finite number > 0; got {sd!r}")
     q, w, const = _phi_form(fe)
-    if q.size == 0:
+    if q.size == 0 or mean.size == 0:
         return np.full(mean.size, const)
     chunk = max(1, min(_POINT_CHUNK, int(4e6 // q.size)))
+    if mean.min() == mean.max():
+        return np.full(mean.size, _cdf_sum(q, w, const, mean[:1], sd, chunk)[0])
     n = _chebyshev_degree(mean, sd)
     if n:
         return _chebyshev_cell_sum(q, w, const, mean, sd, n, chunk)
@@ -244,9 +241,8 @@ class BermudanValue:
     def continuation(self, t: int, z: np.ndarray) -> np.ndarray:
         """C_t at states z of shape (k, 1), for t = 0..T-1.
 
-        Each distinct state is valued once, in the order of its first
-        row.  At t = 0 every path is at z0, valued alone as in the fit,
-        so C_0 along paths is continuation0 bit for bit.
+        Equal states get the bits of one state alone, so at t = 0, where
+        every path is at z0, C_0 along paths is continuation0 bit for bit.
         """
         T = self.spec.model.n_periods
         if not 0 <= t < T:
@@ -254,10 +250,7 @@ class BermudanValue:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         if z.ndim != 2 or z.shape[1] != 1:
             raise ValueError(f"states must have shape (k, 1); got {z.shape}")
-        _, first, inverse = np.unique(z, axis=0, return_index=True, return_inverse=True)
-        keep = np.sort(first)
-        cont = _continuation(self.spec.model, self.mode, self.models[t], t, z[keep])
-        return cont[np.searchsorted(keep, first[inverse.reshape(-1)])]
+        return _continuation(self.spec.model, self.mode, self.models[t], t, z)
 
     def continuation_matrix(self, z_paths: np.ndarray) -> np.ndarray:
         """C_t(Z_t) along state paths (k, 1, T+1) for t = 0..T-1, shape (k, T).

@@ -3,8 +3,8 @@
 Subcommands: simulate, train, value, risk, bermudan, report.  Every
 command takes ``--config PATH`` (YAML) plus optional ``--seed``,
 ``--scale {desk,paper}``, ``--threads``, ``--out DIR`` overrides.  Exit
-codes: 0 success, 2 config error, 3 missing upstream artifact, 4
-runtime failure; errors print one machine-parsable line
+codes: 0 success, 2 config error, 3 missing or unreadable upstream
+artifact, 4 runtime failure; errors print one machine-parsable line
 ``<ERROR_CLASS>: <message>`` to stderr.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -287,19 +288,33 @@ def _samples_meta(plan: ExperimentPlan) -> dict:
             "n_test": plan.n_test, "dims": [plan.model.n_assets, plan.model.n_periods]}
 
 
+def _read_artifact(path: Path, stage: str, read):
+    """read(path) for an artifact that the named stage writes.
+
+    A missing file, and any error of the one read or parse, raise
+    ArtifactError naming the file and the stage to run.
+    """
+    if not path.exists():
+        raise ArtifactError(f"missing {path.name} in {path.parent} "
+                            f"(run the {stage} stage first)")
+    try:
+        return read(path)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise ArtifactError(f"{path.name}: unreadable ({type(e).__name__}: {e}); "
+                            f"rerun the {stage} stage") from e
+
+
 def _check_meta(path: Path, want: dict, stage: str, key=None) -> None:
     """Reject an upstream artifact whose recorded fields differ from want.
 
     path is the JSON file the upstream stage wrote; key picks the dict
     within it that holds the fields.  stage names the stage that writes it.
     """
-    if not path.exists():
-        raise ArtifactError(f"missing {path.name} in {path.parent} "
-                            f"(run the {stage} stage first)")
-    with open(path) as fh:
-        meta = json.load(fh)
-    if key is not None:
-        meta = meta.get(key) or {}
+    meta = _read_artifact(path, stage, lambda p: json.loads(p.read_text()))
+    if key is not None and isinstance(meta, dict):
+        meta = meta.get(key)
+    if not isinstance(meta, dict):  # a record that is not an object records no field
+        meta = {}
     bad = [k for k in want if meta.get(k) != want[k]]
     if bad:
         raise ArtifactError(
@@ -308,26 +323,20 @@ def _check_meta(path: Path, want: dict, stage: str, key=None) -> None:
             + f"; rerun {stage} with this config")
 
 
-def _samples_path(out: Path) -> Path:
-    path = out / "samples.npz"
-    if not path.exists():
-        raise ArtifactError(f"missing samples.npz in {out} (run the simulate stage first)")
-    return path
-
-
-def _read_arrays(path: Path, *names: str) -> tuple:
-    """The named arrays of an npz archive, each inflated once; the archive is closed."""
-    with np.load(path) as data:
-        return tuple(data[name] for name in names)
+def _read_samples(out: Path, *names: str) -> tuple:
+    """The named arrays of samples.npz, each inflated once; the archive is closed."""
+    def read(path):
+        with np.load(path) as data:
+            return tuple(data[name] for name in names)
+    return _read_artifact(out / "samples.npz", "simulate", read)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
-    samples = _samples_path(out)
     _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
-    x_train, y_train, x_valid, y_valid = _read_arrays(
-        samples, "train_driver", "train_payoff", "valid_driver", "valid_payoff")
+    x_train, y_train, x_valid, y_valid = _read_samples(
+        out, "train_driver", "train_payoff", "valid_driver", "valid_payoff")
     name = plan.estimator_kind
     fitted = fit(plan.estimator, x_train, y_train, (x_valid, y_valid))
     fe = flatten_model(fitted)
@@ -353,15 +362,13 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
             raise ConfigError(f"--t: expected integers or T, got {' '.join(dates_arg)}") from None
         dates = _check_dates(dates, T, "--t")
     out = cfg.require_out()
-    samples = _samples_path(out)
     name = plan.estimator_kind
     flat_path = out / f"flat_{name}.npz"
-    if not flat_path.exists():
-        raise ArtifactError(f"missing {flat_path.name} in {out} (run the train stage first)")
     config = asdict(plan.estimator)
+    # the record first: a model fitted under other settings is never parsed
     _check_meta(out / "training.json", config, "train", key="config")
-    fe = load_flat(flat_path)
-    x_test, = _read_arrays(samples, "test_driver")
+    fe = _read_artifact(flat_path, "train", load_flat)
+    x_test, = _read_samples(out, "test_driver")
     drivers = tuple(x_test.shape[1:])
     dims = (plan.model.n_assets, T)
     if not fe.dims == drivers == dims:
@@ -381,14 +388,8 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
 
 def _load_surface(path: Path) -> ValueSurface:
     """Read a ``ValueSurface.to_csv`` file; rows may come in any order."""
-    if not path.exists():
-        raise ArtifactError(f"missing {path.name} in {path.parent} "
-                            "(run the value stage first)")
-    try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as e:  # ragged rows or a field that is not a number
-        raise ArtifactError(f"{path.name}: unreadable value surface ({e}); "
-                            "rerun the value stage") from e
+    rows = _read_artifact(path, "value",
+                          lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2))
     if rows.shape[0] == 0 or rows.shape[1] != 3:
         raise ArtifactError(f"{path.name}: expected rows of scenario_id,t,value "
                             "(rerun the value stage)")
@@ -410,10 +411,9 @@ def _load_surface(path: Path) -> ValueSurface:
 def cmd_risk(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
-    samples = _samples_path(out)
     name = plan.estimator_kind
     surface = _load_surface(out / f"value_surface_{name}.csv")
-    x_test, y_test = _read_arrays(samples, "test_driver", "test_payoff")
+    x_test, y_test = _read_samples(out, "test_driver", "test_payoff")
     n_test = x_test.shape[0]
     if surface.values.shape[0] != n_test:
         raise ArtifactError(f"value_surface_{name}.csv holds {surface.values.shape[0]} "

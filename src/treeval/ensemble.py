@@ -16,6 +16,7 @@ tracks validation error and rolls back to the best iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -134,6 +135,8 @@ class BoostConfig:
         With a validation set, stop after this many rounds without a new
         best validation error and roll back to the best round; None
         disables early stopping.
+    seed
+        Recorded only: every split considers all coordinates, so no draw.
     """
 
     rounds: int = 100
@@ -199,13 +202,11 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
     if use_valid:
         vcur = np.full(vy.size, base)
         best_err = float(np.mean((vcur - vy) ** 2))
-    seqs = SeedSequence(cfg.seed).spawn(cfg.rounds)
     presorted = _presort([X])  # every round splits the same X
     g = np.empty(y.size)  # the round's tree at X, written by growth
     for t in range(cfg.rounds):
         resid = cur - y
-        tree, = _grow_trees([X], [resid], tree_cfg, dims, [Generator(Philox(seqs[t]))],
-                            presorted, g)
+        tree, = _grow_trees([X], [resid], tree_cfg, dims, [None], presorted, g)
         den = float(np.sum(g * g))
         if den == 0.0:
             break
@@ -237,7 +238,8 @@ def predict(model, x) -> np.ndarray | float:
     """Evaluate a fitted tree, forest, or boosted model at x.
 
     x may be in any layout ``cart._as_points`` reads; a single point
-    returns a float.
+    returns a float.  A point gets the same bits in any batch: a forest
+    sums its trees left to right, a boost its rounds.
     """
     if isinstance(model, RegressionTree):
         return predict_tree(model, x)
@@ -245,7 +247,8 @@ def predict(model, x) -> np.ndarray | float:
         raise TypeError(f"cannot predict with object of type {type(model).__name__}")
     X, single = _as_points(x, model.dims)
     if isinstance(model, FittedForest):
-        out = np.mean(_predict_trees(model.trees, X), axis=0)
+        # left to right at every batch size; np.mean sums one point pairwise
+        out = reduce(np.add, _predict_trees(model.trees, X)) / len(model.trees)
     else:
         acc = np.zeros(X.shape[0])
         for tree, gamma in zip(model.trees, model.gammas):

@@ -140,6 +140,17 @@ def test_cell_sum_chunk_invariance(monkeypatch):
     assert np.allclose(interpolated[0], interpolated[1], rtol=0.0, atol=1e-13)
 
 
+def test_cell_sum_values_equal_means_as_one():
+    """k equal means take the bits of one mean at every k, across the
+    direct path (small k) and the interpolated one (large k)."""
+    fe = _flat_1d(n=3000, seed=3)
+    for m in (-0.3, 0.0, 0.41):
+        one = gaussian_cell_sum(fe, np.array([m]), 0.2)
+        for k in range(1, 121):
+            got = gaussian_cell_sum(fe, np.full(k, m), 0.2)
+            assert np.array_equal(got.view(np.int64), np.repeat(one, k).view(np.int64)), (m, k)
+
+
 def test_cell_sum_same_bits_at_one_and_two_threads():
     """The thread cap moves no bit of either path of the cell sum."""
     fe = _flat_1d(n=3000, seed=3)

@@ -218,10 +218,11 @@ def test_stage_chain(tmp_path, capsys):
         assert data["train_driver"].shape == (120, 2, 2)
         assert data["test_payoff"].shape == (150,)
 
-    # value before train: missing artifact
+    # value before train: missing artifact; the training record is read first
     rc = main(["value", "--config", cfg, "--out", str(out)])
     assert rc == EXIT_ARTIFACT
-    assert "flat_tree" in _err_line(capsys)
+    line = _err_line(capsys)
+    assert "missing training.json" in line and "run the train stage first" in line
 
     assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
     for name in ("flat_tree.npz", "flat_tree.txt", "training.json"):
@@ -582,6 +583,31 @@ def test_risk_rejects_an_unreadable_surface(tmp_path, capsys, edit):
     assert rc == EXIT_ARTIFACT
     line = _err_line(capsys)
     assert line.startswith("MISSING_ARTIFACT:") and "value_surface_tree.csv" in line
+
+
+@pytest.mark.parametrize("stage, name, needle, upstream", [
+    ("train", "samples_meta.json", "unreadable (JSONDecodeError", "the simulate stage"),
+    ("value", "training.json", "records nodesize None", "train with this config"),
+    ("value", "flat_tree.npz", "unreadable (BadZipFile", "the train stage")],
+    ids=["truncated-samples-meta", "training-json-a-list", "truncated-flat"])
+def test_stages_reject_an_unreadable_artifact(tmp_path, capsys, stage, name, needle, upstream):
+    # a truncated JSON record or archive, and a record that is not a JSON object
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "run"
+    _staged(cfg, out, ("simulate", "train"))
+    path = out / name
+    if name == "training.json":
+        path.write_text("[1, 2]")
+    else:
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    writes = {"train": "flat_tree.txt", "value": "value_surface_tree.csv"}[stage]
+    (out / writes).unlink(missing_ok=True)
+    capsys.readouterr()
+    assert main([stage, "--config", cfg, "--out", str(out)]) == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith(f"MISSING_ARTIFACT: {name}") and needle in line, line
+    assert line.endswith(f"rerun {upstream}"), line
+    assert not (out / writes).exists()
 
 
 def test_risk_rejects_a_surface_with_fractional_dates(tmp_path, capsys):

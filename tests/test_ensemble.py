@@ -124,6 +124,18 @@ def test_forest_predict_is_the_mean_of_its_trees_bitwise(cfg):
             assert got[i] == tree.value[node]
 
 
+def test_forest_prediction_does_not_depend_on_its_batch(toy):
+    """A point alone and in a batch gets the same bits: np.mean over the
+    trees would sum one point pairwise and a batch left to right."""
+    x, y = toy
+    pts = sample_driver(50, 2, 2, seed=29)
+    for n_trees in (8, 12, 33):
+        ff = fit_forest(x, y, ForestConfig(n_trees=n_trees, nodesize=3, seed=9))
+        batch = predict(ff, pts)
+        alone = np.array([predict(ff, pts[i]) for i in range(pts.shape[0])])
+        assert np.array_equal(alone.view(np.int64), batch.view(np.int64)), n_trees
+
+
 def test_boost_single_full_step_interpolates(toy):
     # learning_rate 1 with an exact residual tree reproduces y in one round
     x, y = toy
