@@ -291,15 +291,15 @@ def _samples_meta(plan: ExperimentPlan) -> dict:
 def _read_artifact(path: Path, stage: str, read):
     """read(path) for an artifact that the named stage writes.
 
-    A missing file, and any error of the one read or parse, raise
-    ArtifactError naming the file and the stage to run.
+    A missing file, and any error of the one read or parse (a missing
+    npz array too), raise ArtifactError naming the file and the stage to run.
     """
     if not path.exists():
         raise ArtifactError(f"missing {path.name} in {path.parent} "
                             f"(run the {stage} stage first)")
     try:
         return read(path)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile) as e:
         raise ArtifactError(f"{path.name}: unreadable ({type(e).__name__}: {e}); "
                             f"rerun the {stage} stage") from e
 

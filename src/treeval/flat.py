@@ -12,15 +12,16 @@ per-period rectangle probabilities.
 
 Cells are stored as time-major bound arrays ``lo`` / ``hi`` of shape
 (N, P) with P = d*T, the layout ``RegressionTree.leaf_cells`` returns
-and ``weighted_membership`` reads (column s*d + j bounds asset j of
+and ``membership_sums`` reads (column s*d + j bounds asset j of
 period s+1); -inf / +inf mark unbounded sides.
 
-``weighted_membership`` is the one cell-evaluation kernel: plain
-evaluation and every conditional value are weighted membership sums.
-It is a bitmap index over the cells rather than a comparison of every
-point with every bound.  Per column, the distinct finite bounds b of a
-chunk of cells are ranked once; a cell becomes the code interval
-[l, h] with l = searchsorted(b, lo) + 1 (0 for -inf) and
+``membership_sums`` is the one cell-evaluation kernel: plain
+evaluation and every conditional value, all dates in one pass, are
+weighted membership sums.  It is a range-encoded bitmap index over the
+cells rather than a comparison of every point with every bound.  Per
+column, the distinct finite bounds b of a chunk of cells are ranked
+once; a cell becomes the code interval [l, h] with
+l = searchsorted(b, lo) + 1 (0 for -inf) and
 h = searchsorted(b, hi) (len(b) for +inf), and a point the code
 j = searchsorted(b, x), the count of bounds below x.  As lo = b[l-1],
 x > lo exactly when at least l bounds lie below x; as hi = b[h],
@@ -147,49 +148,29 @@ def _interval_rows(l: np.ndarray, h: np.ndarray, n_codes: int) -> np.ndarray:
     return words[:-1]
 
 
-def _packed_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bit-packed 1{lo_i < x <= hi_i on every column} for each point row x.
-
-    ptf is (k, C) finite points and lo / hi are (N, C) bounds over the
-    same C columns with lo < hi; returns (k, 8*ceil(N/64)) uint8 rows for
-    ``np.unpackbits``.  b is a column's distinct finite bounds, sorted;
-    the codes l, h, j and why l <= j <= h is lo < x <= hi are in the
-    module docstring.
-    """
-    k, n = ptf.shape[0], lo.shape[0]
-    member = np.full((k, (n + 63) // 64), np.iinfo(np.uint64).max, dtype=np.uint64)
-    for c in range(ptf.shape[1]):
-        lo_c, hi_c = lo[:, c], hi[:, c]
-        bounds = np.concatenate([lo_c, hi_c])
-        b = _distinct(bounds[np.isfinite(bounds)])
-        l = np.where(lo_c == -np.inf, 0, np.searchsorted(b, lo_c) + 1)
-        rows = _interval_rows(l, np.searchsorted(b, hi_c), b.size + 1)
-        member &= rows[np.searchsorted(b, ptf[:, c])]
-    return member.view(np.uint8)
-
-
-# points and cells per block of weighted_membership
+# points and cells per block of membership_sums
 _POINT_CHUNK = 128
 _CELL_CHUNK = 8192
 
 
-def weighted_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                        weights: np.ndarray, n_coords: int) -> np.ndarray:
-    """sum_i weights[i] 1{lo_i < x <= hi_i on the first n_coords columns}.
+def membership_sums(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    weights: np.ndarray, stops) -> np.ndarray:
+    """out[:, j] = sum_i weights[j, i] 1{lo_i < x <= hi_i on the first stops[j] columns}.
 
     ptf is (k, P) finite flat points, as ``cart._as_points`` returns
-    them; lo / hi are (N, P) flat bounds with lo < hi.  Membership is
-    read from a bitmap index instead of comparing every point with every
-    bound: per column, cells become rank-code intervals [l, h] and points
-    rank codes j, and l <= j <= h holds exactly when lo < x <= hi
-    (``_packed_membership``).  Cells are taken _CELL_CHUNK at a time and
+    them; lo / hi are (N, P') flat bounds with lo < hi; weights is
+    (m, N), one row per stop, and stops are m nondecreasing column
+    counts in 0..min(P, P').  Cells are taken _CELL_CHUNK at a time and
     points a whole number of _POINT_CHUNK blocks, about _CELL_CHUNK of
     them, at a time, so memory stays bounded for any k, and at most one
-    column's interval table is held.  Each (point block x cell block) of
-    bits is unpacked into the boolean block that comparing every bound
-    gives, and its product with the weights is added to the points'
-    sums cell block after cell block: each sum keeps the operands and
-    the order of that dense kernel, and so its bits.
+    column's interval table is held.  Per point span and cell chunk the
+    packed membership starts at all ones and ANDs each column's rows
+    (the codes of the module docstring) once, in ascending order.  At
+    each stop, each (point block x cell block) of bits is unpacked into
+    the boolean block that comparing every bound gives, and its product
+    with the stop's weights is added to the points' sums cell block
+    after cell block: each sum keeps the operands and the order of that
+    dense kernel, and so its bits, whatever the other stops are.
 
     numpy casts each boolean block to a float64 copy before the product,
     so the point block sets the kernel's working set: a 1 MB boolean
@@ -201,20 +182,33 @@ def weighted_membership(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     summed in another order, so when k = 1 (mod _POINT_CHUNK) the last
     point may differ in its last bits from a run with another size.
     """
-    k = ptf.shape[0]
-    n = weights.size
-    out = np.zeros(k)
+    stops = list(stops)
+    k, n = ptf.shape[0], lo.shape[0]
+    if weights.shape != (len(stops), n):
+        raise ValueError(f"weights must have shape ({len(stops)}, {n}), got {weights.shape}")
+    limit = min(ptf.shape[1], lo.shape[1])
+    if any(b < a for a, b in zip([0] + stops, stops + [limit])):
+        raise ValueError(f"stops must be nondecreasing in 0..{limit}, got {stops}")
+    out = np.zeros((k, len(stops)))
     span = _POINT_CHUNK * max(1, _CELL_CHUNK // _POINT_CHUNK)
     for pa in range(0, k, span):
         pb = min(pa + span, k)
         for ca in range(0, n, _CELL_CHUNK):
             cb = min(ca + _CELL_CHUNK, n)
-            member = _packed_membership(ptf[pa:pb, :n_coords], lo[ca:cb, :n_coords],
-                                        hi[ca:cb, :n_coords])
-            for a in range(pa, pb, _POINT_CHUNK):
-                b = min(a + _POINT_CHUNK, pb)
-                inside = np.unpackbits(member[a - pa:b - pa], axis=1, count=cb - ca)
-                out[a:b] += inside.view(bool) @ weights[ca:cb]
+            member = np.full((pb - pa, (cb - ca + 63) // 64), ~np.uint64(0))
+            for j, (start, stop) in enumerate(zip([0] + stops, stops)):
+                for c in range(start, stop):  # b: the column's distinct finite bounds
+                    lo_c, hi_c = lo[ca:cb, c], hi[ca:cb, c]
+                    bounds = np.concatenate([lo_c, hi_c])
+                    b = _distinct(bounds[np.isfinite(bounds)])
+                    l = np.where(lo_c == -np.inf, 0, np.searchsorted(b, lo_c) + 1)
+                    rows = _interval_rows(l, np.searchsorted(b, hi_c), b.size + 1)
+                    member &= rows[np.searchsorted(b, ptf[pa:pb, c])]
+                for qa in range(pa, pb, _POINT_CHUNK):
+                    qb = min(qa + _POINT_CHUNK, pb)
+                    bits = member[qa - pa:qb - pa].view(np.uint8)
+                    inside = np.unpackbits(bits, axis=1, count=cb - ca)
+                    out[qa:qb, j] += inside.view(bool) @ weights[j, ca:cb]
     return out
 
 
@@ -225,7 +219,7 @@ def evaluate_flat(fe: FlatEnsemble, x) -> np.ndarray | float:
     returns a float.
     """
     X, single = _as_points(x, fe.dims)
-    out = weighted_membership(X, fe.lo, fe.hi, fe.values, X.shape[1])
+    out = membership_sums(X, fe.lo, fe.hi, fe.values[None], [X.shape[1]])[:, 0]
     return float(out[0]) if single else out
 
 

@@ -15,9 +15,10 @@ it; no other law can be chosen.
 
 Evaluating V_t therefore costs one membership test on the observed
 prefix plus precomputed per-period cell probabilities; no nested
-simulation is involved.  t = 0 uses the empty prefix (membership 1) and
-t = T has an empty probability tail (product 1), which reduces to plain
-model evaluation on the full path.
+simulation is involved.  One ``flat.membership_sums`` call values all
+dates of a call, coding each prefix column once.  t = 0 uses the empty
+prefix (membership 1) and t = T has an empty probability tail
+(product 1), which reduces to plain model evaluation on the full path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .cart import _as_points
-from .flat import FlatEnsemble, weighted_membership
+from .flat import FlatEnsemble, membership_sums
 from .paths import ndtr
 
 # scenarios formatted per write in ValueSurface.to_csv; bounds the row strings held at once
@@ -60,25 +61,42 @@ def tail_products(probs: np.ndarray) -> np.ndarray:
     return tails
 
 
+def _checked_dates(dates, T: int) -> tuple:
+    """dates as ints; ValueError unless each is an integer, not a bool, in 0..T."""
+    if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in dates):
+        raise ValueError(f"dates must be integers, got {list(dates)}")
+    if any(not 0 <= t <= T for t in dates):
+        raise ValueError(f"dates must lie in 0..{T}")
+    return tuple(int(t) for t in dates)
+
+
+def _values(fe: FlatEnsemble, dates: tuple, X: np.ndarray) -> np.ndarray:
+    """(k, len(dates)) values at checked dates of the k points X, in one kernel call."""
+    tails = tail_products(period_prob_matrix(fe))
+    later = sorted({t for t in dates if t > 0})
+    stops = [t * fe.dims[0] for t in later]
+    sums = membership_sums(X, fe.lo, fe.hi, fe.values * tails.T[later], stops)
+    out = np.empty((X.shape[0], len(dates)))
+    for col, t in enumerate(dates):
+        out[:, col] = (fe.values * tails[:, 0]).sum() if t == 0 else sums[:, later.index(t)]
+    return out
+
+
 def value_at(fe: FlatEnsemble, t: int, prefix=None) -> float:
     """Conditional value at date t given the observed driver prefix.
 
     prefix holds the first t periods as one point of dims (d, t): a
     (d, t) array or t*d time-major coordinates (ignored for t = 0).
+    Dates follow value_surface's rule.
     """
     d, T = fe.dims
-    if not 0 <= t <= T:
-        raise ValueError(f"date {t} outside 0..{T}")
-    tails = tail_products(period_prob_matrix(fe))
-    w = fe.values * tails[:, t]
-    if t == 0:
-        return float(w.sum())
-    if prefix is None:
+    (t,) = _checked_dates((t,), T)
+    if t > 0 and prefix is None:
         raise ValueError("dates t >= 1 require the observed prefix")
-    X, single = _as_points(prefix, (d, t))
+    X, single = _as_points(prefix, (d, t)) if t else (np.empty((1, 0)), True)
     if not single:
         raise ValueError(f"prefix must be one point of shape ({d}, {t})")
-    return float(weighted_membership(X, fe.lo, fe.hi, w, t * d)[0])
+    return float(_values(fe, (t,), X)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -112,23 +130,10 @@ def value_surface(fe: FlatEnsemble, dates: Sequence[int], scenarios) -> ValueSur
 
     scenarios holds full driver paths in any layout ``cart._as_points``
     reads, typically a (k, d, T) array; date t uses only the first t
-    periods of each path.  Dates must be integers in 0..T.  Cell
-    probabilities are computed once and shared across dates and
-    scenarios.
+    periods of each path.  Dates must be integers in 0..T, in any
+    order and repeated or not.  Cell probabilities are computed once,
+    and one kernel pass values every date, coding each column once.
     """
-    d, T = fe.dims
-    if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in dates):
-        raise ValueError(f"dates must be integers, got {list(dates)}")
-    dates = tuple(int(t) for t in dates)
-    if any(not 0 <= t <= T for t in dates):
-        raise ValueError(f"dates must lie in 0..{T}")
+    dates = _checked_dates(dates, fe.dims[1])
     X, _ = _as_points(scenarios, fe.dims)
-    tails = tail_products(period_prob_matrix(fe))
-    out = np.empty((X.shape[0], len(dates)))
-    for col, t in enumerate(dates):
-        w = fe.values * tails[:, t]
-        if t == 0:
-            out[:, col] = w.sum()
-        else:
-            out[:, col] = weighted_membership(X, fe.lo, fe.hi, w, t * d)
-    return ValueSurface(dates=dates, values=out)
+    return ValueSurface(dates=dates, values=_values(fe, dates, X))

@@ -318,15 +318,27 @@ def test_stages_read_archives_in_the_older_deflated_format(tmp_path, capsys):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
-def test_corrupt_artifact_is_runtime_error(tmp_path, capsys):
+def test_npz_without_a_named_array_is_an_artifact_error(tmp_path, capsys):
+    # an archive that reads but lacks an array is unreadable upstream output: exit 3
     cfg = _cfg(tmp_path)
     out = tmp_path / "run"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    np.savez_compressed(out / "samples.npz", wrong_key=np.zeros(3))
+    _staged(cfg, out, ("simulate", "train"))
+    with np.load(out / "flat_tree.npz") as z:
+        kept = {k: z[k] for k in z.files if k != "lo"}
+    np.savez_compressed(out / "flat_tree.npz", **kept)
     capsys.readouterr()
+    assert main(["value", "--config", cfg, "--out", str(out)]) == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT: flat_tree.npz: unreadable (KeyError"), line
+    assert line.endswith("rerun the train stage"), line
+    assert not (out / "value_surface_tree.csv").exists()
+
+    np.savez_compressed(out / "samples.npz", wrong_key=np.zeros(3))
     rc = main(["train", "--config", cfg, "--out", str(out)])
-    assert rc == EXIT_RUNTIME
-    assert _err_line(capsys).startswith("RUNTIME_ERROR:")
+    assert rc == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT: samples.npz: unreadable (KeyError"), line
+    assert line.endswith("rerun the simulate stage"), line
 
 
 def test_value_error_at_runtime_is_runtime_error(tmp_path, capsys):

@@ -10,8 +10,8 @@ from treeval.cart import TreeConfig, _time_major, fit_tree
 from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest
 from treeval.flat import (FlatEnsemble, evaluate_flat, flatten_boost,
                           flatten_forest, flatten_model, flatten_tree,
-                          load_flat, read_flat_text, save_flat,
-                          weighted_membership, write_flat_text)
+                          load_flat, membership_sums, read_flat_text,
+                          save_flat, write_flat_text)
 from treeval.ensemble import predict
 from treeval.paths import sample_driver
 
@@ -89,16 +89,21 @@ def test_evaluate_flat_single_point(fitted):
     assert single == batch[0]
 
 
+def _one_stop(ptf, lo, hi, weights, n_coords):
+    """membership_sums at one stop: the weighted sum over the first n_coords columns."""
+    return membership_sums(ptf, lo, hi, weights[None], [n_coords])[:, 0]
+
+
 def test_weighted_membership_chunking_invariance(fitted, monkeypatch):
     x, y, _, forest, _ = fitted
     fe = flatten_forest(forest)
     lo, hi = fe.lo, fe.hi
     pts = _time_major(sample_driver(57, 2, 2, seed=35))
-    base = weighted_membership(pts, lo, hi, fe.values, lo.shape[1])
+    base = _one_stop(pts, lo, hi, fe.values, lo.shape[1])
     for pc, cc in ((3, 2), (8, 1000), (1000, 5)):
         monkeypatch.setattr(flat, "_POINT_CHUNK", pc)
         monkeypatch.setattr(flat, "_CELL_CHUNK", cc)
-        alt = weighted_membership(pts, lo, hi, fe.values, lo.shape[1])
+        alt = _one_stop(pts, lo, hi, fe.values, lo.shape[1])
         np.testing.assert_allclose(alt, base, rtol=0, atol=1e-12)
 
 
@@ -108,11 +113,11 @@ def test_weighted_membership_prefix_columns(fitted):
     fe = flatten_tree(tree)
     lo, hi = fe.lo, fe.hi
     pts = _time_major(sample_driver(40, 2, 2, seed=36))
-    full = weighted_membership(pts, lo, hi, fe.values, 4)
-    head = weighted_membership(pts, lo, hi, fe.values, 2)
+    full = _one_stop(pts, lo, hi, fe.values, 4)
+    head = _one_stop(pts, lo, hi, fe.values, 2)
     # prefix membership counts more cells, so the weighted sums differ
     assert not np.allclose(full, head)
-    ones = weighted_membership(pts, lo, hi, np.ones(fe.n_cells), 0)
+    ones = _one_stop(pts, lo, hi, np.ones(fe.n_cells), 0)
     np.testing.assert_array_equal(ones, np.full(40, fe.n_cells))
 
 
@@ -169,7 +174,7 @@ def _assert_same_bits(ptf, lo, hi, w, n_coords, **chunks):
     with pytest.MonkeyPatch.context() as mp:
         for name, size in chunks.items():
             mp.setattr(flat, f"_{name.upper()}", size)
-        got = weighted_membership(ptf, lo, hi, w, n_coords)
+        got = _one_stop(ptf, lo, hi, w, n_coords)
     want = reference_membership(ptf, lo, hi, w, n_coords, **chunks)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -208,7 +213,7 @@ def test_bitmap_membership_single_column_edges():
     hi[hi == 0.0] = -0.0
     x = np.array([-1.0, np.nextafter(-1.0, 0.0), -0.0, 0.0, np.nextafter(0.0, 1.0),
                   np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)])[:, None]
-    got = weighted_membership(x, lo, hi, np.ones(len(pairs)), 1)
+    got = _one_stop(x, lo, hi, np.ones(len(pairs)), 1)
     want = ((x > lo.T) & (x <= hi.T)).sum(axis=1).astype(float)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(got, [4, 6, 6, 6, 6, 6, 6, 4])
@@ -230,6 +235,45 @@ def test_bitmap_membership_matches_dense_reference_on_fits(fitted):
             _assert_same_bits(pts, lo, hi, w, n_coords, point_chunk=100,
                               cell_chunk=fe.n_cells // 3)
             _assert_same_bits(pts[:1], lo, hi, w, n_coords)
+
+
+def test_multi_stop_sums_equal_one_call_per_stop():
+    # one pass over the columns gives each stop the bits of its own call,
+    # repeated stops and stop 0 included, at any block sizes
+    rng = np.random.default_rng(44)
+    P = 6
+    lo, hi = _grid_cells(rng, 300, P)
+    ptf = _edge_points(rng, 700 + 5, lo, hi)
+    stops = [0, 2, 2, 3, 6]
+    w = rng.standard_normal((len(stops), 300)) * 10.0 ** rng.uniform(-8, 8, (len(stops), 300))
+    for chunks in ({}, {"point_chunk": 64, "cell_chunk": 100},
+                   {"point_chunk": 8, "cell_chunk": 63}):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, size in chunks.items():
+                mp.setattr(flat, f"_{name.upper()}", size)
+            for pts in (ptf, ptf[:1]):
+                got = membership_sums(pts, lo, hi, w, stops)
+                assert got.shape == (pts.shape[0], len(stops))
+                for j, s in enumerate(stops):
+                    alone = _one_stop(pts, lo, hi, w[j], s)
+                    want = reference_membership(pts, lo, hi, w[j], s, **chunks)
+                    assert np.array_equal(got[:, j].view(np.int64), alone.view(np.int64))
+                    assert np.array_equal(got[:, j].view(np.int64), want.view(np.int64))
+
+
+def test_membership_sums_rejects_bad_stops():
+    rng = np.random.default_rng(45)
+    lo, hi = _grid_cells(rng, 20, 4)
+    ptf = rng.standard_normal((5, 4))
+    w = np.ones((2, 20))
+    for stops in ([3, 2], [-1, 2], [2, 5]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            membership_sums(ptf, lo, hi, w, stops)
+    with pytest.raises(ValueError, match="nondecreasing"):  # points carry only 2 columns
+        membership_sums(ptf[:, :2], lo, hi, w, [1, 3])
+    with pytest.raises(ValueError, match="shape"):
+        membership_sums(ptf, lo, hi, w, [4])
+    assert membership_sums(ptf, lo, hi, np.ones((0, 20)), []).shape == (5, 0)
 
 
 def test_flat_ensemble_validation():
@@ -355,12 +399,14 @@ def test_membership_working_set_stays_small():
     lo, hi = _grid_cells(rng, 2000, 4)
     w = rng.standard_normal(2000)
     ptf = rng.standard_normal((4096, 4))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        weighted_membership(ptf, lo, hi, w, 4)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    print(f"membership peak {peak} B")
-    assert peak < 4e6, peak
+    # one stop, then three stops in one pass: the packed membership carries over
+    for weights, stops in ((w[None], [4]), (rng.standard_normal((3, 2000)), [1, 2, 4])):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            membership_sums(ptf, lo, hi, weights, stops)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        print(f"membership peak {peak} B at stops {stops}")
+        assert peak < 4e6, peak

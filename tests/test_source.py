@@ -189,6 +189,31 @@ def test_public_signatures_take_no_block_size(path):
     assert _block_size_parameters(ast.parse(path.read_text())) == [], path.name
 
 
+def _references(tree: ast.Module, name: str) -> list:
+    """Lines that read ``name``, bare or as an attribute; imports and definitions are not reads."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == name
+                  and isinstance(node.ctx, ast.Load)
+                  or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_reference_check_sees_calls_and_aliases():
+    tree = ast.parse("from .flat import membership_sums\ndef membership_sums(): pass\n"
+                     "membership_sums(a)\nflat.membership_sums(b)\nf = membership_sums\n"
+                     "x.membership_sums_2(c)\nmembership_sums = None\n"
+                     "def h():\n    return g(membership_sums)\n")
+    assert _references(tree, "membership_sums") == [3, 4, 5, 9]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_membership_kernel_has_one_call_site_per_caller(path):
+    # evaluate_flat in flat.py and one helper in valuation.py that both
+    # value_surface and value_at call: a second valuation path would code
+    # again the columns that the helper's one pass codes once
+    want = {"flat.py": 1, "valuation.py": 1}.get(path.name, 0)
+    assert len(_references(ast.parse(path.read_text()), "membership_sums")) == want, path.name
+
+
 def _unique_calls_without_return_flag(tree: ast.Module) -> list:
     """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
 

@@ -108,6 +108,17 @@ def test_value_at_validation():
         value_at(fe, 1)  # missing prefix
 
 
+def test_value_at_takes_value_surface_date_rule():
+    # a float date is not a slice bound and a bool is not date 1
+    fe = half_space_model()
+    for t in (1.0, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="integers"):
+            value_at(fe, t, prefix=np.array([[0.7]]))
+    with pytest.raises(ValueError, match="0..2"):
+        value_at(fe, -1)
+    assert value_at(fe, np.int64(1), prefix=np.array([[0.7]])) == 1.0
+
+
 @pytest.fixture(scope="module")
 def fitted_flat():
     x = sample_driver(400, 2, 2, seed=51)
@@ -134,6 +145,28 @@ def test_value_surface_matches_value_at(fitted_flat):
         assert surf.column(1)[i] == pytest.approx(v1, rel=1e-12, abs=1e-15)
     v0 = value_at(fe, 0)
     np.testing.assert_array_equal(surf.column(0), np.full(5, v0))
+
+
+def test_value_surface_dates_in_any_order_keep_their_bits(fitted_flat):
+    # one pass over dates (2, 0, 1, 2) gives each column the bits of its own surface
+    fe = fitted_flat
+    pts = sample_driver(300, 2, 2, seed=58)
+    surf = value_surface(fe, (2, 0, 1, 2), pts)
+    assert surf.dates == (2, 0, 1, 2)
+    for col, t in enumerate(surf.dates):
+        alone = value_surface(fe, (t,), pts).values[:, 0]
+        assert np.array_equal(surf.values[:, col].view(np.int64), alone.view(np.int64)), t
+
+
+def test_value_at_equals_one_scenario_surface(fitted_flat):
+    fe = fitted_flat
+    d, T = fe.dims
+    paths = sample_driver(3, d, T, seed=60)
+    for path in paths:
+        for t in range(T + 1):
+            got = value_at(fe, t, path[:, :t])
+            want = value_surface(fe, (t,), path[None]).values[0, 0]
+            assert np.float64(got).view(np.int64) == want.view(np.int64), t
 
 
 def test_tower_property_of_closed_form(fitted_flat):
