@@ -27,7 +27,15 @@ A forest's trees grow together: their rows are laid end to end, each
 tree's columns are sorted on their own, and every depth scores the nodes
 of all trees in one pass, so the numpy call overhead of a depth is paid
 once for all the trees.  Each tree comes out as it would if grown alone.
-Predictions likewise route every (tree, point) pair in one pass.
+
+Every other walk over tree structure also goes one depth at a time
+across all trees of a model, never node by node or tree by tree.  Growth
+keeps one record per depth for the whole batch, and the depth-first
+numbering runs its recurrences once per depth for all the trees.
+``_leaf_cells`` lays the trees' node arrays end to end and passes cell
+bounds from each depth's split nodes to their children.  Prediction
+steps every (tree, point) pair down one depth per pass until all of
+them sit at leaves, each leaf routing to itself.
 
 Every point and every cell bound is stored time-major: a path with d
 assets over T periods is a row of P = d*T columns, and column
@@ -120,29 +128,9 @@ class RegressionTree:
 
         Returns (lower, upper, value, count) where the bound arrays have
         shape (n_leaves, d*T) in time-major column order.  The cells
-        partition R^{d x T}.
+        partition R^{d x T}.  The one-tree call of ``_leaf_cells``.
         """
-        d, T = self.dims
-        P = d * T
-        n = self.n_nodes
-        lows = np.empty((n, P))
-        highs = np.empty((n, P))
-        lows[0] = -np.inf
-        highs[0] = np.inf
-        # children are created after parents, so a forward pass suffices
-        for i in range(n):
-            f = self.feature[i]
-            if f == _LEAF:
-                continue
-            le, ri = self.left[i], self.right[i]
-            lows[le] = lows[i]
-            highs[le] = highs[i]
-            lows[ri] = lows[i]
-            highs[ri] = highs[i]
-            highs[le, f] = self.threshold[i]
-            lows[ri, f] = self.threshold[i]
-        mask = self.feature == _LEAF
-        return lows[mask], highs[mask], self.value[mask], self.count[mask]
+        return _leaf_cells((self,))
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -374,16 +362,24 @@ def best_split(features: np.ndarray, responses: np.ndarray,
     for the split minimizing child SSE, or None when the responses are
     constant or no split strictly improves on the parent SSE.  Ties are
     broken toward the smallest (coord, threshold).  This is the one-node
-    case of the kernel that tree growth runs on each depth.
+    case of the kernel that tree growth runs on each depth.  Raises
+    ValueError on non-finite features or responses and on a candidate
+    outside 0..P-1.
     """
     features = np.asarray(features, dtype=np.float64)
-    y = np.asarray(responses, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != y.size:
+    if features.ndim != 2:
         raise ValueError("features must be (k, P) aligned with responses")
+    y = _check_responses(responses, features.shape[0])
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite entries")
+    P = features.shape[1]
+    cols = np.arange(P) if candidates is None else np.asarray(candidates, dtype=np.intp)
+    if ((cols < 0) | (cols >= P)).any():
+        raise ValueError(f"candidates must be columns in 0..{P - 1}, got {cols.tolist()}")
     if y.size < 2:
         return None
-    cands = np.zeros((1, features.shape[1]), dtype=bool)
-    cands[0, slice(None) if candidates is None else np.asarray(candidates, dtype=np.intp)] = True
+    cands = np.zeros((1, P), dtype=bool)
+    cands[0, cols] = True
     XT, order = _presort([features])
     coord, z, score = _split_nodes(XT, np.append(y, 0.0), order, np.array([y.size]),
                                    np.add.reduce(y), cands)
@@ -406,12 +402,16 @@ def _candidates(rngs, tree: np.ndarray, P: int, features, can: np.ndarray) -> np
     return mask
 
 
-def _allocation_order(levels: list, dims) -> RegressionTree:
+def _allocation_order(levels: list, n_trees: int, dims) -> list:
     """Number level-wise nodes as depth-first, left-first growth allocates them.
 
-    levels[d] holds (feature, threshold, value, count) of the nodes at
-    depth d: the children of the split nodes of depth d-1, in pairs.  The
-    i-th split node in preorder gets children 2i+1 and 2i+2.
+    levels[d] holds (feature, threshold, value, count, tree) of the nodes
+    at depth d of every tree of a batch, in tree order: one root per tree
+    at depth 0, then the children of the split nodes of depth d-1, in
+    pairs.  Within a tree, the i-th split node in preorder gets children
+    2i+1 and 2i+2.  The pairs of a depth line up with the split nodes of
+    the depth above whatever their tree, so each recurrence below takes
+    one step per depth for all trees.  Returns the n_trees trees.
     """
     split = [lv[0] != _LEAF for lv in levels]
     inner = [None] * len(levels)  # split nodes in each node's subtree
@@ -420,28 +420,30 @@ def _allocation_order(levels: list, dims) -> RegressionTree:
         s = split[d].astype(np.intp)
         s[split[d]] += below[0::2] + below[1::2]
         inner[d] = below = s
-    pre = np.zeros(1, dtype=np.intp)  # split nodes before each node in preorder
-    ids = [np.zeros(1, dtype=np.intp)]
+    pre = np.zeros(n_trees, dtype=np.intp)  # split nodes before each node in its tree's preorder
+    ids = [np.zeros(n_trees, dtype=np.intp)]
     for d in range(len(levels) - 1):
         r = pre[split[d]]
         pre = np.repeat(r + 1, 2)
         pre[1::2] += inner[d + 1][0::2]
         ids.append((2 * r[:, None] + np.array([1, 2])).ravel())
-    n = sum(i.size for i in ids)
-    feature = np.empty(n, dtype=np.int32)
-    threshold = np.empty(n)
-    value = np.empty(n)
-    count = np.empty(n, dtype=np.int64)
-    left = np.full(n, -1, dtype=np.int32)
-    right = np.full(n, -1, dtype=np.int32)
-    for d, (f, t, v, c) in enumerate(levels):
-        at = ids[d]
-        feature[at], threshold[at], value[at], count[at] = f, t, v, c
-        if d + 1 < len(levels):
-            left[at[split[d]]] = ids[d + 1][0::2]
-            right[at[split[d]]] = ids[d + 1][1::2]
-    return RegressionTree(feature=feature, threshold=threshold, left=left, right=right,
-                          value=value, count=count, dims=dims)
+    f, t, v, c, tree = (np.concatenate(a) for a in zip(*levels))
+    ids = np.concatenate(ids)
+    size = np.bincount(tree, minlength=n_trees)
+    at = (np.cumsum(size) - size)[tree] + ids  # each node's place in the batch's arrays
+    feature = np.empty(ids.size, dtype=np.int32)
+    threshold = np.empty(ids.size)
+    value = np.empty(ids.size)
+    count = np.empty(ids.size, dtype=np.int64)
+    left = np.full(ids.size, -1, dtype=np.int32)
+    right = np.full(ids.size, -1, dtype=np.int32)
+    feature[at], threshold[at], value[at], count[at] = f, t, v, c
+    # below the roots, the nodes in level order are the split nodes' children in pairs
+    left[at[f != _LEAF]] = ids[n_trees::2]
+    right[at[f != _LEAF]] = ids[n_trees + 1::2]
+    ends = np.cumsum(size)[:-1]
+    parts = (np.split(a, ends) for a in (feature, threshold, left, right, value, count))
+    return [RegressionTree(*arrays, dims=dims) for arrays in zip(*parts)]
 
 
 def _check_responses(y, n: int) -> np.ndarray:
@@ -485,7 +487,7 @@ def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs,
     n = XT.shape[1] - 1
     size = np.array([X.shape[0] for X in Xs])
     tree = np.arange(len(Xs))  # the tree of each node of the depth
-    levels = [[] for _ in Xs]
+    levels = []  # one (feature, threshold, value, count, tree) record per depth
     for depth in itertools.count():
         rows = order[P, :int(size.sum())]
         start = np.cumsum(size) - size
@@ -498,11 +500,7 @@ def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs,
         if fitted is not None:
             # a row's node at the last depth that holds it is its leaf
             fitted[rows] = np.repeat(value, size)
-        # each tree's nodes of the depth as views, filled in below
-        ends = np.searchsorted(tree, np.arange(len(Xs) + 1))
-        for m in np.flatnonzero(np.diff(ends)).tolist():
-            at = slice(ends[m], ends[m + 1])
-            levels[m].append((feature[at], threshold[at], value[at], size[at]))
+        levels.append((feature, threshold, value, size, tree))  # split nodes filled in below
         can = (size >= cfg.nodesize) & (cfg.max_depth is None or depth < cfg.max_depth)
         if not can.any():
             break
@@ -533,7 +531,7 @@ def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs,
             grouped[c0:c0 + step, to_right] = A[s == 1].reshape(A.shape[0], -1)
         grouped[:, width] = n
         order, size, tree = grouped, kids, np.repeat(tree[split], 2)
-    return [_allocation_order(lv, dims) for lv in levels]
+    return _allocation_order(levels, len(Xs), dims)
 
 
 def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
@@ -559,30 +557,86 @@ def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig(),
     return _grow_tree(X, responses, cfg, dims, rng)
 
 
+def _nodes_end_to_end(trees) -> tuple:
+    """The trees' node arrays laid end to end: (root, leaf, column, threshold, child).
+
+    root[m] is tree m's root.  Node i sends x to child[i, 1] when
+    ``x[column[i]] <= threshold[i]`` and to child[i, 0] otherwise.  A
+    leaf has column 0, threshold +inf and itself as both children, so a
+    point that reached it stays there.
+    """
+    n = np.array([t.n_nodes for t in trees])
+    root = np.cumsum(n) - n
+    column = np.concatenate([t.feature for t in trees]).astype(np.intp)
+    leaf = column == _LEAF
+    column[leaf] = 0
+    threshold = np.concatenate([t.threshold for t in trees])
+    threshold[leaf] = np.inf
+    child = np.concatenate([np.column_stack([t.right, t.left]) + r for t, r in zip(trees, root)])
+    child[leaf] = np.flatnonzero(leaf)[:, None]
+    return root, leaf, column, threshold, child
+
+
+def _leaf_cells(trees) -> tuple:
+    """Each tree's ``RegressionTree.leaf_cells``, end to end, for trees of one dims.
+
+    Bounds pass from the split nodes of a depth to their children, one
+    depth of every tree a step, and each leaf lands in its tree's block
+    in node order.  Returns (lower, upper, value, count): bounds of shape
+    (leaves, d*T) and one value and count per leaf.
+    """
+    root, leaf, column, threshold, child = _nodes_end_to_end(trees)
+    P = trees[0].dims[0] * trees[0].dims[1]
+    row = np.cumsum(leaf) - 1  # each leaf's row of the output
+    lows, highs = np.empty((row[-1] + 1, P)), np.empty((row[-1] + 1, P))
+    node = root
+    lo, hi = np.full((node.size, P), -np.inf), np.full((node.size, P), np.inf)
+    while node.size:
+        done = leaf[node]
+        lows[row[node[done]]], highs[row[node[done]]] = lo[done], hi[done]
+        s = node[~done]
+        # children in (right, left) pairs, each with its parent's bounds
+        lo, hi = np.repeat(lo[~done], 2, axis=0), np.repeat(hi[~done], 2, axis=0)
+        i = 2 * np.arange(s.size)
+        lo[i, column[s]] = threshold[s]
+        hi[i + 1, column[s]] = threshold[s]
+        node = child[s].ravel()
+    value = np.concatenate([t.value for t in trees])[leaf]
+    count = np.concatenate([t.count for t in trees])[leaf]
+    return lows, highs, value, count
+
+
 def _predict_trees(trees, X: np.ndarray) -> np.ndarray:
     """Route time-major rows X (k, P) through every tree; (len(trees), k) leaf values.
 
-    The trees' node arrays are laid end to end, child links offset to
-    match, and all (tree, row) pairs descend together, one level a pass.
-    Each pass routes only the pairs still at a split node.
+    The trees' nodes are laid end to end (``_nodes_end_to_end``) and all
+    (tree, row) pairs step down together, one depth a pass, until every
+    pair sits at a leaf.  A pair at a leaf routes to itself, so no pass
+    sets apart the pairs still moving.  A pair's state is twice its
+    node, and the state plus its comparison indexes the child.  Each pass
+    writes into the same few buffers: ``np.take`` copies through a
+    temporary when ``out`` is given in its default mode, and every index
+    here is in range, so "clip" changes none.
     """
     k, P = X.shape
-    n = np.array([t.n_nodes for t in trees])
-    off = np.cumsum(n) - n
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left + o for t, o in zip(trees, off)])
-    right = np.concatenate([t.right + o for t, o in zip(trees, off)])
-    node = np.repeat(off, k)  # pair i is row i % k of tree i // k
-    pairs = np.flatnonzero(feature[node] != _LEAF)
-    cur = node[pairs]
-    while pairs.size:
-        go_left = np.take(X, pairs % k * P + feature[cur]) <= threshold[cur]
-        cur = np.where(go_left, left[cur], right[cur])
-        node[pairs] = cur
-        keep = feature[cur] != _LEAF
-        pairs, cur = pairs[keep], cur[keep]
-    return np.concatenate([t.value for t in trees])[node].reshape(len(trees), k)
+    root, leaf, column, threshold, child = _nodes_end_to_end(trees)
+    column, threshold, to = np.repeat(column, 2), np.repeat(threshold, 2), 2 * child.ravel()
+    state = np.repeat(2 * root, k).reshape(len(trees), k)
+    at = np.arange(k) * P  # each row's first element in X
+    idx = np.empty(state.shape, dtype=np.intp)
+    x = np.empty(state.shape)
+    z = idx.view(np.float64)  # idx's memory holds the thresholds once x is read
+    go_left = np.empty(state.shape, dtype=bool)
+    front = root[~leaf[root]]  # the split nodes of the pass's depth
+    while front.size:
+        np.add(np.take(column, state, out=idx, mode="clip"), at, out=idx)
+        np.take(X, idx, out=x, mode="clip")
+        np.less_equal(x, np.take(threshold, state, out=z, mode="clip"), out=go_left)
+        np.take(to, np.add(state, go_left, out=idx), out=state, mode="clip")
+        front = child[front].ravel()
+        front = front[~leaf[front]]
+    value = np.repeat(np.concatenate([t.value for t in trees]), 2)
+    return np.take(value, state, out=x, mode="clip")
 
 
 def _predict_points(tree: RegressionTree, X: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ across periods, so its conditional probability is a product of
 per-period rectangle probabilities.
 
 Cells are stored as time-major bound arrays ``lo`` / ``hi`` of shape
-(N, P) with P = d*T, the layout ``RegressionTree.leaf_cells`` returns
+(N, P) with P = d*T, the layout ``cart._leaf_cells`` returns
 and ``membership_sums`` reads (column s*d + j bounds asset j of
 period s+1); -inf / +inf mark unbounded sides.
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import RegressionTree, _as_points, _distinct
+from .cart import RegressionTree, _as_points, _distinct, _leaf_cells
 
 _TEXT_HEADER = "treeval-flat 1"
 
@@ -82,19 +82,15 @@ class FlatEnsemble:
 
 def flatten_tree(tree: RegressionTree) -> FlatEnsemble:
     """Leaf partition of a single tree as a FlatEnsemble."""
-    lo, hi, val, _ = tree.leaf_cells()
-    return FlatEnsemble(lo=lo, hi=hi, values=val.copy(), dims=tree.dims)
+    lo, hi, val, _ = _leaf_cells((tree,))
+    return FlatEnsemble(lo=lo, hi=hi, values=val, dims=tree.dims)
 
 
 def flatten_forest(forest) -> FlatEnsemble:
     """Concatenated leaf partitions of all trees, each weighted by 1/M."""
     trees = forest.trees
-    m = len(trees)
-    parts = [t.leaf_cells() for t in trees]
-    lo = np.concatenate([p[0] for p in parts])
-    hi = np.concatenate([p[1] for p in parts])
-    val = np.concatenate([p[2] for p in parts]) / m
-    return FlatEnsemble(lo=lo, hi=hi, values=val, dims=trees[0].dims)
+    lo, hi, val, _ = _leaf_cells(trees)
+    return FlatEnsemble(lo=lo, hi=hi, values=val / len(trees), dims=trees[0].dims)
 
 
 def flatten_boost(boost) -> FlatEnsemble:
@@ -105,16 +101,15 @@ def flatten_boost(boost) -> FlatEnsemble:
     fitted residuals).
     """
     d, T = boost.dims
-    los = [np.full((1, d * T), -np.inf)]
-    his = [np.full((1, d * T), np.inf)]
-    vals = [np.array([boost.base_value])]
-    for tree, gamma in zip(boost.trees, boost.gammas):
-        lo, hi, val, _ = tree.leaf_cells()
-        los.append(lo)
-        his.append(hi)
-        vals.append(val * (-boost.learning_rate * gamma))
-    return FlatEnsemble(lo=np.concatenate(los), hi=np.concatenate(his),
-                        values=np.concatenate(vals), dims=boost.dims)
+    lo, hi = np.full((1, d * T), -np.inf), np.full((1, d * T), np.inf)
+    val = np.array([boost.base_value])
+    if boost.trees:
+        tlo, thi, tval, _ = _leaf_cells(boost.trees)
+        scale = np.repeat([-boost.learning_rate * gamma for gamma in boost.gammas],
+                          [t.n_leaves for t in boost.trees])
+        lo, hi = np.concatenate([lo, tlo]), np.concatenate([hi, thi])
+        val = np.concatenate([val, tval * scale])
+    return FlatEnsemble(lo=lo, hi=hi, values=val, dims=boost.dims)
 
 
 def flatten_model(model) -> FlatEnsemble:
@@ -148,9 +143,11 @@ def _interval_rows(l: np.ndarray, h: np.ndarray, n_codes: int) -> np.ndarray:
     return words[:-1]
 
 
-# points and cells per block of membership_sums
+# points and cells per block of membership_sums, and points per gather of
+# a column's bit rows into the membership
 _POINT_CHUNK = 128
 _CELL_CHUNK = 8192
+_AND_CHUNK = 1024
 
 
 def membership_sums(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -165,7 +162,8 @@ def membership_sums(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     them, at a time, so memory stays bounded for any k, and at most one
     column's interval table is held.  Per point span and cell chunk the
     packed membership starts at all ones and ANDs each column's rows
-    (the codes of the module docstring) once, in ascending order.  At
+    (the codes of the module docstring) once, in ascending order,
+    gathering the rows of _AND_CHUNK points at a time.  At
     each stop, each (point block x cell block) of bits is unpacked into
     the boolean block that comparing every bound gives, and its product
     with the stop's weights is added to the points' sums cell block
@@ -203,11 +201,14 @@ def membership_sums(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     b = _distinct(bounds[np.isfinite(bounds)])
                     l = np.where(lo_c == -np.inf, 0, np.searchsorted(b, lo_c) + 1)
                     rows = _interval_rows(l, np.searchsorted(b, hi_c), b.size + 1)
-                    member &= rows[np.searchsorted(b, ptf[pa:pb, c])]
+                    codes = np.searchsorted(b, ptf[pa:pb, c])
+                    for qa in range(0, pb - pa, _AND_CHUNK):
+                        member[qa:qa + _AND_CHUNK] &= rows[codes[qa:qa + _AND_CHUNK]]
                 for qa in range(pa, pb, _POINT_CHUNK):
                     qb = min(qa + _POINT_CHUNK, pb)
-                    bits = member[qa - pa:qb - pa].view(np.uint8)
-                    inside = np.unpackbits(bits, axis=1, count=cb - ca)
+                    # no view of member outlives its cell chunk
+                    inside = np.unpackbits(member[qa - pa:qb - pa].view(np.uint8), axis=1,
+                                           count=cb - ca)
                     out[qa:qb, j] += inside.view(bool) @ weights[j, ca:cb]
     return out
 

@@ -112,6 +112,35 @@ def test_best_split_matches_brute_force_on_random_instances():
             assert ours[2] == oracle[2]
 
 
+def _bad_split_input(case):
+    X = np.column_stack([np.arange(6.0), np.arange(6.0)[::-1]])
+    y = np.array([0.0, 0.0, 1.0, 4.0, 4.0, 5.0])
+    if case == "nan_response":
+        y[3] = np.nan
+    elif case == "nan_response_one_row":
+        X, y = X[:1], np.array([np.nan])
+    elif case == "nan_feature":
+        X[2, 0] = np.nan
+    elif case == "inf_feature":
+        X[4, 1] = np.inf
+    candidates = {"candidate_minus_one": [-1], "candidate_P": [2]}.get(case)
+    return X, y, candidates
+
+
+@pytest.mark.parametrize("case, match", [
+    ("nan_response", "non-finite"),
+    ("nan_response_one_row", "non-finite"),  # checked before the one-row early return
+    ("nan_feature", "non-finite"),
+    ("inf_feature", "non-finite"),
+    ("candidate_minus_one", "candidates"),  # would split on column P - 1
+    ("candidate_P", "candidates"),  # would raise IndexError
+])
+def test_best_split_rejects_bad_input(case, match):
+    X, y, candidates = _bad_split_input(case)
+    with pytest.raises(ValueError, match=match):
+        best_split(X, y, candidates)
+
+
 def test_fit_tree_interpolates_distinct_points():
     # nodesize=2 on distinct inputs grows to pure leaves: exact recall
     x = sample_driver(64, 2, 2, seed=1)
@@ -627,3 +656,114 @@ def test_distinct_matches_np_unique(seed):
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), a
         ints = rng.integers(0, 5, size=n)
         assert np.array_equal(cart._distinct(ints), np.unique(ints))
+
+
+# --- forest-wide walks: routing, leaf cells and numbering over many trees --
+
+def reference_route(tree, X):
+    """One (tree, row) pair at a time, following the split rule down to a leaf."""
+    out = np.empty(X.shape[0])
+    for r, x in enumerate(X):
+        i = 0
+        while tree.feature[i] >= 0:
+            i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+        out[r] = tree.value[i]
+    return out
+
+
+def reference_leaf_cells(tree):
+    """The per-node forward pass that built one tree's leaf cells before the depth walk."""
+    d, T = tree.dims
+    n = tree.n_nodes
+    lows = np.empty((n, d * T))
+    highs = np.empty((n, d * T))
+    lows[0] = -np.inf
+    highs[0] = np.inf
+    # children are created after parents, so a forward pass suffices
+    for i in range(n):
+        f = tree.feature[i]
+        if f == -1:
+            continue
+        le, ri = tree.left[i], tree.right[i]
+        lows[le] = lows[i]
+        highs[le] = highs[i]
+        lows[ri] = lows[i]
+        highs[ri] = highs[i]
+        highs[le, f] = tree.threshold[i]
+        lows[ri, f] = tree.threshold[i]
+    mask = tree.feature == -1
+    return lows[mask], highs[mask], tree.value[mask], tree.count[mask]
+
+
+def _walk_trees():
+    """Trees on one dims and of unequal depths, root-only trees among them."""
+    x = sample_driver(300, 2, 2, seed=48)
+    y = np.sin(_time_major(x) @ np.array([2.0, -1.0, 0.5, 1.5]))
+    root = fit_tree(x, y, TreeConfig(max_depth=0))
+    forest = fit_forest(x, y, ForestConfig(n_trees=3, nodesize=4, features=2, seed=1))
+    trees = [fit_tree(x, y, TreeConfig(nodesize=2)), root,
+             fit_tree(x, y, TreeConfig(max_depth=2)), *forest.trees, root]
+    assert len({_depth(t).max() for t in trees}) >= 4 and root.n_nodes == 1
+    return trees
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 300])
+def test_predict_trees_matches_per_pair_walk(k):
+    trees = _walk_trees()
+    X = _time_major(sample_driver(300, 2, 2, seed=49))[:k].copy()
+    # some coordinates sit exactly on a split threshold, which routes left
+    split = trees[0].feature >= 0
+    on = np.random.default_rng(50).integers(0, split.sum(), size=k // 3)
+    X[np.arange(on.size), trees[0].feature[split][on]] = trees[0].threshold[split][on]
+    got = cart._predict_trees(trees, X)
+    assert got.shape == (len(trees), k) and got.dtype == np.float64
+    for tree, row in zip(trees, got):
+        assert np.array_equal(row, reference_route(tree, X))
+        assert np.array_equal(cart._predict_trees([tree], X)[0], row)
+
+
+def test_leaf_cells_of_many_trees_match_per_node_pass():
+    trees = _walk_trees()
+    want = [reference_leaf_cells(t) for t in trees]
+    got = cart._leaf_cells(trees)
+    for g, parts in zip(got, zip(*want)):
+        ref = np.concatenate(parts)
+        assert g.dtype == ref.dtype and np.array_equal(g, ref)
+    for tree, ref in zip(trees, want):
+        for g, r in zip(tree.leaf_cells(), ref):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+def test_growth_batch_with_root_only_trees_numbers_each_tree_alone():
+    # constant responses keep trees 0 and 2 at their roots while 1 and 3 grow deep
+    rng = np.random.default_rng(52)
+    X = rng.standard_normal((240, 2))
+    y = np.sin(4.0 * X[:, 0]) + X[:, 1] + 0.1 * rng.standard_normal(240)
+    Xs = [X[:50], X, X[50:90], X[::2]]
+    ys = [np.full(50, 0.5), y, np.full(40, -1.0), y[::2]]
+    cfg = TreeConfig(nodesize=2)
+    trees = _grow_trees(Xs, ys, cfg, (2, 1), [None] * 4)
+    for Xm, ym, tree in zip(Xs, ys, trees):
+        assert_same_tree(tree, reference_grow(Xm, ym, cfg))
+    assert trees[0].n_nodes == trees[2].n_nodes == 1
+    assert min(_depth(trees[1]).max(), _depth(trees[3]).max()) >= 8
+
+
+def test_routing_memory_stays_near_four_buffers_per_pair():
+    """50 trees x 20,000 points route through a few pair-sized buffers, not
+    through new arrays each pass (about 52 MB traced before the depth walk)."""
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((2000, 2, 1))
+    y = np.sin(3.0 * x[:, 0, 0]) + x[:, 1, 0] + 0.1 * rng.standard_normal(2000)
+    forest = fit_forest(x, y, ForestConfig(n_trees=50, nodesize=5, seed=1))
+    X = rng.standard_normal((20000, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = cart._predict_trees(forest.trees, X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    print(f"routing peak {peak} B for {out.size} pairs")
+    # state, index, point value and comparison: 25 B a pair, 25 MB here
+    assert peak < 40e6, peak

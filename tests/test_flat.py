@@ -1,6 +1,7 @@
 """Flattening fitted models into weighted-indicator form."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,35 @@ def test_text_bytes_follow_leaf_cells(tmp_path):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_flatten_walks_all_trees_of_a_model_at_once(fitted, monkeypatch):
+    _, _, tree, forest, boost = fitted
+    walks = []
+    leaf_cells = flat._leaf_cells
+    monkeypatch.setattr(flat, "_leaf_cells", lambda trees: walks.append(len(trees))
+                        or leaf_cells(trees))
+    m = len(forest.trees)
+    parts = [t.leaf_cells() for t in forest.trees]
+    fe = flatten_forest(forest)
+    assert np.array_equal(fe.lo, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(fe.hi, np.concatenate([p[1] for p in parts]))
+    assert np.array_equal(fe.values, np.concatenate([p[2] for p in parts]) / m)
+    fe = flatten_boost(boost)
+    vals = [np.array([boost.base_value])]
+    for t, gamma in zip(boost.trees, boost.gammas):
+        vals.append(t.leaf_cells()[2] * (-boost.learning_rate * gamma))
+    assert np.array_equal(fe.values, np.concatenate(vals))
+    flatten_tree(tree)
+    assert walks == [m, len(boost.trees), 1]
+
+
+def test_boost_without_rounds_flattens_to_its_base_cell(fitted):
+    _, _, _, _, boost = fitted
+    empty = replace(boost, trees=(), gammas=())
+    fe = flatten_boost(empty)
+    assert fe.n_cells == 1 and fe.values[0] == boost.base_value
+    assert (fe.lo == -np.inf).all() and (fe.hi == np.inf).all()
+
+
 def _per_cell_text(fe: FlatEnsemble) -> bytes:
     # reference: the per-cell, per-float loop that write_flat_text replaced
     d, T = fe.dims
@@ -390,6 +420,39 @@ def test_text_bytes_match_the_per_cell_loop_on_edge_bounds(tmp_path):
     back = read_flat_text(path)
     for got, want in ((back.lo, lo), (back.hi, hi), (back.values, values)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_and_chunk_changes_no_bit(monkeypatch):
+    # each column's rows are ANDed into the membership a few points at a time
+    rng = np.random.default_rng(44)
+    lo, hi = _grid_cells(rng, 300, 3)
+    ptf = _edge_points(rng, 200, lo, hi)
+    w = rng.standard_normal((3, 300))
+    want = membership_sums(ptf, lo, hi, w, [1, 2, 3])
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(flat, "_AND_CHUNK", chunk)
+        assert np.array_equal(membership_sums(ptf, lo, hi, w, [1, 2, 3]), want)
+
+
+def test_column_and_gathers_a_bounded_block():
+    # 8,192 points x two chunks of 8,192 cells whose bounds take 4,096 values:
+    # an 8 MB packed membership per chunk, 4 MB of bit rows for the column
+    # and 9 MB of unpacked blocks with their float copies.  Gathering the rows
+    # of 1,024 points at a time adds 1 MB, where all at once added 8 MB while
+    # a view of the last chunk's membership held its 8 MB too
+    rng = np.random.default_rng(45)
+    grid = np.sort(rng.standard_normal(4096))
+    i = rng.integers(0, grid.size - 1, size=(16384, 1))
+    ptf = rng.standard_normal((8192, 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        membership_sums(ptf, grid[i], grid[i + 1], np.ones((1, 16384)), [1])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    print(f"membership peak {peak} B")
+    assert peak < 25e6, peak
 
 
 def test_membership_working_set_stays_small():

@@ -214,6 +214,13 @@ def test_membership_kernel_has_one_call_site_per_caller(path):
     assert len(_references(ast.parse(path.read_text()), "membership_sums")) == want, path.name
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_flattening_reads_leaf_cells_through_the_forest_walk(path):
+    # cart._leaf_cells walks all trees of a model one depth at a time; a call
+    # of the one-tree RegressionTree.leaf_cells in the package walks them one by one
+    assert _references(ast.parse(path.read_text()), "leaf_cells") == [], path.name
+
+
 def _unique_calls_without_return_flag(tree: ast.Module) -> list:
     """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
 
