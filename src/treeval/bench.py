@@ -156,9 +156,7 @@ class ExperimentPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.n_valid is not None and self.n_valid < 1:
             raise ValueError("n_valid must be >= 1")
-        if type(self.estimator) not in _KINDS:
-            raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
-        _check_resample(self.estimator, self.n_train)
+        _check_estimator(self.estimator, self.n_train)
         if not (0 < self.var_alpha <= 1 and 0 < self.es_alpha < 1):  # as risk_report needs
             raise ValueError("var_alpha must lie in (0, 1] and es_alpha in (0, 1)")
         if self.dates is not None:
@@ -198,8 +196,11 @@ def _check_dates(dates, T: int, what: str, risk: bool = False) -> tuple:
     return dates
 
 
-def _check_resample(config, n_train: int) -> None:
-    # a forest's n_resample must fit the training sample; found here, not mid-fit
+def _check_estimator(config, n_train: int) -> None:
+    # both plans' estimator rule, found when a plan is built, not mid-fit: one of
+    # the three configs, and a forest's n_resample must fit the training sample
+    if type(config) not in _KINDS:
+        raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
     if isinstance(config, ForestConfig):
         config.resample_size(n_train)
 
@@ -260,28 +261,19 @@ def sample_streams(plan: ExperimentPlan, tags: Sequence[str] = tuple(_STREAMS)) 
 # ------------------------------------------------------------- CSV helpers
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """One CSV table; each float is written as its ``repr``, which reads back exactly."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(list(header))
+        w.writerow(header)
         for row in rows:
-            w.writerow([v if isinstance(v, str) else _fmt(v) if isinstance(v, float) else v
-                        for v in row])
-
-
-def _write_qq(path: Path, levels, true_q, detrended) -> None:
-    rows = [(_fmt(l), _fmt(tq), _fmt(dq)) for l, tq, dq in zip(levels, true_q, detrended)]
-    _write_csv(path, ("level", "true_q", "detrended"), rows)
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _risk_rows(report: RiskReport, extra=()):
     for e in report.entries:
-        yield tuple(extra) + (e.measure, _fmt(e.alpha), e.position, _fmt(e.estimate),
-                              _fmt(e.oracle), _fmt(e.rel_error_pct))
+        yield tuple(extra) + (e.measure, e.alpha, e.position, e.estimate, e.oracle,
+                              e.rel_error_pct)
 
 
 def risk_stage(plan: ExperimentPlan, surface: ValueSurface, v0: float, v1: np.ndarray,
@@ -301,10 +293,11 @@ def risk_stage(plan: ExperimentPlan, surface: ValueSurface, v0: float, v1: np.nd
     if out is not None:
         _write_csv(out / "risk.csv", ("measure", "alpha", "position", "estimate", "oracle",
                                       "relative_error_pct"), _risk_rows(risk))
+        qq = ("level", "true_q", "detrended")
         if T != 1:
-            _write_qq(out / "qq_t1.csv", *detrended_qq(surface.column(1), v1))
+            _write_csv(out / "qq_t1.csv", qq, zip(*detrended_qq(surface.column(1), v1)))
         if T in surface.dates:
-            _write_qq(out / "qq_tT.csv", *detrended_qq(surface.column(T), y_test))
+            _write_csv(out / "qq_tT.csv", qq, zip(*detrended_qq(surface.column(T), y_test)))
     return risk
 
 
@@ -431,10 +424,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
     if out is not None:
         config_hash = write_snapshot(out / "config.snapshot", plan, extras={"dates": dates})
         _write_csv(out / "l2_errors.csv", ("estimator", "t", "l2_error_pct"),
-                   [(name, t, _fmt(e)) for t, e in l2_rows])
+                   [(name, *row) for row in l2_rows])
         surface.to_csv(out / f"value_surface_{name}.csv")
-        _write_csv(out / "timings.csv", ("stage", "seconds"),
-                   [(s, _fmt(v)) for s, v in timings])
+        _write_csv(out / "timings.csv", ("stage", "seconds"), timings)
     return ExperimentReport(plan=plan, v0=v0, v0_se=v0_se, v1=v1, v1_se=v1_se,
                             y_test=y_test, surface=surface, n_cells=fe.n_cells,
                             l2_rows=tuple(l2_rows), underfit=underfit, risk=risk,
@@ -457,8 +449,8 @@ class BermudanPlan:
     n_train: int = 5000
     n_test: int = 20000
     seed: int = 0
-    estimator: object = field(default_factory=lambda: ForestConfig(
-        n_trees=30, nodesize=20, features=1, seed=11))
+    estimator: TreeConfig | ForestConfig | BoostConfig = field(
+        default_factory=lambda: ForestConfig(n_trees=30, nodesize=20, features=1, seed=11))
     mode: str = "later"  # "later" | "now" | "both"
     var_alpha: float = 0.995
     es_alpha: float = 0.99
@@ -474,7 +466,7 @@ class BermudanPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.mode not in ("later", "now", "both"):
             raise ValueError('mode must be "later", "now", or "both"')
-        _check_resample(self.estimator, self.n_train)
+        _check_estimator(self.estimator, self.n_train)
         if not (0 < self.var_alpha <= 1 and 0 < self.es_alpha < 1):  # as risk_report needs
             raise ValueError("var_alpha must lie in (0, 1] and es_alpha in (0, 1)")
 
@@ -562,21 +554,18 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
         out.mkdir(parents=True, exist_ok=True)
         config_hash = write_snapshot(out / "config.snapshot", plan)
         for name, law in zip(("stopping.csv", "stopping_now.csv"), laws):
-            _write_csv(out / name, ("t", "probability"),
-                       [(t, _fmt(p)) for t, p in enumerate(law)])
-        _write_csv(out / "bermudan_l2.csv", ("t", "l2_error_pct"),
-                   [(t, _fmt(e)) for t, e in l2_rows])
+            _write_csv(out / name, ("t", "probability"), enumerate(law))
+        _write_csv(out / "bermudan_l2.csv", ("t", "l2_error_pct"), l2_rows)
         risk_rows = []
         for t in range(T):
             est_long = values[:, t] - values[:, t + 1]
             true_long = truth[:, t] - truth[:, t + 1]
             rep = risk_report(est_long, true_long, plan.var_alpha, plan.es_alpha)
-            risk_rows.extend(_risk_rows(rep, extra=(str(t),)))
+            risk_rows.extend(_risk_rows(rep, extra=(t,)))
         _write_csv(out / "bermudan_risk.csv",
                    ("t", "measure", "alpha", "position", "estimate", "oracle",
                     "relative_error_pct"), risk_rows)
-        _write_csv(out / "timings.csv", ("stage", "seconds"),
-                   [(s, _fmt(v)) for s, v in timings])
+        _write_csv(out / "timings.csv", ("stage", "seconds"), timings)
     both = len(fitted) == 2
     return BermudanReport(plan=plan, value0=lead.value0, true_value0=true_v0,
                           stopping=laws[0], l2_rows=l2_rows,

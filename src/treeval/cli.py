@@ -116,7 +116,9 @@ def _build_model(doc: dict, payoff_kind: str) -> BlackScholesModel:
         changes = {}
         if "vol" in node:
             vol = node["vol"]
-            changes["vols"] = vol * np.eye(d) if isinstance(vol, (int, float)) else vol
+            # vol * eye(d), signed zeros included, without the inf * 0 of a product
+            changes["vols"] = np.where(np.eye(d, dtype=bool), vol, np.copysign(0.0, vol)) \
+                if isinstance(vol, (int, float)) else vol
         if "initial_price" in node:
             price = node["initial_price"]
             changes["initial_prices"] = np.full(d, float(price)) \

@@ -237,6 +237,17 @@ def load_flat(path) -> FlatEnsemble:
                             dims=tuple(int(v) for v in z["dims"]))
 
 
+def _reprs(a: np.ndarray) -> np.ndarray:
+    """``repr`` of every float of a, as an object array of a's shape.
+
+    Each distinct bit pattern is formatted once, so -0.0 stays apart from 0.0.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    words = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return words[inverse].reshape(a.shape)
+
+
 def write_flat_text(fe: FlatEnsemble, path) -> None:
     """Plain-text form: header line, dims line, then one cell per line.
 
@@ -249,10 +260,7 @@ def write_flat_text(fe: FlatEnsemble, path) -> None:
     rows[:, 0] = fe.values
     rows[:, 1::2] = fe.lo
     rows[:, 2::2] = fe.hi
-    # repr each distinct float once; unique over the bits keeps -0.0 apart from 0.0
-    bits, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
-    words = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    lines = words[inverse].reshape(rows.shape).tolist()
+    lines = _reprs(rows).tolist()
     with open(path, "w") as fh:
         fh.write(_TEXT_HEADER + "\n")
         fh.write(f"{d} {T} {fe.n_cells}\n")

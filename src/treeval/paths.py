@@ -22,7 +22,6 @@ import os
 import sys
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -221,13 +220,17 @@ class BlackScholesModel:
         object.__setattr__(self, "initial_prices", np.asarray(self.initial_prices, dtype=np.float64))
         object.__setattr__(self, "vols", np.asarray(self.vols, dtype=np.float64))
         object.__setattr__(self, "steps", np.asarray(self.steps, dtype=np.float64))
-        if self.initial_prices.ndim != 1 or (self.initial_prices <= 0).any():
-            raise ValueError("initial prices must be a 1-D array of positive reals")
-        d = self.initial_prices.size
-        if self.vols.shape != (d, d):
-            raise ValueError("vols must have shape (d, d) with rows sigma_i")
-        if self.steps.ndim != 1 or (self.steps <= 0).any():
-            raise ValueError("steps must be a 1-D array of positive year fractions")
+        prices, steps = self.initial_prices, self.steps
+        if prices.ndim != 1 or prices.size == 0 or not (np.isfinite(prices) & (prices > 0)).all():
+            raise ValueError("initial prices must be a non-empty 1-D array of finite positive "
+                             "reals")
+        if self.vols.shape != (prices.size, prices.size) or not np.isfinite(self.vols).all():
+            raise ValueError("vols must be finite, of shape (d, d) with rows sigma_i")
+        if not np.isfinite(self.rate):
+            raise ValueError("rate must be finite")
+        if steps.ndim != 1 or steps.size == 0 or not (np.isfinite(steps) & (steps > 0)).all():
+            raise ValueError("steps must be a non-empty 1-D array of finite positive "
+                             "year fractions")
 
     @property
     def n_assets(self) -> int:
@@ -271,7 +274,6 @@ class Payoff:
         "brc"       : barrier reverse convertible paying coupon plus
                       face reduced by the worst normalized loss if the
                       barrier was breached on any monitoring date.
-        "custom"    : ``custom_fn(prices)`` -> (n,) undiscounted values.
     All kinds are discounted with exp(-r * sum(steps)).
     """
 
@@ -280,17 +282,16 @@ class Payoff:
     barrier: float = 0.0
     coupon: float = 0.0
     face: float = 1.0
-    custom_fn: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in ("min_put", "max_call", "brc", "custom"):
+        if self.kind not in ("min_put", "max_call", "brc"):
             raise ValueError(f"unknown payoff kind: {self.kind!r}")
-        if self.kind in ("min_put", "max_call", "brc") and self.strike <= 0:
+        if not np.isfinite([self.strike, self.barrier, self.coupon, self.face]).all():
+            raise ValueError("strike, barrier, coupon and face must be finite")
+        if self.strike <= 0:
             raise ValueError("strike must be positive")
         if self.kind == "brc" and not (0 < self.barrier < self.strike):
             raise ValueError("barrier must satisfy 0 < barrier < strike")
-        if self.kind == "custom" and self.custom_fn is None:
-            raise ValueError("custom payoff requires custom_fn")
 
 
 def payoff_value(payoff: Payoff, model: BlackScholesModel, prices: np.ndarray) -> np.ndarray:
@@ -307,15 +308,11 @@ def payoff_value(payoff: Payoff, model: BlackScholesModel, prices: np.ndarray) -
         raw = np.maximum(payoff.strike - terminal.min(axis=1), 0.0)
     elif payoff.kind == "max_call":
         raw = np.maximum(terminal.max(axis=1) - payoff.strike, 0.0)
-    elif payoff.kind == "brc":
+    else:
         breached = (prices[:, :, 1:].min(axis=(1, 2)) <= payoff.barrier)
         norm = terminal / (model.initial_prices[None, :] * payoff.strike)
         loss = np.maximum(1.0 - norm.min(axis=1), 0.0)
         raw = payoff.coupon + payoff.face * (1.0 - breached * loss)
-    else:
-        raw = np.asarray(payoff.custom_fn(prices), dtype=np.float64)
-        if raw.shape != (prices.shape[0],):
-            raise ValueError("custom_fn must return one value per path")
     return disc * raw
 
 

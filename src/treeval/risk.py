@@ -126,6 +126,7 @@ def risk_report(est_long, oracle_long, var_alpha: float = 0.995,
     """Compare estimated and oracle losses through VaR and ES, both sides."""
     est_long = np.asarray(est_long, dtype=np.float64)
     oracle_long = np.asarray(oracle_long, dtype=np.float64)
+    var_alpha, es_alpha = float(var_alpha), float(es_alpha)  # a table writes alpha as a float
     entries = []
     for position, est, orc in (("long", est_long, oracle_long),
                                ("short", -est_long, -oracle_long)):

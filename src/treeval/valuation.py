@@ -24,14 +24,13 @@ prefix (membership 1) and t = T has an empty probability tail
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .cart import _as_points
-from .flat import FlatEnsemble, membership_sums
+from .flat import FlatEnsemble, _reprs, membership_sums
 from .paths import ndtr
 
 # scenarios formatted per write in ValueSurface.to_csv; bounds the row strings held at once
@@ -106,6 +105,10 @@ class ValueSurface:
     dates: tuple
     values: np.ndarray  # (n_scenarios, len(dates))
 
+    def __post_init__(self):
+        if np.ndim(self.values) != 2 or np.shape(self.values)[1] != len(self.dates):
+            raise ValueError(f"values must have shape (n, {len(self.dates)}), one column per date")
+
     def column(self, t: int) -> np.ndarray:
         return self.values[:, self.dates.index(t)]
 
@@ -114,14 +117,13 @@ class ValueSurface:
 
         Values are written as ``repr`` of the float, which reads back exactly.
         """
-        values = np.asarray(self.values, dtype=np.float64)
+        heads = [f",{t}," for t in self.dates]
         with open(path, "w", newline="") as fh:
             fh.write("scenario_id,t,value")
-            for start in range(0, values.shape[0], _CSV_BLOCK):
-                block = values[start:start + _CSV_BLOCK]
-                prefixes = [f"\r\n{i},{t},"
-                            for i in range(start, start + block.shape[0]) for t in self.dates]
-                fh.write("".join(map(operator.add, prefixes, map(repr, block.ravel().tolist()))))
+            for start in range(0, len(self.values), _CSV_BLOCK):
+                rows = _reprs(self.values[start:start + _CSV_BLOCK]).tolist()
+                fh.write("".join(f"\r\n{i}{head}{word}" for i, row in enumerate(rows, start)
+                                 for head, word in zip(heads, row)))
             fh.write("\r\n")
 
 

@@ -257,6 +257,20 @@ def test_write_snapshot_deterministic(tmp_path):
     assert h3 != h1
 
 
+@pytest.mark.parametrize("plan", [
+    *(desk_plan(kind, estimator=est) for kind in ("min_put", "max_call", "brc")
+      for est in (None, ForestConfig(), TreeConfig())),
+    BermudanPlan(), BermudanPlan(estimator=BoostConfig(rounds=5), mode="both")],
+    ids=[f"{kind}-{est}" for kind in ("min_put", "max_call", "brc")
+         for est in ("boost", "forest", "tree")] + ["bermudan-forest", "bermudan-boost"])
+def test_snapshot_holds_no_object_address(tmp_path, plan):
+    # a field written by its default repr (a function, say) would carry a
+    # process address, and the config hash would change from run to run
+    write_snapshot(tmp_path / "plan.snapshot", plan)
+    text = (tmp_path / "plan.snapshot").read_text()
+    assert " at 0x" not in text and "custom_fn" not in text, text
+
+
 def _with_model(plan, **changes):
     return replace(plan, model=replace(plan.model, **changes))
 
@@ -388,6 +402,19 @@ def test_bermudan_plan_validation():
                 {"horizon": float("inf")}):
         with pytest.raises(ValueError):
             BermudanPlan(**bad)
+
+
+@pytest.mark.parametrize("estimator, needle", [
+    ("forest", "estimator must be a TreeConfig, ForestConfig or BoostConfig"),
+    (BoostConfig, "estimator must be a TreeConfig, ForestConfig or BoostConfig"),
+    ((("t", TreeConfig()),), "estimator must be a TreeConfig, ForestConfig or BoostConfig"),
+    (ForestConfig(sampling="subsample_without", n_resample=1000), "n_resample")],
+    ids=["string", "class", "pairs", "forest-misfit"])
+def test_both_plans_check_the_estimator_before_any_sample(estimator, needle):
+    with pytest.raises(ValueError, match=needle):
+        BermudanPlan(n_train=120, estimator=estimator)
+    with pytest.raises(ValueError, match=needle):
+        desk_plan("min_put", estimator=estimator, n_train=120)
 
 
 @pytest.mark.parametrize("levels, needle", [

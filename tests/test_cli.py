@@ -399,6 +399,21 @@ bermudan:
                  "unknown key 'model.kind'", id="model-kind"),
     pytest.param(["simulate"], MICRO.replace("n_inner: 10", "n_inner: 10\n  dates: [0, true, 2]"),
                  "plan.dates", id="dates-boolean"),
+    # non-finite or empty market and payoff terms fail before any sample is drawn
+    pytest.param(["simulate"], MICRO.replace("strike: 1.0", "strike: .nan"),
+                 "payoff: strike, barrier, coupon and face must be finite", id="strike-nan"),
+    pytest.param(["simulate"], MICRO.replace("strike: 1.0", "strike: 1.0\n  face: .nan"),
+                 "payoff: strike, barrier, coupon and face must be finite", id="face-nan"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  vol: .inf"), "model: vols",
+                 id="vol-inf"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  vol: -.inf"), "model: vols",
+                 id="vol-minus-inf"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  rate: .nan"), "model: rate",
+                 id="rate-nan"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 0"), "model: initial prices",
+                 id="no-assets"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  steps: []"), "model: steps",
+                 id="no-steps"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)
@@ -708,17 +723,24 @@ def _row_generator_bytes(surface: ValueSurface, path: Path) -> bytes:
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("k", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+@pytest.mark.parametrize("k", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, "pool"])
 def test_surface_csv_blocks_write_the_same_bytes(tmp_path, k):
-    awkward = np.array([-0.0, 1e-05, 1e16, 5e-324, 2.225073858507201e-308, 0.1 + 0.2,
-                        1.0000000000000002, -1.2345678901234567e-7, 123456789.12345679,
-                        np.inf, -np.inf, 1e300, 0.0])
-    rng = np.random.default_rng(k)
-    values = rng.normal(size=(k, 3)) * 10.0 ** rng.integers(-20, 20, size=(k, 3))
-    # the awkward values in the first and the last rows
-    flat = values.reshape(-1)
-    for start in {0, max(0, flat.size - awkward.size)}:
-        flat[start:start + awkward.size] = awkward[:flat.size - start]
+    if k == "pool":
+        # few distinct values, repeated within and across blocks, so each word is
+        # mapped back to many places; NaNs of either sign all write nan
+        pool = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 0.1 + 0.2,
+                         -1.5, 1e300])
+        values = np.random.default_rng(5).choice(pool, size=(2 * _CSV_BLOCK + 3, 3))
+    else:
+        awkward = np.array([-0.0, 1e-05, 1e16, 5e-324, 2.225073858507201e-308, 0.1 + 0.2,
+                            1.0000000000000002, -1.2345678901234567e-7, 123456789.12345679,
+                            np.inf, -np.inf, 1e300, 0.0])
+        rng = np.random.default_rng(k)
+        values = rng.normal(size=(k, 3)) * 10.0 ** rng.integers(-20, 20, size=(k, 3))
+        # the awkward values in the first and the last rows
+        flat = values.reshape(-1)
+        for start in {0, max(0, flat.size - awkward.size)}:
+            flat[start:start + awkward.size] = awkward[:flat.size - start]
     surface = ValueSurface(dates=(0, 1, 12), values=values)
     path = tmp_path / "value_surface_x.csv"
     surface.to_csv(path)

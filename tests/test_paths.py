@@ -204,20 +204,36 @@ def test_brc_requires_barrier_below_strike():
         Payoff(kind="brc", strike=1.0, barrier=0.0, coupon=0.05, face=1.0)
 
 
-def test_custom_payoff_requires_function():
-    with pytest.raises(ValueError):
-        Payoff(kind="custom")
-    payoff = Payoff(kind="custom", custom_fn=lambda prices: prices[:, 0, -1])
-    model = BlackScholesModel(initial_prices=np.array([1.0]),
-                              vols=np.array([[0.2]]),
-                              rate=0.0, steps=np.array([1.0]))
-    prices = np.array([[[1.0, 1.7]]])
-    np.testing.assert_array_equal(payoff_value(payoff, model, prices), [1.7])
-
-
 def test_unknown_payoff_kind_rejected():
-    with pytest.raises(ValueError):
-        Payoff(kind="lookback")
+    for kind in ("lookback", "custom"):
+        with pytest.raises(ValueError, match="unknown payoff kind"):
+            Payoff(kind=kind)
+
+
+@pytest.mark.parametrize("name", ["strike", "barrier", "coupon", "face"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_payoff_rejects_non_finite_terms(name, value):
+    for kind in ("min_put", "max_call", "brc"):
+        args = dict(kind=kind, strike=1.0, barrier=0.6, coupon=0.05, face=1.0)
+        args[name] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            Payoff(**args)
+
+
+@pytest.mark.parametrize("name, value, needle", [
+    ("initial_prices", [], "initial prices"), ("initial_prices", [1.0, 0.0], "initial prices"),
+    ("initial_prices", [1.0, np.nan], "initial prices"),
+    ("initial_prices", [1.0, np.inf], "initial prices"),
+    ("vols", [[0.2, 0.0], [0.0, np.nan]], "vols"), ("vols", [[np.inf, 0.0], [0.0, 0.2]], "vols"),
+    ("vols", [[0.2]], "vols"), ("rate", np.nan, "rate"), ("rate", np.inf, "rate"),
+    ("steps", [], "steps"), ("steps", [0.5, np.nan], "steps"), ("steps", [0.5, np.inf], "steps"),
+    ("steps", [0.5, 0.0], "steps"), ("steps", [[0.5, 0.5]], "steps"),
+])
+def test_black_scholes_model_rejects_bad_parameters(name, value, needle):
+    args = dict(initial_prices=[1.0, 1.0], vols=0.2 * np.eye(2), rate=0.0, steps=[0.5, 0.5])
+    args[name] = value
+    with pytest.raises(ValueError, match=needle):
+        BlackScholesModel(**args)
 
 
 def test_localvol_log_bs_recursion_matches_cumsum():

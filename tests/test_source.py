@@ -280,3 +280,14 @@ def test_fit_valuation_and_surface_read_leave_numpy_ma_unloaded(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_floats_are_written_by_one_formatter(path):
+    # flat._reprs formats each distinct float of an array once, for
+    # write_flat_text and ValueSurface.to_csv; bench's tables format in
+    # _write_csv alone, so no module keeps a float formatter of its own
+    tree = ast.parse(path.read_text())
+    want = {"flat.py": 1, "valuation.py": 1}.get(path.name, 0)
+    assert len(_references(tree, "_reprs")) == want, path.name
+    assert "_fmt" not in _private_definitions(tree), path.name

@@ -219,6 +219,13 @@ def test_value_surface_csv_round_trip(tmp_path, fitted_flat):
         assert val == surf.values[i, surf.dates.index(t)]
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (3, 1), (6,)])
+def test_value_surface_needs_one_column_per_date(shape):
+    # to_csv would write a wider surface's rows truncated, and a narrower one's short
+    with pytest.raises(ValueError, match="one column per date"):
+        ValueSurface(dates=(0, 1), values=np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("call", ["value_surface", "value_at", "evaluate_flat",
                                   "predict", "fit_tree"])
