@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
                     _stream_keys)
 from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
                    risk_report)
-from .valuation import ValueSurface, value_surface
+from .valuation import ValueSurface, _checked_dates, value_surface
 
 # ------------------------------------------------------------------ oracles
 
@@ -119,8 +118,10 @@ def standard_model(payoff_kind: str, d: Optional[int] = None, vol: float = 0.2,
     """Independent unit-price assets with sigma_i = vol * e_i."""
     if d is None:
         d = 3 if payoff_kind == "brc" else 6
-    return BlackScholesModel(initial_prices=np.ones(d), vols=vol * np.eye(d),
-                             rate=rate, steps=_default_steps(payoff_kind))
+    # vol * eye(d), signed zeros included, without the inf * 0 of a product
+    vols = np.where(np.eye(d, dtype=bool), vol, np.copysign(0.0, vol))
+    return BlackScholesModel(initial_prices=np.ones(d), vols=vols, rate=rate,
+                             steps=_default_steps(payoff_kind))
 
 
 # Desk default config of each estimator kind; a config file's estimator
@@ -156,9 +157,7 @@ class ExperimentPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.n_valid is not None and self.n_valid < 1:
             raise ValueError("n_valid must be >= 1")
-        _check_estimator(self.estimator, self.n_train)
-        if not (0 < self.var_alpha <= 1 and 0 < self.es_alpha < 1):  # as risk_report needs
-            raise ValueError("var_alpha must lie in (0, 1] and es_alpha in (0, 1)")
+        _check_plan(self)
         if self.dates is not None:
             object.__setattr__(self, "dates", _check_dates(
                 self.dates, self.model.n_periods, "plan.dates", risk=True))
@@ -178,40 +177,37 @@ class ExperimentPlan:
             tuple(sorted({0, 1, self.model.n_periods}))
 
 
-def _check_dates(dates, T: int, what: str, risk: bool = False) -> tuple:
+def _check_dates(dates, T: int, what: str = "dates", risk: bool = False) -> tuple:
     """dates as a tuple of distinct integer dates in 0..T, else ValueError naming what.
 
     risk also requires dates 0 and 1, which the date-1 loss V_0 - V_1 reads.
     """
-    if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in dates):
-        raise ValueError(f"{what}: dates must be integers, got {list(dates)}")
-    dates = tuple(int(t) for t in dates)
-    if any(not 0 <= t <= T for t in dates):
-        raise ValueError(f"{what}: dates must lie in 0..{T}, got {list(dates)}")
+    dates = _checked_dates(dates, T, what)
     if len(set(dates)) != len(dates):
-        raise ValueError(f"{what}: dates must be distinct, got {list(dates)}")
+        raise ValueError(f"{what} must be distinct, got {list(dates)}")
     if risk and not {0, 1} <= set(dates):
         raise ValueError(f"{what} must include 0 and 1 (risk reads V_0 - V_1), "
                          f"got {list(dates)}")
     return dates
 
 
-def _check_estimator(config, n_train: int) -> None:
-    # both plans' estimator rule, found when a plan is built, not mid-fit: one of
-    # the three configs, and a forest's n_resample must fit the training sample
-    if type(config) not in _KINDS:
+def _check_plan(plan) -> None:
+    # both plans' estimator and risk-level rules, found when a plan is built, not
+    # mid-fit: one of the three configs, a forest's n_resample must fit the
+    # training sample, and the levels must be ones risk_report can use
+    if type(plan.estimator) not in _KINDS:
         raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
-    if isinstance(config, ForestConfig):
-        config.resample_size(n_train)
+    if isinstance(plan.estimator, ForestConfig):
+        plan.estimator.resample_size(plan.n_train)
+    if not (0 < plan.var_alpha <= 1 and 0 < plan.es_alpha < 1):
+        raise ValueError("var_alpha must lie in (0, 1] and es_alpha in (0, 1)")
 
 
 def desk_plan(payoff_kind: str, seed: int = 0, estimator=None,
               **overrides) -> ExperimentPlan:
     """Desk-scale default plan for one of the three standard payoffs."""
+    payoff = Payoff(payoff_kind, barrier=0.6 if payoff_kind == "brc" else 0.0)
     model = standard_model(payoff_kind)
-    payoff = {"min_put": Payoff("min_put", strike=1.0),
-              "max_call": Payoff("max_call", strike=1.0),
-              "brc": Payoff("brc", strike=1.0, barrier=0.6, coupon=0.0, face=1.0)}[payoff_kind]
     if estimator is None:
         estimator = DESK_ESTIMATORS["boost"]
     return ExperimentPlan(name=f"{payoff_kind}_desk", payoff=payoff, model=model,
@@ -466,9 +462,10 @@ class BermudanPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.mode not in ("later", "now", "both"):
             raise ValueError('mode must be "later", "now", or "both"')
-        _check_estimator(self.estimator, self.n_train)
-        if not (0 < self.var_alpha <= 1 and 0 < self.es_alpha < 1):  # as risk_report needs
-            raise ValueError("var_alpha must lie in (0, 1] and es_alpha in (0, 1)")
+        _check_plan(self)
+        if isinstance(self.estimator, BoostConfig) and self.estimator.patience is not None:
+            raise ValueError("a boost's patience needs a validation sample, which the "
+                             "Bermudan fits do not draw; set patience: null (None)")
 
     def exercise_spec(self) -> ExerciseSpec:
         """The put at rate 0: the same undiscounted payoff on every date 0..T."""

@@ -28,14 +28,16 @@ tree's columns are sorted on their own, and every depth scores the nodes
 of all trees in one pass, so the numpy call overhead of a depth is paid
 once for all the trees.  Each tree comes out as it would if grown alone.
 
-Every other walk over tree structure also goes one depth at a time
-across all trees of a model, never node by node or tree by tree.  Growth
-keeps one record per depth for the whole batch, and the depth-first
-numbering runs its recurrences once per depth for all the trees.
-``_leaf_cells`` lays the trees' node arrays end to end and passes cell
-bounds from each depth's split nodes to their children.  Prediction
-steps every (tree, point) pair down one depth per pass until all of
-them sit at leaves, each leaf routing to itself.
+Every other walk over tree structure also goes one depth at a time,
+never node by node, and across all trees of a model but one: boost
+prediction.  Growth keeps one record per depth for the whole batch, and
+the depth-first numbering runs its recurrences once per depth for all
+the trees.  ``_leaf_cells`` lays the trees' node arrays end to end and
+passes cell bounds from each depth's split nodes to their children.
+Prediction steps every (tree, point) pair down one depth per pass until
+all of them sit at leaves, each leaf routing to itself.  A boost's
+rounds are routed tree by tree, one ``_predict_points`` call a round,
+in ``ensemble.predict`` and in ``fit_boost``'s validation scoring.
 
 Every point and every cell bound is stored time-major: a path with d
 assets over T periods is a row of P = d*T columns, and column

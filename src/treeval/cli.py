@@ -23,12 +23,12 @@ import yaml
 from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
                     desk_plan, oracle_v0, oracle_v1, paper_bermudan_plan, paper_plan,
                     risk_stage, run_bermudan, run_experiment, sample_streams,
-                    standard_model, write_snapshot, _check_dates as _date_rule)
+                    standard_model, write_snapshot, _check_dates)
 from .cart import _distinct
 from .ensemble import fit
 from .flat import flatten_model, load_flat, save_flat, write_flat_text
 from .parallel import set_threads
-from .paths import BlackScholesModel, Payoff
+from .paths import BlackScholesModel
 from .valuation import ValueSurface, value_surface
 
 EXIT_OK = 0
@@ -49,129 +49,104 @@ class ArtifactError(Exception):
 
 # ------------------------------------------------------------ config schema
 
+# Every config key once, with the YAML value it takes:
+# - a type or a tuple of types: an int passes as a float and a bool as no
+#   number; null passes only where the tuple holds type(None), and sets an
+#   optional field to None;
+# - None where the plan's dataclass checks the value, which is never null;
+# - a set of the allowed strings; a kind is a dict of the allowed kinds,
+#   each with the keys it adds.
+# Keys a config leaves out take the preset's values.
+_OPTIONAL_INT = (int, type(None))
+_EST_KEYS = {
+    "boost": {"rounds": int, "learning_rate": float, "nodesize": int,
+              "max_depth": _OPTIONAL_INT, "patience": _OPTIONAL_INT, "seed": int},
+    "forest": {"n_trees": int, "nodesize": int, "features": None, "sampling": str,
+               "n_resample": _OPTIONAL_INT, "max_depth": _OPTIONAL_INT, "seed": int},
+    "tree": {"nodesize": int, "max_depth": _OPTIONAL_INT, "features": None, "seed": int},
+}
+_KEYS = {
+    "experiment": {"name": str, "seed": int, "scale": set(_SCALES), "out": str},
+    "payoff": {"kind": {"min_put": {}, "max_call": {}, "brc": {}}, "strike": float,
+               "barrier": float, "coupon": float, "face": float},
+    "model": {"d": int, "rate": float, "vol": float, "initial_price": None, "steps": None},
+    "plan": {"n_train": int, "n_valid": int, "n_test": int, "n_inner": int, "dates": list},
+    "estimator": {"kind": _EST_KEYS},
+    "bermudan": {"z0": float, "sigma": float, "strike": float, "n_dates": int,
+                 "horizon": float, "n_train": int, "n_test": int, "mode": str,
+                 "estimator": dict},
+}
+
 
 def _type_name(v) -> str:
     return type(v).__name__
 
 
-def _section(doc: dict, name: str, allowed: set, required: bool = False) -> dict:
-    node = doc.get(name)
+def _check(where: str, val, spec):
+    """val if spec, a _KEYS entry, allows it (an int widened for a float), else ConfigError."""
+    if isinstance(spec, (dict, set)):
+        if isinstance(val, str) and val in spec:
+            return val
+        raise ConfigError(f"{where}: expected one of {', '.join(sorted(spec))}, got {val!r}")
+    if spec is None:
+        if val is not None:
+            return val
+        raise ConfigError(f"{where}: expected a value, got null")
+    if spec is float and type(val) is int:
+        return float(val)
+    if isinstance(val, spec) and not isinstance(val, bool):
+        return val
+    names = " or ".join(t.__name__ for t in (spec if isinstance(spec, tuple) else (spec,)))
+    raise ConfigError(f"{where}: expected {names}, got {_type_name(val)}")
+
+
+def _section(node, path: str, keys: dict, required: bool = False) -> dict:
+    """The checked values of the keys a config section sets.
+
+    A missing or null section sets none.  A section whose keys hold a
+    kind must set it, and may also set the keys of that kind.
+    """
     if node is None:
         if required:
-            raise ConfigError(f"missing required section '{name}'")
+            raise ConfigError(f"missing required section '{path}'")
         return {}
     if not isinstance(node, dict):
-        raise ConfigError(f"section '{name}' must be a mapping, got {_type_name(node)}")
-    for key in node:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{name}.{key}' "
-                              f"(allowed: {', '.join(sorted(allowed))})")
-    return node
+        raise ConfigError(f"section '{path}' must be a mapping, got {_type_name(node)}")
+    if "kind" in keys:
+        keys = {**keys, **keys["kind"][_check(f"{path}.kind", node.get("kind"), keys["kind"])]}
+    fields = {}
+    for key, val in node.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key '{path}.{key}' "
+                              f"(allowed: {', '.join(sorted(keys))})")
+        fields[key] = _check(f"{path}.{key}", val, keys[key])
+    return fields
 
 
-def _get(node: dict, path: str, key: str, kind, default=None, enum=None, nullable=False):
-    if key not in node:
-        return default
-    val = node[key]
-    if val is None and nullable:
-        return None
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if kind is not None and not isinstance(val, kind) or isinstance(val, bool) and kind is int:
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {_type_name(val)}")
-    if enum is not None and val not in enum:
-        raise ConfigError(f"{path}.{key}: unknown value {val!r} "
-                          f"(expected one of: {', '.join(map(str, sorted(enum)))})")
-    return val
-
-
-def _present(node: dict, path: str, kinds: dict) -> dict:
-    """Type-checked values of the keys of node that kinds lists; absent keys are left out."""
-    return {key: _get(node, path, key, kinds[key], enum=_ENUMS.get(key),
-                      nullable=key in _NULLABLE)
-            for key in node if key in kinds}
-
-
-def _build_payoff(doc: dict) -> Payoff:
-    node = _section(doc, "payoff", {"kind", "strike", "barrier", "coupon", "face"},
-                    required=True)
-    kind = _get(node, "payoff", "kind", str, enum={"min_put", "max_call", "brc"})
-    if kind is None:
-        raise ConfigError("payoff.kind is required")
+def _built(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError or TypeError of it a ConfigError naming where."""
     try:
-        return Payoff(kind=kind, strike=_get(node, "payoff", "strike", float, 1.0),
-                      barrier=_get(node, "payoff", "barrier", float, 0.6),
-                      coupon=_get(node, "payoff", "coupon", float, 0.0),
-                      face=_get(node, "payoff", "face", float, 1.0))
-    except ValueError as e:
-        raise ConfigError(f"payoff: {e}") from None
-
-
-def _build_model(doc: dict, payoff_kind: str) -> BlackScholesModel:
-    """The payoff's standard model with the keys the config sets replaced."""
-    node = _section(doc, "model", {"d", "rate", "vol", "initial_price", "steps"})
-    try:
-        model = standard_model(payoff_kind, **_present(node, "model", {"d": int, "rate": float}))
-        d = model.n_assets
-        changes = {}
-        if "vol" in node:
-            vol = node["vol"]
-            # vol * eye(d), signed zeros included, without the inf * 0 of a product
-            changes["vols"] = np.where(np.eye(d, dtype=bool), vol, np.copysign(0.0, vol)) \
-                if isinstance(vol, (int, float)) else vol
-        if "initial_price" in node:
-            price = node["initial_price"]
-            changes["initial_prices"] = np.full(d, float(price)) \
-                if isinstance(price, (int, float)) else price
-        if "steps" in node:
-            changes["steps"] = node["steps"]
-        return replace(model, **changes)
+        return make(*args, **kwargs)
     except (ValueError, TypeError) as e:
-        raise ConfigError(f"model: {e}") from None
+        raise ConfigError(f"{where}: {e}") from None
 
 
-# settable keys and their types per estimator kind ("features", an int or "all",
-# is checked by TreeConfig)
-_EST_KEYS = {
-    "boost": {"rounds": int, "learning_rate": float, "nodesize": int, "max_depth": int,
-              "patience": int, "seed": int},
-    "forest": {"n_trees": int, "nodesize": int, "features": None, "sampling": str,
-               "n_resample": int, "max_depth": int, "seed": int},
-    "tree": {"nodesize": int, "max_depth": int, "features": None, "seed": int},
-}
-_BERMUDAN_KEYS = {"z0": float, "sigma": float, "strike": float, "n_dates": int,
-                  "horizon": float, "n_train": int, "n_test": int, "mode": str}
-_ENUMS = {"sampling": {"bootstrap", "subsample_with", "subsample_without"},
-          "mode": {"later", "now", "both"}}
-# optional estimator fields, which a YAML null sets to None; every other key rejects null
-_NULLABLE = {"max_depth", "patience", "n_resample"}
+def _estimator(node: dict, path: str):
+    """The desk config of the section's kind with the keys the section sets replaced."""
+    fields = _section(node, path, _KEYS["estimator"])
+    return _built(path, replace, DESK_ESTIMATORS[fields.pop("kind")], **fields)
 
 
-def _build_estimator(node: dict, path: str):
-    """The kind's desk default config with the keys the config sets replaced."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"section '{path}' must be a mapping")
-    kind = _get(node, path, "kind", str, enum=set(_EST_KEYS))
-    if kind is None:
-        raise ConfigError(f"{path}.kind is required")
-    for key in node:
-        if key != "kind" and key not in _EST_KEYS[kind]:
-            raise ConfigError(f"unknown key '{path}.{key}' for kind '{kind}'")
-    try:
-        return replace(DESK_ESTIMATORS[kind], **_present(node, path, _EST_KEYS[kind]))
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def _build_bermudan(doc: dict, base: BermudanPlan) -> BermudanPlan:
-    node = _section(doc, "bermudan", set(_BERMUDAN_KEYS) | {"estimator"}, required=True)
-    fields = _present(node, "bermudan", _BERMUDAN_KEYS)
-    if node.get("estimator") is not None:
-        fields["estimator"] = _build_estimator(node["estimator"], "bermudan.estimator")
-    try:
-        return replace(base, **fields)
-    except ValueError as e:
-        raise ConfigError(f"bermudan: {e}") from None
+def _model(fields: dict, payoff_kind: str) -> BlackScholesModel:
+    """The payoff's standard model with the keys the model section sets replaced."""
+    model = standard_model(payoff_kind,
+                           **{k: fields[k] for k in ("d", "vol", "rate") if k in fields})
+    changes = {"steps": fields["steps"]} if "steps" in fields else {}
+    if "initial_price" in fields:
+        price = fields["initial_price"]  # one price for every asset, or a list of d
+        changes["initial_prices"] = np.full(model.n_assets, float(price)) \
+            if isinstance(price, (int, float)) else price
+    return replace(model, **changes)
 
 
 class RunConfig:
@@ -180,51 +155,43 @@ class RunConfig:
     def __init__(self, doc: dict, args):
         if not isinstance(doc, dict):
             raise ConfigError("top-level config must be a mapping")
-        known = {"experiment", "model", "payoff", "plan", "estimator", "bermudan"}
         for key in doc:
-            if key not in known:
+            if key not in _KEYS:
                 raise ConfigError(f"unknown section '{key}' "
-                                  f"(allowed: {', '.join(sorted(known))})")
-        exp = _section(doc, "experiment", {"name", "seed", "scale", "out"})
-        self.name = _get(exp, "experiment", "name", str, "run")
-        self.seed = args.seed if args.seed is not None else \
-            _get(exp, "experiment", "seed", int, 0)
+                                  f"(allowed: {', '.join(sorted(_KEYS))})")
+        exp = _section(doc.get("experiment"), "experiment", _KEYS["experiment"])
+        self.name = exp.get("name", "run")
+        self.seed = args.seed if args.seed is not None else exp.get("seed", 0)
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        self.scale = args.scale if args.scale is not None else \
-            _get(exp, "experiment", "scale", str, "desk", enum=set(_SCALES))
-        out = args.out if args.out is not None else _get(exp, "experiment", "out", str)
+        self.scale = args.scale if args.scale is not None else exp.get("scale", "desk")
+        out = args.out if args.out is not None else exp.get("out")
         self.out = Path(out) if out is not None else None
         self.doc = doc
         self.has_bermudan = "bermudan" in doc
 
     def european_plan(self) -> ExperimentPlan:
-        payoff = _build_payoff(self.doc)
-        model = _build_model(self.doc, payoff.kind)
-        node = _section(self.doc, "plan",
-                        {"n_train", "n_valid", "n_test", "n_inner", "dates"})
-        base = (paper_plan if self.scale == "paper" else desk_plan)(payoff.kind)
-        fields = _present(node, "plan", {"n_train": int, "n_valid": int, "n_test": int,
-                                         "n_inner": int})
+        doc = self.doc
+        payoff = _section(doc.get("payoff"), "payoff", _KEYS["payoff"], required=True)
+        model = _section(doc.get("model"), "model", _KEYS["model"])
+        fields = _section(doc.get("plan"), "plan", _KEYS["plan"])
+        if doc.get("estimator") is not None:
+            fields["estimator"] = _estimator(doc["estimator"], "estimator")
+        base = (paper_plan if self.scale == "paper" else desk_plan)(payoff["kind"])
         # an unset n_valid keeps the scale's size, not a share of the configured n_train
         fields.setdefault("n_valid", base.valid_size)
-        dates = node.get("dates")
-        if dates is not None:
-            if not isinstance(dates, list) or not all(isinstance(t, int) for t in dates):
-                raise ConfigError("plan.dates must be a list of integers")
-            dates = _check_dates(dates, model.n_periods, "plan.dates", risk=True)
-        if self.doc.get("estimator") is not None:
-            fields["estimator"] = _build_estimator(self.doc["estimator"], "estimator")
-        try:
-            return replace(base, name=self.name, payoff=payoff, model=model, dates=dates,
-                           seed=self.seed, **fields)
-        except ValueError as e:
-            raise ConfigError(f"plan: {e}") from None
+        return _built("plan", replace, base, name=self.name, seed=self.seed,
+                      payoff=_built("payoff", replace, base.payoff, **payoff),
+                      model=_built("model", _model, model, payoff["kind"]), **fields)
 
     def bermudan_plan(self) -> BermudanPlan:
+        fields = _section(self.doc.get("bermudan"), "bermudan", _KEYS["bermudan"],
+                          required=True)
+        if "estimator" in fields:
+            fields["estimator"] = _estimator(fields["estimator"], "bermudan.estimator")
         base = paper_bermudan_plan(self.seed) if self.scale == "paper" else \
             BermudanPlan(seed=self.seed)
-        return _build_bermudan(self.doc, base)
+        return _built("bermudan", replace, base, **fields)
 
     def require_out(self) -> Path:
         if self.out is None:
@@ -232,14 +199,6 @@ class RunConfig:
                               "(experiment.out or --out)")
         self.out.mkdir(parents=True, exist_ok=True)
         return self.out
-
-
-def _check_dates(dates, T: int, what: str, risk: bool = False) -> tuple:
-    # the plan's date rule, its ValueError a config error with the same message
-    try:
-        return _date_rule(dates, T, what, risk)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
 
 def load_config(args) -> RunConfig:
@@ -285,9 +244,11 @@ def _write_json(path: Path, record: dict) -> None:
 
 
 def _samples_meta(plan: ExperimentPlan) -> dict:
-    """The fields of samples_meta.json that fix the drawn samples."""
+    """The fields of samples_meta.json that fix the drawn samples, arrays as lists."""
     return {"seed": plan.seed, "n_train": plan.n_train, "n_valid": plan.valid_size,
-            "n_test": plan.n_test, "dims": [plan.model.n_assets, plan.model.n_periods]}
+            "n_test": plan.n_test, "dims": [plan.model.n_assets, plan.model.n_periods],
+            "payoff": asdict(plan.payoff),
+            "model": {k: np.asarray(v).tolist() for k, v in asdict(plan.model).items()}}
 
 
 def _read_artifact(path: Path, stage: str, read):
@@ -362,7 +323,7 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
             dates = [T if tok.upper() == "T" else int(tok) for tok in dates_arg]
         except ValueError:
             raise ConfigError(f"--t: expected integers or T, got {' '.join(dates_arg)}") from None
-        dates = _check_dates(dates, T, "--t")
+        dates = _built("--t", _check_dates, dates, T)
     out = cfg.require_out()
     name = plan.estimator_kind
     flat_path = out / f"flat_{name}.npz"

@@ -132,8 +132,8 @@ class BoostConfig:
     rounds
         Maximum number of boosting rounds.
     patience
-        With a validation set, stop after this many rounds without a new
-        best validation error and roll back to the best round; None
+        Stop after this many rounds without a new best validation error
+        and roll back to the best round; it needs a validation set.  None
         disables early stopping.
     seed
         Recorded only: every split considers all coordinates, so no draw.
@@ -189,6 +189,8 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
     y = np.asarray(responses, dtype=np.float64)
     tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth)
     use_valid = valid_sample is not None
+    if cfg.patience is not None and not use_valid:
+        raise ValueError("patience needs a validation sample; set it to None to fit without one")
     if use_valid:
         if valid_responses is None:
             raise ValueError("valid_sample requires valid_responses")
@@ -225,10 +227,7 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
                 best_err, best_round = err, t + 1
             elif cfg.patience is not None and (t + 1) - best_round >= cfg.patience:
                 break
-    if use_valid and cfg.patience is not None:
-        keep = best_round
-    else:
-        keep = len(trees)
+    keep = len(trees) if cfg.patience is None else best_round
     return FittedBoost(base_value=base, trees=tuple(trees[:keep]), gammas=tuple(gammas[:keep]),
                        learning_rate=cfg.learning_rate, dims=dims, config=cfg,
                        train_errors=tuple(train_err[:keep]), valid_errors=tuple(valid_err[:keep]))

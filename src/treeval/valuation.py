@@ -60,12 +60,12 @@ def tail_products(probs: np.ndarray) -> np.ndarray:
     return tails
 
 
-def _checked_dates(dates, T: int) -> tuple:
-    """dates as ints; ValueError unless each is an integer, not a bool, in 0..T."""
+def _checked_dates(dates, T: int, what: str = "dates") -> tuple:
+    """dates as ints; ValueError naming what unless each is an integer, not a bool, in 0..T."""
     if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in dates):
-        raise ValueError(f"dates must be integers, got {list(dates)}")
+        raise ValueError(f"{what} must be integers, got {list(dates)}")
     if any(not 0 <= t <= T for t in dates):
-        raise ValueError(f"dates must lie in 0..{T}")
+        raise ValueError(f"{what} must lie in 0..{T}, got {list(dates)}")
     return tuple(int(t) for t in dates)
 
 

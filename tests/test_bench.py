@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,6 +179,24 @@ def test_standard_model_shapes():
     assert b.n_assets == 3 and b.n_periods == 12
     assert b.steps == pytest.approx(np.full(12, 1.0 / 12.0))
     assert standard_model("max_call", d=4).n_assets == 4
+
+
+def test_standard_model_rejects_infinite_vol_without_a_warning():
+    # vol * eye(d) would warn at inf * 0 before the model's own check could raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for vol in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="vols must be finite"):
+                standard_model("min_put", d=2, vol=vol)
+        vols = standard_model("min_put", d=3, vol=-0.2).vols
+    assert np.array_equal(vols, -0.2 * np.eye(3))
+    assert np.array_equal(np.signbit(vols), np.signbit(-0.2 * np.eye(3)))
+
+
+def test_desk_plan_rejects_an_unknown_payoff_kind():
+    for preset in (desk_plan, paper_plan):
+        with pytest.raises(ValueError, match="unknown payoff kind: 'nope'"):
+            preset("nope")
 
 
 def test_desk_and_paper_plan_sizes():
@@ -415,6 +434,13 @@ def test_both_plans_check_the_estimator_before_any_sample(estimator, needle):
         BermudanPlan(n_train=120, estimator=estimator)
     with pytest.raises(ValueError, match=needle):
         desk_plan("min_put", estimator=estimator, n_train=120)
+
+
+def test_bermudan_plan_rejects_a_boost_with_patience():
+    # the Bermudan fits draw no validation sample, so patience could not act
+    with pytest.raises(ValueError, match="set patience: null"):
+        BermudanPlan(estimator=BoostConfig(rounds=5, patience=3))
+    assert BermudanPlan(estimator=BoostConfig(rounds=5)).estimator.patience is None
 
 
 @pytest.mark.parametrize("levels, needle", [

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from treeval.cli import (
     _load_surface,
     main,
 )
-from treeval.bench import sample_streams
+from treeval.bench import _config_text, desk_plan, paper_plan, sample_streams
 from treeval.ensemble import BoostConfig
 from treeval.paths import simulate_bs
 from treeval.valuation import _CSV_BLOCK, ValueSurface
@@ -162,6 +163,16 @@ def test_seed_override_wins():
     assert RunConfig(doc, _ns(seed=3)).seed == 3
 
 
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("kind", ["min_put", "max_call", "brc"])
+def test_bare_payoff_config_builds_the_scale_preset(kind, scale):
+    # keys a config leaves out take the preset's values, the payoff's included
+    plan = RunConfig({"payoff": {"kind": kind}}, _ns(scale=scale)).european_plan()
+    preset = (paper_plan if scale == "paper" else desk_plan)(kind)
+    assert _config_text(plan) == \
+        _config_text(replace(preset, name="run", n_valid=preset.valid_size))
+
+
 def test_default_estimator_is_boost():
     plan = RunConfig({"payoff": {"kind": "min_put"}}, _ns()).european_plan()
     assert plan.estimator_kind == "boost"
@@ -288,7 +299,11 @@ def test_samples_archive_holds_six_stored_arrays(tmp_path, capsys):
             for name, want in ((f"{tag}_driver", s.driver), (f"{tag}_payoff", s.payoffs)):
                 assert data[name].dtype == want.dtype and np.array_equal(data[name], want)
     meta = {"dims": [2, 2], "n_test": 150, "n_train": 120, "n_valid": 60, "name": "micro",
-            "seed": 0}
+            "seed": 0,
+            "payoff": {"kind": "min_put", "strike": 1.0, "barrier": 0.0, "coupon": 0.0,
+                       "face": 1.0},
+            "model": {"initial_prices": [1.0, 1.0], "vols": [[0.2, 0.0], [0.0, 0.2]],
+                      "rate": 0.0, "steps": [1.0 / 12.0, 11.0 / 12.0]}}
     assert (out / "samples_meta.json").read_text() == \
         json.dumps(meta, indent=2, sort_keys=True) + "\n"
 
@@ -505,6 +520,25 @@ def test_stages_reject_samples_of_another_config(tmp_path, capsys):
     capsys.readouterr()
     assert main(["risk", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_ARTIFACT
     assert "config gives seed 3" in _err_line(capsys)
+    assert not (out / "risk.csv").exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (("strike: 1.0", "strike: 1.3"), "payoff"),
+    (("d: 2", "d: 2\n  vol: 0.5"), "model"),
+    (("d: 2", "d: 2\n  steps: [0.5, 0.5]"), "model"),
+], ids=["strike", "vol", "steps"])
+def test_stages_reject_samples_of_another_payoff_or_model(tmp_path, capsys, edit, field):
+    # same sizes and dims, other cash flows: the fit and the oracles would disagree
+    out = tmp_path / "run"
+    _staged(_cfg(tmp_path), out, ("simulate", "train", "value"))
+    other = _cfg(tmp_path, MICRO.replace(*edit), "other.yaml")
+    capsys.readouterr()
+    for stage in ("train", "value", "risk"):
+        assert main([stage, "--config", other, "--out", str(out)]) == EXIT_ARTIFACT, stage
+        line = _err_line(capsys)
+        assert line.startswith(f"MISSING_ARTIFACT: samples_meta.json records {field} "), line
+        assert line.endswith("rerun simulate with this config"), line
     assert not (out / "risk.csv").exists()
 
 
@@ -774,6 +808,20 @@ def test_bermudan_command(tmp_path, capsys):
     assert len(rows) == 4
     total = sum(float(r["probability"]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bermudan_boost_needs_patience_unset(tmp_path, capsys):
+    # the desk boost's patience: 20 needs a validation sample, which the Bermudan fits lack
+    boost = BERM.replace("kind: tree\n    nodesize: 50", "kind: boost\n    rounds: 3")
+    out = tmp_path / "b"
+    rc = main(["bermudan", "--config", _cfg(tmp_path, boost), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    line = _err_line(capsys)
+    assert line.startswith("CONFIG_ERROR: bermudan:") and "set patience: null" in line, line
+    assert not out.exists()
+    unset = _cfg(tmp_path, boost + "    patience: null\n", "unset.yaml")
+    assert main(["bermudan", "--config", unset, "--out", str(out)]) == EXIT_OK
+    assert "    patience: None\n" in (out / "config.snapshot").read_text()
 
 
 # ------------------------------------------------------------ report bundle

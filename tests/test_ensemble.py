@@ -216,6 +216,15 @@ def test_boost_rejects_bad_validation_responses(spoil, needle):
                   valid_sample=vx, valid_responses=spoil(vy))
 
 
+def test_boost_patience_requires_a_validation_sample(toy):
+    # patience stops on validation error; without a validation sample it would do nothing
+    x, y = toy
+    with pytest.raises(ValueError, match="patience needs a validation sample"):
+        fit_boost(x, y, BoostConfig(rounds=5, patience=3))
+    with pytest.raises(ValueError, match="patience needs a validation sample"):
+        fit(BoostConfig(rounds=5, patience=3), x, y)
+
+
 def test_boost_config_validation():
     with pytest.raises(ValueError):
         BoostConfig(rounds=0)

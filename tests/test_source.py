@@ -5,9 +5,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from treeval.bench import DESK_ESTIMATORS, BermudanPlan, ExperimentPlan
+from treeval.cli import _EST_KEYS, _KEYS
+from treeval.paths import Payoff
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treeval"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -291,3 +296,17 @@ def test_floats_are_written_by_one_formatter(path):
     want = {"flat.py": 1, "valuation.py": 1}.get(path.name, 0)
     assert len(_references(tree, "_reprs")) == want, path.name
     assert "_fmt" not in _private_definitions(tree), path.name
+
+
+def test_every_config_key_is_a_plan_field():
+    # the CLI's one key table against the dataclasses it fills: a field added to
+    # an estimator config must get its key, and a misspelt key fails here
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    assert set(_EST_KEYS) == set(DESK_ESTIMATORS)
+    for kind, config in DESK_ESTIMATORS.items():
+        assert set(_EST_KEYS[kind]) == names(config), kind
+    for section, cls in (("payoff", Payoff), ("plan", ExperimentPlan),
+                         ("bermudan", BermudanPlan)):
+        assert set(_KEYS[section]) <= names(cls), section
