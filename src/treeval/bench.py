@@ -159,8 +159,14 @@ class ExperimentPlan:
             raise ValueError("n_valid must be >= 1")
         _check_plan(self)
         if self.dates is not None:
-            object.__setattr__(self, "dates", _check_dates(
-                self.dates, self.model.n_periods, "plan.dates", risk=True))
+            # distinct dates in 0..T holding 0 and 1, which the date-1 loss V_0 - V_1 reads
+            dates = _checked_dates(self.dates, self.model.n_periods, "plan.dates")
+            if len(set(dates)) != len(dates):
+                raise ValueError(f"plan.dates must be distinct, got {list(dates)}")
+            if not {0, 1} <= set(dates):
+                raise ValueError("plan.dates must include 0 and 1 (risk reads V_0 - V_1), "
+                                 f"got {list(dates)}")
+            object.__setattr__(self, "dates", dates)
 
     @property
     def estimator_kind(self) -> str:
@@ -175,20 +181,6 @@ class ExperimentPlan:
     def eval_dates(self) -> tuple:
         return self.dates if self.dates is not None else \
             tuple(sorted({0, 1, self.model.n_periods}))
-
-
-def _check_dates(dates, T: int, what: str = "dates", risk: bool = False) -> tuple:
-    """dates as a tuple of distinct integer dates in 0..T, else ValueError naming what.
-
-    risk also requires dates 0 and 1, which the date-1 loss V_0 - V_1 reads.
-    """
-    dates = _checked_dates(dates, T, what)
-    if len(set(dates)) != len(dates):
-        raise ValueError(f"{what} must be distinct, got {list(dates)}")
-    if risk and not {0, 1} <= set(dates):
-        raise ValueError(f"{what} must include 0 and 1 (risk reads V_0 - V_1), "
-                         f"got {list(dates)}")
-    return dates
 
 
 def _check_plan(plan) -> None:

@@ -2,7 +2,11 @@
 
 Subcommands: simulate, train, value, risk, bermudan, report.  Every
 command takes ``--config PATH`` (YAML) plus optional ``--seed``,
-``--scale {desk,paper}``, ``--threads``, ``--out DIR`` overrides.  Exit
+``--scale {desk,paper}``, ``--threads``, ``--out DIR`` overrides and no
+option of its own, so the config's plans alone drive a run; the whole
+file is checked when it is loaded.  The staged commands share one
+directory, and each checks that its inputs record the samples the config
+draws; ``report`` and ``bermudan`` write to a new or empty one.  Exit
 codes: 0 success, 2 config error, 3 missing or unreadable upstream
 artifact, 4 runtime failure; errors print one machine-parsable line
 ``<ERROR_CLASS>: <message>`` to stderr.
@@ -23,7 +27,7 @@ import yaml
 from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
                     desk_plan, oracle_v0, oracle_v1, paper_bermudan_plan, paper_plan,
                     risk_stage, run_bermudan, run_experiment, sample_streams,
-                    standard_model, write_snapshot, _check_dates)
+                    standard_model, write_snapshot)
 from .cart import _distinct
 from .ensemble import fit
 from .flat import flatten_model, load_flat, save_flat, write_flat_text
@@ -100,15 +104,13 @@ def _check(where: str, val, spec):
     raise ConfigError(f"{where}: expected {names}, got {_type_name(val)}")
 
 
-def _section(node, path: str, keys: dict, required: bool = False) -> dict:
+def _section(node, path: str, keys: dict) -> dict:
     """The checked values of the keys a config section sets.
 
     A missing or null section sets none.  A section whose keys hold a
     kind must set it, and may also set the keys of that kind.
     """
     if node is None:
-        if required:
-            raise ConfigError(f"missing required section '{path}'")
         return {}
     if not isinstance(node, dict):
         raise ConfigError(f"section '{path}' must be a mapping, got {_type_name(node)}")
@@ -131,9 +133,9 @@ def _built(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _estimator(node: dict, path: str):
-    """The desk config of the section's kind with the keys the section sets replaced."""
-    fields = _section(node, path, _KEYS["estimator"])
+def _estimator(fields: dict, path: str):
+    """The desk config of the checked section's kind with the keys it sets replaced."""
+    fields = dict(fields)
     return _built(path, replace, DESK_ESTIMATORS[fields.pop("kind")], **fields)
 
 
@@ -159,7 +161,15 @@ class RunConfig:
             if key not in _KEYS:
                 raise ConfigError(f"unknown section '{key}' "
                                   f"(allowed: {', '.join(sorted(_KEYS))})")
-        exp = _section(doc.get("experiment"), "experiment", _KEYS["experiment"])
+        # every section is checked here, so each command rejects a bad key, kind
+        # or type anywhere in the file; the plans and their range rules are built
+        # only when a command asks for them
+        self.sections = {key: _section(doc.get(key), key, _KEYS[key]) for key in _KEYS}
+        berm = self.sections["bermudan"]
+        if "estimator" in berm:
+            berm["estimator"] = _section(berm["estimator"], "bermudan.estimator",
+                                         _KEYS["estimator"])
+        exp = self.sections["experiment"]
         self.name = exp.get("name", "run")
         self.seed = args.seed if args.seed is not None else exp.get("seed", 0)
         if not 0 <= self.seed < 2**64:
@@ -170,13 +180,17 @@ class RunConfig:
         self.doc = doc
         self.has_bermudan = "bermudan" in doc
 
+    def _required(self, key: str) -> dict:
+        if self.doc.get(key) is None:
+            raise ConfigError(f"missing required section '{key}'")
+        return dict(self.sections[key])
+
     def european_plan(self) -> ExperimentPlan:
-        doc = self.doc
-        payoff = _section(doc.get("payoff"), "payoff", _KEYS["payoff"], required=True)
-        model = _section(doc.get("model"), "model", _KEYS["model"])
-        fields = _section(doc.get("plan"), "plan", _KEYS["plan"])
-        if doc.get("estimator") is not None:
-            fields["estimator"] = _estimator(doc["estimator"], "estimator")
+        payoff = self._required("payoff")
+        model = self.sections["model"]
+        fields = dict(self.sections["plan"])
+        if self.sections["estimator"]:
+            fields["estimator"] = _estimator(self.sections["estimator"], "estimator")
         base = (paper_plan if self.scale == "paper" else desk_plan)(payoff["kind"])
         # an unset n_valid keeps the scale's size, not a share of the configured n_train
         fields.setdefault("n_valid", base.valid_size)
@@ -185,20 +199,38 @@ class RunConfig:
                       model=_built("model", _model, model, payoff["kind"]), **fields)
 
     def bermudan_plan(self) -> BermudanPlan:
-        fields = _section(self.doc.get("bermudan"), "bermudan", _KEYS["bermudan"],
-                          required=True)
+        fields = self._required("bermudan")
         if "estimator" in fields:
             fields["estimator"] = _estimator(fields["estimator"], "bermudan.estimator")
         base = paper_bermudan_plan(self.seed) if self.scale == "paper" else \
             BermudanPlan(seed=self.seed)
         return _built("bermudan", replace, base, **fields)
 
-    def require_out(self) -> Path:
+    def require_out(self, fresh: bool = False) -> Path:
+        """The output directory, made if missing; fresh asks for a new or empty one."""
         if self.out is None:
             raise ConfigError("an output directory is required "
                               "(experiment.out or --out)")
+        if fresh and self.out.is_dir() and any(self.out.iterdir()):
+            raise ConfigError(f"{self.out} holds files; this command writes its bundle "
+                              "to a new or empty directory")
         self.out.mkdir(parents=True, exist_ok=True)
         return self.out
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a mapping which repeats a string key."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # config keys are strings; a merge key (<<) is not, and may repeat
+            if key_node.tag == "tag:yaml.org,2002:str":
+                if key_node.value in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key_node.value!r}", key_node.start_mark)
+                seen.add(key_node.value)
+        return super().construct_mapping(node, deep=deep)
 
 
 def load_config(args) -> RunConfig:
@@ -207,7 +239,7 @@ def load_config(args) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
@@ -306,7 +338,7 @@ def cmd_train(cfg: RunConfig) -> int:
     save_flat(fe, out / f"flat_{name}.npz")
     write_flat_text(fe, out / f"flat_{name}.txt")
     info = {"estimator": name, "n_cells": int(fe.n_cells), "seed": plan.seed,
-            "config": asdict(plan.estimator)}
+            "config": asdict(plan.estimator), "samples": _samples_meta(plan)}
     if hasattr(fitted, "n_rounds"):
         info["rounds"] = int(fitted.n_rounds)
     _write_json(out / "training.json", info)
@@ -314,16 +346,8 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
+def cmd_value(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
-    T = plan.model.n_periods
-    dates = plan.eval_dates
-    if dates_arg:
-        try:
-            dates = [T if tok.upper() == "T" else int(tok) for tok in dates_arg]
-        except ValueError:
-            raise ConfigError(f"--t: expected integers or T, got {' '.join(dates_arg)}") from None
-        dates = _built("--t", _check_dates, dates, T)
     out = cfg.require_out()
     name = plan.estimator_kind
     flat_path = out / f"flat_{name}.npz"
@@ -333,18 +357,20 @@ def cmd_value(cfg: RunConfig, dates_arg=None) -> int:
     fe = _read_artifact(flat_path, "train", load_flat)
     x_test, = _read_samples(out, "test_driver")
     drivers = tuple(x_test.shape[1:])
-    dims = (plan.model.n_assets, T)
+    dims = (plan.model.n_assets, plan.model.n_periods)
     if not fe.dims == drivers == dims:
         raise ArtifactError(f"{flat_path.name} has dims (d, T) = {fe.dims} and samples.npz "
                             f"test drivers have {drivers}, but the config gives "
                             f"{dims}; rerun simulate and train with this config")
-    _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
-    surface = value_surface(fe, dates, x_test)
+    samples = _samples_meta(plan)
+    _check_meta(out / "samples_meta.json", samples, "simulate")
+    _check_meta(out / "training.json", samples, "train", key="samples")
+    surface = value_surface(fe, plan.eval_dates, x_test)
     del x_test  # the CSV write is the stage's memory peak
     surface.to_csv(out / f"value_surface_{name}.csv")
     _write_json(out / f"value_surface_{name}.meta.json",
-                {"estimator": name, "seed": plan.seed, "config": config})
-    print(f"valued {surface.values.shape[0]} scenarios at dates {list(dates)} "
+                {"estimator": name, "seed": plan.seed, "config": config, "samples": samples})
+    print(f"valued {surface.values.shape[0]} scenarios at dates {list(surface.dates)} "
           f"-> {out / f'value_surface_{name}.csv'}")
     return EXIT_OK
 
@@ -377,18 +403,11 @@ def cmd_risk(cfg: RunConfig) -> int:
     name = plan.estimator_kind
     surface = _load_surface(out / f"value_surface_{name}.csv")
     x_test, y_test = _read_samples(out, "test_driver", "test_payoff")
-    n_test = x_test.shape[0]
-    if surface.values.shape[0] != n_test:
-        raise ArtifactError(f"value_surface_{name}.csv holds {surface.values.shape[0]} "
-                            f"scenarios but samples.npz holds {n_test} test scenarios; "
-                            "rerun the value stage")
-    _check_meta(out / "samples_meta.json", _samples_meta(plan), "simulate")
-    _check_meta(out / f"value_surface_{name}.meta.json", asdict(plan.estimator), "value",
-                key="config")
-    for t in (0, 1):
-        if t not in surface.dates:
-            raise ArtifactError(f"value surface lacks date {t}; rerun value with "
-                                "--t including 0 and 1")
+    samples = _samples_meta(plan)
+    _check_meta(out / "samples_meta.json", samples, "simulate")
+    meta = out / f"value_surface_{name}.meta.json"
+    _check_meta(meta, asdict(plan.estimator), "value", key="config")
+    _check_meta(meta, samples, "value", key="samples")
     v0, _ = oracle_v0(y_test)
     v1, _ = oracle_v1(plan.payoff, plan.model, x_test[:, :, 0],
                       plan.n_inner, plan.seed)
@@ -399,7 +418,7 @@ def cmd_risk(cfg: RunConfig) -> int:
 
 def cmd_bermudan(cfg: RunConfig) -> int:
     plan = cfg.bermudan_plan()
-    out = cfg.require_out()
+    out = cfg.require_out(fresh=True)
     report = run_bermudan(plan, out)
     mass_T = report.stopping[-1]
     print(f"bermudan value0={report.value0:.6f} (truth {report.true_value0:.6f}), "
@@ -411,7 +430,7 @@ def cmd_report(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     # build the Bermudan plan first so a bad section fails before any fit
     bermudan = cfg.bermudan_plan() if cfg.has_bermudan else None
-    out = cfg.require_out()
+    out = cfg.require_out(fresh=True)
     report = run_experiment(plan, out)
     if bermudan is not None:
         run_bermudan(bermudan, out / "bermudan")
@@ -444,18 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Tree-ensemble payoff learning with "
                                              "closed-form dynamic valuation")
     sub = ap.add_subparsers(dest="command", required=True)
-    specs = [("simulate", "draw driver/price samples and payoffs"),
-             ("train", "fit the configured estimator and flatten it"),
-             ("value", "evaluate the value surface on the test sample"),
-             ("risk", "compute risk tables and Q-Q data from the surface"),
-             ("bermudan", "run the early-exercise pipeline"),
-             ("report", "run the full pipeline and write the report bundle")]
-    for name, help_text in specs:
+    specs = [("simulate", cmd_simulate, "draw driver/price samples and payoffs"),
+             ("train", cmd_train, "fit the configured estimator and flatten it"),
+             ("value", cmd_value, "evaluate the value surface on the test sample"),
+             ("risk", cmd_risk, "compute risk tables and Q-Q data from the surface"),
+             ("bermudan", cmd_bermudan, "run the early-exercise pipeline"),
+             ("report", cmd_report, "run the full pipeline and write the report bundle")]
+    for name, run, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        if name == "value":
-            p.add_argument("--t", nargs="+", default=None, metavar="DATE",
-                           help='dates to evaluate (integers, or "T")')
+        p.set_defaults(run=run)
     return ap
 
 
@@ -466,18 +483,7 @@ def main(argv=None) -> int:
             if args.threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {args.threads}")
             set_threads(args.threads)
-        cfg = load_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "value":
-            return cmd_value(cfg, args.t)
-        if args.command == "risk":
-            return cmd_risk(cfg)
-        if args.command == "bermudan":
-            return cmd_bermudan(cfg)
-        return cmd_report(cfg)
+        return args.run(load_config(args))
     except ConfigError as e:
         print(f"CONFIG_ERROR: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -213,6 +213,60 @@ def test_readme_python_blocks_import_only_existing_names():
 # ------------------------------------------------------------- stage chain
 
 
+# value_surface_tree.meta.json of MICRO: the estimator settings training.json
+# records, and the samples record, which is samples_meta.json without its name
+VALUE_META = """\
+{
+  "config": {
+    "features": "all",
+    "max_depth": null,
+    "nodesize": 30,
+    "seed": 7
+  },
+  "estimator": "tree",
+  "samples": {
+    "dims": [
+      2,
+      2
+    ],
+    "model": {
+      "initial_prices": [
+        1.0,
+        1.0
+      ],
+      "rate": 0.0,
+      "steps": [
+        0.08333333333333333,
+        0.9166666666666666
+      ],
+      "vols": [
+        [
+          0.2,
+          0.0
+        ],
+        [
+          0.0,
+          0.2
+        ]
+      ]
+    },
+    "n_test": 150,
+    "n_train": 120,
+    "n_valid": 60,
+    "payoff": {
+      "barrier": 0.0,
+      "coupon": 0.0,
+      "face": 1.0,
+      "kind": "min_put",
+      "strike": 1.0
+    },
+    "seed": 0
+  },
+  "seed": 0
+}
+"""
+
+
 def test_stage_chain(tmp_path, capsys):
     cfg = _cfg(tmp_path)
     out = tmp_path / "run"
@@ -242,21 +296,11 @@ def test_stage_chain(tmp_path, capsys):
     assert main(["value", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "value_surface_tree.csv").exists()
     # the value stage's record, byte for byte: indented, keys sorted, one final newline
-    assert (out / "value_surface_tree.meta.json").read_bytes() == (
-        b'{\n  "config": {\n    "features": "all",\n    "max_depth": null,\n'
-        b'    "nodesize": 30,\n    "seed": 7\n  },\n  "estimator": "tree",\n  "seed": 0\n}\n')
+    assert (out / "value_surface_tree.meta.json").read_bytes() == VALUE_META.encode()
 
     assert main(["risk", "--config", cfg, "--out", str(out)]) == EXIT_OK
     for name in ("risk.csv", "qq_t1.csv", "qq_tT.csv"):
         assert (out / name).exists(), name
-    capsys.readouterr()
-
-    # re-value at dates {0, T} only; risk then lacks date 1
-    assert main(["value", "--config", cfg, "--out", str(out),
-                 "--t", "0", "T"]) == EXIT_OK
-    rc = main(["risk", "--config", cfg, "--out", str(out)])
-    assert rc == EXIT_ARTIFACT
-    assert "date 1" in _err_line(capsys)
 
 
 @pytest.mark.parametrize("text, dates", [
@@ -377,6 +421,7 @@ estimator:
   sampling: subsample_without
   n_resample: 1000
 """
+BERM_TAIL = "bermudan:\n  n_dates: 3\n"
 BERM_MISFIT = """
 bermudan:
   n_train: 120
@@ -388,12 +433,16 @@ bermudan:
 
 
 @pytest.mark.parametrize("argv, text, needle", [
-    (["value", "--t", "99"], MICRO, "--t"),
-    (["value", "--t", "one"], MICRO, "--t"),
+    # a command checks the whole file, sections its plan does not read included
+    (["risk"], MICRO + "bermudan:\n  estimator:\n    kind: tree\n    nodesiz: 5\n",
+     "unknown key 'bermudan.estimator.nodesiz'"),
+    (["bermudan"], MICRO.replace("nodesize: 30", "nodesize: 30\n  max_leaves: 4") + BERM_TAIL,
+     "unknown key 'estimator.max_leaves'"),
     (["simulate", "--threads", "0"], MICRO, "--threads"),
     (["simulate"], MICRO.replace("n_inner: 10", "n_inner: 10\n  dates: [0, 5]"), "plan.dates"),
     (["report"], MICRO.replace("n_inner: 10", "n_inner: 10\n  dates: [0, 2]"), "plan.dates"),
-    (["value", "--t", "0", "1", "1"], MICRO, "--t"),
+    (["value"], MICRO.replace("strike: 1.0", "strike: 1.0\n  strike: 1.3"),
+     "duplicate key 'strike'"),
     (["train"], MICRO.replace("nodesize: 30", "nodesize: 30\n  max_leaves: 4"), "unknown key"),
     (["train"], MICRO.split("estimator:")[0] + FOREST_MISFIT, "n_resample"),
     (["bermudan"], BERM_MISFIT, "n_resample"),
@@ -478,6 +527,92 @@ def test_risk_rejects_a_surface_from_another_sample(tmp_path, capsys):
     line = _err_line(capsys)
     assert line.startswith("MISSING_ARTIFACT:") and "150" in line and "170" in line
     assert not (out / "risk.csv").exists()
+
+
+def test_value_rejects_a_model_fitted_on_other_samples(tmp_path, capsys):
+    # a resimulate between train and value: the samples match the config, the model does not
+    out = tmp_path / "run"
+    _staged(_cfg(tmp_path), out, ("simulate", "train"))
+    other = _cfg(tmp_path, MICRO.replace("strike: 1.0", "strike: 1.3"), "b.yaml")
+    _staged(other, out, ("simulate",))
+    capsys.readouterr()
+    assert main(["value", "--config", other, "--out", str(out)]) == EXIT_ARTIFACT
+    line = _err_line(capsys)
+    assert line.startswith("MISSING_ARTIFACT: training.json records payoff "), line
+    assert "'strike': 1.0" in line and "'strike': 1.3" in line, line
+    assert line.endswith("rerun train with this config"), line
+    assert main(["risk", "--config", other, "--out", str(out)]) == EXIT_ARTIFACT
+    assert "missing value_surface_tree.csv" in _err_line(capsys)
+    assert not (out / "value_surface_tree.csv").exists() and not (out / "risk.csv").exists()
+
+
+def test_risk_rejects_a_surface_of_an_older_model(tmp_path, capsys):
+    # simulate and train again at another n_train, same n_test, and no value
+    out = tmp_path / "run"
+    _staged(_cfg(tmp_path, MICRO.replace("n_train: 120", "n_train: 300")), out,
+            ("simulate", "train", "value"))
+    surface = (out / "value_surface_tree.csv").read_bytes()
+    small = _cfg(tmp_path, MICRO.replace("n_train: 120", "n_train: 200"), "b.yaml")
+    _staged(small, out, ("simulate", "train"))
+    capsys.readouterr()
+    assert main(["risk", "--config", small, "--out", str(out)]) == EXIT_ARTIFACT
+    assert _err_line(capsys) == (
+        "MISSING_ARTIFACT: value_surface_tree.meta.json records n_train 300 but the "
+        "config gives n_train 200; rerun value with this config")
+    assert (out / "value_surface_tree.csv").read_bytes() == surface
+    assert not (out / "risk.csv").exists()
+
+
+@pytest.mark.parametrize("command, text, needle", [
+    ("bermudan", BERM_TAIL + "payoff:\n  kind: nope\n  strik: 1.0\n", "payoff.kind"),
+    ("bermudan", BERM_TAIL + "payoff:\n  kind: min_put\n  strik: 1.0\n",
+     "unknown key 'payoff.strik'"),
+    ("simulate", MICRO + "bermudan:\n  sigmaa: 0.3\n", "unknown key 'bermudan.sigmaa'"),
+], ids=["bermudan-payoff-kind", "bermudan-payoff-key", "simulate-bermudan-key"])
+def test_every_command_checks_the_whole_config(tmp_path, capsys, command, text, needle):
+    out = tmp_path / "run"
+    assert main([command, "--config", _cfg(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    line = _err_line(capsys)
+    assert line.startswith("CONFIG_ERROR:") and needle in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    (MICRO + "plan:\n  n_test: 20000\n", "plan"),
+    (MICRO.replace("strike: 1.0", "strike: 1.0\n  strike: 1.3"), "strike"),
+], ids=["section", "nested-key"])
+def test_duplicate_yaml_keys_are_config_errors(tmp_path, capsys, text, key):
+    # the later value would win silently: n_test 20000 and the last strike
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    lines = Path(cfg).read_text().splitlines()
+    row = max(i for i, ln in enumerate(lines) if ln.strip().startswith(f"{key}:"))
+    col = len(lines[row]) - len(lines[row].lstrip())
+    assert _err_line(capsys) == (f"CONFIG_ERROR: {cfg} (line {row + 1}, column {col + 1}): "
+                                 f"duplicate key '{key}'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "bermudan"])
+def test_report_and_bermudan_need_a_new_or_empty_out(tmp_path, capsys, command):
+    # a bundle in a staged directory would mix its files with another config's
+    cfg = _cfg(tmp_path, MICRO + "bermudan:" + BERM.split("bermudan:")[1])
+    out = tmp_path / "run"
+    _staged(_cfg(tmp_path, MICRO.replace("strike: 1.0", "strike: 1.3"), "b.yaml"), out,
+            ("simulate",))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "holds files" in _err_line(capsys)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main([command, "--config", cfg, "--out", str(empty)]) == EXIT_OK
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "new")]) == EXIT_OK
+    capsys.readouterr()
+    assert (empty / "config.snapshot").read_bytes() == \
+        (tmp_path / "new" / "config.snapshot").read_bytes()
 
 
 @pytest.mark.parametrize("resimulate", [True, False])

@@ -1,5 +1,6 @@
 """Static checks on the package source."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from treeval.bench import DESK_ESTIMATORS, BermudanPlan, ExperimentPlan
-from treeval.cli import _EST_KEYS, _KEYS
+from treeval.cli import _EST_KEYS, _KEYS, build_parser
 from treeval.paths import Payoff
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treeval"
@@ -310,3 +311,15 @@ def test_every_config_key_is_a_plan_field():
     for section, cls in (("payoff", Payoff), ("plan", ExperimentPlan),
                          ("bermudan", BermudanPlan)):
         assert set(_KEYS[section]) <= names(cls), section
+
+
+def test_every_subcommand_takes_only_the_common_options():
+    # the plan alone drives a run: a stage has no option that overrides it
+    ap = build_parser()
+    sub, = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"simulate", "train", "value", "risk", "bermudan", "report"}
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if "--help" not in a.option_strings]
+        assert sorted(s for a in actions for s in a.option_strings) == \
+            ["--config", "--out", "--scale", "--seed", "--threads"], name
+        assert all(len(a.option_strings) == 1 for a in actions), name
