@@ -9,12 +9,11 @@ value process, risk measures, and early-exercise prices analytically.
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
                     BlackScholesModel, LogBSModel, Payoff, payoff_value,
                     sample_driver, simulate_bs, stream_rng)
-from .cart import RegressionTree, TreeConfig, best_split, fit_tree, predict_tree
+from .cart import RegressionTree, TreeConfig, best_split, fit_tree
 from .ensemble import (BoostConfig, FittedBoost, FittedForest, ForestConfig,
                        fit, fit_boost, fit_forest, predict)
-from .flat import (FlatEnsemble, evaluate_flat, flatten_boost, flatten_forest,
-                   flatten_model, flatten_tree, load_flat, read_flat_text,
-                   save_flat, write_flat_text)
+from .flat import (FlatEnsemble, evaluate_flat, flatten_model, load_flat,
+                   read_flat_text, save_flat, write_flat_text)
 from .valuation import (ValueSurface, period_prob_matrix, tail_products,
                         value_at, value_surface)
 from .bermudan import (BermudanValue, ExerciseSpec, black_put_price,

@@ -134,6 +134,10 @@ DESK_ESTIMATORS = {
 }
 _KINDS = {type(config): kind for kind, config in DESK_ESTIMATORS.items()}
 
+# The levels of every risk table: VaR at 99.5% and ES at 99%.
+VAR_ALPHA = 0.995
+ES_ALPHA = 0.99
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -149,8 +153,6 @@ class ExperimentPlan:
     n_inner: int = 200
     dates: Optional[tuple] = None  # default: the distinct dates of {0, 1, T}
     seed: int = 0
-    var_alpha: float = 0.995
-    es_alpha: float = 0.99
 
     def __post_init__(self):
         if min(self.n_train, self.n_test, self.n_inner) < 1:
@@ -184,15 +186,13 @@ class ExperimentPlan:
 
 
 def _check_plan(plan) -> None:
-    # both plans' estimator and risk-level rules, found when a plan is built, not
-    # mid-fit: one of the three configs, a forest's n_resample must fit the
-    # training sample, and the levels must be ones risk_report can use
+    # both plans' estimator rules, found when a plan is built, not mid-fit:
+    # one of the three configs, and a forest's n_resample must fit the
+    # training sample
     if type(plan.estimator) not in _KINDS:
         raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
     if isinstance(plan.estimator, ForestConfig):
         plan.estimator.resample_size(plan.n_train)
-    if not (0 < plan.var_alpha <= 1 and 0 < plan.es_alpha < 1):
-        raise ValueError("var_alpha must lie in (0, 1] and es_alpha in (0, 1)")
 
 
 def desk_plan(payoff_kind: str, seed: int = 0, estimator=None,
@@ -277,7 +277,7 @@ def risk_stage(plan: ExperimentPlan, surface: ValueSurface, v0: float, v1: np.nd
     """
     T = plan.model.n_periods
     est_long, _ = loss_samples(surface, 0, 1)
-    risk = risk_report(est_long, v0 - v1, plan.var_alpha, plan.es_alpha)
+    risk = risk_report(est_long, v0 - v1, VAR_ALPHA, ES_ALPHA)
     if out is not None:
         _write_csv(out / "risk.csv", ("measure", "alpha", "position", "estimate", "oracle",
                                       "relative_error_pct"), _risk_rows(risk))
@@ -440,8 +440,6 @@ class BermudanPlan:
     estimator: TreeConfig | ForestConfig | BoostConfig = field(
         default_factory=lambda: ForestConfig(n_trees=30, nodesize=20, features=1, seed=11))
     mode: str = "later"  # "later" | "now" | "both"
-    var_alpha: float = 0.995
-    es_alpha: float = 0.99
 
     def __post_init__(self):
         if not all(np.isfinite([self.z0, self.sigma, self.strike, self.horizon])):
@@ -549,7 +547,7 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
         for t in range(T):
             est_long = values[:, t] - values[:, t + 1]
             true_long = truth[:, t] - truth[:, t + 1]
-            rep = risk_report(est_long, true_long, plan.var_alpha, plan.es_alpha)
+            rep = risk_report(est_long, true_long, VAR_ALPHA, ES_ALPHA)
             risk_rows.extend(_risk_rows(rep, extra=(t,)))
         _write_csv(out / "bermudan_risk.csv",
                    ("t", "measure", "alpha", "position", "estimate", "oracle",
@@ -567,7 +565,7 @@ def run_bermudan(plan: BermudanPlan, out_dir=None) -> BermudanReport:
 # ---------------------------------------------------- regress-now (t=1) leg
 
 
-def regress_now_date1(plan: ExperimentPlan, config=None) -> np.ndarray:
+def regress_now_date1(plan: ExperimentPlan) -> np.ndarray:
     """Classical date-1 estimate on the plan's test scenarios.
 
     Fits the payoff against the first-period cross-section only and
@@ -576,9 +574,8 @@ def regress_now_date1(plan: ExperimentPlan, config=None) -> np.ndarray:
     first-period cross-section of the plan's validation stream, as the
     dynamic fit does on the full validation paths.
     """
-    config = config if config is not None else plan.estimator
     train, valid, test = sample_streams(plan, ("train", "valid", "test")).values()
     # the first period alone, as a one-period driver
-    model = fit(config, train.driver[:, :, :1], train.payoffs,
+    model = fit(plan.estimator, train.driver[:, :, :1], train.payoffs,
                 (valid.driver[:, :, :1], valid.payoffs))
     return np.asarray(predict(model, test.driver[:, :, :1]), dtype=np.float64)

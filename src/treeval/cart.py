@@ -29,14 +29,14 @@ of all trees in one pass, so the numpy call overhead of a depth is paid
 once for all the trees.  Each tree comes out as it would if grown alone.
 
 Every other walk over tree structure also goes one depth at a time,
-never node by node, and across all trees of a model but one: boost
-prediction.  Growth keeps one record per depth for the whole batch, and
-the depth-first numbering runs its recurrences once per depth for all
-the trees.  ``_leaf_cells`` lays the trees' node arrays end to end and
-passes cell bounds from each depth's split nodes to their children.
-Prediction steps every (tree, point) pair down one depth per pass until
-all of them sit at leaves, each leaf routing to itself.  A boost's
-rounds are routed tree by tree, one ``_predict_points`` call a round,
+never node by node, and across all trees of a model.  Growth keeps one
+record per depth for the whole batch, and the depth-first numbering runs
+its recurrences once per depth for all the trees.  ``_leaf_cells`` lays
+the trees' node arrays end to end and passes cell bounds from each
+depth's split nodes to their children.  ``_predict_trees`` steps every
+(tree, point) pair down one depth per pass until all of them sit at
+leaves, each leaf routing to itself.  A lone tree is walked as a forest
+of one; a boost routes its rounds one ``_predict_trees`` call a round,
 in ``ensemble.predict`` and in ``fit_boost``'s validation scoring.
 
 Every point and every cell bound is stored time-major: a path with d
@@ -116,10 +116,6 @@ class RegressionTree:
     @property
     def n_leaves(self) -> int:
         return int((self.feature == _LEAF).sum())
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_leaves
 
     @property
     def n_nodes(self) -> int:
@@ -536,27 +532,16 @@ def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs,
     return _allocation_order(levels, len(Xs), dims)
 
 
-def _grow_tree(X: np.ndarray, responses, cfg: TreeConfig, dims: tuple,
-               rng: Optional[Generator] = None) -> RegressionTree:
-    """Grow a tree one depth at a time on time-major rows X (k, P).
-
-    The one-tree call of ``_grow_trees``; rng defaults to the stream of
-    cfg.seed.
-    """
-    if rng is None:
-        rng = Generator(Philox(SeedSequence(cfg.seed)))
-    return _grow_trees([X], [responses], cfg, dims, [rng])[0]
-
-
-def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig(),
-             rng: Optional[Generator] = None) -> RegressionTree:
+def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
     """Grow a regression tree on driver paths against responses.
 
     sample is an (n, d, T) array; responses must be finite with one
-    entry per path.
+    entry per path.  The candidate draws come from the stream of
+    cfg.seed.
     """
     X, dims = _training_points(sample)
-    return _grow_tree(X, responses, cfg, dims, rng)
+    rng = Generator(Philox(SeedSequence(cfg.seed)))
+    return _grow_trees([X], [responses], cfg, dims, [rng])[0]
 
 
 def _nodes_end_to_end(trees) -> tuple:
@@ -640,18 +625,3 @@ def _predict_trees(trees, X: np.ndarray) -> np.ndarray:
     value = np.repeat(np.concatenate([t.value for t in trees]), 2)
     return np.take(value, state, out=x, mode="clip")
 
-
-def _predict_points(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Route time-major rows X (k, P) to their leaves; one value per row."""
-    return _predict_trees((tree,), X)[0]
-
-
-def predict_tree(tree: RegressionTree, x) -> np.ndarray | float:
-    """Evaluate the fitted function at x, in any layout _as_points reads.
-
-    A single point returns a float; other inputs return one value per
-    row.
-    """
-    X, single = _as_points(x, tree.dims)
-    out = _predict_points(tree, X)
-    return float(out[0]) if single else out

@@ -29,7 +29,7 @@ from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
                     risk_stage, run_bermudan, run_experiment, sample_streams,
                     standard_model, write_snapshot)
 from .cart import _distinct
-from .ensemble import fit
+from .ensemble import FittedBoost, fit
 from .flat import flatten_model, load_flat, save_flat, write_flat_text
 from .parallel import set_threads
 from .paths import BlackScholesModel
@@ -339,7 +339,7 @@ def cmd_train(cfg: RunConfig) -> int:
     write_flat_text(fe, out / f"flat_{name}.txt")
     info = {"estimator": name, "n_cells": int(fe.n_cells), "seed": plan.seed,
             "config": asdict(plan.estimator), "samples": _samples_meta(plan)}
-    if hasattr(fitted, "n_rounds"):
+    if isinstance(fitted, FittedBoost):
         info["rounds"] = int(fitted.n_rounds)
     _write_json(out / "training.json", info)
     print(f"fitted {name}: {fe.n_cells} cells -> {out / f'flat_{name}.npz'}")
@@ -375,33 +375,36 @@ def cmd_value(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_surface(path: Path) -> ValueSurface:
-    """Read a ``ValueSurface.to_csv`` file; rows may come in any order."""
+def _load_surface(path: Path, dates: tuple, n: int) -> ValueSurface:
+    """Read a ``ValueSurface.to_csv`` file; rows may come in any order.
+
+    A file at other dates than the given ones, or without each of the
+    scenario ids 0..n-1 once at every date, raises ArtifactError.
+    """
     rows = _read_artifact(path, "value",
                           lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2))
     if rows.shape[0] == 0 or rows.shape[1] != 3:
         raise ArtifactError(f"{path.name}: expected rows of scenario_id,t,value "
                             "(rerun the value stage)")
     ids, t, value = rows.T
-    dates = _distinct(t)
-    if (dates % 1 != 0).any():  # also NaN and inf
-        raise ArtifactError(f"{path.name}: dates must be integers, got "
-                            f"{dates.tolist()} (rerun the value stage)")
-    k = ids.size // dates.size
+    got, want = _distinct(t).tolist(), sorted(dates)
+    if got != want:  # also fractional, NaN and inf dates
+        raise ArtifactError(f"{path.name}: dates must be integers and the config's {want}, "
+                            f"got {got}; rerun value with this config")
+    k = _distinct(ids).size
     order = np.lexsort((ids, t))  # date-major, then scenario id
-    if ids.size != dates.size * k or \
-            not (ids[order].reshape(dates.size, k) == np.arange(k)).all():
-        raise ArtifactError(f"{path.name}: every date must carry exactly the scenario "
-                            "ids 0..k-1 once (rerun the value stage)")
-    return ValueSurface(dates=tuple(int(d) for d in dates),
-                        values=value[order].reshape(dates.size, k).T.copy())
+    if k != n or ids.size != len(want) * n or \
+            not (ids[order].reshape(len(want), n) == np.arange(n)).all():
+        raise ArtifactError(f"{path.name} holds {k} scenario ids, not the config's n_test {n} "
+                            f"ids 0..{n - 1} once at every date; rerun value with this config")
+    return ValueSurface(dates=tuple(want), values=value[order].reshape(len(want), n).T.copy())
 
 
 def cmd_risk(cfg: RunConfig) -> int:
     plan = cfg.european_plan()
     out = cfg.require_out()
     name = plan.estimator_kind
-    surface = _load_surface(out / f"value_surface_{name}.csv")
+    surface = _load_surface(out / f"value_surface_{name}.csv", plan.eval_dates, plan.n_test)
     x_test, y_test = _read_samples(out, "test_driver", "test_payoff")
     samples = _samples_meta(plan)
     _check_meta(out / "samples_meta.json", samples, "simulate")

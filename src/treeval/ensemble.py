@@ -23,8 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .cart import (RegressionTree, TreeConfig, _as_points, _batch_size, _check_responses,
-                   _grow_trees, _predict_points, _predict_trees, _presort,
-                   _training_points, fit_tree, predict_tree)
+                   _grow_trees, _predict_trees, _presort, _training_points, fit_tree)
 
 _SAMPLINGS = ("bootstrap", "subsample_with", "subsample_without")
 
@@ -177,23 +176,23 @@ class FittedBoost:
 
 
 def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
-              valid_sample=None, valid_responses=None) -> FittedBoost:
+              valid=None) -> FittedBoost:
     """Fit a boosted tree model, optionally with validation early stopping.
 
-    Residual trees are grown with all coordinates as candidates; the
-    line-search multiplier gamma_t is clipped at zero, and a round with
-    an identically-zero tree ends the loop (the update would be a
-    no-op).
+    valid is an optional (X_valid, y_valid) pair, as ``fit`` takes it;
+    the validation error is tracked on it every round.  Residual trees
+    are grown with all coordinates as candidates; the line-search
+    multiplier gamma_t is clipped at zero, and a round with an
+    identically-zero tree ends the loop (the update would be a no-op).
     """
     X, dims = _training_points(sample)
     y = np.asarray(responses, dtype=np.float64)
     tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth)
-    use_valid = valid_sample is not None
+    use_valid = valid is not None
     if cfg.patience is not None and not use_valid:
         raise ValueError("patience needs a validation sample; set it to None to fit without one")
     if use_valid:
-        if valid_responses is None:
-            raise ValueError("valid_sample requires valid_responses")
+        valid_sample, valid_responses = valid
         vX, _ = _as_points(valid_sample, dims)
         vy = _check_responses(valid_responses, vX.shape[0])
 
@@ -220,7 +219,7 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
         gammas.append(gamma)
         train_err.append(float(np.mean((cur - y) ** 2)))
         if use_valid:
-            vcur = vcur - cfg.learning_rate * gamma * _predict_points(tree, vX)
+            vcur = vcur - cfg.learning_rate * gamma * _predict_trees((tree,), vX)[0]
             err = float(np.mean((vcur - vy) ** 2))
             valid_err.append(err)
             if err < best_err:
@@ -238,21 +237,21 @@ def predict(model, x) -> np.ndarray | float:
 
     x may be in any layout ``cart._as_points`` reads; a single point
     returns a float.  A point gets the same bits in any batch: a forest
-    sums its trees left to right, a boost its rounds.
+    sums its trees left to right, a boost its rounds.  A tree is a
+    forest of one, whose leaf values keep their bits through ``/ 1``.
     """
-    if isinstance(model, RegressionTree):
-        return predict_tree(model, x)
-    if not isinstance(model, (FittedForest, FittedBoost)):
+    if not isinstance(model, (RegressionTree, FittedForest, FittedBoost)):
         raise TypeError(f"cannot predict with object of type {type(model).__name__}")
     X, single = _as_points(x, model.dims)
-    if isinstance(model, FittedForest):
-        # left to right at every batch size; np.mean sums one point pairwise
-        out = reduce(np.add, _predict_trees(model.trees, X)) / len(model.trees)
-    else:
+    if isinstance(model, FittedBoost):
         acc = np.zeros(X.shape[0])
         for tree, gamma in zip(model.trees, model.gammas):
-            acc = acc + model.learning_rate * gamma * _predict_points(tree, X)
+            acc = acc + model.learning_rate * gamma * _predict_trees((tree,), X)[0]
         out = model.base_value - acc
+    else:
+        trees = model.trees if isinstance(model, FittedForest) else (model,)
+        # left to right at every batch size; np.mean sums one point pairwise
+        out = reduce(np.add, _predict_trees(trees, X)) / len(trees)
     return float(out[0]) if single else out
 
 
@@ -264,7 +263,7 @@ def fit(config, X, y, valid=None):
     early stopping.
     """
     if isinstance(config, BoostConfig):
-        return fit_boost(X, y, config, *(valid or (None, None)))
+        return fit_boost(X, y, config, valid)
     if isinstance(config, ForestConfig):
         return fit_forest(X, y, config)
     if isinstance(config, TreeConfig):

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cart import RegressionTree, _as_points, _distinct, _leaf_cells
+from .ensemble import FittedBoost, FittedForest
 
 _TEXT_HEADER = "treeval-flat 1"
 
@@ -80,46 +81,30 @@ class FlatEnsemble:
         return self.values.size
 
 
-def flatten_tree(tree: RegressionTree) -> FlatEnsemble:
-    """Leaf partition of a single tree as a FlatEnsemble."""
-    lo, hi, val, _ = _leaf_cells((tree,))
-    return FlatEnsemble(lo=lo, hi=hi, values=val, dims=tree.dims)
-
-
-def flatten_forest(forest) -> FlatEnsemble:
-    """Concatenated leaf partitions of all trees, each weighted by 1/M."""
-    trees = forest.trees
-    lo, hi, val, _ = _leaf_cells(trees)
-    return FlatEnsemble(lo=lo, hi=hi, values=val / len(trees), dims=trees[0].dims)
-
-
-def flatten_boost(boost) -> FlatEnsemble:
-    """Boosted model as base-value cell plus scaled residual-tree cells.
-
-    The base value occupies the full space; each round contributes its
-    leaf cells scaled by -learning_rate * gamma_t (the model subtracts
-    fitted residuals).
-    """
-    d, T = boost.dims
-    lo, hi = np.full((1, d * T), -np.inf), np.full((1, d * T), np.inf)
-    val = np.array([boost.base_value])
-    if boost.trees:
-        tlo, thi, tval, _ = _leaf_cells(boost.trees)
-        scale = np.repeat([-boost.learning_rate * gamma for gamma in boost.gammas],
-                          [t.n_leaves for t in boost.trees])
-        lo, hi = np.concatenate([lo, tlo]), np.concatenate([hi, thi])
-        val = np.concatenate([val, tval * scale])
-    return FlatEnsemble(lo=lo, hi=hi, values=val, dims=boost.dims)
-
-
 def flatten_model(model) -> FlatEnsemble:
-    """Dispatch on the fitted model type."""
-    if isinstance(model, RegressionTree):
-        return flatten_tree(model)
-    if hasattr(model, "trees") and hasattr(model, "gammas"):
-        return flatten_boost(model)
-    if hasattr(model, "trees"):
-        return flatten_forest(model)
+    """The cells of a fitted tree, forest or boost, with their weights.
+
+    A forest's leaf cells are weighted by 1/M, and a tree takes the same
+    rule as a forest of one (``val / 1`` is exact).  A boost is a
+    base-value cell over the full space plus each round's leaf cells
+    scaled by -learning_rate * gamma_t (the model subtracts fitted
+    residuals).  Raises TypeError for any other object.
+    """
+    if isinstance(model, FittedBoost):
+        d, T = model.dims
+        lo, hi = np.full((1, d * T), -np.inf), np.full((1, d * T), np.inf)
+        val = np.array([model.base_value])
+        if model.trees:
+            tlo, thi, tval, _ = _leaf_cells(model.trees)
+            scale = np.repeat([-model.learning_rate * gamma for gamma in model.gammas],
+                              [t.n_leaves for t in model.trees])
+            lo, hi = np.concatenate([lo, tlo]), np.concatenate([hi, thi])
+            val = np.concatenate([val, tval * scale])
+        return FlatEnsemble(lo=lo, hi=hi, values=val, dims=model.dims)
+    if isinstance(model, (FittedForest, RegressionTree)):
+        trees = model.trees if isinstance(model, FittedForest) else (model,)
+        lo, hi, val, _ = _leaf_cells(trees)
+        return FlatEnsemble(lo=lo, hi=hi, values=val / len(trees), dims=model.dims)
     raise TypeError(f"cannot flatten object of type {type(model).__name__}")
 
 

@@ -233,20 +233,6 @@ def test_plan_validation():
                            estimator=TreeConfig(), dates=dates)
 
 
-@pytest.mark.parametrize("levels, needle", [
-    ({"var_alpha": 0.0}, "var_alpha"), ({"var_alpha": 1.5}, "var_alpha"),
-    ({"var_alpha": float("nan")}, "var_alpha"), ({"es_alpha": 1.0}, "es_alpha"),
-    ({"es_alpha": 0.0}, "es_alpha"), ({"es_alpha": float("nan")}, "es_alpha")])
-def test_plan_rejects_risk_levels_that_risk_cannot_use(levels, needle):
-    # VaR needs a level in (0, 1] and ES one in (0, 1); a plan fails when built
-    model = standard_model("min_put", d=2)
-    with pytest.raises(ValueError, match=needle):
-        ExperimentPlan(name="x", payoff=Payoff("min_put", strike=1.0), model=model,
-                       estimator=TreeConfig(), **levels)
-    ExperimentPlan(name="x", payoff=Payoff("min_put", strike=1.0), model=model,
-                   estimator=TreeConfig(), var_alpha=1.0, es_alpha=0.5)
-
-
 def test_desk_plan_rejects_boolean_dates():
     # a bool is an int to Python, and True would run as date 1
     with pytest.raises(ValueError, match="must be integers"):
@@ -441,17 +427,6 @@ def test_bermudan_plan_rejects_a_boost_with_patience():
     with pytest.raises(ValueError, match="set patience: null"):
         BermudanPlan(estimator=BoostConfig(rounds=5, patience=3))
     assert BermudanPlan(estimator=BoostConfig(rounds=5)).estimator.patience is None
-
-
-@pytest.mark.parametrize("levels, needle", [
-    ({"var_alpha": 0.0}, "var_alpha"), ({"var_alpha": 1.5}, "var_alpha"),
-    ({"es_alpha": 1.0}, "es_alpha"), ({"es_alpha": -0.5}, "es_alpha")])
-def test_bermudan_plan_rejects_risk_levels_before_any_fit(levels, needle):
-    # found when built: risk_report would raise only after both fits, leaving a
-    # bundle without bermudan_risk.csv
-    with pytest.raises(ValueError, match=needle):
-        BermudanPlan(**levels)
-    BermudanPlan(var_alpha=1.0, es_alpha=0.5)
 
 
 def test_bermudan_truth_columns():

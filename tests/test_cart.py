@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from treeval import cart, ensemble
-from treeval.cart import (RegressionTree, TreeConfig, _grow_tree, _grow_trees, _time_major,
-                          best_split, fit_tree, predict_tree)
-from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest
+from treeval.cart import (RegressionTree, TreeConfig, _grow_trees, _time_major, best_split,
+                          fit_tree)
+from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest, predict
 from treeval.paths import sample_driver
 
 
@@ -146,7 +146,7 @@ def test_fit_tree_interpolates_distinct_points():
     x = sample_driver(64, 2, 2, seed=1)
     y = np.arange(64, dtype=np.float64)
     tree = fit_tree(x, y, TreeConfig(nodesize=2))
-    np.testing.assert_array_equal(predict_tree(tree, x), y)
+    np.testing.assert_array_equal(predict(tree, x), y)
 
 
 def test_fit_tree_constant_response_is_single_leaf():
@@ -155,7 +155,7 @@ def test_fit_tree_constant_response_is_single_leaf():
     tree = fit_tree(x, y, TreeConfig())
     assert tree.n_leaves == 1
     assert tree.n_nodes == 1
-    np.testing.assert_array_equal(predict_tree(tree, x), y)
+    np.testing.assert_array_equal(predict(tree, x), y)
 
 
 def test_fit_tree_max_depth_zero_is_mean_stump():
@@ -163,7 +163,7 @@ def test_fit_tree_max_depth_zero_is_mean_stump():
     y = x[:, 0, 0] ** 2
     tree = fit_tree(x, y, TreeConfig(max_depth=0))
     assert tree.n_leaves == 1
-    assert predict_tree(tree, x[:1])[0] == pytest.approx(y.mean(), rel=1e-15)
+    assert predict(tree, x[:1])[0] == pytest.approx(y.mean(), rel=1e-15)
 
 
 def test_fit_tree_max_depth_bounds_leaf_count():
@@ -220,7 +220,7 @@ def test_leaf_cells_partition_space():
     # exactly one leaf contains each point, and its value is the prediction
     assert (member.sum(axis=1) == 1).all()
     cell_idx = member.argmax(axis=1)
-    np.testing.assert_array_equal(values[cell_idx], predict_tree(tree, pts))
+    np.testing.assert_array_equal(values[cell_idx], predict(tree, pts))
     assert counts.sum() == 100
 
 
@@ -229,12 +229,12 @@ def test_predict_tree_input_shapes_agree():
     y = _time_major(x)[:, 0] * _time_major(x)[:, 4]
     tree = fit_tree(x, y, TreeConfig(nodesize=8))
     batch = sample_driver(10, 2, 3, seed=12)
-    via_sample = predict_tree(tree, batch)
-    via_array = predict_tree(tree, batch)
-    via_flat = predict_tree(tree, _time_major(batch))
+    via_sample = predict(tree, batch)
+    via_array = predict(tree, batch)
+    via_flat = predict(tree, _time_major(batch))
     np.testing.assert_array_equal(via_sample, via_array)
     np.testing.assert_array_equal(via_sample, via_flat)
-    single = predict_tree(tree, batch[0])
+    single = predict(tree, batch[0])
     assert isinstance(single, float)
     assert single == via_sample[0]
 
@@ -428,7 +428,7 @@ def test_level_wise_growth_matches_depth_first_reference(case, block, monkeypatc
     if block is not None:
         monkeypatch.setattr(cart, "_BLOCK", block)
     X, y, cfg = CASES[case](np.random.default_rng(31))
-    tree = _grow_tree(X, y, cfg, (X.shape[1], 1))
+    tree = fit_tree(X[:, :, None], y, cfg)
     assert_same_tree(tree, reference_grow(X, y, cfg))
     depth = _depth(tree)
     if case == "p1_chain":
@@ -487,7 +487,7 @@ def test_tied_or_unsplittable_best_cut_is_rescanned_masked(case, monkeypatch):
     masked_min = cart._masked_min
     monkeypatch.setattr(cart, "_masked_min", counted)
     X, y, cfg = {**CASES, "ulp_step": _ulp_step}[case](np.random.default_rng(31))
-    tree = _grow_tree(X, y, cfg, (X.shape[1], 1))
+    tree = fit_tree(X[:, :, None], y, cfg)
     assert sum(rescans) > 0
     if case == "ulp_step":
         assert np.unique(X).size == X.size
@@ -508,7 +508,7 @@ def test_boost_rounds_take_their_fitted_values_from_growth(monkeypatch):
 
     def checked(Xs, ys, cfg, dims, rngs, presorted, fitted):
         trees = _grow_trees(Xs, ys, cfg, dims, rngs, presorted, fitted)
-        assert np.array_equal(fitted, cart._predict_points(trees[0], Xs[0]))
+        assert np.array_equal(fitted, cart._predict_trees(trees, Xs[0])[0])
         rounds.append(np.unique(fitted).size)
         return trees
 
@@ -554,14 +554,14 @@ def test_candidate_draws_follow_level_order():
 # --- forests: trees grown together equal trees grown one at a time -------
 
 def _forest_one_by_one(x, y, cfg):
-    """The forest as a loop of single ``_grow_tree`` calls, one stream (seed, m) per tree."""
+    """The forest as a loop of one-tree ``_grow_trees`` calls, one stream (seed, m) per tree."""
     X, dims = cart._training_points(x)
     tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth, features=cfg.features)
     trees = []
     for s in SeedSequence(cfg.seed).spawn(cfg.n_trees):
         rng = Generator(Philox(s))
         rows = ensemble._resample_rows(rng, X.shape[0], cfg)
-        trees.append(_grow_tree(X[rows], y[rows], tree_cfg, dims, rng))
+        trees.append(_grow_trees([X[rows]], [y[rows]], tree_cfg, dims, [rng])[0])
     return trees
 
 
@@ -631,7 +631,7 @@ def test_forest_growth_memory_stays_near_one_tree():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _grow_tree(X[rows], y[rows], tree_cfg, dims, rng0)
+        _grow_trees([X[rows]], [y[rows]], tree_cfg, dims, [rng0])
         one = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]

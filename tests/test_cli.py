@@ -825,6 +825,31 @@ def test_risk_rejects_a_surface_with_fractional_dates(tmp_path, capsys):
     assert not (out / "risk.csv").exists()
 
 
+@pytest.mark.parametrize("edit, needle", [
+    ("truncated", " holds 100 scenario ids, not the config's n_test 150 ids 0..149 once at "
+                  "every date"),
+    ("no_date_1", ": dates must be integers and the config's [0, 1, 2], got [0.0, 2.0]")],
+    ids=["truncated", "no_date_1"])
+def test_risk_checks_the_surface_against_the_plan(tmp_path, capsys, edit, needle):
+    # cut at a scenario boundary the surface used to pass, and without its
+    # date-1 rows risk failed late with a runtime error
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "run"
+    _staged(cfg, out, ("simulate", "train", "value"))
+    path = out / "value_surface_tree.csv"
+    head, *rows = path.read_bytes().split(b"\r\n")[:-1]
+    if edit == "truncated":
+        rows = rows[:3 * 100]  # scenario-major: the first 100 scenarios at dates 0, 1, 2
+    else:
+        rows = [r for r in rows if r.split(b",")[1] != b"1"]
+    path.write_bytes(b"".join(line + b"\r\n" for line in [head] + rows))
+    capsys.readouterr()
+    assert main(["risk", "--config", cfg, "--out", str(out)]) == EXIT_ARTIFACT
+    assert _err_line(capsys) == (f"MISSING_ARTIFACT: value_surface_tree.csv{needle}; "
+                                 "rerun value with this config")
+    assert not (out / "risk.csv").exists()
+
+
 def test_value_rejects_a_grid_layout_directory(tmp_path, capsys):
     # a directory from before the time-major layout: lows / highs of shape
     # (N, d, T) and a training.json without the config record
@@ -876,7 +901,7 @@ def test_surface_csv_round_trip_is_exact(tmp_path):
     shuffled.write_bytes(b"".join(line + b"\r\n" for line in
                                   [head] + [rows[j] for j in rng.permutation(len(rows))]))
     for p in (path, shuffled):
-        back = _load_surface(p)
+        back = _load_surface(p, (0, 1, 12), 20)
         assert back.dates == (0, 1, 12)
         assert np.array_equal(back.values, values)
         assert np.array_equal(np.signbit(back.values), np.signbit(values))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
-from treeval.cart import (TreeConfig, _as_points, _predict_points, _time_major, fit_tree,
-                          predict_tree)
+from treeval.cart import TreeConfig, _as_points, _predict_trees, _time_major, fit_tree
 from treeval.ensemble import (BoostConfig, ForestConfig, _resample_rows, fit, fit_boost,
                               fit_forest, predict)
 from treeval.paths import sample_driver
@@ -21,7 +20,7 @@ def toy():
 def test_forest_prediction_is_tree_average(toy):
     x, y = toy
     ff = fit_forest(x, y, ForestConfig(n_trees=7, nodesize=10, seed=3))
-    manual = np.mean([predict_tree(t, x) for t in ff.trees], axis=0)
+    manual = np.mean([predict(t, x) for t in ff.trees], axis=0)
     np.testing.assert_array_equal(predict(ff, x), manual)
     assert len(ff.trees) == 7
     assert ff.n_cells == sum(t.n_leaves for t in ff.trees)
@@ -36,7 +35,7 @@ def test_forest_full_subsample_without_replacement_equals_single_tree(toy):
     ff = fit_forest(x, y, cfg)
     tree = fit_tree(x, y, TreeConfig(nodesize=10))
     pts = sample_driver(300, 2, 2, seed=22)
-    np.testing.assert_allclose(predict(ff, pts), predict_tree(tree, pts),
+    np.testing.assert_allclose(predict(ff, pts), predict(tree, pts),
                                rtol=0, atol=1e-12)
 
 
@@ -113,7 +112,7 @@ def test_forest_predict_is_the_mean_of_its_trees_bitwise(cfg):
     ff = fit_forest(x, y, cfg)
     pts = sample_driver(777, 3, 2, seed=27)
     X, _ = _as_points(pts, ff.dims)
-    per_tree = [_predict_points(t, X) for t in ff.trees]
+    per_tree = [_predict_trees((t,), X)[0] for t in ff.trees]
     assert np.array_equal(predict(ff, pts), np.mean(per_tree, axis=0))
     for tree, got in zip(ff.trees, per_tree):
         for i in range(0, X.shape[0], 97):  # walk a few rows by hand
@@ -178,7 +177,7 @@ def test_boost_early_stopping_rolls_back_to_best_round():
     vy = rng.standard_normal(150)
     boost = fit_boost(x, y, BoostConfig(rounds=60, learning_rate=0.5,
                                         nodesize=2, max_depth=None, patience=5),
-                      valid_sample=vx, valid_responses=vy)
+                      valid=(vx, vy))
     assert boost.n_rounds < 60
     errs = np.asarray(boost.valid_errors)
     assert errs.size == boost.n_rounds
@@ -191,7 +190,7 @@ def test_boost_without_patience_keeps_all_rounds(toy):
     vx = sample_driver(50, 2, 2, seed=25)
     vy = np.sin(_time_major(vx) @ np.array([1.0, 0.5, -0.7, 0.2]))
     boost = fit_boost(x, y, BoostConfig(rounds=8, max_depth=2),
-                      valid_sample=vx, valid_responses=vy)
+                      valid=(vx, vy))
     assert boost.n_rounds == 8
     assert len(boost.valid_errors) == 8
 
@@ -199,7 +198,7 @@ def test_boost_without_patience_keeps_all_rounds(toy):
 def test_boost_validation_requires_responses(toy):
     x, y = toy
     with pytest.raises(ValueError):
-        fit_boost(x, y, BoostConfig(rounds=2), valid_sample=x)
+        fit_boost(x, y, BoostConfig(rounds=2), valid=(x,))
 
 
 @pytest.mark.parametrize("spoil, needle", [
@@ -213,7 +212,7 @@ def test_boost_rejects_bad_validation_responses(spoil, needle):
     y, vy = rng.standard_normal(200), rng.standard_normal(100)
     with pytest.raises(ValueError, match=needle):
         fit_boost(x, y, BoostConfig(rounds=30, learning_rate=0.5, nodesize=2, patience=3),
-                  valid_sample=vx, valid_responses=spoil(vy))
+                  valid=(vx, spoil(vy)))
 
 
 def test_boost_patience_requires_a_validation_sample(toy):

@@ -2,17 +2,17 @@
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from treeval import flat
 from treeval.cart import TreeConfig, _time_major, fit_tree
-from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest
-from treeval.flat import (FlatEnsemble, evaluate_flat, flatten_boost,
-                          flatten_forest, flatten_model, flatten_tree,
-                          load_flat, membership_sums, read_flat_text,
-                          save_flat, write_flat_text)
+from treeval.ensemble import (BoostConfig, FittedForest, ForestConfig, fit_boost,
+                              fit_forest)
+from treeval.flat import (FlatEnsemble, evaluate_flat, flatten_model, load_flat,
+                          membership_sums, read_flat_text, save_flat, write_flat_text)
 from treeval.ensemble import predict
 from treeval.paths import sample_driver
 
@@ -39,7 +39,7 @@ def test_flatten_matches_prediction_everywhere(fitted):
 
 def test_flatten_tree_cells_partition(fitted):
     x, y, tree, _, _ = fitted
-    fe = flatten_tree(tree)
+    fe = flatten_model(tree)
     pts = sample_driver(400, 2, 2, seed=33)
     lo, hi = fe.lo, fe.hi
     flat_pts = _time_major(pts)
@@ -50,7 +50,7 @@ def test_flatten_tree_cells_partition(fitted):
 
 def test_flatten_forest_weights_are_scaled(fitted):
     x, y, _, forest, _ = fitted
-    fe = flatten_forest(forest)
+    fe = flatten_model(forest)
     assert fe.n_cells == forest.n_cells
     # membership of any point sums the per-tree leaf values / M
     total = sum(t.n_leaves for t in forest.trees)
@@ -59,7 +59,7 @@ def test_flatten_forest_weights_are_scaled(fitted):
 
 def test_flatten_boost_structure(fitted):
     x, y, _, _, boost = fitted
-    fe = flatten_boost(boost)
+    fe = flatten_model(boost)
     assert fe.n_cells == boost.n_cells == 1 + sum(t.n_leaves for t in boost.trees)
     # first cell is the full-space base cell
     assert np.isneginf(fe.lo[0]).all()
@@ -71,7 +71,7 @@ def test_flatten_zero_round_boost():
     x = sample_driver(16, 1, 1, seed=34)
     y = np.full(16, 1.5)
     boost = fit_boost(x, y, BoostConfig(rounds=4))
-    fe = flatten_boost(boost)
+    fe = flatten_model(boost)
     assert fe.n_cells == 1
     np.testing.assert_array_equal(evaluate_flat(fe, x), y)
 
@@ -81,9 +81,38 @@ def test_flatten_model_rejects_unknown():
         flatten_model("not a model")
 
 
+def test_flatten_model_rejects_lookalikes_of_a_fitted_model(fitted):
+    # objects with a forest's or a boost's attributes are no fitted model
+    _, _, _, forest, boost = fitted
+    forest_like = SimpleNamespace(trees=forest.trees, dims=forest.dims)
+    boost_like = SimpleNamespace(**{k: getattr(boost, k) for k in
+                                    ("base_value", "trees", "gammas", "learning_rate", "dims")})
+    for model in (forest_like, boost_like):
+        with pytest.raises(TypeError, match="SimpleNamespace"):
+            flatten_model(model)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def test_a_tree_predicts_and_flattens_as_a_forest_of_one(fitted):
+    _, _, tree, _, _ = fitted
+    one = FittedForest(trees=(tree,), dims=tree.dims, config=ForestConfig(n_trees=1))
+    pts = sample_driver(300, 2, 2, seed=33)
+    assert _bits(predict(tree, pts)) == _bits(predict(one, pts))
+    single = predict(tree, pts[0])
+    assert isinstance(single, float) and _bits(single) == _bits(predict(one, pts[0]))
+    got, want = flatten_model(tree), flatten_model(one)
+    assert got.dims == want.dims == tree.dims
+    for name in ("lo", "hi", "values"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert _bits(got.values) == _bits(tree.leaf_cells()[2])
+
+
 def test_evaluate_flat_single_point(fitted):
     x, y, tree, _, _ = fitted
-    fe = flatten_tree(tree)
+    fe = flatten_model(tree)
     single = evaluate_flat(fe, x[0])
     batch = evaluate_flat(fe, x[:1])
     assert isinstance(single, float)
@@ -97,7 +126,7 @@ def _one_stop(ptf, lo, hi, weights, n_coords):
 
 def test_weighted_membership_chunking_invariance(fitted, monkeypatch):
     x, y, _, forest, _ = fitted
-    fe = flatten_forest(forest)
+    fe = flatten_model(forest)
     lo, hi = fe.lo, fe.hi
     pts = _time_major(sample_driver(57, 2, 2, seed=35))
     base = _one_stop(pts, lo, hi, fe.values, lo.shape[1])
@@ -111,7 +140,7 @@ def test_weighted_membership_chunking_invariance(fitted, monkeypatch):
 def test_weighted_membership_prefix_columns(fitted):
     # restricting to the first t*d columns tests prefix membership only
     x, y, tree, _, _ = fitted
-    fe = flatten_tree(tree)
+    fe = flatten_model(tree)
     lo, hi = fe.lo, fe.hi
     pts = _time_major(sample_driver(40, 2, 2, seed=36))
     full = _one_stop(pts, lo, hi, fe.values, 4)
@@ -291,7 +320,7 @@ def test_flat_ensemble_validation():
 
 def test_npz_round_trip(tmp_path, fitted):
     x, y, _, forest, _ = fitted
-    fe = flatten_forest(forest)
+    fe = flatten_model(forest)
     path = tmp_path / "model.npz"
     save_flat(fe, path)
     back = load_flat(path)
@@ -303,7 +332,7 @@ def test_npz_round_trip(tmp_path, fitted):
 
 def test_text_round_trip(tmp_path, fitted):
     x, y, _, _, boost = fitted
-    fe = flatten_boost(boost)
+    fe = flatten_model(boost)
     path = tmp_path / "model.txt"
     write_flat_text(fe, path)
     back = read_flat_text(path)
@@ -315,7 +344,7 @@ def test_text_round_trip(tmp_path, fitted):
 
 def test_text_format_is_line_oriented(tmp_path, fitted):
     x, y, tree, _, _ = fitted
-    fe = flatten_tree(tree)
+    fe = flatten_model(tree)
     path = tmp_path / "model.txt"
     write_flat_text(fe, path)
     lines = path.read_text().splitlines()
@@ -349,7 +378,7 @@ def test_text_bytes_follow_leaf_cells(tmp_path):
         bounds = [repr(float(b)) for pair in zip(lo, hi) for b in pair]
         lines.append(" ".join([repr(float(v))] + bounds))
     path = tmp_path / "boost.txt"
-    write_flat_text(flatten_boost(boost), path)
+    write_flat_text(flatten_model(boost), path)
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
@@ -361,23 +390,23 @@ def test_flatten_walks_all_trees_of_a_model_at_once(fitted, monkeypatch):
                         or leaf_cells(trees))
     m = len(forest.trees)
     parts = [t.leaf_cells() for t in forest.trees]
-    fe = flatten_forest(forest)
+    fe = flatten_model(forest)
     assert np.array_equal(fe.lo, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(fe.hi, np.concatenate([p[1] for p in parts]))
     assert np.array_equal(fe.values, np.concatenate([p[2] for p in parts]) / m)
-    fe = flatten_boost(boost)
+    fe = flatten_model(boost)
     vals = [np.array([boost.base_value])]
     for t, gamma in zip(boost.trees, boost.gammas):
         vals.append(t.leaf_cells()[2] * (-boost.learning_rate * gamma))
     assert np.array_equal(fe.values, np.concatenate(vals))
-    flatten_tree(tree)
+    flatten_model(tree)
     assert walks == [m, len(boost.trees), 1]
 
 
 def test_boost_without_rounds_flattens_to_its_base_cell(fitted):
     _, _, _, _, boost = fitted
     empty = replace(boost, trees=(), gammas=())
-    fe = flatten_boost(empty)
+    fe = flatten_model(empty)
     assert fe.n_cells == 1 and fe.values[0] == boost.base_value
     assert (fe.lo == -np.inf).all() and (fe.hi == np.inf).all()
 

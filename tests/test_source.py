@@ -227,6 +227,17 @@ def test_flattening_reads_leaf_cells_through_the_forest_walk(path):
     assert _references(ast.parse(path.read_text()), "leaf_cells") == [], path.name
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_forest_walks_have_one_reader_outside_cart(path):
+    # ensemble.predict routes every fitted model through _predict_trees and
+    # flat.flatten_model flattens every one through _leaf_cells; a second
+    # reader would be a second prediction or flattening path
+    tree = ast.parse(path.read_text())
+    for name, owner in (("_predict_trees", "ensemble.py"), ("_leaf_cells", "flat.py")):
+        if path.name not in ("cart.py", owner):
+            assert _references(tree, name) == [], (path.name, name)
+
+
 def _unique_calls_without_return_flag(tree: ast.Module) -> list:
     """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
 
@@ -278,7 +289,7 @@ def test_fit_valuation_and_surface_read_leave_numpy_ma_unloaded(tmp_path):
         evaluate_flat(fe, x[:50])
         path = Path({str(tmp_path / "surface.csv")!r})
         ValueSurface(dates=(0, 2), values=rng.normal(size=(5, 2))).to_csv(path)
-        assert _load_surface(path).dates == (0, 2)
+        assert _load_surface(path, (0, 2), 5).dates == (0, 2)
         print("numpy.ma" in sys.modules)
     """)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
