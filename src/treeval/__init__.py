@@ -23,9 +23,9 @@ from .risk import (RiskEstimate, RiskReport, default_quantile_grid,
                    detrended_qq, empirical_es, empirical_var, loss_samples,
                    normalized_l2, risk_report)
 from .bench import (BermudanPlan, BermudanReport, ExperimentPlan,
-                    ExperimentReport, bundle_hash, desk_plan, oracle_v0,
-                    oracle_v1, paper_plan, run_bermudan, run_experiment,
-                    standard_model)
+                    ExperimentReport, bundle_hash, desk_plan, exact_v1,
+                    oracle_v0, oracle_v1, paper_plan, run_bermudan,
+                    run_experiment, standard_model)
 from .parallel import get_threads, set_threads
 
 __version__ = "0.1.0"

@@ -1,11 +1,14 @@
 """Ground-truth oracles and the end-to-end experiment harness.
 
-The oracles are plain and nested Monte Carlo estimates of the true
-value process, computed on seed streams disjoint from everything the
-estimators see.  ``run_experiment`` drives the full European pipeline
-(sample, fit, flatten, value surface at {0, 1, T}, error and risk
-tables) and ``run_bermudan`` the early-exercise pipeline; both write a
-deterministic CSV report bundle.
+The oracles give the true value process the estimators are scored
+against: at date 0 the plain Monte Carlo mean of the test payoffs; at
+date 1 the exact value of a min_put or max_call on independent assets
+(``exact_v1``, a one-dimensional quadrature), and otherwise a nested
+Monte Carlo estimate (``oracle_v1``) whose inner paths come from a seed
+stream disjoint from everything the estimators see.  ``run_experiment``
+drives the full European pipeline (sample, fit, flatten, value surface
+at {0, 1, T}, error and risk tables) and ``run_bermudan`` the
+early-exercise pipeline; both write a deterministic CSV report bundle.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from .ensemble import BoostConfig, ForestConfig, fit, predict
 from .flat import flatten_model
 from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
-                    BlackScholesModel, LogBSModel, Payoff, payoff_value,
+                    BlackScholesModel, LogBSModel, Payoff, ndtr, payoff_value,
                     sample_driver, simulate_bs, _keyed_bits, _normal_from_bits,
                     _stream_keys)
-from .risk import (RiskReport, detrended_qq, loss_samples, normalized_l2,
-                   risk_report)
+from .risk import (ES_ALPHA, VAR_ALPHA, RiskReport, detrended_qq, loss_samples,
+                   normalized_l2, risk_report)
 from .valuation import ValueSurface, _checked_dates, value_surface
 
 # ------------------------------------------------------------------ oracles
@@ -103,6 +106,144 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
     return vals, ses
 
 
+def _gauss_legendre(n: int, panels: int = 1) -> tuple:
+    """Nodes (ascending) and weights of a composite Gauss-Legendre rule on [-1, 1].
+
+    ``panels`` equal panels of n nodes each.  The n-point rule comes from
+    Newton's method on P_n, evaluated by the three-term recurrence, from
+    the guesses cos(pi (i - 1/4) / (n + 1/2)); elementwise, so the rule's
+    bits do not depend on BLAS.  It is made exactly symmetric.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(5):  # quadratic convergence: at n = 32 or 64, 3 steps reach rounding level
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
+        x = x - p1 / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    centres = np.arange(1 - panels, panels, 2)[:, None]
+    return ((centres + x) / panels).ravel(), np.tile(w / panels, panels)
+
+
+# exact_v1's rule: windows cut 9 sd past every asset, composite panels of 32
+# Gauss-Legendre nodes, each at most 12 sd of the narrowest asset wide, at
+# most 16 panels, and blocks of 32 scenarios so a (scenarios, assets, nodes)
+# block stays in cache
+_TAIL_SDS = 9.0
+_GL_NODES = 32
+_PANEL_SDS = 12.0
+_MAX_PANELS = 16
+_EXACT_CHUNK = 32
+
+
+def _terminal_sds(model: BlackScholesModel) -> np.ndarray:
+    """Standard deviation of each log S_{i,T} given S_1, (d,)."""
+    return np.sqrt((model.vols**2).sum(axis=1) * model.steps[1:].sum())
+
+
+def _exact_v1_panels(payoff: Payoff, sd: np.ndarray) -> int:
+    """Panels of the composite rule that resolves the narrowest asset's cdf."""
+    width = 2 * _TAIL_SDS * sd.max() + (0.0 if payoff.kind == "min_put" else sd.max() ** 2)
+    return int(np.ceil(width / (_PANEL_SDS * sd.min())))
+
+
+def _exact_v1_error(payoff: Payoff, model: BlackScholesModel) -> Optional[str]:
+    """Why ``exact_v1`` cannot value this payoff on this model, or None when it can."""
+    if payoff.kind not in ("min_put", "max_call"):
+        return f"exact_v1 values min_put and max_call, not {payoff.kind}"
+    if model.n_periods < 2:
+        return "exact_v1 needs T >= 2: at T = 1 the date-1 value is the payoff"
+    cov = model.vols @ model.vols.T
+    if (cov != np.diag(np.diag(cov))).any():
+        return "exact_v1 needs independent assets: vols @ vols.T must be diagonal"
+    if not (np.diag(cov) > 0).all():
+        return "exact_v1 needs every asset's volatility to be positive"
+    panels = _exact_v1_panels(payoff, _terminal_sds(model))
+    if panels > _MAX_PANELS:
+        return (f"exact_v1 needs at most {_MAX_PANELS} quadrature panels, not {panels}: "
+                f"the assets' volatilities are too far apart")
+    return None
+
+
+def exact_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray) -> np.ndarray:
+    """Exact V_1 of a min_put or max_call on independent assets, shape (k,).
+
+    Given S_1, log S_{i,T} is normal with mean m_i = log S_{i,1} +
+    (r - |sigma_i|^2/2) tau and standard deviation s_i = |sigma_i| sqrt(tau),
+    tau = sum(steps[1:]); call F_i its lognormal cdf.  With independent
+    assets (Stulz 1982, Johnson 1987), and disc = exp(-r sum(steps)) as
+    in ``payoff_value``:
+
+        min_put:  disc * int_0^K [1 - prod_i (1 - F_i(x))] dx
+        max_call: disc * int_K^inf [1 - prod_i F_i(x)] dx
+
+    Both run over u = log x (dx = e^u du).  Where some F_i is 0 or 1 to
+    within Phi(-9), about 1e-19, the integrand is 1 or 0 and is integrated
+    in closed form; what is left is a window
+    min_put:  [min_i(m_i - 9 s_i), min(log K, min_i(m_i + 9 s_i))]
+    max_call: [max(log K, max_i(m_i - 9 s_i)), max_i(m_i + s_i^2 + 9 s_i)]
+    (the s_i^2 for the lognormal's weight in the upper tail), at most
+    18 s (plus s^2) wide at any volatility and any tau.  It takes a
+    composite Gauss-Legendre rule of 32-node panels, each at most 12 s of
+    the narrowest asset wide.  Scenarios are valued in blocks of
+    ``_EXACT_CHUNK`` with elementwise ops and per-row reductions, so a
+    scenario's value has the same bits in any block.  Raises ValueError
+    for brc, for T = 1, for dependent assets, for an asset of zero
+    volatility, and for volatilities so far apart (a factor of about 10)
+    that the rule would need more than 16 panels.
+    """
+    reason = _exact_v1_error(payoff, model)
+    if reason is not None:
+        raise ValueError(reason)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x1.ndim != 2 or x1.shape[1] != model.n_assets:
+        raise ValueError(f"x1 must have shape (k, {model.n_assets})")
+    var = (model.vols**2).sum(axis=1)
+    dt1, tau = model.steps[0], model.steps[1:].sum()
+    # the mean of log S_{i,T} is offset + sqrt(dt1) sigma_i^T X_1
+    offset = np.log(model.initial_prices) + (model.rate - 0.5 * var) * (dt1 + tau)
+    sd = _terminal_sds(model)
+    disc = np.exp(-model.rate * model.steps.sum())
+    K, log_k = payoff.strike, np.log(payoff.strike)
+    put = payoff.kind == "min_put"
+    nodes, weights = _gauss_legendre(_GL_NODES, _exact_v1_panels(payoff, sd))
+    out = np.empty(x1.shape[0])
+    for a in range(0, out.size, _EXACT_CHUNK):
+        m = offset + (x1[a:a + _EXACT_CHUNK, None, :] * model.vols).sum(axis=2) * np.sqrt(dt1)
+        if put:  # above min_i exp(m_i + 9 s_i) some asset ends below x for sure
+            hi = np.minimum((m + _TAIL_SDS * sd).min(axis=1), log_k)
+            lo = np.minimum((m - _TAIL_SDS * sd).min(axis=1), hi)
+            sure = K - np.exp(hi)
+        else:  # below max_i exp(m_i - 9 s_i) some asset ends above x for sure
+            lo = np.maximum((m - _TAIL_SDS * sd).max(axis=1), log_k)
+            hi = np.maximum((m + (sd + _TAIL_SDS) * sd).max(axis=1), lo)
+            sure = np.exp(lo) - K
+        half = 0.5 * (hi - lo)
+        u = (lo + half)[:, None] + half[:, None] * nodes  # log x at each node, (m, nodes)
+        z = (u[:, None, :] - m[:, :, None]) / sd[:, None]
+        # P(min_i S_{i,T} < x) or P(max_i S_{i,T} > x) is 1 - prod_i (1 - q_i),
+        # q_i = P(S_{i,T} < x) or P(S_{i,T} > x); summed in logs, so that a
+        # small tail keeps its digits (a q_i of 1 gives log 0 = -inf, tail 1)
+        with np.errstate(divide="ignore"):
+            tail = -np.expm1(np.log1p(-ndtr(z if put else -z)).sum(axis=1))
+        out[a:a + _EXACT_CHUNK] = disc * (sure + half * (tail * np.exp(u) * weights).sum(axis=1))
+    return out
+
+
+def _date1_truth(plan: ExperimentPlan, x1: np.ndarray) -> tuple:
+    """The date-1 truth of the plan's scenarios: (values, standard errors), each (k,).
+
+    ``exact_v1`` with standard errors 0 where it applies (min_put and
+    max_call on independent assets, T >= 2); otherwise the nested-MC
+    ``oracle_v1`` with ``plan.n_inner`` inner paths.
+    """
+    if _exact_v1_error(plan.payoff, plan.model) is None:
+        return exact_v1(plan.payoff, plan.model, x1), np.zeros(len(x1))
+    return oracle_v1(plan.payoff, plan.model, x1, plan.n_inner, plan.seed)
+
+
 # ----------------------------------------------------------------- planning
 
 
@@ -133,11 +274,6 @@ DESK_ESTIMATORS = {
     "tree": TreeConfig(nodesize=5, seed=7),
 }
 _KINDS = {type(config): kind for kind, config in DESK_ESTIMATORS.items()}
-
-# The levels of every risk table: VaR at 99.5% and ES at 99%.
-VAR_ALPHA = 0.995
-ES_ALPHA = 0.99
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -269,7 +405,7 @@ def risk_stage(plan: ExperimentPlan, surface: ValueSurface, v0: float, v1: np.nd
     """VaR/ES of the date-1 loss V_0 - V_1 against the oracle loss v0 - v1.
 
     With out set, also writes risk.csv and the detrended Q-Q tables:
-    qq_t1.csv (the date-1 column against the nested-MC oracle v1) when
+    qq_t1.csv (the date-1 column against the date-1 truth v1) when
     T >= 2, since at T = 1 it would repeat the next table, and qq_tT.csv
     (the date-T column against the realized payoffs y_test) when the
     surface holds date T.  ``run_experiment`` and ``treeval risk`` both
@@ -344,8 +480,8 @@ class ExperimentReport:
     plan: ExperimentPlan
     v0: float
     v0_se: float
-    v1: np.ndarray       # nested MC date-1 oracle per test scenario
-    v1_se: np.ndarray    # its per-scenario standard errors
+    v1: np.ndarray       # date-1 truth per test scenario (exact or nested MC)
+    v1_se: np.ndarray    # its per-scenario standard errors: zeros when it is exact
     y_test: np.ndarray   # realized discounted payoffs (exact V_T oracle)
     surface: ValueSurface
     n_cells: int
@@ -373,8 +509,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentReport:
 
     t0 = clock()
     v0, v0_se = oracle_v0(y_test)
-    v1, v1_se = oracle_v1(plan.payoff, plan.model, test.driver[:, :, 0], plan.n_inner,
-                          plan.seed)
+    v1, v1_se = _date1_truth(plan, test.driver[:, :, 0])
     timings.append(("oracles", clock() - t0))
     if v0 == 0:
         raise ValueError("degenerate plan: oracle date-0 value is zero")

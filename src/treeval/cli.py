@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, bundle_hash,
-                    desk_plan, oracle_v0, oracle_v1, paper_bermudan_plan, paper_plan,
+from .bench import (DESK_ESTIMATORS, BermudanPlan, ExperimentPlan, _date1_truth,
+                    bundle_hash, desk_plan, oracle_v0, paper_bermudan_plan, paper_plan,
                     risk_stage, run_bermudan, run_experiment, sample_streams,
                     standard_model, write_snapshot)
 from .cart import _distinct
@@ -412,8 +412,7 @@ def cmd_risk(cfg: RunConfig) -> int:
     _check_meta(meta, asdict(plan.estimator), "value", key="config")
     _check_meta(meta, samples, "value", key="samples")
     v0, _ = oracle_v0(y_test)
-    v1, _ = oracle_v1(plan.payoff, plan.model, x_test[:, :, 0],
-                      plan.n_inner, plan.seed)
+    v1, _ = _date1_truth(plan, x_test[:, :, 0])
     risk_stage(plan, surface, v0, v1, y_test, out)
     print(f"risk tables written to {out}")
     return EXIT_OK

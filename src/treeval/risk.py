@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The levels of every risk table: VaR at 99.5% and ES at 99%.
+VAR_ALPHA = 0.995
+ES_ALPHA = 0.99
+
 
 def _left_quantiles(losses, levels) -> np.ndarray:
     """``empirical_var`` at every level, from one sort of the sample."""
@@ -121,8 +125,8 @@ class RiskReport:
         return max(abs(e.rel_error_pct) for e in self.entries)
 
 
-def risk_report(est_long, oracle_long, var_alpha: float = 0.995,
-                es_alpha: float = 0.99) -> RiskReport:
+def risk_report(est_long, oracle_long, var_alpha: float = VAR_ALPHA,
+                es_alpha: float = ES_ALPHA) -> RiskReport:
     """Compare estimated and oracle losses through VaR and ES, both sides."""
     est_long = np.asarray(est_long, dtype=np.float64)
     oracle_long = np.asarray(oracle_long, dtype=np.float64)

@@ -20,6 +20,7 @@ from treeval.bench import (
     black_put_price,
     bundle_hash,
     desk_plan,
+    exact_v1,
     oracle_v0,
     oracle_v1,
     paper_plan,
@@ -165,6 +166,148 @@ def test_oracle_v1_tower_matches_v0():
     v1, _ = oracle_v1(payoff, model, test[:, :, 0], n_inner=100, seed=0)
     tol = 4.0 * math.sqrt(v0_se**2 + v1.var(ddof=1) / v1.size)
     assert abs(v1.mean() - v0) <= tol
+
+
+# (vol, steps) of the models exact_v1 is checked on: the standard two
+# periods, a volatile asset, and a short tail tau = 0.01 after a first
+# period of a month and of half a year, where the cdfs are steps 0.02 wide
+_EXACT_MODELS = [(0.2, None), (1.0, None), (0.2, [1 / 12, 0.01]), (0.2, [0.5, 0.01])]
+
+
+def _exact_model(d, vol, steps, rate=0.0):
+    """The standard min_put model with vol (one, or one per asset) and steps."""
+    model = replace(standard_model("min_put", d=d, rate=rate),
+                    vols=np.diag(np.broadcast_to(np.asarray(vol, dtype=float), (d,))))
+    return model if steps is None else replace(model, steps=np.array(steps))
+
+
+@pytest.mark.parametrize("vol, steps", _EXACT_MODELS)
+def test_exact_v1_single_asset_is_black_put(vol, steps):
+    model = _exact_model(1, vol, steps)
+    x1 = sample_driver(2000, 1, model.n_periods, 0, (STREAM_TEST,))[:, :, 0]
+    v1 = exact_v1(Payoff("min_put", strike=1.0), model, x1)
+    dt1, tau = model.steps
+    log_s1 = vol * math.sqrt(dt1) * x1[:, 0] - 0.5 * vol**2 * dt1
+    truth = black_put_price(log_s1, 1.0, 0.0, vol, tau)
+    # Black's formula is a difference of two terms of order K = 1, so it
+    # holds a value to a few 1e-16 absolute: at tau = 0.01 a put worth
+    # 1e-3 differs from it by 1.3e-16, and mpmath sides with exact_v1
+    np.testing.assert_allclose(v1, truth, rtol=1e-14, atol=5e-16)
+
+
+# first-period drivers of one scenario per row, every asset alike but the
+# mixed row: the first row is deep in the money for the put and deep out
+# of it for the call, the second the other way round
+_EXACT_SCENARIOS = np.array([[-8.0] * 6, [8.0] * 6, [-3.0] * 6, [0.0] * 6, [3.0] * 6,
+                             [1.0, -1.0, 0.5, 2.0, -2.0, 0.0]])
+
+
+def _adaptive_v1(kind, model, x, strike):
+    """V_1 of one scenario by adaptive quadrature over u = log x.
+
+    Over 12 standard deviations past every asset, in pieces split at
+    each m_i and m_i + s_i^2; a warning of quad fails the test.
+    """
+    from scipy.integrate import quad
+    from scipy.special import log_ndtr
+    var = (model.vols**2).sum(axis=1)
+    dt1, tau = model.steps[0], model.steps[1:].sum()
+    mean = (np.log(model.initial_prices) + (model.rate - 0.5 * var) * (dt1 + tau)
+            + math.sqrt(dt1) * (model.vols * x).sum(axis=1))
+    sd = np.sqrt(var * tau)
+    sign = -1.0 if kind == "min_put" else 1.0  # P(S_i > x) or P(S_i < x) = Phi(sign z)
+    def f(u):
+        return -math.expm1(log_ndtr(sign * (u - mean) / sd).sum()) * math.exp(u)
+    if kind == "min_put":
+        lo, hi = (mean - 12 * sd).min(), math.log(strike)
+    else:
+        lo, hi = math.log(strike), (mean + sd * (sd + 12)).max()
+    edges = [lo] + sorted(e for e in np.r_[mean, mean + sd**2] if lo < e < hi) + [hi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(edges, edges[1:]) if b > a)
+    return math.exp(-model.rate * model.steps.sum()) * total
+
+
+@pytest.mark.parametrize("vol, steps, rate, strike", [
+    *[(vol, steps, 0.0, 1.0) for vol, steps in _EXACT_MODELS],
+    (0.2, None, 0.05, 1.0),
+    (0.5, [1.0, 9.0], 0.05, 1.2),
+    ([0.1, 0.15, 0.2, 0.25, 0.3, 0.4], None, 0.05, 0.9),
+])
+@pytest.mark.parametrize("kind", ["min_put", "max_call"])
+def test_exact_v1_matches_adaptive_quadrature(kind, vol, steps, rate, strike):
+    model = _exact_model(6, vol, steps, rate)
+    got = exact_v1(Payoff(kind, strike=strike), model, _EXACT_SCENARIOS)
+    want = [_adaptive_v1(kind, model, x, strike) for x in _EXACT_SCENARIOS]
+    # values below 1e-16 (deep out of the money) need only be as small
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("kind", ["min_put", "max_call"])
+def test_oracle_v1_matches_exact_v1(kind):
+    """The nested-MC z-scores against the exact V_1 at d = 6, as against Black's put."""
+    model = standard_model("min_put", d=6)
+    payoff = Payoff(kind, strike=1.0)
+    k = 2000
+    x1 = sample_driver(k, 6, model.n_periods, 0, (STREAM_TEST,))[:, :, 0]
+    v1, se = oracle_v1(payoff, model, x1, n_inner=200, seed=0)
+    z = (v1 - exact_v1(payoff, model, x1)) / se
+    assert abs(z.mean()) < 5.0 / math.sqrt(k)
+    assert 0.8 <= np.mean(z**2) <= 1.2
+
+
+@pytest.mark.parametrize("kind", ["min_put", "max_call"])
+def test_exact_v1_same_bits_in_any_block(kind, monkeypatch):
+    model = standard_model("min_put", d=6, rate=0.03)
+    payoff = Payoff(kind, strike=1.0)
+    x1 = sample_driver(50, 6, model.n_periods, 4, (STREAM_TEST,))[:, :, 0]
+    want = exact_v1(payoff, model, x1)
+    for chunk in (1, 7):
+        monkeypatch.setattr(bench, "_EXACT_CHUNK", chunk)
+        assert np.array_equal(exact_v1(payoff, model, x1), want), chunk
+
+
+def test_exact_v1_rejects_what_it_cannot_value():
+    x1 = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="brc"):
+        exact_v1(Payoff("brc", barrier=0.6), standard_model("brc", d=2), x1)
+    one_period = BlackScholesModel(initial_prices=np.ones(2), vols=0.2 * np.eye(2),
+                                   rate=0.0, steps=np.array([1.0]))
+    with pytest.raises(ValueError, match="T >= 2"):
+        exact_v1(Payoff("min_put"), one_period, x1)
+    dependent = replace(standard_model("min_put", d=2), vols=np.array([[0.3, 0.0],
+                                                                       [0.1, 0.2]]))
+    with pytest.raises(ValueError, match="independent"):
+        exact_v1(Payoff("max_call"), dependent, x1)
+    riskless = replace(standard_model("min_put", d=2), vols=np.diag([0.2, 0.0]))
+    with pytest.raises(ValueError, match="positive"):
+        exact_v1(Payoff("min_put"), riskless, x1)
+    far_apart = replace(standard_model("min_put", d=2), vols=np.diag([0.2, 0.01]))
+    with pytest.raises(ValueError, match="panels"):
+        exact_v1(Payoff("min_put"), far_apart, x1)
+
+
+@pytest.mark.parametrize("kind, vols, exact", [
+    ("min_put", None, True),
+    ("max_call", None, True),
+    ("brc", None, False),
+    ("min_put", [[0.3, 0.0], [0.1, 0.2]], False),
+])
+def test_run_experiment_date1_truth(kind, vols, exact):
+    """Exact V_1 with zero standard errors where exact_v1 applies, nested MC elsewhere."""
+    model = standard_model(kind, d=2)
+    if vols is not None:
+        model = replace(model, vols=np.array(vols))
+    plan = _micro_plan(payoff=desk_plan(kind).payoff, model=model, n_test=200)
+    rep = run_experiment(plan)
+    x1 = sample_streams(plan, ("test",))["test"].driver[:, :, 0]
+    if exact:
+        want, want_se = exact_v1(plan.payoff, model, x1), np.zeros(200)
+    else:
+        want, want_se = oracle_v1(plan.payoff, model, x1, plan.n_inner, plan.seed)
+    assert np.array_equal(rep.v1, want) and np.array_equal(rep.v1_se, want_se)
 
 
 # ---------------------------------------------------------------- planning

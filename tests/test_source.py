@@ -90,30 +90,54 @@ def test_every_private_name_is_referenced():
     assert _dead_private_names(trees) == []
 
 
-def _scipy_special_imports(tree: ast.Module) -> list:
-    """Import statements that load ``scipy.special`` or one of its submodules."""
-    def special(name):
-        return name == "scipy.special" or name.startswith("scipy.special.")
+def _module_imports(tree: ast.Module, modules: tuple) -> list:
+    """Import statements that load one of ``modules`` or a submodule, in walk order.
+
+    numpy and scipy load a subpackage on first attribute access, so a
+    read of ``np.polynomial`` or ``scipy.special`` counts as an import too.
+    """
+    def hit(name):
+        return any(name == m or name.startswith(m + ".") for m in modules)
 
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if special(a.name)]
+            found += [a.name for a in node.names if hit(a.name)]
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            if special(node.module):
+            if hit(node.module):
                 found.append(node.module)
-            elif node.module == "scipy":
-                found += [f"scipy.{a.name}" for a in node.names if a.name == "special"]
+            else:
+                found += [f"{node.module}.{a.name}" for a in node.names
+                          if hit(f"{node.module}.{a.name}")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = f"{'numpy' if node.value.id == 'np' else node.value.id}.{node.attr}"
+            if hit(name):
+                found.append(name)
     return found
+
+
+_SCIPY_SPECIAL = ("scipy.special",)
+# exact_v1 builds its Gauss-Legendre rule itself: either package would add
+# its import time to every process that loads treeval
+_QUADRATURE_MODULES = ("scipy.integrate", "numpy.polynomial")
 
 
 def test_scipy_special_import_check_sees_every_form():
     tree = ast.parse("import scipy\nimport scipy.special\nimport scipy.special._ufuncs as u\n"
                      "from scipy.special import ndtr\nfrom scipy import special, stats\n"
                      "from scipy.specialty import x\nfrom .special import y\n"
-                     "import scipy.stats\n")
-    assert _scipy_special_imports(tree) == ["scipy.special", "scipy.special._ufuncs",
-                                            "scipy.special", "scipy.special"]
+                     "import scipy.stats\nscipy.special.ndtr(0.0)\n")
+    assert _module_imports(tree, _SCIPY_SPECIAL) == [
+        "scipy.special", "scipy.special._ufuncs", "scipy.special", "scipy.special",
+        "scipy.special"]
+    tree = ast.parse("import scipy.integrate\nfrom scipy.integrate import quad\n"
+                     "from scipy import integrate, special\nimport numpy.polynomial.legendre as L\n"
+                     "from numpy import polynomial\nnp.polynomial.legendre.leggauss(4)\n"
+                     "from numpy.polynomials import x\nfrom .integrate import y\n"
+                     "import scipy.special\nnp.linalg.eigh(a)\n")
+    assert _module_imports(tree, _QUADRATURE_MODULES) == [
+        "scipy.integrate", "scipy.integrate", "scipy.integrate",
+        "numpy.polynomial.legendre", "numpy.polynomial", "numpy.polynomial"]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "paths.py"],
@@ -121,7 +145,7 @@ def test_scipy_special_import_check_sees_every_form():
 def test_only_paths_imports_scipy_special(path):
     # paths.py loads ndtr and ndtri without scipy.special's package init;
     # an import of the package anywhere else would run that init again
-    assert _scipy_special_imports(ast.parse(path.read_text())) == [], path.name
+    assert _module_imports(ast.parse(path.read_text()), _SCIPY_SPECIAL) == [], path.name
 
 
 def _parallel_imports(tree: ast.Module) -> list:
@@ -297,6 +321,30 @@ def test_fit_valuation_and_surface_read_leave_numpy_ma_unloaded(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_quadrature_packages(path):
+    assert _module_imports(ast.parse(path.read_text()), _QUADRATURE_MODULES) == [], path.name
+
+
+def test_cli_import_and_exact_v1_leave_quadrature_packages_unloaded():
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import treeval.cli
+        from treeval.bench import exact_v1, standard_model
+        from treeval.paths import Payoff
+        model = standard_model("min_put")
+        for kind in ("min_put", "max_call"):
+            exact_v1(Payoff(kind), model, np.zeros((40, model.n_assets)))
+        print(sorted(m for m in {_QUADRATURE_MODULES!r} if m in sys.modules))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
