@@ -55,6 +55,14 @@ _BLOCK_PATHS = 1024
 _CHUNK = 256
 
 
+def _first_period(model: BlackScholesModel, x1) -> np.ndarray:
+    """x1 as floats, the (k, d) first-period drivers of k scenarios, else ValueError."""
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x1.ndim != 2 or x1.shape[1] != model.n_assets:
+        raise ValueError(f"x1 must have shape (k, {model.n_assets})")
+    return x1
+
+
 def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
               n_inner: int, seed: int) -> tuple:
     """Nested MC estimate of V_1 at each first-period driver value.
@@ -72,7 +80,7 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
     """
     if n_inner < 1:
         raise ValueError("n_inner must be >= 1")
-    x1 = np.asarray(x1, dtype=np.float64)
+    x1 = _first_period(model, x1)
     k, d = x1.shape
     T = model.n_periods
     if T == 1:
@@ -197,9 +205,7 @@ def exact_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray) -> np.nda
     reason = _exact_v1_error(payoff, model)
     if reason is not None:
         raise ValueError(reason)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x1.ndim != 2 or x1.shape[1] != model.n_assets:
-        raise ValueError(f"x1 must have shape (k, {model.n_assets})")
+    x1 = _first_period(model, x1)
     var = (model.vols**2).sum(axis=1)
     dt1, tau = model.steps[0], model.steps[1:].sum()
     # the mean of log S_{i,T} is offset + sqrt(dt1) sigma_i^T X_1
@@ -713,4 +719,4 @@ def regress_now_date1(plan: ExperimentPlan) -> np.ndarray:
     # the first period alone, as a one-period driver
     model = fit(plan.estimator, train.driver[:, :, :1], train.payoffs,
                 (valid.driver[:, :, :1], valid.payoffs))
-    return np.asarray(predict(model, test.driver[:, :, :1]), dtype=np.float64)
+    return predict(model, test.driver[:, :, :1])

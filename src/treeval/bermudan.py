@@ -210,7 +210,7 @@ def _continuation(model: LogBSModel, mode: str, fitted, t: int,
     """
     if mode == "later":
         return gaussian_cell_sum(fitted, z[:, 0] + model.drift[t], model.sd[t])
-    return np.asarray(predict(fitted, z[:, :, None]), dtype=np.float64)
+    return predict(fitted, z[:, :, None])
 
 
 def _state_paths(z_paths, T: int) -> np.ndarray:

@@ -43,9 +43,11 @@ Every point and every cell bound is stored time-major: a path with d
 assets over T periods is a row of P = d*T columns, and column
 ``c = s*d + j`` holds asset j of period s+1.  The first ``t*d`` columns
 therefore describe the first t periods, which is what conditional
-valuation slices on.  ``_as_points`` is the one place where the other
-accepted layouts ((k, d, T) batches, a single (d, T) point) are turned
-into these rows; everything past it works on (k, P).
+valuation slices on.  Points enter every public function as a (k, d, T)
+batch, and ``_as_points`` is the one place that turns a batch into these
+rows; everything past it works on (k, P).  It refuses flat rows and lone
+points: numpy flattens a batch asset-major, so a flat row's coordinate
+order cannot be told from its shape.
 """
 
 from __future__ import annotations
@@ -121,15 +123,6 @@ class RegressionTree:
     def n_nodes(self) -> int:
         return self.feature.size
 
-    def leaf_cells(self):
-        """Leaf partition as flat bound arrays.
-
-        Returns (lower, upper, value, count) where the bound arrays have
-        shape (n_leaves, d*T) in time-major column order.  The cells
-        partition R^{d x T}.  The one-tree call of ``_leaf_cells``.
-        """
-        return _leaf_cells((self,))
-
 
 def _time_major(a: np.ndarray) -> np.ndarray:
     """(k, d, T) grid -> (k, T*d) rows; column s*d + j is a[:, j, s]."""
@@ -137,34 +130,22 @@ def _time_major(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1).reshape(k, T * d)
 
 
-def _as_points(x, dims) -> tuple:
-    """Coerce points to time-major rows; every public entry point reads points here.
+def _as_points(x, dims) -> np.ndarray:
+    """A (k, d, T) batch of points as time-major rows (k, P), P = d*T, C-contiguous.
 
-    Accepts a batch (k, d, T), a single point (d, T), flat rows (k, P)
-    or a single flat point (P,), with P = d*T and dims = (d, T).  A 2-D
-    input whose shape equals dims is one (d, T) point; any other 2-D
-    input is flat rows.  Returns (X, single): X has shape (k, P) and
-    single says the input was one point.  Raises ValueError when the
-    layout does not match dims or a coordinate is not finite.
+    Every public entry point reads points here.  dims is (d, T).  Raises
+    ValueError naming (k, d, T) for any other rank or shape, a single
+    (d, T) point and flat rows included, and for a non-finite coordinate.
     """
     d, T = dims
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1 or x.shape == (d, T)
-    if x.ndim == 2 and single:
-        x = x[None]
-    if x.ndim == 3:
-        if x.shape[1:] != (d, T):
-            raise ValueError(f"points of shape {x.shape} do not match dims ({d}, {T})")
-        X = _time_major(x)
-    elif x.ndim in (1, 2):
-        X = x.reshape(-1, x.shape[-1])
-    else:
-        raise ValueError(f"cannot interpret a point array of shape {x.shape}")
-    if X.shape[1] != d * T:
-        raise ValueError(f"points have {X.shape[1]} coordinates, expected d*T = {d * T}")
-    if not np.isfinite(X).all():
+    if x.ndim != 3 or x.shape[1:] != (d, T):
+        raise ValueError(f"points must be a (k, d, T) batch with (d, T) = ({d}, {T}), "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise ValueError("points contain non-finite coordinates")
-    return np.ascontiguousarray(X), single
+    # the Bermudan states come in as strided views; the walks index X flat
+    return np.ascontiguousarray(_time_major(x))
 
 
 def _distinct(a) -> np.ndarray:
@@ -185,8 +166,8 @@ def _training_points(sample) -> tuple:
     """(X, dims) of a training sample, an (n, d, T) array."""
     dims = np.shape(sample)[1:]
     if len(dims) != 2:
-        raise ValueError("sample must be an (n, d, T) array")
-    return _as_points(sample, dims)[0], dims
+        raise ValueError(f"sample must be a (k, d, T) batch, got shape {np.shape(sample)}")
+    return _as_points(sample, dims), dims
 
 
 # Scoring and regrouping work on blocks of at most this many array elements,
@@ -565,12 +546,12 @@ def _nodes_end_to_end(trees) -> tuple:
 
 
 def _leaf_cells(trees) -> tuple:
-    """Each tree's ``RegressionTree.leaf_cells``, end to end, for trees of one dims.
+    """The leaf cells of trees of one dims, end to end; each tree's cells partition R^{d x T}.
 
     Bounds pass from the split nodes of a depth to their children, one
     depth of every tree a step, and each leaf lands in its tree's block
-    in node order.  Returns (lower, upper, value, count): bounds of shape
-    (leaves, d*T) and one value and count per leaf.
+    in node order.  Returns (lower, upper, value, count): time-major
+    bounds of shape (leaves, d*T) and one value and count per leaf.
     """
     root, leaf, column, threshold, child = _nodes_end_to_end(trees)
     P = trees[0].dims[0] * trees[0].dims[1]

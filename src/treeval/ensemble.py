@@ -160,7 +160,6 @@ class FittedBoost:
     base_value: float
     trees: tuple
     gammas: tuple
-    learning_rate: float
     dims: tuple
     config: BoostConfig
     train_errors: tuple = ()
@@ -193,7 +192,7 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
         raise ValueError("patience needs a validation sample; set it to None to fit without one")
     if use_valid:
         valid_sample, valid_responses = valid
-        vX, _ = _as_points(valid_sample, dims)
+        vX = _as_points(valid_sample, dims)
         vy = _check_responses(valid_responses, vX.shape[0])
 
     base = float(np.mean(y))
@@ -228,31 +227,28 @@ def fit_boost(sample, responses, cfg: BoostConfig = BoostConfig(),
                 break
     keep = len(trees) if cfg.patience is None else best_round
     return FittedBoost(base_value=base, trees=tuple(trees[:keep]), gammas=tuple(gammas[:keep]),
-                       learning_rate=cfg.learning_rate, dims=dims, config=cfg,
+                       dims=dims, config=cfg,
                        train_errors=tuple(train_err[:keep]), valid_errors=tuple(valid_err[:keep]))
 
 
-def predict(model, x) -> np.ndarray | float:
-    """Evaluate a fitted tree, forest, or boosted model at x.
+def predict(model, x) -> np.ndarray:
+    """Evaluate a fitted tree, forest, or boosted model at a (k, d, T) batch x; shape (k,).
 
-    x may be in any layout ``cart._as_points`` reads; a single point
-    returns a float.  A point gets the same bits in any batch: a forest
-    sums its trees left to right, a boost its rounds.  A tree is a
-    forest of one, whose leaf values keep their bits through ``/ 1``.
+    A point gets the same bits in any batch: a forest sums its trees
+    left to right, a boost its rounds.  A tree is a forest of one, whose
+    leaf values keep their bits through ``/ 1``.
     """
     if not isinstance(model, (RegressionTree, FittedForest, FittedBoost)):
         raise TypeError(f"cannot predict with object of type {type(model).__name__}")
-    X, single = _as_points(x, model.dims)
+    X = _as_points(x, model.dims)
     if isinstance(model, FittedBoost):
         acc = np.zeros(X.shape[0])
         for tree, gamma in zip(model.trees, model.gammas):
-            acc = acc + model.learning_rate * gamma * _predict_trees((tree,), X)[0]
-        out = model.base_value - acc
-    else:
-        trees = model.trees if isinstance(model, FittedForest) else (model,)
-        # left to right at every batch size; np.mean sums one point pairwise
-        out = reduce(np.add, _predict_trees(trees, X)) / len(trees)
-    return float(out[0]) if single else out
+            acc = acc + model.config.learning_rate * gamma * _predict_trees((tree,), X)[0]
+        return model.base_value - acc
+    trees = model.trees if isinstance(model, FittedForest) else (model,)
+    # left to right at every batch size; np.mean sums one point pairwise
+    return reduce(np.add, _predict_trees(trees, X)) / len(trees)
 
 
 def fit(config, X, y, valid=None):

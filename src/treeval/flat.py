@@ -96,7 +96,7 @@ def flatten_model(model) -> FlatEnsemble:
         val = np.array([model.base_value])
         if model.trees:
             tlo, thi, tval, _ = _leaf_cells(model.trees)
-            scale = np.repeat([-model.learning_rate * gamma for gamma in model.gammas],
+            scale = np.repeat([-model.config.learning_rate * gamma for gamma in model.gammas],
                               [t.n_leaves for t in model.trees])
             lo, hi = np.concatenate([lo, tlo]), np.concatenate([hi, thi])
             val = np.concatenate([val, tval * scale])
@@ -198,15 +198,10 @@ def membership_sums(ptf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return out
 
 
-def evaluate_flat(fe: FlatEnsemble, x) -> np.ndarray | float:
-    """Evaluate sum_i values[i] 1{x in cell_i} at points x.
-
-    x may be in any layout ``cart._as_points`` reads; a single point
-    returns a float.
-    """
-    X, single = _as_points(x, fe.dims)
-    out = membership_sums(X, fe.lo, fe.hi, fe.values[None], [X.shape[1]])[:, 0]
-    return float(out[0]) if single else out
+def evaluate_flat(fe: FlatEnsemble, x) -> np.ndarray:
+    """sum_i values[i] 1{x in cell_i} at each point of a (k, d, T) batch x; shape (k,)."""
+    X = _as_points(x, fe.dims)
+    return membership_sums(X, fe.lo, fe.hi, fe.values[None], [X.shape[1]])[:, 0]
 
 
 def save_flat(fe: FlatEnsemble, path) -> None:

@@ -251,9 +251,10 @@ def simulate_bs(model: BlackScholesModel, x: np.ndarray) -> np.ndarray:
                                   + (r - |sigma_i|^2 / 2) Delta_t).
     """
     data = np.asarray(x, dtype=np.float64)
-    n, d, T = data.shape
-    if d != model.n_assets or T != model.n_periods:
-        raise ValueError("driver dims do not match model dims")
+    d, T = model.n_assets, model.n_periods
+    if data.ndim != 3 or data.shape[1:] != (d, T):
+        raise ValueError(f"driver must have shape (n, {d}, {T}), got {data.shape}")
+    n = data.shape[0]
     drift = (model.rate - 0.5 * (model.vols**2).sum(axis=1))  # (d,)
     prices = np.empty((n, d, T + 1))
     prices[:, :, 0] = model.initial_prices

@@ -84,17 +84,15 @@ def _values(fe: FlatEnsemble, dates: tuple, X: np.ndarray) -> np.ndarray:
 def value_at(fe: FlatEnsemble, t: int, prefix=None) -> float:
     """Conditional value at date t given the observed driver prefix.
 
-    prefix holds the first t periods as one point of dims (d, t): a
-    (d, t) array or t*d time-major coordinates (ignored for t = 0).
-    Dates follow value_surface's rule.
+    prefix is the first t periods of one path, a (d, t) array, valued
+    as a batch of one (ignored for t = 0).  Dates follow value_surface's
+    rule.
     """
     d, T = fe.dims
     (t,) = _checked_dates((t,), T)
     if t > 0 and prefix is None:
         raise ValueError("dates t >= 1 require the observed prefix")
-    X, single = _as_points(prefix, (d, t)) if t else (np.empty((1, 0)), True)
-    if not single:
-        raise ValueError(f"prefix must be one point of shape ({d}, {t})")
+    X = _as_points([prefix], (d, t)) if t else np.empty((1, 0))
     return float(_values(fe, (t,), X)[0, 0])
 
 
@@ -130,12 +128,12 @@ class ValueSurface:
 def value_surface(fe: FlatEnsemble, dates: Sequence[int], scenarios) -> ValueSurface:
     """Conditional values at each date along each scenario path.
 
-    scenarios holds full driver paths in any layout ``cart._as_points``
-    reads, typically a (k, d, T) array; date t uses only the first t
-    periods of each path.  Dates must be integers in 0..T, in any
-    order and repeated or not.  Cell probabilities are computed once,
-    and one kernel pass values every date, coding each column once.
+    scenarios is a (k, d, T) batch of full driver paths; date t uses
+    only the first t periods of each path.  Dates must be integers in
+    0..T, in any order and repeated or not.  Cell probabilities are
+    computed once, and one kernel pass values every date, coding each
+    column once.
     """
     dates = _checked_dates(dates, fe.dims[1])
-    X, _ = _as_points(scenarios, fe.dims)
+    X = _as_points(scenarios, fe.dims)
     return ValueSurface(dates=dates, values=_values(fe, dates, X))

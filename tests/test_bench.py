@@ -87,6 +87,9 @@ def test_oracle_v1_reproducible_and_chunk_invariant(monkeypatch):
     assert not np.array_equal(a_vals, c_vals)
     with pytest.raises(ValueError):
         oracle_v1(payoff, model, x1, n_inner=0, seed=5)
+    for bad in (x1[:, 0], x1[:, :1]):
+        with pytest.raises(ValueError, match=r"x1 must have shape \(k, 2\)"):
+            oracle_v1(payoff, model, bad, n_inner=40, seed=5)
 
 
 def _oracle_v1_per_scenario(payoff, model, x1, n_inner, seed):
@@ -287,6 +290,9 @@ def test_exact_v1_rejects_what_it_cannot_value():
     far_apart = replace(standard_model("min_put", d=2), vols=np.diag([0.2, 0.01]))
     with pytest.raises(ValueError, match="panels"):
         exact_v1(Payoff("min_put"), far_apart, x1)
+    for bad in (x1[:, 0], x1[:, :1]):
+        with pytest.raises(ValueError, match=r"x1 must have shape \(k, 2\)"):
+            exact_v1(Payoff("min_put"), standard_model("min_put", d=2), bad)
 
 
 @pytest.mark.parametrize("kind, vols, exact", [

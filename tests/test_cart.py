@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from treeval import cart, ensemble
-from treeval.cart import (RegressionTree, TreeConfig, _grow_trees, _time_major, best_split,
-                          fit_tree)
-from treeval.ensemble import BoostConfig, ForestConfig, fit_boost, fit_forest, predict
+from treeval.cart import (RegressionTree, TreeConfig, _as_points, _grow_trees, _time_major,
+                          best_split, fit_tree)
+from treeval.ensemble import BoostConfig, ForestConfig, fit, fit_boost, fit_forest, predict
+from treeval.flat import evaluate_flat, flatten_model
 from treeval.paths import sample_driver
+from treeval.valuation import value_at, value_surface
 
 
 def brute_force_split(features, responses):
@@ -177,7 +179,7 @@ def test_nodesize_blocks_small_cells():
     x = sample_driver(40, 1, 1, seed=7)
     y = np.sign(x[:, 0, 0])
     tree = fit_tree(x, y, TreeConfig(nodesize=10))
-    _, _, _, counts = tree.leaf_cells()
+    _, _, _, counts = cart._leaf_cells((tree,))
     # a split node must hold >= nodesize points, so any leaf created by
     # splitting sits under a parent with >= 10 points
     assert counts.sum() == 40
@@ -213,30 +215,83 @@ def test_leaf_cells_partition_space():
     x = sample_driver(100, 2, 2, seed=9)
     y = _time_major(x) @ np.array([1.0, -2.0, 0.5, 3.0])
     tree = fit_tree(x, y, TreeConfig(nodesize=5))
-    lows, highs, values, counts = tree.leaf_cells()
-    pts = _time_major(sample_driver(500, 2, 2, seed=10))
+    lows, highs, values, counts = cart._leaf_cells((tree,))
+    batch = sample_driver(500, 2, 2, seed=10)
+    pts = _time_major(batch)
     inside = (pts[:, None, :] > lows[None]) & (pts[:, None, :] <= highs[None])
     member = inside.all(axis=2)
     # exactly one leaf contains each point, and its value is the prediction
     assert (member.sum(axis=1) == 1).all()
     cell_idx = member.argmax(axis=1)
-    np.testing.assert_array_equal(values[cell_idx], predict(tree, pts))
+    np.testing.assert_array_equal(values[cell_idx], predict(tree, batch))
     assert counts.sum() == 100
 
 
-def test_predict_tree_input_shapes_agree():
-    x = sample_driver(64, 2, 3, seed=11)
-    y = _time_major(x)[:, 0] * _time_major(x)[:, 4]
-    tree = fit_tree(x, y, TreeConfig(nodesize=8))
-    batch = sample_driver(10, 2, 3, seed=12)
-    via_sample = predict(tree, batch)
-    via_array = predict(tree, batch)
-    via_flat = predict(tree, _time_major(batch))
-    np.testing.assert_array_equal(via_sample, via_array)
-    np.testing.assert_array_equal(via_sample, via_flat)
-    single = predict(tree, batch[0])
-    assert isinstance(single, float)
-    assert single == via_sample[0]
+@pytest.fixture(scope="module")
+def layout_models():
+    # y = x[:, 1, 0] + 2 x[:, 0, 1]: numpy's asset-major flat row puts these
+    # coordinates in other columns than the time-major rows the trees split
+    x = sample_driver(200, 2, 3, seed=11)
+    y = x[:, 1, 0] + 2.0 * x[:, 0, 1]
+    boost = fit_boost(x, y, BoostConfig(rounds=5, max_depth=3))
+    return {"x": x, "y": y, "tree": fit_tree(x, y, TreeConfig(nodesize=8)),
+            "forest": fit_forest(x, y, ForestConfig(n_trees=3, nodesize=8, seed=1)),
+            "boost": boost, "flat": flatten_model(boost)}
+
+
+_FLAT_OR_SINGLE = {
+    "asset_major_rows": lambda x: x[:4].reshape(4, -1),
+    "time_major_rows": lambda x: _time_major(x[:4]),
+    "flat_point": lambda x: x[0].ravel(),
+    "one_point": lambda x: x[0],
+}
+
+_POINT_READERS = {
+    "predict_tree": lambda m, bad: predict(m["tree"], bad),
+    "predict_forest": lambda m, bad: predict(m["forest"], bad),
+    "predict_boost": lambda m, bad: predict(m["boost"], bad),
+    "evaluate_flat": lambda m, bad: evaluate_flat(m["flat"], bad),
+    "value_surface": lambda m, bad: value_surface(m["flat"], (0, 1, 3), bad),
+    "fit_sample": lambda m, bad: fit(TreeConfig(), bad, m["y"]),
+    "fit_valid": lambda m, bad: fit(BoostConfig(rounds=2, patience=1), m["x"], m["y"],
+                                    (bad, m["y"][:4])),
+}
+
+
+@pytest.mark.parametrize("layout", _FLAT_OR_SINGLE)
+@pytest.mark.parametrize("reader", _POINT_READERS)
+def test_points_enter_only_as_a_batch(layout_models, reader, layout):
+    # a flat row cannot say whether it is time- or asset-major, and numpy's
+    # reshape is asset-major, so every reader refuses it rather than guess
+    bad = _FLAT_OR_SINGLE[layout](layout_models["x"])
+    with pytest.raises(ValueError, match=r"\(k, d, T\)"):
+        _POINT_READERS[reader](layout_models, bad)
+
+
+@pytest.mark.parametrize("flatten", [lambda p: p.T.ravel(), np.ravel],
+                         ids=["time_major", "asset_major"])
+def test_value_at_takes_its_prefix_as_one_point_only(layout_models, flatten):
+    fe, prefix = layout_models["flat"], layout_models["x"][0, :, :2]
+    want = value_surface(fe, (2,), layout_models["x"][:1]).values[0, 0]
+    assert value_at(fe, 2, prefix) == want
+    with pytest.raises(ValueError, match=r"\(k, d, T\)"):
+        value_at(fe, 2, flatten(prefix))
+
+
+def test_as_points_returns_contiguous_time_major_rows():
+    z = sample_driver(50, 1, 5, seed=3)
+    # the Bermudan fits slice one date of the state paths, a strided view
+    view = z[:, :, 2, None]
+    assert not view.flags.c_contiguous
+    X = _as_points(view, (1, 1))
+    assert X.flags.c_contiguous and np.array_equal(X[:, 0], z[:, 0, 2])
+    x = sample_driver(7, 2, 3, seed=4)
+    X = _as_points(x, (2, 3))
+    assert X.flags.c_contiguous and np.array_equal(X, x.transpose(0, 2, 1).reshape(7, 6))
+    bad = x.copy()
+    bad[3, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _as_points(bad, (2, 3))
 
 
 @given(st.integers(2, 40), st.integers(0, 2**31 - 1))
@@ -263,7 +318,7 @@ def test_tree_prediction_is_leaf_mean(seed):
     x = rng.standard_normal((n, 1, 2))
     y = rng.standard_normal(n)
     tree = fit_tree(x, y, TreeConfig(nodesize=10))
-    lows, highs, values, counts = tree.leaf_cells()
+    lows, highs, values, counts = cart._leaf_cells((tree,))
     flat = x.transpose(0, 2, 1).reshape(n, 2)
     inside = (flat[:, None, :] > lows[None]) & (flat[:, None, :] <= highs[None])
     member = inside.all(axis=2)
@@ -730,7 +785,7 @@ def test_leaf_cells_of_many_trees_match_per_node_pass():
         ref = np.concatenate(parts)
         assert g.dtype == ref.dtype and np.array_equal(g, ref)
     for tree, ref in zip(trees, want):
-        for g, r in zip(tree.leaf_cells(), ref):
+        for g, r in zip(cart._leaf_cells((tree,)), ref):
             assert g.dtype == r.dtype and np.array_equal(g, r)
 
 

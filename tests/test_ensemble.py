@@ -111,7 +111,7 @@ def test_forest_predict_is_the_mean_of_its_trees_bitwise(cfg):
     y = np.cos(_time_major(x) @ np.arange(1.0, 7.0))
     ff = fit_forest(x, y, cfg)
     pts = sample_driver(777, 3, 2, seed=27)
-    X, _ = _as_points(pts, ff.dims)
+    X = _as_points(pts, ff.dims)
     per_tree = [_predict_trees((t,), X)[0] for t in ff.trees]
     assert np.array_equal(predict(ff, pts), np.mean(per_tree, axis=0))
     for tree, got in zip(ff.trees, per_tree):
@@ -125,13 +125,13 @@ def test_forest_predict_is_the_mean_of_its_trees_bitwise(cfg):
 
 def test_forest_prediction_does_not_depend_on_its_batch(toy):
     """A point alone and in a batch gets the same bits: np.mean over the
-    trees would sum one point pairwise and a batch left to right."""
+    trees would sum a batch of one pairwise and a larger batch left to right."""
     x, y = toy
     pts = sample_driver(50, 2, 2, seed=29)
     for n_trees in (8, 12, 33):
         ff = fit_forest(x, y, ForestConfig(n_trees=n_trees, nodesize=3, seed=9))
         batch = predict(ff, pts)
-        alone = np.array([predict(ff, pts[i]) for i in range(pts.shape[0])])
+        alone = np.concatenate([predict(ff, pts[i:i + 1]) for i in range(pts.shape[0])])
         assert np.array_equal(alone.view(np.int64), batch.view(np.int64)), n_trees
 
 
@@ -255,18 +255,7 @@ def test_fit_rejects_unknown_configs_and_foreign_layouts():
     y, yv = rng.standard_normal(200), rng.standard_normal(100)
     with pytest.raises(TypeError):
         fit("boost", x, y)
-    with pytest.raises(ValueError, match="expected d\\*T = 2"):
+    with pytest.raises(ValueError, match=r"\(k, d, T\) batch with \(d, T\) = \(2, 1\)"):
         fit(BoostConfig(rounds=5, patience=3), x, y, (xv[:, 0, 0], yv))
-    with pytest.raises(ValueError, match="expected d\\*T = 2"):
+    with pytest.raises(ValueError, match=r"\(k, d, T\) batch with \(d, T\) = \(2, 1\)"):
         predict(fit(TreeConfig(), x, y), np.zeros(3))
-
-
-def test_predict_single_point_shapes(toy):
-    x, y = toy
-    ff = fit_forest(x, y, ForestConfig(n_trees=2, nodesize=20, seed=8))
-    boost = fit_boost(x, y, BoostConfig(rounds=2, max_depth=2))
-    single = x[0]
-    assert isinstance(predict(ff, single), float)
-    assert isinstance(predict(boost, single), float)
-    batch = predict(boost, x[:3])
-    assert batch.shape == (3,)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from treeval import flat
+from treeval import cart, flat
 from treeval.cart import TreeConfig, _time_major, fit_tree
 from treeval.ensemble import (BoostConfig, FittedForest, ForestConfig, fit_boost,
                               fit_forest)
@@ -86,7 +86,7 @@ def test_flatten_model_rejects_lookalikes_of_a_fitted_model(fitted):
     _, _, _, forest, boost = fitted
     forest_like = SimpleNamespace(trees=forest.trees, dims=forest.dims)
     boost_like = SimpleNamespace(**{k: getattr(boost, k) for k in
-                                    ("base_value", "trees", "gammas", "learning_rate", "dims")})
+                                    ("base_value", "trees", "gammas", "dims")})
     for model in (forest_like, boost_like):
         with pytest.raises(TypeError, match="SimpleNamespace"):
             flatten_model(model)
@@ -101,22 +101,13 @@ def test_a_tree_predicts_and_flattens_as_a_forest_of_one(fitted):
     one = FittedForest(trees=(tree,), dims=tree.dims, config=ForestConfig(n_trees=1))
     pts = sample_driver(300, 2, 2, seed=33)
     assert _bits(predict(tree, pts)) == _bits(predict(one, pts))
-    single = predict(tree, pts[0])
-    assert isinstance(single, float) and _bits(single) == _bits(predict(one, pts[0]))
+    single = predict(tree, pts[:1])
+    assert single.shape == (1,) and _bits(single) == _bits(predict(one, pts[:1]))
     got, want = flatten_model(tree), flatten_model(one)
     assert got.dims == want.dims == tree.dims
     for name in ("lo", "hi", "values"):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
-    assert _bits(got.values) == _bits(tree.leaf_cells()[2])
-
-
-def test_evaluate_flat_single_point(fitted):
-    x, y, tree, _, _ = fitted
-    fe = flatten_model(tree)
-    single = evaluate_flat(fe, x[0])
-    batch = evaluate_flat(fe, x[:1])
-    assert isinstance(single, float)
-    assert single == batch[0]
+    assert _bits(got.values) == _bits(cart._leaf_cells((tree,))[2])
 
 
 def _one_stop(ptf, lo, hi, weights, n_coords):
@@ -371,8 +362,8 @@ def test_text_bytes_follow_leaf_cells(tmp_path):
     boost = fit_boost(x, y, BoostConfig(rounds=6, learning_rate=0.3, max_depth=3, seed=5))
     cells = [(boost.base_value, np.full(6, -np.inf), np.full(6, np.inf))]
     for tree, gamma in zip(boost.trees, boost.gammas):
-        lo, hi, val, _ = tree.leaf_cells()
-        cells.extend(zip(val * (-boost.learning_rate * gamma), lo, hi))
+        lo, hi, val, _ = cart._leaf_cells((tree,))
+        cells.extend(zip(val * (-boost.config.learning_rate * gamma), lo, hi))
     lines = ["treeval-flat 1", f"3 2 {len(cells)}"]
     for v, lo, hi in cells:
         bounds = [repr(float(b)) for pair in zip(lo, hi) for b in pair]
@@ -389,7 +380,7 @@ def test_flatten_walks_all_trees_of_a_model_at_once(fitted, monkeypatch):
     monkeypatch.setattr(flat, "_leaf_cells", lambda trees: walks.append(len(trees))
                         or leaf_cells(trees))
     m = len(forest.trees)
-    parts = [t.leaf_cells() for t in forest.trees]
+    parts = [cart._leaf_cells((t,)) for t in forest.trees]
     fe = flatten_model(forest)
     assert np.array_equal(fe.lo, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(fe.hi, np.concatenate([p[1] for p in parts]))
@@ -397,7 +388,7 @@ def test_flatten_walks_all_trees_of_a_model_at_once(fitted, monkeypatch):
     fe = flatten_model(boost)
     vals = [np.array([boost.base_value])]
     for t, gamma in zip(boost.trees, boost.gammas):
-        vals.append(t.leaf_cells()[2] * (-boost.learning_rate * gamma))
+        vals.append(cart._leaf_cells((t,))[2] * (-boost.config.learning_rate * gamma))
     assert np.array_equal(fe.values, np.concatenate(vals))
     flatten_model(tree)
     assert walks == [m, len(boost.trees), 1]

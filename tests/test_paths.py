@@ -140,6 +140,15 @@ def test_simulate_bs_single_step_closed_form():
     np.testing.assert_allclose(prices[0, :, 1], [s1, s2], rtol=1e-14)
 
 
+def test_simulate_bs_rejects_a_misshapen_driver():
+    model = BlackScholesModel(initial_prices=np.ones(2), vols=0.2 * np.eye(2),
+                              rate=0.0, steps=np.array([0.5, 0.5]))
+    x = sample_driver(4, 2, 2, seed=0)
+    for bad in (x[:, :, 0], x[:, :1], x[:, :, :1], x[0], x[None]):
+        with pytest.raises(ValueError, match=r"driver must have shape \(n, 2, 2\)"):
+            simulate_bs(model, bad)
+
+
 def test_simulate_bs_is_martingale_at_zero_rate():
     model = BlackScholesModel(initial_prices=np.array([1.0]),
                               vols=np.array([[0.2]]),

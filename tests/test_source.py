@@ -262,6 +262,20 @@ def test_forest_walks_have_one_reader_outside_cart(path):
             assert _references(tree, name) == [], (path.name, name)
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_points_have_one_layout_reader(path):
+    # cart._as_points alone turns a (k, d, T) batch into time-major rows; a
+    # second reader of a point layout could read a flat row in another order
+    tree = ast.parse(path.read_text())
+    refs = _references(tree, "_time_major")
+    if path.name != "cart.py":
+        assert refs == [], path.name
+        return
+    reader, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_as_points")
+    assert len(refs) == 1 and reader.lineno <= refs[0] <= reader.end_lineno, refs
+
+
 def _unique_calls_without_return_flag(tree: ast.Module) -> list:
     """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
 
