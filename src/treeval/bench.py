@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Philox, SeedSequence
 
 from .bermudan import ExerciseSpec, black_put_price, price_regress_later, price_regress_now
 from .cart import TreeConfig
@@ -30,8 +30,7 @@ from .flat import flatten_model
 from .parallel import thread_map
 from .paths import (STREAM_INNER, STREAM_TEST, STREAM_TRAIN, STREAM_VALID,
                     BlackScholesModel, LogBSModel, Payoff, ndtr, payoff_value,
-                    sample_driver, simulate_bs, _keyed_bits, _normal_from_bits,
-                    _stream_keys)
+                    sample_driver, simulate_bs, _normal_from_bits)
 from .risk import (ES_ALPHA, VAR_ALPHA, RiskReport, detrended_qq, loss_samples,
                    normalized_l2, risk_report)
 from .valuation import ValueSurface, _checked_dates, value_surface
@@ -67,16 +66,15 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
               n_inner: int, seed: int) -> tuple:
     """Nested MC estimate of V_1 at each first-period driver value.
 
-    For scenario i the inner tail draws (X_2..X_T) come from the stream
-    (seed, inner, i), so estimates are reproducible per scenario and
-    independent of everything else, the thread count and the blocking
-    included.  The Philox keys of all k streams come from one vectorised
-    pass of SeedSequence's hash, and each ``thread_map`` item rekeys one
-    bit generator per scenario instead of building a generator.  Blocks
-    of consecutive scenarios holding about ``_BLOCK_PATHS`` inner paths
-    are simulated and priced together; ``_CHUNK`` caps the scenarios of
-    one ``thread_map`` item, which holds whole blocks.  Returns (values,
-    standard errors), each of shape (k,).
+    Scenario i takes its n = n_inner d (T-1) tail draws (X_2..X_T) from
+    its window of the one stream (seed, inner): the first n of words
+    [4 m i, 4 m (i+1)), with m = ceil(n / 4) Philox counter steps of four
+    words each.  So estimates are reproducible per scenario and do not
+    depend on the thread count or the blocking.  Each block of about
+    ``_BLOCK_PATHS`` inner paths places one bit generator at its first
+    scenario's counter and is simulated and priced at once; ``_CHUNK``
+    caps the scenarios of one ``thread_map`` item, which holds whole
+    blocks.  Returns (values, standard errors), each of shape (k,).
     """
     if n_inner < 1:
         raise ValueError("n_inner must be >= 1")
@@ -89,13 +87,18 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
         return vals, np.zeros(k)
     block = max(1, min(_CHUNK, _BLOCK_PATHS // n_inner))
     vals, ses = np.empty(k), np.zeros(k)
-    keys = _stream_keys(seed, (STREAM_INNER,), np.arange(k))
+    n = n_inner * d * (T - 1)
+    steps = -(-n // 4)  # counter steps per scenario window
+    # the Philox key of stream_rng(seed, STREAM_INNER)
+    key = SeedSequence(seed, spawn_key=(STREAM_INNER,)).generate_state(2, np.uint64)
 
-    def run_block(bitgen, a, b):
+    def run_block(a, b):
         m = b - a
+        raw = Philox(counter=a * steps, key=key).random_raw((m, 4 * steps))
+        raw >>= np.uint64(11)  # the 53 bits _draw_bits keeps of each word
         full = np.empty((m, n_inner, d, T))
         full[:, :, :, 0] = x1[a:b, None, :]
-        full[:, :, :, 1:] = _normal_from_bits(_keyed_bits(bitgen, keys[a:b], (n_inner, d, T - 1)))
+        full[:, :, :, 1:] = _normal_from_bits(raw[:, :n]).reshape(m, n_inner, d, T - 1)
         paths = simulate_bs(model, full.reshape(m * n_inner, d, T))
         y = payoff_value(payoff, model, paths).reshape(m, n_inner)
         vals[a:b] = y.mean(axis=1)
@@ -105,9 +108,8 @@ def oracle_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray,
     def run_chunk(bounds):
         # each block writes its own slice of vals and ses
         a, b = bounds
-        bitgen = Philox(0)  # rekeyed per scenario
         for i in range(a, b, block):
-            run_block(bitgen, i, min(i + block, b))
+            run_block(i, min(i + block, b))
 
     step = _CHUNK // block * block  # whole blocks per thread_map item
     thread_map(run_chunk, [(a, min(a + step, k)) for a in range(0, k, step)])

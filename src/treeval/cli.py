@@ -97,11 +97,21 @@ def _check(where: str, val, spec):
             return val
         raise ConfigError(f"{where}: expected a value, got null")
     if spec is float and type(val) is int:
-        return float(val)
+        return _floats(where, val).item()
     if isinstance(val, spec) and not isinstance(val, bool):
         return val
     names = " or ".join(t.__name__ for t in (spec if isinstance(spec, tuple) else (spec,)))
     raise ConfigError(f"{where}: expected {names}, got {_type_name(val)}")
+
+
+def _floats(where: str, val) -> np.ndarray:
+    """A number or a list of numbers, bools not, as floats, else ConfigError naming where."""
+    if not all(type(v) in (int, float) for v in (val if isinstance(val, list) else [val])):
+        raise ConfigError(f"{where}: expected a number or a list of numbers")
+    try:
+        return np.asarray(val, dtype=np.float64)
+    except OverflowError:
+        raise ConfigError(f"{where}: integer too large for a float") from None
 
 
 def _section(node, path: str, keys: dict) -> dict:
@@ -143,11 +153,10 @@ def _model(fields: dict, payoff_kind: str) -> BlackScholesModel:
     """The payoff's standard model with the keys the model section sets replaced."""
     model = standard_model(payoff_kind,
                            **{k: fields[k] for k in ("d", "vol", "rate") if k in fields})
-    changes = {"steps": fields["steps"]} if "steps" in fields else {}
-    if "initial_price" in fields:
-        price = fields["initial_price"]  # one price for every asset, or a list of d
-        changes["initial_prices"] = np.full(model.n_assets, float(price)) \
-            if isinstance(price, (int, float)) else price
+    changes = {"steps": _floats("model.steps", fields["steps"])} if "steps" in fields else {}
+    if "initial_price" in fields:  # one price for every asset, or a list of d
+        price = _floats("model.initial_price", fields["initial_price"])
+        changes["initial_prices"] = np.full(model.n_assets, price) if price.ndim == 0 else price
     return replace(model, **changes)
 
 

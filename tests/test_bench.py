@@ -1,6 +1,7 @@
 """Tests for the oracle estimators, experiment plans, and report bundles."""
 
 import ast
+import itertools
 import math
 import re
 import warnings
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 import treeval as tv
@@ -74,32 +76,49 @@ def test_oracle_v1_single_period_is_exact():
 
 
 def test_oracle_v1_reproducible_and_chunk_invariant(monkeypatch):
+    # each block places its own bit generator, so an off-by-one in its
+    # counter would show at block and chunk edges
     model = standard_model("min_put", d=2)
     payoff = Payoff("min_put", strike=1.0)
     x1 = sample_driver(30, 2, 2, 0, (STREAM_TEST,))[:, :, 0]
-    monkeypatch.setattr(bench, "_CHUNK", 7)
-    a_vals, a_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5)
-    monkeypatch.setattr(bench, "_CHUNK", 256)
-    b_vals, b_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5)
-    assert np.array_equal(a_vals, b_vals)
-    assert np.array_equal(a_ses, b_ses)
+    want_vals, want_ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5)
+    # 40 inner paths a scenario: blocks of 1, 3, 7 and 25 scenarios, and
+    # thread_map items of at most 7 or 256 scenarios
+    for block_paths, chunk in itertools.product([1, 120, 280, 1024], [7, 256]):
+        monkeypatch.setattr(bench, "_BLOCK_PATHS", block_paths)
+        monkeypatch.setattr(bench, "_CHUNK", chunk)
+        vals, ses = oracle_v1(payoff, model, x1, n_inner=40, seed=5)
+        assert np.array_equal(vals, want_vals), (block_paths, chunk)
+        assert np.array_equal(ses, want_ses), (block_paths, chunk)
     c_vals, _ = oracle_v1(payoff, model, x1, n_inner=40, seed=6)
-    assert not np.array_equal(a_vals, c_vals)
+    assert not np.array_equal(want_vals, c_vals)
     with pytest.raises(ValueError):
         oracle_v1(payoff, model, x1, n_inner=0, seed=5)
+    with pytest.raises(ValueError):
+        oracle_v1(payoff, model, x1, n_inner=40, seed=-1)
     for bad in (x1[:, 0], x1[:, :1]):
         with pytest.raises(ValueError, match=r"x1 must have shape \(k, 2\)"):
             oracle_v1(payoff, model, bad, n_inner=40, seed=5)
 
 
+def _tail_words(n_inner, d, T):
+    # (n, m): the tail draws of one scenario and the Philox counter steps of
+    # its window, four 64-bit words a step
+    n = n_inner * d * (T - 1)
+    return n, -(-n // 4)
+
+
 def _oracle_v1_per_scenario(payoff, model, x1, n_inner, seed):
-    # reference: one generator, one simulation and one payoff call per scenario
+    # reference: one generator placed at each scenario's window of the
+    # (seed, inner) stream, one simulation and one payoff call per scenario
     k, d = x1.shape
     T = model.n_periods
+    n, m = _tail_words(n_inner, d, T)
+    key = stream_rng(seed, STREAM_INNER).bit_generator.state["state"]["key"]
     vals, ses = np.empty(k), np.empty(k)
     full = np.empty((n_inner, d, T))
     for i in range(k):
-        rng = stream_rng(seed, STREAM_INNER, i)
+        rng = Generator(Philox(counter=i * m, key=key))
         full[:, :, 0] = x1[i]
         raw = rng.integers(0, 1 << 53, size=(n_inner, d, T - 1), dtype=np.uint64)
         full[:, :, 1:] = ndtri((raw.astype(np.float64) + 0.5) * (0.5**53))
@@ -107,6 +126,32 @@ def _oracle_v1_per_scenario(payoff, model, x1, n_inner, seed):
         vals[i] = y.mean()
         ses[i] = y.std(ddof=1) / np.sqrt(n_inner) if n_inner > 1 else 0.0
     return vals, ses
+
+
+@pytest.mark.parametrize("block_paths", [1024, 21])
+@pytest.mark.parametrize("n_inner", [1, 7])
+def test_oracle_v1_reads_windows_of_the_inner_stream(n_inner, block_paths, monkeypatch):
+    # scenario i's tail is row i of the (seed, inner) stream cut into rows
+    # of 4 m words, of which the first n are used; n is not a multiple of 4.
+    # 21 paths a block puts block edges inside the 40 scenarios
+    monkeypatch.setattr(bench, "_BLOCK_PATHS", block_paths)
+    d, T, k, seed = 3, 3, 40, 9
+    model = BlackScholesModel(initial_prices=np.ones(d), vols=0.2 * np.eye(d),
+                              rate=0.01, steps=np.full(T, 1 / 12))
+    payoff = Payoff("brc", strike=1.0, barrier=0.8, coupon=0.05)
+    x1 = sample_driver(k, d, T, 3, (STREAM_TEST,))[:, :, 0]
+    n, m = _tail_words(n_inner, d, T)
+    assert n % 4
+    bits = paths._draw_bits(stream_rng(seed, STREAM_INNER), (k, 4 * m))[:, :n]
+    tails = paths._normal_from_bits(bits).reshape(k, n_inner, d, T - 1)
+    full = np.empty((k, n_inner, d, T))
+    full[..., 0] = x1[:, None, :]
+    full[..., 1:] = tails
+    y = payoff_value(payoff, model, simulate_bs(model, full.reshape(-1, d, T))).reshape(k, -1)
+    vals, ses = oracle_v1(payoff, model, x1, n_inner=n_inner, seed=seed)
+    assert np.array_equal(vals, y.mean(axis=1))
+    want_ses = y.std(axis=1, ddof=1) / np.sqrt(n_inner) if n_inner > 1 else np.zeros(k)
+    assert np.array_equal(ses, want_ses)
 
 
 @pytest.mark.parametrize("n_inner", [1, 7, 40])

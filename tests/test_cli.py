@@ -478,6 +478,24 @@ bermudan:
                  id="no-assets"),
     pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  steps: []"), "model: steps",
                  id="no-steps"),
+    # a boolean is no number, and an int no float holds is refused, in every number key
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  initial_price: true"),
+                 "model.initial_price: expected a number", id="initial-price-boolean"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  initial_price: [1.0, false]"),
+                 "model.initial_price: expected a number", id="initial-prices-boolean"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  steps: [true, 1.0]"),
+                 "model.steps: expected a number", id="steps-boolean"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  initial_price: '1.0'"),
+                 "model.initial_price: expected a number", id="initial-price-string"),
+    pytest.param(["simulate"], MICRO.replace("strike: 1.0", "strike: 1" + "0" * 400),
+                 "payoff.strike: integer too large for a float", id="strike-huge-int"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  initial_price: 1" + "0" * 400),
+                 "model.initial_price: integer too large for a float",
+                 id="initial-price-huge-int"),
+    pytest.param(["simulate"], MICRO.replace("d: 2", "d: 2\n  steps: [0.5, 1" + "0" * 400 + "]"),
+                 "model.steps: integer too large for a float", id="steps-huge-int"),
+    pytest.param(["bermudan"], "bermudan:\n  z0: 1" + "0" * 400 + "\n",
+                 "bermudan.z0: integer too large for a float", id="bermudan-huge-int"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)

@@ -8,14 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.random import Philox, SeedSequence
 from scipy.special import ndtr, ndtri
 
 from treeval.cart import _time_major
 from treeval.paths import (BlackScholesModel, LogBSModel, Payoff, STREAM_INNER,
                            STREAM_TEST, STREAM_TRAIN, STREAM_VALID, _draw_bits,
-                           _keyed_bits, _normal_from_bits, _stream_keys,
-                           payoff_value, sample_driver, simulate_bs, stream_rng)
+                           _normal_from_bits, payoff_value, sample_driver, simulate_bs, stream_rng)
 
 
 def test_stream_rng_is_deterministic_per_tag():
@@ -39,40 +37,6 @@ def test_stream_rng_seed_changes_draws():
     a = stream_rng(1, STREAM_TRAIN).standard_normal(8)
     b = stream_rng(2, STREAM_TRAIN).standard_normal(8)
     assert not np.allclose(a, b)
-
-
-@pytest.mark.parametrize("tags", [(STREAM_INNER,), (STREAM_TEST, 5)])
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3])
-def test_stream_keys_match_seed_sequence(seed, tags):
-    # RuntimeWarnings are errors under pytest, so the hash also shows it
-    # raises no numpy scalar-overflow warning
-    ids = np.array([0, 1, 2**31, 2**32 - 1])
-    want = np.array([SeedSequence(seed, spawn_key=(*tags, int(i))).generate_state(2, np.uint64)
-                     for i in ids])
-    got = _stream_keys(seed, tags, ids)
-    assert got.dtype == np.uint64
-    np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("shape", [(1,), (3,), (8,), (7, 1, 3), (40, 2, 5)])
-def test_keyed_bits_replay_stream_draws(shape):
-    # one bit generator, rekeyed per stream, gives each stream's own draws
-    bitgen = Philox(0)
-    keys = _stream_keys(9, (STREAM_INNER,), np.arange(3))
-    for i, key in enumerate(keys):
-        np.testing.assert_array_equal(_keyed_bits(bitgen, key, shape),
-                                      _draw_bits(stream_rng(9, STREAM_INNER, i), shape))
-
-
-def test_stream_keys_reject_bad_input():
-    with pytest.raises(ValueError):
-        _stream_keys(0, (STREAM_INNER,), np.array([2**32]))  # two SeedSequence words
-    with pytest.raises(ValueError):
-        _stream_keys(0, (STREAM_INNER,), np.array([-1]))
-    with pytest.raises(ValueError):
-        _stream_keys(-1, (STREAM_INNER,), np.arange(3))
-    with pytest.raises(ValueError):
-        _stream_keys(0, (-2,), np.arange(3))
 
 
 def test_sample_driver_shape_and_determinism():

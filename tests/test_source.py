@@ -276,6 +276,20 @@ def test_points_have_one_layout_reader(path):
     assert len(refs) == 1 and reader.lineno <= refs[0] <= reader.end_lineno, refs
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_inner_stream_has_one_reader(path):
+    # oracle_v1's scenario windows tile the (seed, inner) stream from its
+    # first word, so a second reader would reuse scenario 0's draws
+    tree = ast.parse(path.read_text())
+    refs = _references(tree, "STREAM_INNER")
+    if path.name != "bench.py":
+        assert refs == [], path.name
+        return
+    reader, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "oracle_v1")
+    assert refs and all(reader.lineno <= r <= reader.end_lineno for r in refs), refs
+
+
 def _unique_calls_without_return_flag(tree: ast.Module) -> list:
     """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
 
