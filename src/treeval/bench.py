@@ -303,7 +303,7 @@ class ExperimentPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.n_valid is not None and self.n_valid < 1:
             raise ValueError("n_valid must be >= 1")
-        _check_plan(self)
+        _check_plan(self, ("n_train", "n_valid", "n_test", "n_inner"))
         if self.dates is not None:
             # distinct dates in 0..T holding 0 and 1, which the date-1 loss V_0 - V_1 reads
             dates = _checked_dates(self.dates, self.model.n_periods, "plan.dates")
@@ -329,10 +329,16 @@ class ExperimentPlan:
             tuple(sorted({0, 1, self.model.n_periods}))
 
 
-def _check_plan(plan) -> None:
-    # both plans' estimator rules, found when a plan is built, not mid-fit:
+def _check_plan(plan, sizes) -> None:
+    # both plans' rules, found when a plan is built, not mid-fit: a seed
+    # SeedSequence takes, the named sizes within numpy's int64 indices,
     # one of the three configs, and a forest's n_resample must fit the
     # training sample
+    if plan.seed < 0:
+        raise ValueError("seed must be >= 0")
+    for name in sizes:
+        if (getattr(plan, name) or 0) > 2**63 - 1:
+            raise ValueError(f"{name} must be at most 2**63 - 1")
     if type(plan.estimator) not in _KINDS:
         raise ValueError("estimator must be a TreeConfig, ForestConfig or BoostConfig")
     if isinstance(plan.estimator, ForestConfig):
@@ -595,7 +601,7 @@ class BermudanPlan:
             raise ValueError("sample sizes must be >= 1")
         if self.mode not in ("later", "now", "both"):
             raise ValueError('mode must be "later", "now", or "both"')
-        _check_plan(self)
+        _check_plan(self, ("n_train", "n_test", "n_dates"))
         if isinstance(self.estimator, BoostConfig) and self.estimator.patience is not None:
             raise ValueError("a boost's patience needs a validation sample, which the "
                              "Bermudan fits do not draw; set patience: null (None)")

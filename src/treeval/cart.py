@@ -54,10 +54,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+
+from .paths import stream_rng
 
 _LEAF = -1
 
@@ -95,6 +96,8 @@ class TreeConfig:
         # an exact type check: bool is an int subclass, and features=True is a mistake
         if self.features != "all" and (type(self.features) is not int or self.features < 1):
             raise ValueError('features must be "all" or a positive int')
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -255,8 +258,8 @@ def _split_nodes(XT, y, order, size, sy, cands) -> tuple:
     ascending row order, and cands (nodes, P) marks the columns node i may
     split on.  Each node's children's SSE is scored at every midpoint of
     consecutive distinct values, from prefix sums that start at zero.
-    Returns (coord, threshold, score) per node; coord is -1 where the node
-    has no candidate, its responses are constant or no split strictly
+    Returns (coord, threshold) per node; coord is -1 where the node has
+    no candidate, its responses are constant or no split strictly
     improves on the parent SSE.  Ties go to the smallest (coord, threshold).
 
     Scoring reads only the responses.  Every cut between two of a node's
@@ -327,44 +330,8 @@ def _split_nodes(XT, y, order, size, sy, cands) -> tuple:
     best[~cands] = np.inf
     col = np.argmin(best, axis=1)  # first minimum = smallest coordinate
     i = np.arange(size.size)
-    score = best[i, col]
-    split = live & (score < parent)
-    return np.where(split, col, -1), np.where(split, cut[i, col], np.nan), score
-
-
-def best_split(features: np.ndarray, responses: np.ndarray,
-               candidates: Optional[Sequence[int]] = None):
-    """Greedy split of a cell's points over candidate flat coordinates.
-
-    features is (k, P) in time-major layout; candidates holds flat
-    column indices (default: all).  Returns ``(coord, threshold, score)``
-    for the split minimizing child SSE, or None when the responses are
-    constant or no split strictly improves on the parent SSE.  Ties are
-    broken toward the smallest (coord, threshold).  This is the one-node
-    case of the kernel that tree growth runs on each depth.  Raises
-    ValueError on non-finite features or responses and on a candidate
-    outside 0..P-1.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be (k, P) aligned with responses")
-    y = _check_responses(responses, features.shape[0])
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite entries")
-    P = features.shape[1]
-    cols = np.arange(P) if candidates is None else np.asarray(candidates, dtype=np.intp)
-    if ((cols < 0) | (cols >= P)).any():
-        raise ValueError(f"candidates must be columns in 0..{P - 1}, got {cols.tolist()}")
-    if y.size < 2:
-        return None
-    cands = np.zeros((1, P), dtype=bool)
-    cands[0, cols] = True
-    XT, order = _presort([features])
-    coord, z, score = _split_nodes(XT, np.append(y, 0.0), order, np.array([y.size]),
-                                   np.add.reduce(y), cands)
-    if coord[0] < 0:
-        return None
-    return int(coord[0]), float(z[0]), float(score[0])
+    split = live & (best[i, col] < parent)
+    return np.where(split, col, -1), np.where(split, cut[i, col], np.nan)
 
 
 def _candidates(rngs, tree: np.ndarray, P: int, features, can: np.ndarray) -> np.ndarray:
@@ -483,8 +450,8 @@ def _grow_trees(Xs, ys, cfg: TreeConfig, dims: tuple, rngs,
         can = (size >= cfg.nodesize) & (cfg.max_depth is None or depth < cfg.max_depth)
         if not can.any():
             break
-        coord, z, _ = _split_nodes(XT, y, order, size, sums,
-                                   _candidates(rngs, tree, P, cfg.features, can))
+        coord, z = _split_nodes(XT, y, order, size, sums,
+                                _candidates(rngs, tree, P, cfg.features, can))
         split = coord >= 0
         if not split.any():
             break
@@ -517,12 +484,11 @@ def fit_tree(sample, responses, cfg: TreeConfig = TreeConfig()) -> RegressionTre
     """Grow a regression tree on driver paths against responses.
 
     sample is an (n, d, T) array; responses must be finite with one
-    entry per path.  The candidate draws come from the stream of
-    cfg.seed.
+    entry per path.  The candidate draws come from
+    ``stream_rng(cfg.seed)``.
     """
     X, dims = _training_points(sample)
-    rng = Generator(Philox(SeedSequence(cfg.seed)))
-    return _grow_trees([X], [responses], cfg, dims, [rng])[0]
+    return _grow_trees([X], [responses], cfg, dims, [stream_rng(cfg.seed)])[0]
 
 
 def _nodes_end_to_end(trees) -> tuple:

@@ -20,10 +20,11 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator
 
 from .cart import (RegressionTree, TreeConfig, _as_points, _batch_size, _check_responses,
                    _grow_trees, _predict_trees, _presort, _training_points, fit_tree)
+from .paths import stream_rng
 
 _SAMPLINGS = ("bootstrap", "subsample_with", "subsample_without")
 
@@ -59,9 +60,10 @@ class ForestConfig:
             raise ValueError(f"sampling must be one of {_SAMPLINGS}")
         if self.sampling != "bootstrap" and self.n_resample is None:
             raise ValueError("subsample modes require n_resample")
-        if self.n_resample is not None and self.n_resample < 1:
-            raise ValueError("n_resample must be >= 1")
-        TreeConfig(nodesize=self.nodesize, max_depth=self.max_depth, features=self.features)
+        if self.n_resample is not None and not 1 <= self.n_resample <= 2**63 - 1:
+            raise ValueError("n_resample must lie in 1..2**63 - 1")
+        TreeConfig(nodesize=self.nodesize, max_depth=self.max_depth, features=self.features,
+                   seed=self.seed)
 
     def resample_size(self, n: int) -> int:
         """Rows each tree is grown on when the forest is fitted on n points.
@@ -114,7 +116,7 @@ def fit_forest(sample, responses, cfg: ForestConfig = ForestConfig()) -> FittedF
     y = _check_responses(responses, n)
     tree_cfg = TreeConfig(nodesize=cfg.nodesize, max_depth=cfg.max_depth,
                           features=cfg.features)
-    rngs = [Generator(Philox(s)) for s in SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    rngs = [stream_rng(cfg.seed, m) for m in range(cfg.n_trees)]
     step = _batch_size(cfg.resample_size(n), X.shape[1])
     trees = []
     for a in range(0, cfg.n_trees, step):
@@ -152,7 +154,7 @@ class BoostConfig:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1")
-        TreeConfig(nodesize=self.nodesize, max_depth=self.max_depth)
+        TreeConfig(nodesize=self.nodesize, max_depth=self.max_depth, seed=self.seed)
 
 
 @dataclass(frozen=True)

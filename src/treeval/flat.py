@@ -233,7 +233,8 @@ def write_flat_text(fe: FlatEnsemble, path) -> None:
 
     Each cell line is ``value a_1 b_1 a_2 b_2 ...`` over flat coordinates
     in time-major order, with unbounded sides written as -inf / inf.
-    Floats are written with repr precision so the round trip is exact.
+    Floats are written with repr precision, so each word parses back to
+    its float bit for bit.
     """
     d, T = fe.dims
     rows = np.empty((fe.n_cells, 1 + 2 * d * T))
@@ -245,23 +246,3 @@ def write_flat_text(fe: FlatEnsemble, path) -> None:
         fh.write(_TEXT_HEADER + "\n")
         fh.write(f"{d} {T} {fe.n_cells}\n")
         fh.writelines(" ".join(row) + "\n" for row in lines)
-
-
-def read_flat_text(path) -> FlatEnsemble:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _TEXT_HEADER:
-            raise ValueError(f"unrecognized flat-ensemble header: {header!r}")
-        d, T, n = (int(v) for v in fh.readline().split())
-        vals = np.empty(n)
-        lo = np.empty((n, d * T))
-        hi = np.empty((n, d * T))
-        for i in range(n):
-            row = fh.readline().split()
-            if len(row) != 1 + 2 * d * T:
-                raise ValueError(f"cell line {i} has {len(row)} fields, expected {1 + 2 * d * T}")
-            vals[i] = float(row[0])
-            rest = np.asarray(row[1:], dtype=np.float64)
-            lo[i] = rest[0::2]
-            hi[i] = rest[1::2]
-    return FlatEnsemble(lo=lo, hi=hi, values=vals, dims=(d, T))

@@ -417,6 +417,15 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(name="x", payoff=payoff, model=model,
                        estimator=TreeConfig(), n_valid=0)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentPlan(name="x", payoff=payoff, model=model, estimator=TreeConfig(), seed=-1)
+    # numpy indexes with int64: a larger size could never be allocated
+    for size in ("n_train", "n_valid", "n_test", "n_inner"):
+        with pytest.raises(ValueError, match=size):
+            ExperimentPlan(name="x", payoff=payoff, model=model, estimator=TreeConfig(),
+                           **{size: 2**63})
+    ExperimentPlan(name="x", payoff=payoff, model=model, estimator=TreeConfig(),
+                   n_test=2**63 - 1)
     # dates the run cannot serve fail here, not after sampling, the oracles and the fit
     for dates, needle in (((0, 2), "must include 0 and 1"), ((0, 1, 7), "must lie in 0..2"),
                           ((1, 1, 0), "must be distinct"),
@@ -597,6 +606,11 @@ def test_bermudan_plan_validation():
         BermudanPlan(n_train=0)
     with pytest.raises(ValueError):
         BermudanPlan(mode="sideways")
+    with pytest.raises(ValueError, match="seed"):
+        BermudanPlan(seed=-1)
+    for size in ("n_train", "n_test", "n_dates"):
+        with pytest.raises(ValueError, match=size):
+            BermudanPlan(**{size: 2**63})
     for bad in ({"sigma": 0.0}, {"strike": -1.0}, {"z0": float("nan")},
                 {"horizon": float("inf")}):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from treeval import cart, ensemble
 from treeval.cart import (RegressionTree, TreeConfig, _as_points, _grow_trees, _time_major,
-                          best_split, fit_tree)
+                          fit_tree)
 from treeval.ensemble import BoostConfig, ForestConfig, fit, fit_boost, fit_forest, predict
 from treeval.flat import evaluate_flat, flatten_model
 from treeval.paths import sample_driver
@@ -50,33 +50,48 @@ def brute_force_split(features, responses):
     return best
 
 
+# --- the best split: growth's root split, on a depth-1 tree ----------------
+
+def root_split(features, responses, features_drawn="all", seed=0):
+    """The root of a depth-1 tree grown on rows features (k, P).
+
+    Returns (coord, threshold, left value, right value), or None when the
+    root is a leaf.  The rows enter as a (k, P, 1) batch: P assets of one
+    period, so the tree's column c is column c of features.
+    """
+    cfg = TreeConfig(nodesize=2, max_depth=1, features=features_drawn, seed=seed)
+    tree = fit_tree(np.asarray(features, dtype=np.float64)[:, :, None], responses, cfg)
+    if tree.feature[0] < 0:
+        assert tree.n_nodes == 1
+        return None
+    return (int(tree.feature[0]), float(tree.threshold[0]),
+            tree.value[tree.left[0]], tree.value[tree.right[0]])
+
+
 def test_best_split_hand_case():
     # two clusters of responses: the split must fall between x=1 and x=2
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
-    coord, z, score = best_split(X, y)
-    assert coord == 0
-    assert z == 1.5
-    assert score == 0.0
+    assert root_split(X, y) == (0, 1.5, 0.0, 10.0)  # pure children: zero SSE
 
 
 def test_best_split_threshold_is_midpoint():
     X = np.array([[0.0], [2.0]])
     y = np.array([0.0, 1.0])
-    coord, z, score = best_split(X, y)
+    coord, z, _, _ = root_split(X, y)
     assert z == 1.0
 
 
 def test_best_split_constant_response_returns_none():
     X = np.arange(6, dtype=np.float64).reshape(6, 1)
     y = np.full(6, 3.25)
-    assert best_split(X, y) is None
+    assert root_split(X, y) is None
 
 
 def test_best_split_constant_features_returns_none():
     X = np.ones((5, 2))
     y = np.arange(5, dtype=np.float64)
-    assert best_split(X, y) is None
+    assert root_split(X, y) is None
 
 
 def test_best_split_tie_breaks_to_smaller_coordinate():
@@ -84,34 +99,40 @@ def test_best_split_tie_breaks_to_smaller_coordinate():
     col = np.array([0.0, 1.0, 2.0, 3.0])
     X = np.column_stack([col, col])
     y = np.array([0.0, 0.0, 5.0, 5.0])
-    coord, z, score = best_split(X, y)
-    assert coord == 0
+    assert root_split(X, y)[0] == 0
+    # a constant column is never split on, whatever its place
+    assert root_split(np.column_stack([np.ones(4), col]), y)[0] == 1
 
 
 def test_best_split_respects_candidates():
+    # identical columns split on column 0 unless the root draws column 1 alone
     col = np.array([0.0, 1.0, 2.0, 3.0])
     X = np.column_stack([col, col])
     y = np.array([0.0, 0.0, 5.0, 5.0])
-    coord, z, score = best_split(X, y, candidates=[1])
-    assert coord == 1
+    drawn = set()
+    for seed in range(8):
+        want = Generator(Philox(SeedSequence(seed))).choice(2, size=1, replace=False)[0]
+        assert root_split(X, y, features_drawn=1, seed=seed)[0] == want
+        drawn.add(int(want))
+    assert drawn == {0, 1}
 
 
-def test_best_split_matches_brute_force_on_random_instances():
+def test_growth_root_split_matches_brute_force_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(50):
         n = int(rng.integers(2, 25))
         P = int(rng.integers(1, 4))
         X = rng.integers(-4, 5, size=(n, P)).astype(np.float64)
         y = rng.integers(-3, 4, size=n).astype(np.float64)
-        ours = best_split(X, y)
+        ours = root_split(X, y)
         oracle = brute_force_split(X, y)
         if oracle is None:
             assert ours is None
         else:
             assert ours is not None
-            assert ours[0] == oracle[0]
-            assert ours[1] == oracle[1]
-            assert ours[2] == oracle[2]
+            assert ours[:2] == oracle[:2]
+            go = X[:, oracle[0]] <= oracle[1]
+            assert ours[2:] == (y[go].mean(), y[~go].mean())
 
 
 def _bad_split_input(case):
@@ -125,22 +146,19 @@ def _bad_split_input(case):
         X[2, 0] = np.nan
     elif case == "inf_feature":
         X[4, 1] = np.inf
-    candidates = {"candidate_minus_one": [-1], "candidate_P": [2]}.get(case)
-    return X, y, candidates
+    return X, y
 
 
 @pytest.mark.parametrize("case, match", [
     ("nan_response", "non-finite"),
-    ("nan_response_one_row", "non-finite"),  # checked before the one-row early return
+    ("nan_response_one_row", "non-finite"),  # checked though one row cannot split
     ("nan_feature", "non-finite"),
     ("inf_feature", "non-finite"),
-    ("candidate_minus_one", "candidates"),  # would split on column P - 1
-    ("candidate_P", "candidates"),  # would raise IndexError
 ])
 def test_best_split_rejects_bad_input(case, match):
-    X, y, candidates = _bad_split_input(case)
+    X, y = _bad_split_input(case)
     with pytest.raises(ValueError, match=match):
-        best_split(X, y, candidates)
+        root_split(X, y)
 
 
 def test_fit_tree_interpolates_distinct_points():
@@ -196,6 +214,8 @@ def test_config_validation():
         TreeConfig(features=0)
     with pytest.raises(ValueError):
         TreeConfig(features=True)
+    with pytest.raises(ValueError, match="seed"):
+        TreeConfig(seed=-1)
 
 
 def test_fit_tree_deterministic_per_seed():
@@ -300,14 +320,15 @@ def test_split_never_degrades_sse(n, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, 2))
     y = rng.standard_normal(n)
-    hit = best_split(X, y)
+    hit = root_split(X, y)
     if hit is None:
         return
-    coord, z, score = hit
-    parent = float(np.sum((y - y.mean()) ** 2))
-    assert score < parent + 1e-9
+    coord, z, _, _ = hit
     mask = X[:, coord] <= z
     assert 0 < mask.sum() < n
+    parent = float(np.sum((y - y.mean()) ** 2))
+    score = sum(float(np.sum((part - part.mean()) ** 2)) for part in (y[mask], y[~mask]))
+    assert score < parent + 1e-9
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -496,13 +496,31 @@ bermudan:
                  "model.steps: integer too large for a float", id="steps-huge-int"),
     pytest.param(["bermudan"], "bermudan:\n  z0: 1" + "0" * 400 + "\n",
                  "bermudan.z0: integer too large for a float", id="bermudan-huge-int"),
+    # sizes past numpy's int64 indices are config errors, not failed allocations
+    pytest.param(["simulate"], MICRO.replace("n_test: 150", "n_test: 1" + "0" * 400),
+                 "plan: n_test must be at most 2**63 - 1", id="n-test-huge-int"),
+    pytest.param(["bermudan"], "bermudan:\n  n_dates: 100000000000000000000\n",
+                 "bermudan: n_dates must be at most 2**63 - 1", id="n-dates-huge-int"),
+    # a negative seed fails when the config is read, not in the stage that draws
+    pytest.param(["simulate"], MICRO.replace("kind: tree\n  nodesize: 30",
+                                             "kind: forest\n  n_trees: 2\n  seed: -1"),
+                 "estimator: seed must be >= 0", id="forest-seed-simulate"),
+    pytest.param(["train"], MICRO.replace("nodesize: 30", "nodesize: 30\n  seed: -1"),
+                 "estimator: seed must be >= 0", id="tree-seed-train"),
+    pytest.param(["train"], MICRO.replace("kind: tree\n  nodesize: 30",
+                                          "kind: boost\n  rounds: 2\n  seed: -1"),
+                 "estimator: seed must be >= 0", id="boost-seed-train"),
+    pytest.param(["bermudan"], "bermudan:\n  estimator:\n    kind: tree\n    seed: -5\n",
+                 "bermudan.estimator: seed must be >= 0", id="bermudan-tree-seed"),
 ])
 def test_config_checks_are_config_errors(tmp_path, capsys, argv, text, needle):
     cfg = _cfg(tmp_path, text)
-    rc = main(argv + ["--config", cfg, "--out", str(tmp_path / "run")])
+    out = tmp_path / "run"
+    rc = main(argv + ["--config", cfg, "--out", str(out)])
     assert rc == EXIT_CONFIG
     line = _err_line(capsys)
     assert line.startswith("CONFIG_ERROR:") and needle in line
+    assert not out.exists()
 
 
 def test_report_rejects_a_bad_bermudan_section_before_any_fit(tmp_path, capsys):

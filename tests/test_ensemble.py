@@ -70,6 +70,11 @@ def test_forest_config_validation():
         ForestConfig(sampling="jackknife")
     with pytest.raises(ValueError):
         ForestConfig(sampling="subsample_with")  # needs n_resample
+    with pytest.raises(ValueError, match="seed"):
+        ForestConfig(seed=-1)
+    for size in (0, 2**63):  # numpy indexes with int64
+        with pytest.raises(ValueError, match="n_resample"):
+            ForestConfig(sampling="subsample_with", n_resample=size)
     with pytest.raises(ValueError):
         fit_forest(np.zeros((4, 1, 1)), np.zeros(4),
                    ForestConfig(sampling="subsample_without", n_resample=9))
@@ -233,6 +238,8 @@ def test_boost_config_validation():
         BoostConfig(learning_rate=1.5)
     with pytest.raises(ValueError):
         BoostConfig(patience=0)
+    with pytest.raises(ValueError, match="seed"):
+        BoostConfig(seed=-1)  # recorded only, but a Bermudan fit derives its date seeds from it
 
 
 def test_boost_refit_is_deterministic(toy):

@@ -290,6 +290,20 @@ def test_inner_stream_has_one_reader(path):
     assert refs and all(reader.lineno <= r <= reader.end_lineno for r in refs), refs
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_split_search_has_one_caller(path):
+    # growth fits every tree, so the greedy-split gate on its root split
+    # covers every split search; a second entry would go ungated
+    tree = ast.parse(path.read_text())
+    refs = _references(tree, "_split_nodes")
+    if path.name != "cart.py":
+        assert refs == [], path.name
+        return
+    caller, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_grow_trees")
+    assert len(refs) == 1 and caller.lineno <= refs[0] <= caller.end_lineno, refs
+
+
 def _unique_calls_without_return_flag(tree: ast.Module) -> list:
     """Lines of ``np.unique`` calls that pass no true ``return_*`` flag.
 
