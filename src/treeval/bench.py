@@ -2,13 +2,15 @@
 
 The oracles give the true value process the estimators are scored
 against: at date 0 the plain Monte Carlo mean of the test payoffs; at
-date 1 the exact value of a min_put or max_call on independent assets
-(``exact_v1``, a one-dimensional quadrature), and otherwise a nested
-Monte Carlo estimate (``oracle_v1``) whose inner paths come from a seed
-stream disjoint from everything the estimators see.  ``run_experiment``
-drives the full European pipeline (sample, fit, flatten, value surface
-at {0, 1, T}, error and risk tables) and ``run_bermudan`` the
-early-exercise pipeline; both write a deterministic CSV report bundle.
+date 1 the exact value of a min_put, max_call or brc on independent
+assets with positive volatilities (``exact_v1``: a one-dimensional
+quadrature, and for the brc a backward Nyström pass over its monitoring
+dates), and otherwise a nested Monte Carlo estimate (``oracle_v1``)
+whose inner paths come from a seed stream disjoint from everything the
+estimators see.  ``run_experiment`` drives the full European pipeline
+(sample, fit, flatten, value surface at {0, 1, T}, error and risk
+tables) and ``run_bermudan`` the early-exercise pipeline; both write a
+deterministic CSV report bundle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.random import Philox, SeedSequence
 
-from .bermudan import ExerciseSpec, black_put_price, price_regress_later, price_regress_now
+from .bermudan import (ExerciseSpec, _chebyshev_points, black_put_price, price_regress_later,
+                       price_regress_now)
 from .cart import TreeConfig
 from .ensemble import BoostConfig, ForestConfig, fit, predict
 from .flat import flatten_model
@@ -154,15 +157,16 @@ def _terminal_sds(model: BlackScholesModel) -> np.ndarray:
 
 
 def _exact_v1_panels(payoff: Payoff, sd: np.ndarray) -> int:
-    """Panels of the composite rule that resolves the narrowest asset's cdf."""
-    width = 2 * _TAIL_SDS * sd.max() + (0.0 if payoff.kind == "min_put" else sd.max() ** 2)
+    """Panels of the composite rule that resolves the narrowest asset's cdf.
+
+    A brc's loss leg is a min_put, so it takes the min_put's window.
+    """
+    width = 2 * _TAIL_SDS * sd.max() + (sd.max() ** 2 if payoff.kind == "max_call" else 0.0)
     return int(np.ceil(width / (_PANEL_SDS * sd.min())))
 
 
 def _exact_v1_error(payoff: Payoff, model: BlackScholesModel) -> Optional[str]:
     """Why ``exact_v1`` cannot value this payoff on this model, or None when it can."""
-    if payoff.kind not in ("min_put", "max_call"):
-        return f"exact_v1 values min_put and max_call, not {payoff.kind}"
     if model.n_periods < 2:
         return "exact_v1 needs T >= 2: at T = 1 the date-1 value is the payoff"
     cov = model.vols @ model.vols.T
@@ -174,11 +178,16 @@ def _exact_v1_error(payoff: Payoff, model: BlackScholesModel) -> Optional[str]:
     if panels > _MAX_PANELS:
         return (f"exact_v1 needs at most {_MAX_PANELS} quadrature panels, not {panels}: "
                 f"the assets' volatilities are too far apart")
+    if payoff.kind == "brc":
+        panels = max(_brc_grid(payoff, model, v)[1] for v in np.diag(cov))
+        if panels > _BRC_MAX_PANELS:
+            return (f"exact_v1 needs at most {_BRC_MAX_PANELS} barrier grid panels, not "
+                    f"{panels}: the barrier is too many period sds below the strike")
     return None
 
 
 def exact_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray) -> np.ndarray:
-    """Exact V_1 of a min_put or max_call on independent assets, shape (k,).
+    """Exact V_1 of a min_put, max_call or brc on independent assets, shape (k,).
 
     Given S_1, log S_{i,T} is normal with mean m_i = log S_{i,1} +
     (r - |sigma_i|^2/2) tau and standard deviation s_i = |sigma_i| sqrt(tau),
@@ -199,15 +208,19 @@ def exact_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray) -> np.nda
     composite Gauss-Legendre rule of 32-node panels, each at most 12 s of
     the narrowest asset wide.  Scenarios are valued in blocks of
     ``_EXACT_CHUNK`` with elementwise ops and per-row reductions, so a
-    scenario's value has the same bits in any block.  Raises ValueError
-    for brc, for T = 1, for dependent assets, for an asset of zero
-    volatility, and for volatilities so far apart (a factor of about 10)
-    that the rule would need more than 16 panels.
+    scenario's value has the same bits in any block.  A brc takes this
+    rule for its loss leg and ``_exact_brc`` for its barrier.  Raises
+    ValueError for T = 1, for dependent assets, for an asset of zero
+    volatility, for volatilities so far apart (a factor of about 10)
+    that the rule would need more than 16 panels, and for a brc whose
+    barrier grid would need more than 128 panels.
     """
     reason = _exact_v1_error(payoff, model)
     if reason is not None:
         raise ValueError(reason)
     x1 = _first_period(model, x1)
+    if payoff.kind == "brc":
+        return _exact_brc(payoff, model, x1)
     var = (model.vols**2).sum(axis=1)
     dt1, tau = model.steps[0], model.steps[1:].sum()
     # the mean of log S_{i,T} is offset + sqrt(dt1) sigma_i^T X_1
@@ -240,12 +253,160 @@ def exact_v1(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray) -> np.nda
     return out
 
 
+# the brc's backward pass: composite panels of 8 Gauss-Legendre nodes, each
+# one sd of the shortest period wide, over [log barrier, top], top 10 sd of
+# the tail past the strike; at most 128 panels.  Its y integral takes
+# exact_v1's rule (panels of 32 nodes, each at most 12 such sds wide);
+# ceil(4 h / s) + 16 Chebyshev points for a half-range h of date-1 log
+# prices; scenarios in blocks of 256
+_NYS_NODES = 8
+_NYS_PANEL_SDS = 1.0
+_NYS_TAIL_SDS = 10.0
+_BRC_MAX_PANELS = 128
+_CHEB_PER_SD = 4.0
+_CHEB_MIN = 16
+_BRC_CHUNK = 256
+
+
+def _brc_grid(payoff: Payoff, model: BlackScholesModel, var: float) -> tuple:
+    """(top, panels) of the Nyström grid of an asset of variance rate var > 0.
+
+    Above top = log K + |drift of periods 2..T| + 10 sd of the tail, every
+    H_t is 1 to within about Phi(-10); panels one sd of the shortest of
+    periods 2..T wide cover [log barrier, top].
+    """
+    tail = model.steps[1:]
+    top = (np.log(payoff.strike) + abs(model.rate - 0.5 * var) * tail.sum()
+           + _NYS_TAIL_SDS * np.sqrt(var * tail.sum()))
+    width = top - np.log(payoff.barrier)
+    return top, int(np.ceil(width / (_NYS_PANEL_SDS * np.sqrt(var * tail.min()))))
+
+
+def _nystrom_kernel(points, nodes, weights, top, mu, s) -> np.ndarray:
+    """One period's Nyström matrix, shape (points.size, nodes.size + 1).
+
+    Row p maps the values of H at the nodes, then at top, to
+        int_b^top H(x) phi((x - p - mu) / s) / s dx + H(top) (1 - Phi((top - p - mu) / s)),
+    which is E[1{x > b} H(x)] for the step x ~ N(p + mu, s^2) when H is flat
+    above top; nodes and weights are a quadrature rule on [b, top].
+    """
+    out = np.empty((points.size, nodes.size + 1))
+    z = out[:, :-1]  # every step in place: the matrix is the call's largest array
+    np.subtract(nodes, points[:, None], out=z)
+    z -= mu
+    z /= s
+    np.square(z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    z *= weights / (s * np.sqrt(2.0 * np.pi))
+    out[:, -1] = ndtr((points + mu - top) / s)
+    return out
+
+
+def _brc_survival(payoff, model, var, cols, w1) -> tuple:
+    """H_1 of one asset of variance rate var at Chebyshev points spanning w1.
+
+    H_1(w)[c] = P(w_t > b for t = 2..T and w_T >= c | w_1 = w) for each
+    threshold c >= b of cols.  H_{T-1} is Phi((w + mu_T - c) / s_T);
+    each earlier H comes from the next by one Nyström matrix, built once per
+    distinct period length, on one grid over [b, top].  Returns (nodes,
+    barycentric weights, H_1 at the nodes (nodes, cols)).
+    """
+    steps, T = model.steps, model.n_periods
+    b = np.log(payoff.barrier)
+    mu, s = (model.rate - 0.5 * var) * steps, np.sqrt(var * steps)
+    top, panels = _brc_grid(payoff, model, var)
+    # H_1 is 1 above top to within Phi(-10), so date-1 log prices above it read it there
+    lo = min(w1.min(), top)
+    hi = max(min(w1.max(), top), lo + s[1])
+    nodes, bw = _chebyshev_points(lo, hi, int(np.ceil(_CHEB_PER_SD * 0.5 * (hi - lo) / s[1]))
+                                  + _CHEB_MIN)
+    if T == 2:
+        return nodes, bw, ndtr((nodes[:, None] + mu[1] - cols) / s[1])
+    gx, gw = _gauss_legendre(_NYS_NODES, panels)
+    half = 0.5 * (top - b)
+    x, w = b + half * (1.0 + gx), half * gw
+    grid = np.append(x, top)
+    h = ndtr((grid[:, None] + mu[T - 1] - cols) / s[T - 1])  # H_{T-1}
+    kernels = {}
+    for t in range(T - 1, 2, -1):  # H_{t-1} from H_t over period t
+        if steps[t - 1] not in kernels:
+            kernels[steps[t - 1]] = _nystrom_kernel(grid, x, w, top, mu[t - 1], s[t - 1])
+        h = kernels[steps[t - 1]] @ h
+    return nodes, bw, _nystrom_kernel(nodes, x, w, top, mu[1], s[1]) @ h
+
+
+def _barycentric(x, nodes, bw, f) -> np.ndarray:
+    """The interpolant of f (nodes, cols) at each point of x (m,), shape (m, cols).
+
+    f^T D^T gives each point's column the same bits at any m but 1, where
+    numpy's matmul takes gemv; so a lone point is valued as a pair.  A point
+    on a node takes the node's row.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = bw / (x[:, None] - nodes)
+        dt = d.T if x.size > 1 else np.repeat(d.T, 2, axis=1)
+        out = (f.T @ dt)[:, :x.size].T / d.sum(axis=1)[:, None]
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        out[bad] = f[np.abs(x[bad, None] - nodes).argmin(axis=1)]
+    return out
+
+
+def _exact_brc(payoff: Payoff, model: BlackScholesModel, x1: np.ndarray) -> np.ndarray:
+    """Exact V_1 of a brc on independent assets with positive vols, T >= 2, (k,).
+
+    In relative log prices w_{i,t} = log(S_{i,t} / S_{i,0}), with b = log
+    barrier, N_i = S_{i,T} / (S_{i,0} K) and loss = (1 - min_i N_i)^+:
+    E[loss | S_1] is the min_put of strike 1 on the N_i (``exact_v1`` on
+    initial prices 1/K).  A scenario with some w_{i,1} <= b has breached;
+    otherwise the no-breach event factorizes by asset and
+        E[(1 - breached) loss | S_1] = int_{barrier/K}^1 [prod_i p_i - prod_i G_i(y)] dy,
+    G_i(y) = H_1(w_{i,1}) at threshold log(y K) and p_i at threshold b (see
+    ``_brc_survival``).  Then V_1 = disc (c + f - f (E[loss] - E[(1 -
+    breached) loss])).  Assets of equal variance rate share one grid.
+    """
+    k, d = x1.shape
+    var = (model.vols**2).sum(axis=1)
+    K, b = payoff.strike, np.log(payoff.barrier)
+    disc = np.exp(-model.rate * model.steps.sum())
+    put = exact_v1(Payoff("min_put", strike=1.0),
+                   replace(model, initial_prices=np.full(d, 1.0 / K)), x1)
+    w1 = ((x1[:, None, :] * model.vols).sum(axis=2) * np.sqrt(model.steps[0])
+          + (model.rate - 0.5 * var) * model.steps[0])
+    alive = (w1 > b).all(axis=1)
+    kept = np.zeros(k)  # E[(1 - breached) loss | S_1]
+    if alive.any():
+        # log y on [log(barrier / K), 0], in panels of at most 12 sds of the shortest period
+        width = np.log(K) - b
+        sd = np.sqrt(var.min() * model.steps[1:].min())
+        yn, yw = _gauss_legendre(_GL_NODES, int(np.ceil(width / (_PANEL_SDS * sd))))
+        u = 0.5 * width * (yn - 1.0)
+        cols = np.concatenate([[b], u + np.log(K)])
+        wy = 0.5 * width * yw * np.exp(u)
+        groups = []
+        for v in dict.fromkeys(var.tolist()):  # one grid per distinct variance rate
+            idx = np.flatnonzero(var == v)
+            groups.append((idx, _brc_survival(payoff, model, v, cols, w1[alive][:, idx])))
+        for a in range(0, k, _BRC_CHUNK):
+            w = w1[a:a + _BRC_CHUNK]
+            g = np.empty(w.shape + (cols.size,))
+            for idx, (nodes, bw, h1) in groups:
+                # breached scenarios are clipped too; their term is zeroed below
+                x = np.clip(w[:, idx], nodes[-1], nodes[0]).ravel()
+                g[:, idx] = _barycentric(x, nodes, bw, h1).reshape(w.shape[0], idx.size, -1)
+            prod = g.prod(axis=1)
+            kept[a:a + _BRC_CHUNK] = ((prod[:, :1] - prod[:, 1:]) * wy).sum(axis=1)
+        kept[~alive] = 0.0
+    return disc * (payoff.coupon + payoff.face) - payoff.face * (put - disc * kept)
+
+
 def _date1_truth(plan: ExperimentPlan, x1: np.ndarray) -> tuple:
     """The date-1 truth of the plan's scenarios: (values, standard errors), each (k,).
 
-    ``exact_v1`` with standard errors 0 where it applies (min_put and
-    max_call on independent assets, T >= 2); otherwise the nested-MC
-    ``oracle_v1`` with ``plan.n_inner`` inner paths.
+    ``exact_v1`` with standard errors 0 where it applies (every payoff on
+    independent assets with positive volatilities, T >= 2); otherwise the
+    nested-MC ``oracle_v1`` with ``plan.n_inner`` inner paths.
     """
     if _exact_v1_error(plan.payoff, plan.model) is None:
         return exact_v1(plan.payoff, plan.model, x1), np.zeros(len(x1))

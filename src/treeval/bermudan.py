@@ -131,21 +131,27 @@ def _chebyshev_degree(mu, s) -> int:
     return n if n + 1 < 0.5 * k else 0
 
 
+def _chebyshev_points(lo: float, hi: float, n: int) -> tuple:
+    """The n + 1 Chebyshev points of the second kind on [lo, hi], descending,
+    and their barycentric weights (second form, Berrut & Trefethen 2004)."""
+    j = np.arange(n + 1)
+    nodes = lo + 0.5 * (hi - lo) * (1.0 + np.sin(np.pi * (n - 2 * j) / (2 * n)))
+    nodes[0], nodes[-1] = hi, lo
+    bw = np.where(j % 2 == 0, 1.0, -1.0)
+    bw[[0, -1]] *= 0.5
+    return nodes, bw
+
+
 def _chebyshev_cell_sum(q, w, const, mu, s, n, chunk):
     """The cdf sum at every mean from its values at n + 1 nodes.
 
     C is valued directly at the Chebyshev points of the second kind on
-    [min mu, max mu] and interpolated by the barycentric formula (second
-    form, Berrut & Trefethen 2004), block by block in one reused buffer.
-    A mean on a node takes the node's value.  The range must not be zero.
+    [min mu, max mu] and interpolated by the barycentric formula, block
+    by block in one reused buffer.  A mean on a node takes the node's
+    value.  The range must not be zero.
     """
-    a, b = mu.min(), mu.max()
-    j = np.arange(n + 1)
-    nodes = a + 0.5 * (b - a) * (1.0 + np.sin(np.pi * (n - 2 * j) / (2 * n)))
-    nodes[0], nodes[-1] = b, a
+    nodes, bw = _chebyshev_points(mu.min(), mu.max(), n)
     f = _cdf_sum(q, w, const, nodes, s, chunk)
-    bw = np.where(j % 2 == 0, 1.0, -1.0)
-    bw[[0, -1]] *= 0.5
     out = np.empty(mu.size)
     buf = np.empty((min(chunk, mu.size), n + 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

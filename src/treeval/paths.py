@@ -183,7 +183,9 @@ class Payoff:
         "brc"       : barrier reverse convertible paying coupon plus
                       face reduced by the worst normalized loss if the
                       barrier was breached on any monitoring date.
-    All kinds are discounted with exp(-r * sum(steps)).
+    All kinds are discounted with exp(-r * sum(steps)).  The strike of a
+    min_put or max_call is a price; the strike and barrier of a brc are
+    fractions of each asset's initial price, so 0 < barrier < strike.
     """
 
     kind: str
@@ -206,7 +208,8 @@ class Payoff:
 def payoff_value(payoff: Payoff, model: BlackScholesModel, prices: np.ndarray) -> np.ndarray:
     """Discounted cash flow of each path, shape (n,).
 
-    The barrier of a "brc" is monitored at t = 1, ..., T; the loss leg
+    The barrier of a "brc" is monitored at t = 1, ..., T: the note
+    breaches when some S_{i,t} / S_{i,0} <= barrier.  The loss leg
     compares terminal prices to strike-adjusted initial prices.
     """
     if prices.ndim != 3 or prices.shape[2] != model.n_periods + 1:
@@ -218,7 +221,9 @@ def payoff_value(payoff: Payoff, model: BlackScholesModel, prices: np.ndarray) -
     elif payoff.kind == "max_call":
         raw = np.maximum(terminal.max(axis=1) - payoff.strike, 0.0)
     else:
-        breached = (prices[:, :, 1:].min(axis=(1, 2)) <= payoff.barrier)
+        # min_t (S_{i,t} / S_{i,0}) is min_t S_{i,t} / S_{i,0}: rounding keeps the order
+        low = prices[:, :, 1:].min(axis=2) / model.initial_prices
+        breached = low.min(axis=1) <= payoff.barrier
         norm = terminal / (model.initial_prices[None, :] * payoff.strike)
         loss = np.maximum(1.0 - norm.min(axis=1), 0.0)
         raw = payoff.coupon + payoff.face * (1.0 - breached * loss)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 import treeval as tv
 from treeval import bench, paths
@@ -306,21 +306,117 @@ def test_oracle_v1_matches_exact_v1(kind):
     assert 0.8 <= np.mean(z**2) <= 1.2
 
 
-@pytest.mark.parametrize("kind", ["min_put", "max_call"])
+@pytest.mark.parametrize("kind", ["min_put", "max_call", "brc"])
 def test_exact_v1_same_bits_in_any_block(kind, monkeypatch):
-    model = standard_model("min_put", d=6, rate=0.03)
-    payoff = Payoff(kind, strike=1.0)
-    x1 = sample_driver(50, 6, model.n_periods, 4, (STREAM_TEST,))[:, :, 0]
+    if kind == "brc":
+        # the third asset has a grid of its own, so a block of one scenario
+        # interpolates one point there: numpy's matmul would take gemv for it
+        model = replace(standard_model("brc", d=3, rate=0.03), vols=np.diag([0.2, 0.2, 0.25]))
+        payoff = Payoff("brc", strike=1.0, barrier=0.8, coupon=0.05)
+    else:
+        model = standard_model("min_put", d=6, rate=0.03)
+        payoff = Payoff(kind, strike=1.0)
+    d = model.n_assets
+    x1 = sample_driver(50, d, model.n_periods, 4, (STREAM_TEST,))[:, :, 0]
     want = exact_v1(payoff, model, x1)
     for chunk in (1, 7):
         monkeypatch.setattr(bench, "_EXACT_CHUNK", chunk)
+        monkeypatch.setattr(bench, "_BRC_CHUNK", chunk)
         assert np.array_equal(exact_v1(payoff, model, x1), want), chunk
+
+
+def _brc_model(d=3, vols=0.2, rate=0.0, steps=None):
+    """The standard brc model with vols (one, or one per asset), rate and steps."""
+    model = replace(standard_model("brc", d=d, rate=rate),
+                    vols=np.diag(np.broadcast_to(np.asarray(vols, dtype=float), (d,))))
+    return model if steps is None else replace(model, steps=np.array(steps))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.04])
+def test_exact_brc_at_two_dates_is_a_black_form(rate):
+    """At T = 2 and d = 1 only date 2 is left to monitor, so V_1 is a closed form.
+
+    With w_2 ~ N(m, s^2) given w_1, the note loses f (1 - e^{w_2} / K) when
+    w_2 < log K and it has breached: always if w_1 <= b, else when w_2 <= b.
+    E[1{w_2 <= c} (1 - e^{w_2} / K)] = Phi((c - m) / s) - e^{m + s^2/2} Phi((c - m - s^2) / s) / K.
+    """
+    sigma, steps, K, barrier, c, f = 0.3, [0.25, 0.5], 1.1, 0.75, 0.05, 2.0
+    model = _brc_model(1, sigma, rate, steps)
+    payoff = Payoff("brc", strike=K, barrier=barrier, coupon=c, face=f)
+    x1 = np.linspace(-8.0, 5.0, 301)[:, None]  # x1 below -1.9 breaches at date 1
+    w1 = sigma * math.sqrt(steps[0]) * x1[:, 0] + (rate - 0.5 * sigma**2) * steps[0]
+    m, s = w1 + (rate - 0.5 * sigma**2) * steps[1], sigma * math.sqrt(steps[1])
+
+    def lost(cut):
+        return ndtr((cut - m) / s) - np.exp(m + 0.5 * s * s) * ndtr((cut - m - s * s) / s) / K
+
+    breached = w1 <= math.log(barrier)
+    assert 0 < breached.sum() < breached.size
+    want = math.exp(-rate * sum(steps)) * (
+        c + f - f * np.where(breached, lost(math.log(K)), lost(math.log(barrier))))
+    np.testing.assert_allclose(exact_v1(payoff, model, x1), want, rtol=0, atol=1e-14)
+
+
+def test_exact_brc_asset_far_above_the_strike_drops_out():
+    # an asset whose date-1 price lies far above every barrier grid (past
+    # top, where the Nyström pass reads H from its value at top) can neither
+    # breach nor set the loss, so the note is worth the note on the others
+    x = np.linspace(-5.0, 5.0, 41)
+    payoff = Payoff("brc", strike=1.0, barrier=0.7, coupon=0.05)
+    pair = exact_v1(payoff, _brc_model(2, vols=[0.2, 0.3], rate=0.02, steps=[0.1, 0.2, 0.3]),
+                    np.column_stack([x, np.full(x.size, 60.0)]))
+    one = exact_v1(payoff, _brc_model(1, vols=0.2, rate=0.02, steps=[0.1, 0.2, 0.3]), x[:, None])
+    np.testing.assert_allclose(pair, one, rtol=0, atol=1e-14)
+
+
+_BRC_CASES = [(_brc_model(), Payoff("brc", barrier=0.6)),
+              (_brc_model(vols=[0.2, 0.3, 0.2], rate=0.03),
+               Payoff("brc", strike=1.1, barrier=0.8, coupon=0.05))]
+
+
+@pytest.mark.parametrize("name, finer", [("_NYS_NODES", 16), ("_NYS_PANEL_SDS", 0.5),
+                                         ("_NYS_TAIL_SDS", 12.0), ("_GL_NODES", 128),
+                                         ("_CHEB_PER_SD", 16.0)])
+@pytest.mark.parametrize("case", range(len(_BRC_CASES)))
+def test_exact_brc_converges(case, name, finer, monkeypatch):
+    # panel width, tail width, y nodes (with the min_put leg's nodes) and
+    # Chebyshev degree, each refined alone
+    model, payoff = _BRC_CASES[case]
+    x1 = sample_driver(1000, 3, model.n_periods, 5, (STREAM_TEST,))[:, :, 0]
+    want = exact_v1(payoff, model, x1)
+    monkeypatch.setattr(bench, name, finer)
+    np.testing.assert_allclose(exact_v1(payoff, model, x1), want, rtol=0, atol=1e-14)
+
+
+def test_oracle_v1_matches_exact_brc():
+    """The nested-MC z-scores against the exact brc V_1 at d = 3, as against Black's put.
+
+    Two grids (unequal vols) and a rate > 0.  A scenario none of whose inner
+    paths breach has a standard error of 0 and is left out; at barrier 0.8
+    and 200 inner paths there are none, which the count checks.
+    """
+    model = _brc_model(vols=[0.2, 0.2, 0.3], rate=0.02)
+    payoff = Payoff("brc", strike=1.0, barrier=0.8, coupon=0.05)
+    k = 2000
+    x1 = sample_driver(k, 3, model.n_periods, 0, (STREAM_TEST,))[:, :, 0]
+    v1, se = oracle_v1(payoff, model, x1, n_inner=200, seed=0)
+    kept = se > 0
+    assert kept.sum() >= 0.99 * k
+    z = (v1 - exact_v1(payoff, model, x1))[kept] / se[kept]
+    assert abs(z.mean()) < 5.0 / math.sqrt(kept.sum())
+    assert 0.8 <= np.mean(z**2) <= 1.2
 
 
 def test_exact_v1_rejects_what_it_cannot_value():
     x1 = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="brc"):
-        exact_v1(Payoff("brc", barrier=0.6), standard_model("brc", d=2), x1)
+    brc = Payoff("brc", barrier=0.6)
+    for model, needle in ((_brc_model(2, steps=[1.0]), "T >= 2"),
+                          (_brc_model(2, vols=[0.2, 0.0]), "positive"),
+                          (replace(_brc_model(2), vols=np.array([[0.3, 0.0], [0.1, 0.2]])),
+                           "independent"),
+                          (_brc_model(2, vols=0.01), "barrier grid panels")):
+        with pytest.raises(ValueError, match=needle):
+            exact_v1(brc, model, x1)
     one_period = BlackScholesModel(initial_prices=np.ones(2), vols=0.2 * np.eye(2),
                                    rate=0.0, steps=np.array([1.0]))
     with pytest.raises(ValueError, match="T >= 2"):
@@ -343,8 +439,9 @@ def test_exact_v1_rejects_what_it_cannot_value():
 @pytest.mark.parametrize("kind, vols, exact", [
     ("min_put", None, True),
     ("max_call", None, True),
-    ("brc", None, False),
+    ("brc", None, True),
     ("min_put", [[0.3, 0.0], [0.1, 0.2]], False),
+    ("brc", [[0.3, 0.0], [0.1, 0.2]], False),
 ])
 def test_run_experiment_date1_truth(kind, vols, exact):
     """Exact V_1 with zero standard errors where exact_v1 applies, nested MC elsewhere."""

@@ -1044,6 +1044,25 @@ def test_report_bundle_determinism(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_brc_runs_call_neither_nested_mc_nor_the_thread_pool(tmp_path, capsys, monkeypatch):
+    # the brc's date-1 truth is exact on independent assets, in staged runs and in report
+    from treeval import bench, parallel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nested MC or the thread pool ran")
+
+    for module, name in ((bench, "oracle_v1"), (bench, "thread_map"), (parallel, "thread_map")):
+        monkeypatch.setattr(module, name, refuse)
+    cfg = _cfg(tmp_path, MICRO.replace("kind: min_put", "kind: brc\n  barrier: 0.6"))
+    staged, report = tmp_path / "staged", tmp_path / "report"
+    for stage in ("simulate", "train", "value", "risk"):
+        assert main([stage, "--config", cfg, "--out", str(staged)]) == EXIT_OK, stage
+    assert main(["report", "--config", cfg, "--out", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    for name in ("risk.csv", "qq_t1.csv"):
+        assert (staged / name).read_bytes() == (report / name).read_bytes(), name
+
+
 def test_report_writes_the_bermudan_leg_to_its_own_directory(tmp_path, capsys):
     cfg = _cfg(tmp_path, MICRO + "bermudan:" + BERM.split("bermudan:")[1])
     out = tmp_path / "r"

@@ -170,6 +170,26 @@ def test_brc_payoff_hand_cases():
     np.testing.assert_allclose(y[2], 1.05, rtol=1e-15)
 
 
+def test_brc_barrier_is_a_fraction_of_the_initial_price():
+    # a power of two scales every price exactly, so the payoff keeps its bits
+    driver = sample_driver(2000, 3, 12, 5)
+    payoff = Payoff(kind="brc", strike=1.0, barrier=0.8, coupon=0.05)
+    ys = []
+    for price in (1.0, 4.0):
+        model = BlackScholesModel(initial_prices=np.full(3, price), vols=0.2 * np.eye(3),
+                                  rate=0.0, steps=np.full(12, 1 / 12))
+        ys.append(payoff_value(payoff, model, simulate_bs(model, driver)))
+    assert np.array_equal(ys[0], ys[1])
+    assert (ys[0] < 0.05 + 1.0).any() and (ys[0] == 0.05 + 1.0).any()  # breached and not
+    # S_0 = 100: a fall to 60% of the initial price breaches the 0.6 barrier
+    model = BlackScholesModel(initial_prices=np.full(2, 100.0), vols=0.2 * np.eye(2),
+                              rate=0.0, steps=np.array([0.5, 0.5]))
+    prices = np.array([[[100.0, 60.0, 90.0], [100.0, 100.0, 110.0]],
+                       [[100.0, 61.0, 90.0], [100.0, 100.0, 110.0]]])
+    y = payoff_value(Payoff(kind="brc", strike=1.0, barrier=0.6, coupon=0.05), model, prices)
+    np.testing.assert_allclose(y, [1.05 - 0.1, 1.05], rtol=1e-15)
+
+
 def test_brc_requires_barrier_below_strike():
     with pytest.raises(ValueError):
         Payoff(kind="brc", strike=1.0, barrier=1.2, coupon=0.05, face=1.0)

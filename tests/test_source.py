@@ -380,6 +380,8 @@ def test_cli_import_and_exact_v1_leave_quadrature_packages_unloaded():
         model = standard_model("min_put")
         for kind in ("min_put", "max_call"):
             exact_v1(Payoff(kind), model, np.zeros((40, model.n_assets)))
+        model = standard_model("brc")
+        exact_v1(Payoff("brc", barrier=0.6), model, np.zeros((40, model.n_assets)))
         print(sorted(m for m in {_QUADRATURE_MODULES!r} if m in sys.modules))
     """)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
